@@ -112,6 +112,12 @@ def _load_state(path: str):
     return kind, array
 
 
+def _load_density(path: str):
+    """A state file as a matrix; a pure state becomes its projector."""
+    _, array = _load_state(path)
+    return np.outer(array, array.conj()) if array.ndim == 1 else array
+
+
 def _cmd_table(args, report):
     _, state = _load_state(args.state)
     _, basis = load_matrix_file(args.basis, expect_kind="unitary")
@@ -194,13 +200,9 @@ def _cmd_enumerate(args, report):
     _, basis = load_matrix_file(args.basis, expect_kind="unitary")
     minimal = enumerate_min_uncertainty_states(basis)
     positive = filter_kd_positive_pure(minimal, basis)
-    positive_index = [
-        next(
-            k for k in range(len(minimal))
-            if np.allclose(minimal.states[k], s)
-        )
-        for s in positive.states
-    ]
+    # Each pattern yields at most one state, so patterns identify states.
+    index_of = {p: k for k, p in enumerate(minimal.patterns)}
+    positive_index = [index_of[p] for p in positive.patterns]
     report["results"] = {
         "count": len(minimal),
         "states": minimal.states,
@@ -236,13 +238,8 @@ def _certificate_dict(cert):
 
 
 def _cmd_hull(args, report):
-    _, state = _load_state(args.state)
-    if state.ndim == 1:
-        state = np.outer(state, state.conj())
-    generators = []
-    for path in args.generators:
-        kind, g = _load_state(path)
-        generators.append(np.outer(g, g.conj()) if g.ndim == 1 else g)
+    state = _load_density(args.state)
+    generators = [_load_density(path) for path in args.generators]
     cert = membership_lp(state, generators, tol=args.tol)
     report["certificates"] = {"membership": _certificate_dict(cert)}
     report["results"] = {"verdict": cert.verdict}
@@ -259,11 +256,7 @@ def _cmd_hull(args, report):
 
 
 def _cmd_facets(args, report):
-    generators = []
-    for path in args.generators:
-        kind, g = _load_state(path)
-        generators.append(np.outer(g, g.conj()) if g.ndim == 1 else g)
-    facets = facet_enumeration(generators)
+    facets = facet_enumeration([_load_density(path) for path in args.generators])
     report["results"] = {
         "count": len(facets),
         "facets": [
@@ -311,9 +304,7 @@ def _roof_report(estimate, report):
 
 
 def _cmd_roof_support(args, report):
-    _, state = _load_state(args.state)
-    if state.ndim == 1:
-        state = np.outer(state, state.conj())
+    state = _load_density(args.state)
     _, basis = load_matrix_file(args.basis, expect_kind="unitary")
     cfg = AnnealConfig(seed=args.seed, restarts=args.restarts, steps=args.steps)
     estimate = support_roof_bounds(state, basis, cfg=cfg)
@@ -321,16 +312,14 @@ def _cmd_roof_support(args, report):
 
 
 def _cmd_roof_nonpos(args, report):
-    _, state = _load_state(args.state)
-    if state.ndim == 1:
-        state = np.outer(state, state.conj())
+    state = _load_density(args.state)
     _, basis = load_matrix_file(args.basis, expect_kind="unitary")
     positive = None
     if args.positive_pure:
-        positive = []
-        for path in args.positive_pure:
-            _, psi = load_matrix_file(path, expect_kind="pure_state")
-            positive.append(psi)
+        positive = [
+            load_matrix_file(path, expect_kind="pure_state")[1]
+            for path in args.positive_pure
+        ]
     cfg = AnnealConfig(seed=args.seed, restarts=args.restarts, steps=args.steps)
     estimate = nonpositivity_roof_bounds(state, basis, cfg=cfg, positive_pure=positive)
     return EXIT_OK, _roof_report(estimate, report)

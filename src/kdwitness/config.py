@@ -1,8 +1,8 @@
 """Central numerical tolerances.
 
-Every default listed here can be overridden per call; the base tolerance can
-additionally be overridden globally through the ``KD_DEFAULT_TOL``
-environment variable.
+Keyword arguments override the base, feasibility, dedup and facet-match
+defaults per call, and ``KD_DEFAULT_TOL`` overrides the base one globally;
+the margin factor and the rank, weight and exactness cutoffs are fixed.
 """
 
 import os

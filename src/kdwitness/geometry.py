@@ -11,7 +11,7 @@ separating-functional inequalities are re-checked after every solve and a
 violation is a hard error, never a silent downgrade.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -61,24 +61,16 @@ def real_to_hermitian(coords, d: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PointMembership:
-    verdict: str
-    weights: np.ndarray | None
-    normal: np.ndarray | None
-    threshold: float | None
-    margin: float | None
-    tol: float
-
-
-@dataclass(frozen=True)
 class MembershipCertificate:
-    """Outcome of a hull-membership query over density-matrix generators.
+    """Outcome of a hull-membership query.
 
     Inside: ``weights`` are validated convex coefficients reproducing the
-    target. Outside: ``functional`` is a Hermitian separating witness with
+    target. Outside: ``functional`` is a separating witness with
     ``Tr(F g) <= threshold`` for every generator and
     ``Tr(F target) = threshold + margin``. A margin below ten times the
-    feasibility tolerance yields the indeterminate verdict instead.
+    feasibility tolerance yields the indeterminate verdict instead. Over
+    density-matrix generators the witness is Hermitian; over raw points it
+    is a unit normal vector and ``normalization`` is None.
     """
 
     verdict: str
@@ -90,11 +82,25 @@ class MembershipCertificate:
     tol: float
 
 
-def membership_lp_points(target, generators, tol: float | None = None) -> PointMembership:
-    """Decide membership of a point in the convex hull of generator points."""
-    tol = config.FEASIBILITY_TOL if tol is None else tol
-    points = np.asarray(generators, dtype=float)
-    x = np.asarray(target, dtype=float)
+def _embed(generators, target=None):
+    """Dimension, real generator points and target point of Hermitian inputs.
+
+    Every matrix, the target included, must share the first generator's
+    square shape.
+    """
+    gens = [as_complex(g, "generator") for g in generators]
+    if not gens:
+        raise ValidationError("need at least one generator")
+    d = gens[0].shape[0]
+    target_m = None if target is None else as_complex(target, "target")
+    if any(m.shape != (d, d) for m in gens + [target_m] if m is not None):
+        raise ValidationError(f"all matrices must be {d} x {d}, like the first generator")
+    points = np.array([hermitian_to_real(g) for g in gens])
+    return d, points, None if target_m is None else hermitian_to_real(target_m)
+
+
+def _hull_lp(points, x, c, tol: float):
+    """Equality LP over convex weights w: points.T w = x, sum w = 1, min c.w."""
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValidationError("need at least one generator point")
     if x.shape != (points.shape[1],):
@@ -104,7 +110,17 @@ def membership_lp_points(target, generators, tol: float | None = None) -> PointM
     n = points.shape[0]
     a_matrix = np.vstack([points.T, np.ones((1, n))])
     b_vector = np.concatenate([x, [1.0]])
-    result = solve_equality_lp(a_matrix, b_vector, c=None, feas_tol=tol)
+    return solve_equality_lp(a_matrix, b_vector, c=c, feas_tol=tol)
+
+
+def membership_lp_points(
+    target, generators, tol: float | None = None
+) -> MembershipCertificate:
+    """Decide membership of a point in the convex hull of generator points."""
+    tol = config.FEASIBILITY_TOL if tol is None else tol
+    points = np.asarray(generators, dtype=float)
+    x = np.asarray(target, dtype=float)
+    result = _hull_lp(points, x, None, tol)
 
     if result.status == OPTIMAL:
         w = result.x
@@ -117,7 +133,7 @@ def membership_lp_points(target, generators, tol: float | None = None) -> PointM
             raise CertificateError(f"inside certificate has weight {w.min():.3e} < 0")
         if abs(w.sum() - 1.0) > 1e-10:
             raise CertificateError(f"inside certificate weights sum to {w.sum()}")
-        return PointMembership(INSIDE, w, None, None, None, tol)
+        return MembershipCertificate(INSIDE, w, None, None, None, None, tol)
 
     assert result.status == INFEASIBLE
     y = result.farkas
@@ -132,7 +148,7 @@ def membership_lp_points(target, generators, tol: float | None = None) -> PointM
     if margin <= 0.0:
         raise CertificateError(f"outside certificate has margin {margin:.3e} <= 0")
     verdict = OUTSIDE if margin > config.MARGIN_FACTOR * tol else INDETERMINATE
-    return PointMembership(verdict, None, v, threshold, margin, tol)
+    return MembershipCertificate(verdict, None, v, threshold, margin, None, tol)
 
 
 def membership_lp(target, generators, tol: float | None = None) -> MembershipCertificate:
@@ -142,39 +158,21 @@ def membership_lp(target, generators, tol: float | None = None) -> MembershipCer
     trace one when its trace allows, otherwise reported at unit Frobenius
     norm.
     """
-    tol = config.FEASIBILITY_TOL if tol is None else tol
-    gens = [as_complex(g, "generator") for g in generators]
-    if not gens:
-        raise ValidationError("need at least one generator")
-    d = gens[0].shape[0]
-    target_m = as_complex(target, "target")
-    if target_m.shape != (d, d) or any(g.shape != (d, d) for g in gens):
-        raise ValidationError("target and generators must share one square shape")
-    points = np.array([hermitian_to_real(g) for g in gens])
-    outcome = membership_lp_points(hermitian_to_real(target_m), points, tol=tol)
+    d, points, x = _embed(generators, target)
+    outcome = membership_lp_points(x, points, tol=tol)
     if outcome.verdict == INSIDE:
-        return MembershipCertificate(INSIDE, outcome.weights, None, None, None, None, tol)
-    functional = real_to_hermitian(outcome.normal, d)
-    threshold = outcome.threshold
-    margin = outcome.margin
+        return outcome
+    functional = real_to_hermitian(outcome.functional, d)
     trace = float(np.trace(functional).real)
-    if trace > 1e-6:
-        functional = functional / trace
-        threshold = threshold / trace
-        margin = margin / trace
-        normalization = "trace_one"
-    else:
-        normalization = "unit_frobenius"
-    return MembershipCertificate(
-        outcome.verdict, None, functional, threshold, margin, normalization, tol
+    if trace <= 1e-6:
+        return replace(outcome, functional=functional, normalization="unit_frobenius")
+    return replace(
+        outcome,
+        functional=functional / trace,
+        threshold=outcome.threshold / trace,
+        margin=outcome.margin / trace,
+        normalization="trace_one",
     )
-
-
-@dataclass(frozen=True)
-class PointFacet:
-    normal: np.ndarray
-    offset: float
-    active: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,8 @@ class Facet:
     """A bounding hyperplane of the generator hull.
 
     Every generator g satisfies ``Tr(functional @ g) <= offset``, with
-    equality (within the active tolerance) exactly on the active set.
+    equality (within the active tolerance) exactly on the active set. Over
+    raw points ``functional`` is the unit normal vector.
     """
 
     functional: np.ndarray
@@ -194,7 +193,7 @@ def facet_enumeration_points(
     points,
     active_tol: float = 1e-7,
     match_tol: float | None = None,
-) -> list[PointFacet]:
+) -> list[Facet]:
     """All bounding hyperplanes of the convex hull of a small point set.
 
     Works inside the affine hull of the points: candidate hyperplanes pass
@@ -251,22 +250,16 @@ def facet_enumeration_points(
     facets = []
     for normal, offset, active in found:
         ambient = basis @ normal
-        facets.append(
-            PointFacet(ambient, float(offset + ambient @ centroid), active)
-        )
-    facets.sort(key=lambda f: (round(f.offset, 9),) + tuple(np.round(f.normal, 9)))
+        facets.append(Facet(ambient, float(offset + ambient @ centroid), active))
+    facets.sort(key=lambda f: (round(f.offset, 9),) + tuple(np.round(f.functional, 9)))
     return facets
 
 
 def facet_enumeration(generators, active_tol: float = 1e-7) -> list[Facet]:
     """Facets of the hull of Hermitian generators, as Hermitian functionals."""
-    gens = [as_complex(g, "generator") for g in generators]
-    if not gens:
-        raise ValidationError("need at least one generator")
-    d = gens[0].shape[0]
-    points = np.array([hermitian_to_real(g) for g in gens])
+    d, points, _ = _embed(generators)
     return [
-        Facet(real_to_hermitian(f.normal, d), f.offset, f.active)
+        replace(f, functional=real_to_hermitian(f.functional, d))
         for f in facet_enumeration_points(points, active_tol=active_tol)
     ]
 
@@ -283,13 +276,9 @@ def finite_convex_roof_points(
     tol = config.FEASIBILITY_TOL if tol is None else tol
     pts = np.asarray(points, dtype=float)
     vals = np.asarray(values, dtype=float)
-    x = np.asarray(target, dtype=float)
     if vals.shape != (pts.shape[0],):
         raise ValidationError("one value per generator is required")
-    n = pts.shape[0]
-    a_matrix = np.vstack([pts.T, np.ones((1, n))])
-    b_vector = np.concatenate([x, [1.0]])
-    result = solve_equality_lp(a_matrix, b_vector, c=vals, feas_tol=tol)
+    result = _hull_lp(pts, np.asarray(target, dtype=float), vals, tol)
     if result.status == INFEASIBLE:
         raise OutsideHull("target is outside the convex hull of the generators")
     if result.status != OPTIMAL:
@@ -299,9 +288,6 @@ def finite_convex_roof_points(
 
 def finite_convex_roof(values, target, generators, tol: float | None = None) -> float:
     """Hermitian wrapper around :func:`finite_convex_roof_points`."""
-    gens = [as_complex(g, "generator") for g in generators]
-    points = np.array([hermitian_to_real(g) for g in gens])
-    value, _ = finite_convex_roof_points(
-        values, hermitian_to_real(as_complex(target, "target")), points, tol=tol
-    )
+    _, points, x = _embed(generators, target)
+    value, _ = finite_convex_roof_points(values, x, points, tol=tol)
     return value

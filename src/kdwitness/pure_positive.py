@@ -22,7 +22,7 @@ from .errors import (
     NonGenericPatternWarning,
     NotCompletelyIncompatible,
 )
-from .incompatibility import complete_incompatibility, support_counts_pure
+from .incompatibility import complete_incompatibility
 from .kd import is_kd_positive, kd_table
 from .linalg import as_complex
 
@@ -146,14 +146,12 @@ def enumerate_min_uncertainty_states(
                 psi = np.zeros(d, dtype=complex)
                 psi[list(sub_a)] = solution
                 psi = canonical_phase(psi / np.linalg.norm(psi))
-                counts = support_counts_pure(psi, u, eps=eps)
                 realized_a = tuple(np.flatnonzero(np.abs(psi) > eps).tolist())
                 realized_b = tuple(
                     np.flatnonzero(np.abs(psi @ u_conj) > eps).tolist()
                 )
                 if realized_a != sub_a or realized_b != sub_b:
                     continue
-                assert counts.n_ab == d + 1
                 if any(phase_invariant_distance(psi, s) <= dedup_tol for s in states):
                     continue
                 states.append(psi)

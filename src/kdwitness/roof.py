@@ -25,8 +25,8 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .geometry import INDETERMINATE, INSIDE, MembershipCertificate, membership_lp
-from .incompatibility import complete_incompatibility, support_counts_mixed
+from .geometry import INDETERMINATE, INSIDE, OUTSIDE, MembershipCertificate, membership_lp
+from .incompatibility import support_counts_mixed
 from .kd import kd_table, total_nonpositivity
 from .linalg import (
     EigenDecomposition,
@@ -297,11 +297,70 @@ def roof_upper_bound(
     return RoofSearchResult(best_value, best_dec, tuple(restart_values))
 
 
-def _exclusion_or_raise(cert: MembershipCertificate) -> None:
-    if cert.verdict == INDETERMINATE:
+def _roof_bounds(
+    objective: str,
+    rho_m: np.ndarray,
+    values,
+    base: float,
+    anchor_source,
+    floor: float,
+    inside_certificate: str,
+    strict: bool,
+    cfg: AnnealConfig | None,
+    tol: float | None,
+) -> RoofEstimate:
+    """Bounds shared by both roofs, given what differs between them.
+
+    ``anchor_source`` is called only for states of rank two or more and
+    returns the pure states whose hull decides the roof with their
+    provenance, or ``(None, None)`` when no hull route exists; then only the
+    convexity bound ``base`` is certified. Inside the hull the roof equals
+    ``floor``; a certified exclusion puts it strictly above ``floor`` when
+    ``strict`` holds and at or above ``base`` otherwise.
+    """
+    eig = hermitian_eig(rho_m)
+    rank = int(np.count_nonzero(eig.eigenvalues > config.RANK_CUTOFF))
+    anchors, provenance = anchor_source() if rank > 1 else (None, None)
+    if anchors is not None and len(anchors) > 0:
+        anchors = np.asarray(anchors, dtype=complex)
+        cert = membership_lp(rho_m, [projector(s) for s in anchors], tol=tol)
+    else:
+        anchors = provenance = cert = None
+    verdict = cert.verdict if cert is not None else None
+    if verdict == INDETERMINATE:
         raise IndeterminateMembership(
             f"hull margin {cert.margin:.3e} is too thin to certify exclusion"
         )
+    strict = strict and verdict == OUTSIDE
+
+    if verdict == INSIDE:
+        keep = cert.weights > config.WEIGHT_CUTOFF
+        weights = cert.weights[keep]
+        dec = Decomposition(weights / weights.sum(), anchors[keep])
+        result = RoofSearchResult(floor, dec, ())
+        lower, certificate = floor, inside_certificate
+    else:
+        result = roof_upper_bound(rho_m, values, cfg, anchors=anchors)
+        if rank == 1:
+            lower, certificate = result.value, CERT_RANK_ONE
+        elif strict:
+            lower, certificate = floor, CERT_HULL
+        else:
+            lower, certificate = base, CERT_CONVEXITY
+    return RoofEstimate(
+        objective=objective,
+        lower_bound=lower,
+        lower_certificate=certificate,
+        lower_strict=strict,
+        upper_bound=result.value,
+        upper_decomposition=result.decomposition,
+        # After a hull exclusion the bounds stay a bracket, however close.
+        exact=verdict != OUTSIDE and result.value - lower <= config.EXACT_GAP_TOL,
+        base_value=base,
+        membership=cert,
+        generator_provenance=provenance,
+        restart_values=result.restart_values,
+    )
 
 
 def support_roof_bounds(
@@ -322,69 +381,15 @@ def support_roof_bounds(
     eps = config.default_tol() if eps is None else eps
     u = as_complex(transition, "transition matrix")
     rho_m = as_complex(rho, "state")
-    d = u.shape[0]
     base = float(support_counts_mixed(rho_m, u, eps=eps).n_ab)
-    eig = hermitian_eig(rho_m)
-    rank = int(np.count_nonzero(eig.eigenvalues > config.RANK_CUTOFF))
-    values = support_values_fn(u, eps=eps)
 
-    if rank == 1:
-        result = roof_upper_bound(rho_m, values, cfg)
-        return RoofEstimate(
-            objective=SUPPORT_OBJECTIVE,
-            lower_bound=result.value,
-            lower_certificate=CERT_RANK_ONE,
-            lower_strict=False,
-            upper_bound=result.value,
-            upper_decomposition=result.decomposition,
-            exact=True,
-            base_value=base,
-            restart_values=result.restart_values,
-        )
+    def anchor_source():
+        return enumerate_min_uncertainty_states(u, eps=eps).states, "derived"
 
-    report = complete_incompatibility(u, eps=eps)
-    if not report.completely_incompatible:
-        raise NotCompletelyIncompatible(
-            "support roof bounds need a completely incompatible basis pair"
-        )
-    if d > 6:
-        raise DimensionTooLarge("minimal-state enumeration is guarded to d <= 6")
-    minimal = enumerate_min_uncertainty_states(u, eps=eps)
-    generators = [projector(s) for s in minimal.states]
-    cert = membership_lp(rho_m, generators, tol=tol)
-    floor = float(d + 1)
-
-    if cert.verdict == INSIDE:
-        weights = cert.weights
-        keep = weights > config.WEIGHT_CUTOFF
-        dec = Decomposition(weights[keep] / weights[keep].sum(), minimal.states[keep])
-        return RoofEstimate(
-            objective=SUPPORT_OBJECTIVE,
-            lower_bound=floor,
-            lower_certificate=CERT_FLOOR,
-            lower_strict=False,
-            upper_bound=floor,
-            upper_decomposition=dec,
-            exact=True,
-            base_value=base,
-            membership=cert,
-            generator_provenance="derived",
-        )
-
-    _exclusion_or_raise(cert)
-    result = roof_upper_bound(rho_m, values, cfg, anchors=minimal.states)
-    return RoofEstimate(
-        objective=SUPPORT_OBJECTIVE,
-        lower_bound=floor,
-        lower_certificate=CERT_HULL,
-        lower_strict=True,
-        upper_bound=result.value,
-        upper_decomposition=result.decomposition,
-        exact=False,
-        base_value=base,
-        membership=cert,
-        generator_provenance="derived",
-        restart_values=result.restart_values,
+    return _roof_bounds(
+        SUPPORT_OBJECTIVE, rho_m, support_values_fn(u, eps=eps), base, anchor_source,
+        floor=float(u.shape[0] + 1), inside_certificate=CERT_FLOOR, strict=True,
+        cfg=cfg, tol=tol,
     )
 
 
@@ -411,82 +416,19 @@ def nonpositivity_roof_bounds(
     """
     u = as_complex(transition, "transition matrix")
     rho_m = as_complex(rho, "state")
-    d = u.shape[0]
     base = total_nonpositivity(kd_table(rho_m, u))
-    eig = hermitian_eig(rho_m)
-    rank = int(np.count_nonzero(eig.eigenvalues > config.RANK_CUTOFF))
-    values = nonpositivity_values_fn(u)
 
-    if rank == 1:
-        result = roof_upper_bound(rho_m, values, cfg)
-        return RoofEstimate(
-            objective=NONPOSITIVITY_OBJECTIVE,
-            lower_bound=result.value,
-            lower_certificate=CERT_RANK_ONE,
-            lower_strict=False,
-            upper_bound=result.value,
-            upper_decomposition=result.decomposition,
-            exact=True,
-            base_value=base,
-        )
-
-    provenance = "supplied"
-    if positive_pure is None:
-        report = complete_incompatibility(u)
-        if report.completely_incompatible and d <= 6:
+    def anchor_source():
+        if positive_pure is not None:
+            return positive_pure, "supplied"
+        try:
             minimal = enumerate_min_uncertainty_states(u)
-            positive_pure = filter_kd_positive_pure(minimal, u).states
-            provenance = "derived"
-    if positive_pure is None or len(positive_pure) == 0:
-        result = roof_upper_bound(rho_m, values, cfg)
-        exact = result.value - base <= config.EXACT_GAP_TOL
-        return RoofEstimate(
-            objective=NONPOSITIVITY_OBJECTIVE,
-            lower_bound=base,
-            lower_certificate=CERT_CONVEXITY,
-            lower_strict=False,
-            upper_bound=result.value,
-            upper_decomposition=result.decomposition,
-            exact=exact,
-            base_value=base,
-            generator_provenance=None,
-            restart_values=result.restart_values,
-        )
+        except (NotCompletelyIncompatible, DimensionTooLarge):
+            return None, None
+        return filter_kd_positive_pure(minimal, u).states, "derived"
 
-    anchor_states = np.asarray(positive_pure, dtype=complex)
-    generators = [projector(s) for s in anchor_states]
-    cert = membership_lp(rho_m, generators, tol=tol)
-
-    if cert.verdict == INSIDE:
-        weights = cert.weights
-        keep = weights > config.WEIGHT_CUTOFF
-        dec = Decomposition(weights[keep] / weights[keep].sum(), anchor_states[keep])
-        return RoofEstimate(
-            objective=NONPOSITIVITY_OBJECTIVE,
-            lower_bound=1.0,
-            lower_certificate=CERT_HULL,
-            lower_strict=False,
-            upper_bound=1.0,
-            upper_decomposition=dec,
-            exact=True,
-            base_value=base,
-            membership=cert,
-            generator_provenance=provenance,
-        )
-
-    _exclusion_or_raise(cert)
-    result = roof_upper_bound(rho_m, values, cfg, anchors=anchor_states)
-    strict = base <= 1.0 + 2e-9
-    return RoofEstimate(
-        objective=NONPOSITIVITY_OBJECTIVE,
-        lower_bound=base if not strict else 1.0,
-        lower_certificate=CERT_HULL if strict else CERT_CONVEXITY,
-        lower_strict=strict,
-        upper_bound=result.value,
-        upper_decomposition=result.decomposition,
-        exact=False,
-        base_value=base,
-        membership=cert,
-        generator_provenance=provenance,
-        restart_values=result.restart_values,
+    return _roof_bounds(
+        NONPOSITIVITY_OBJECTIVE, rho_m, nonpositivity_values_fn(u), base, anchor_source,
+        floor=1.0, inside_certificate=CERT_HULL, strict=base <= 1.0 + 2e-9,
+        cfg=cfg, tol=tol,
     )

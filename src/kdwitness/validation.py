@@ -3,7 +3,7 @@
 import numpy as np
 
 from . import config
-from .errors import DimensionMismatch, NotHermitian, ValidationError
+from .errors import NotHermitian, ValidationError
 from .linalg import as_complex, dagger, frobenius
 
 
@@ -53,8 +53,3 @@ def validate_pure_state(vector, tol: float | None = None) -> np.ndarray:
     if abs(norm - 1.0) > tol:
         raise ValidationError(f"pure state norm {norm} is not 1")
     return psi
-
-
-def ensure_same_dim(d: int, other: int, what: str) -> None:
-    if d != other:
-        raise DimensionMismatch(f"{what}: dimensions {d} and {other} differ")

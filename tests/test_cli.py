@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from kdwitness import SPIN1, rho_lambda
+from kdwitness import SPIN1, is_kd_positive, kd_table, rho_lambda
 from kdwitness.cli import main
 from kdwitness.io_json import load_matrix_file, save_matrix_file
 from kdwitness.linalg import projector
@@ -59,10 +59,12 @@ def test_table_human(files, capsys):
 
 
 def test_table_dimension_mismatch_is_a_validation_error(files, capsys):
-    code, _, err = run(capsys, ["table", "--state", files["state2"],
-                                "--basis", files["basis"]])
-    assert code == 2
-    assert "validation error" in err
+    mixed_generators = [*files["gens"][:2], files["state2"], files["gens"][2]]
+    for argv in (["table", "--state", files["state2"], "--basis", files["basis"]],
+                 ["facets", "--generators", *mixed_generators]):
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "validation error" in err
 
 
 def test_usage_error(files, capsys):
@@ -98,6 +100,11 @@ def test_enumerate(files, capsys):
     assert code == 0
     assert doc["results"]["count"] == 15
     assert doc["results"]["kd_positive_count"] == 9
+    states = [np.array([complex(*z) for z in s]) for s in doc["results"]["states"]]
+    expected = [k for k, s in enumerate(states)
+                if is_kd_positive(kd_table(s, SPIN1.transition))]
+    assert len(expected) == 9
+    assert doc["results"]["kd_positive_indices"] == expected
 
 
 def test_hull_outside(files, capsys):

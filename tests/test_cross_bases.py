@@ -20,7 +20,7 @@ from kdwitness import (
     phase_invariant_distance,
     support_roof_bounds,
 )
-from kdwitness.linalg import projector
+from kdwitness.linalg import projector, random_density
 
 LIGHT = AnnealConfig(restarts=4, steps=250, seed=0)
 
@@ -98,3 +98,15 @@ def test_nonpositivity_roof_without_hull_route():
     assert est.generator_provenance is None
     assert est.lower_certificate == "convexity"
     assert est.lower_bound <= est.upper_bound + 1e-8
+
+
+def test_nonpositivity_roof_beyond_the_minor_guard():
+    # At d = 9 both enumeration and the minor check are out of reach; the
+    # roof still gets the convexity bound and an annealed upper bound.
+    rng = np.random.default_rng(9)
+    rho = random_density(9, rng)
+    est = nonpositivity_roof_bounds(
+        rho, haar_unitary(9, 9), cfg=AnnealConfig(restarts=1, steps=5)
+    )
+    assert est.lower_certificate == "convexity"
+    assert est.generator_provenance is None

@@ -3,6 +3,7 @@ import pytest
 
 from kdwitness import (
     OutsideHull,
+    ValidationError,
     facet_enumeration,
     finite_convex_roof,
     hermitian_to_real,
@@ -101,6 +102,14 @@ def test_finite_convex_roof_unique_midpoint():
     )
     assert value == pytest.approx(0.5, abs=1e-12)
     assert weights[2] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_mixed_dimension_generators_are_a_validation_error(spin1_projectors):
+    generators = [*spin1_projectors[:2], np.eye(2) / 2.0, spin1_projectors[2]]
+    with pytest.raises(ValidationError):
+        facet_enumeration(generators)
+    with pytest.raises(ValidationError):
+        finite_convex_roof(np.ones(4), np.eye(3) / 3.0, generators)
 
 
 def test_finite_convex_roof_outside_raises(spin1_projectors):

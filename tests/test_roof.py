@@ -152,6 +152,7 @@ def test_nonpositivity_roof_rank_one():
     )
     assert est.exact
     assert est.lower_bound == est.upper_bound == pytest.approx(17.0 / 15.0, abs=1e-12)
+    assert est.restart_values == (est.upper_bound,)
 
 
 def test_nonpositivity_roof_accepts_supplied_generators():
