@@ -2,7 +2,8 @@
 
 Keyword arguments override the base, feasibility, dedup and facet-match
 defaults per call, and ``KD_DEFAULT_TOL`` overrides the base one globally;
-the margin factor and the rank, weight and exactness cutoffs are fixed.
+the margin factor, the rank, null-space, phase, weight and exactness
+cutoffs are fixed.
 """
 
 import os
@@ -26,6 +27,14 @@ FACET_MATCH_TOL = 1e-7
 
 # Eigenvalue cutoff defining the rank used by decomposition searches.
 RANK_CUTOFF = 1e-10
+
+# A singular value of an enumeration constraint system counts towards its
+# rank above max(NULL_SPACE_ABS_CUTOFF, NULL_SPACE_REL_CUTOFF * largest).
+NULL_SPACE_ABS_CUTOFF = 1e-12
+NULL_SPACE_REL_CUTOFF = 1e-10
+
+# Amplitudes at or below this are skipped when fixing a state's global phase.
+PHASE_ZERO_TOL = 1e-12
 
 # Ensemble members with weight at or below this are dropped.
 WEIGHT_CUTOFF = 1e-12

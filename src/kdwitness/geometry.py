@@ -199,8 +199,9 @@ def facet_enumeration_points(
     Works inside the affine hull of the points: candidate hyperplanes pass
     through affinely independent subsets of size equal to the affine
     dimension, are kept when all points lie on one closed side, and are
-    deduplicated on their normalized hull-coordinates form. Facets come
-    back in a canonical order independent of the input ordering.
+    deduplicated on their active sets and their normalized hull-coordinates
+    form. Facets come back in a canonical order independent of the input
+    ordering.
     """
     match_tol = config.FACET_MATCH_TOL if match_tol is None else match_tol
     pts = np.asarray(points, dtype=float)
@@ -248,7 +249,14 @@ def facet_enumeration_points(
         found.append((normal, offset, active))
 
     facets = []
+    listed: set[tuple[int, ...]] = set()
     for normal, offset, active in found:
+        # Near a degenerate configuration, hyperplanes through different
+        # subsets can hold the same active set yet differ by more than
+        # match_tol; the first one found stands for that face.
+        if active in listed:
+            continue
+        listed.add(active)
         ambient = basis @ normal
         facets.append(Facet(ambient, float(offset + ambient @ centroid), active))
     facets.sort(key=lambda f: (round(f.offset, 9),) + tuple(np.round(f.functional, 9)))

@@ -42,6 +42,11 @@ class KDTable:
             raise CertificateError(f"table total {self.total} is not 1")
 
 
+def kd_entries(density, u: np.ndarray) -> np.ndarray:
+    """Table entries ``conj(U) * (rho @ U)`` of one density matrix or a stack."""
+    return np.conj(u) * (density @ u)
+
+
 def kd_table(state, transition) -> KDTable:
     """Quasiprobability table of a state for a basis pair.
 
@@ -60,7 +65,7 @@ def kd_table(state, transition) -> KDTable:
         raise DimensionMismatch(
             f"state dimension {s.shape[0]} does not match basis dimension {u.shape[0]}"
         )
-    q = np.conj(u) * (s @ u)
+    q = kd_entries(s, u)
     return KDTable(
         dim=u.shape[0],
         table=q,
@@ -77,10 +82,17 @@ def _entries(table) -> np.ndarray:
 def is_kd_positive(table, tol: float | None = None) -> bool:
     """True when every entry is real and nonnegative within ``tol``."""
     tol = config.default_tol() if tol is None else tol
+    return bool(kd_positive_each(_entries(table)[np.newaxis], tol)[0])
+
+
+def kd_positive_each(tables: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`is_kd_positive` of every table in a stack along the first axis."""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    q = _entries(table)
-    return bool(np.all(np.abs(q.imag) <= tol) and np.all(q.real >= -tol))
+    entry_axes = tuple(range(1, tables.ndim))
+    return np.all(np.abs(tables.imag) <= tol, axis=entry_axes) & np.all(
+        tables.real >= -tol, axis=entry_axes
+    )
 
 
 def worst_entry(table) -> tuple[int, int, complex, float]:

@@ -23,7 +23,7 @@ from .errors import (
     NotCompletelyIncompatible,
 )
 from .incompatibility import complete_incompatibility
-from .kd import is_kd_positive, kd_table
+from .kd import kd_entries, kd_positive_each
 from .linalg import as_complex
 
 MAX_ENUM_DIM = 6
@@ -55,13 +55,19 @@ class PureStateList:
         return self.states.shape[0]
 
 
-def canonical_phase(psi: np.ndarray, zero_tol: float = 1e-12) -> np.ndarray:
-    """Rotate the global phase so the first nonzero amplitude is real positive."""
+def canonical_phase(psi, zero_tol: float = config.PHASE_ZERO_TOL) -> np.ndarray:
+    """Rotate the global phase so the first nonzero amplitude is real positive.
+
+    Accepts one state or a stack of states along the last axis; a state with
+    no amplitude above ``zero_tol`` is returned unchanged.
+    """
     psi = np.asarray(psi, dtype=complex)
-    for amp in psi:
-        if abs(amp) > zero_tol:
-            return psi * (amp.conjugate() / abs(amp))
-    return psi
+    first = np.argmax(np.abs(psi) > zero_tol, axis=-1)[..., np.newaxis]
+    amp = np.take_along_axis(psi, first, axis=-1)
+    magnitude = np.abs(amp)
+    # With no amplitude above zero_tol, argmax picks one at or below it.
+    found = magnitude > zero_tol
+    return psi * np.where(found, amp.conj() / np.where(found, magnitude, 1.0), 1.0)
 
 
 def phase_invariant_distance(psi, chi) -> float:
@@ -78,20 +84,49 @@ def phase_invariant_distance(psi, chi) -> float:
     return float(np.linalg.norm(a - phase * b))
 
 
-def _null_vector(constraints: np.ndarray) -> tuple[np.ndarray | None, int]:
-    """One unit null vector of the constraint matrix, plus the null dimension."""
-    n_unknowns = constraints.shape[1]
-    if constraints.shape[0] == 0:
-        if n_unknowns != 1:
-            return None, n_unknowns
-        return np.ones(1, dtype=complex), 1
+def _null_vectors(constraints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit null vectors and null dimensions of a stack of constraint matrices.
+
+    Row k of the vectors spans the null space of ``constraints[k]`` when its
+    null dimension is one; otherwise the row means nothing.
+    """
     _, sing, vh = np.linalg.svd(constraints)
-    cutoff = max(1e-12, 1e-10 * (sing[0] if sing.size else 0.0))
-    rank = int(np.count_nonzero(sing > cutoff))
-    null_dim = n_unknowns - rank
-    if null_dim != 1:
-        return None, null_dim
-    return vh[-1].conj(), 1
+    cutoff = np.maximum(
+        config.NULL_SPACE_ABS_CUTOFF, config.NULL_SPACE_REL_CUTOFF * sing[:, :1]
+    )
+    null_dims = constraints.shape[2] - np.count_nonzero(sing > cutoff, axis=1)
+    return vh[:, -1].conj(), null_dims
+
+
+def _support_masks(subsets: list[tuple[int, ...]], d: int) -> np.ndarray:
+    """Boolean rows marking each index subset of range(d)."""
+    masks = np.zeros((len(subsets), d), dtype=bool)
+    masks[np.arange(len(subsets))[:, np.newaxis], np.array(subsets)] = True
+    return masks
+
+
+def _drop_near_repeats(candidates: np.ndarray, dedup_tol: float) -> list[int]:
+    """Indices of the candidates kept by a greedy pass in order.
+
+    A candidate is dropped when its :func:`phase_invariant_distance` to an
+    earlier kept one is at most ``dedup_tol``; it is measured against all
+    kept states at once.
+    """
+    kept = np.empty_like(candidates)
+    kept_conj = np.empty_like(candidates)
+    index: list[int] = []
+    for k, psi in enumerate(candidates):
+        n = len(index)
+        inner = kept_conj[:n] @ psi
+        magnitude = np.abs(inner)
+        phase = np.divide(inner, magnitude, out=np.ones_like(inner), where=magnitude > 0.0)
+        distance = np.linalg.norm(psi - phase[:, np.newaxis] * kept[:n], axis=1)
+        if np.any(distance <= dedup_tol):
+            continue
+        kept[n] = psi
+        kept_conj[n] = psi.conj()
+        index.append(k)
+    return index
 
 
 def enumerate_min_uncertainty_states(
@@ -102,7 +137,8 @@ def enumerate_min_uncertainty_states(
     Requires a completely incompatible transition matrix (otherwise the
     d+1 floor does not hold and the pattern family is not exhaustive).
     States are deduplicated up to global phase and returned with patterns
-    in lexicographic order.
+    in lexicographic order. The patterns with |S| = a form one family,
+    solved as one stack of (a-1) x a systems.
     """
     eps = config.default_tol() if eps is None else eps
     dedup_tol = config.STATE_DEDUP_TOL if dedup_tol is None else dedup_tol
@@ -120,45 +156,47 @@ def enumerate_min_uncertainty_states(
             f"cols {report.argmin_cols} has modulus {report.min_abs_minor:.3e}"
         )
 
-    states: list[np.ndarray] = []
-    patterns: list[SupportPattern] = []
+    found_states: list[np.ndarray] = []
+    found_patterns: list[SupportPattern] = []
     degenerate: list[tuple[SupportPattern, int]] = []
     u_conj = np.conj(u)
     for size_a in range(1, d + 1):
-        size_b = d + 1 - size_a
-        if not 1 <= size_b <= d:
-            continue
-        for sub_a in combinations(range(d), size_a):
-            for sub_b in combinations(range(d), size_b):
-                pattern = SupportPattern(sub_a, sub_b)
-                outside_b = [j for j in range(d) if j not in sub_b]
-                # Overlap with second-basis vector j is sum_i psi_i conj(U_ij).
-                constraints = u_conj[np.ix_(sub_a, outside_b)].T
-                solution, null_dim = _null_vector(constraints)
-                if solution is None:
-                    degenerate.append((pattern, null_dim))
-                    warnings.warn(
-                        f"pattern {pattern} has null-space dimension {null_dim}",
-                        NonGenericPatternWarning,
-                        stacklevel=2,
-                    )
-                    continue
-                psi = np.zeros(d, dtype=complex)
-                psi[list(sub_a)] = solution
-                psi = canonical_phase(psi / np.linalg.norm(psi))
-                realized_a = tuple(np.flatnonzero(np.abs(psi) > eps).tolist())
-                realized_b = tuple(
-                    np.flatnonzero(np.abs(psi @ u_conj) > eps).tolist()
-                )
-                if realized_a != sub_a or realized_b != sub_b:
-                    continue
-                if any(phase_invariant_distance(psi, s) <= dedup_tol for s in states):
-                    continue
-                states.append(psi)
-                patterns.append(pattern)
+        subs_a = list(combinations(range(d), size_a))
+        subs_b = list(combinations(range(d), d + 1 - size_a))
+        masks_a, masks_b = _support_masks(subs_a, d), _support_masks(subs_b, d)
+        # Pattern k pairs subs_a[of_a[k]] with subs_b[of_b[k]], in lexicographic order.
+        of_a, of_b = np.divmod(np.arange(len(subs_a) * len(subs_b)), len(subs_b))
+        index_a = np.array(subs_a)[of_a]
+        outside_b = np.nonzero(~masks_b)[1].reshape(len(subs_b), size_a - 1)[of_b]
+        # The overlap with second-basis vector j is sum_i psi_i conj(U_ij), so
+        # pattern k's system is conj(U)[S, outside T].T, of shape (a - 1, a).
+        constraints = u_conj[index_a[:, np.newaxis, :], outside_b[:, :, np.newaxis]]
+        vectors, null_dims = _null_vectors(constraints)
+        for k in np.flatnonzero(null_dims != 1):
+            pattern = SupportPattern(subs_a[of_a[k]], subs_b[of_b[k]])
+            degenerate.append((pattern, int(null_dims[k])))
+            warnings.warn(
+                f"pattern {pattern} has null-space dimension {null_dims[k]}",
+                NonGenericPatternWarning,
+                stacklevel=2,
+            )
+        solved = np.flatnonzero(null_dims == 1)
+        psi = np.zeros((solved.size, d), dtype=complex)
+        np.put_along_axis(psi, index_a[solved], vectors[solved], axis=1)
+        psi = canonical_phase(psi / np.linalg.norm(psi, axis=1, keepdims=True))
+        realized_a = (np.abs(psi) > eps) == masks_a[of_a[solved]]
+        realized_b = (np.abs(psi @ u_conj) > eps) == masks_b[of_b[solved]]
+        realized = np.all(realized_a & realized_b, axis=1)
+        found_states.append(psi[realized])
+        found_patterns.extend(
+            SupportPattern(subs_a[of_a[k]], subs_b[of_b[k]]) for k in solved[realized]
+        )
+
+    candidates = np.concatenate(found_states)
+    keep = _drop_near_repeats(candidates, dedup_tol)
     return PureStateList(
-        states=np.array(states),
-        patterns=tuple(patterns),
+        states=candidates[keep],
+        patterns=tuple(found_patterns[k] for k in keep),
         dedup_tol=dedup_tol,
         degenerate_patterns=tuple(degenerate),
     )
@@ -170,13 +208,17 @@ def filter_kd_positive_pure(
     """Keep the states whose quasiprobability table is entrywise positive."""
     tol = config.default_tol() if tol is None else tol
     u = as_complex(transition, "transition matrix")
-    keep = [
-        k
-        for k in range(len(state_list))
-        if is_kd_positive(kd_table(state_list.states[k], u), tol=tol)
-    ]
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise DimensionMismatch(f"transition matrix must be square, got {u.shape}")
+    states = state_list.states
+    if states.ndim != 2 or states.shape[1] != u.shape[0]:
+        raise DimensionMismatch(
+            f"states of shape {states.shape} do not match basis dimension {u.shape[0]}"
+        )
+    projectors = states[:, :, np.newaxis] * states[:, np.newaxis, :].conj()
+    keep = np.flatnonzero(kd_positive_each(kd_entries(projectors, u), tol))
     return PureStateList(
-        states=state_list.states[keep],
+        states=states[keep],
         patterns=tuple(state_list.patterns[k] for k in keep),
         dedup_tol=state_list.dedup_tol,
         degenerate_patterns=state_list.degenerate_patterns,

@@ -77,6 +77,23 @@ def test_facet_count_spin1(spin1_projectors):
     assert len(facets) == 28
 
 
+def test_facet_active_sets_are_unique_near_a_degenerate_set(spin1_projectors):
+    # This state lies about 6e-8 inside a spin-1 facet, within the active
+    # tolerance, so hyperplanes through different subsets hold one active set.
+    psi = np.array(
+        [
+            -0.3333333333333208,
+            0.6666664728479736 + 1.2687796414546038e-10j,
+            0.6666668604853097 - 1.2687796414546038e-10j,
+        ]
+    )
+    psi /= np.linalg.norm(psi)
+    facets = facet_enumeration(spin1_projectors + [np.outer(psi, psi.conj())])
+    actives = [f.active for f in facets]
+    assert len(set(actives)) == len(actives) == 57
+    assert len(facet_enumeration(spin1_projectors)) == 28
+
+
 def test_facets_invariant_under_reordering(spin1_projectors):
     facets = facet_enumeration(spin1_projectors)
     rng = np.random.default_rng(3)

@@ -4,7 +4,7 @@ import pytest
 from kdwitness import NotHermitian, ValidationError
 from kdwitness.errors import DegenerateHull
 from kdwitness.geometry import facet_enumeration_points
-from kdwitness.pure_positive import _null_vector, canonical_phase
+from kdwitness.pure_positive import _null_vectors, canonical_phase
 from kdwitness.validation import (
     validate_density,
     validate_pure_state,
@@ -51,9 +51,11 @@ def test_canonical_phase_makes_leading_amplitude_positive():
 
 
 def test_null_vector_flags_degenerate_systems():
-    vector, dim = _null_vector(np.zeros((1, 2), dtype=complex))
-    assert vector is None
-    assert dim == 2
+    systems = np.zeros((2, 1, 2), dtype=complex)
+    systems[1, 0, 0] = 1.0
+    vectors, dims = _null_vectors(systems)
+    assert dims.tolist() == [2, 1]
+    assert np.allclose(np.abs(vectors[1]), [0.0, 1.0])
 
 
 def test_facet_enumeration_degenerate_hull():
