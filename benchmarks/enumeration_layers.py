@@ -1,13 +1,13 @@
 """Layer timings of minimal-state enumeration and the KD-positive filter.
 
 Times ``enumerate_min_uncertainty_states`` and ``filter_kd_positive_pure``
-on one seeded Haar basis per dimension d = 3..6, with BLAS pinned to one
-thread, and prints one JSON record: per layer and dimension the median and
-quartiles of ``--runs`` timed calls (after one untimed warm-up call), the
-state counts, and the machine, Python and numpy versions. Run it against
-the package on ``PYTHONPATH``:
+on the Haar basis ``haar_unitary(d, 1000 + d)`` for each d = 3..6, with BLAS
+pinned to one thread, and prints one JSON record: per layer and dimension
+the median and quartiles of ``RUNS`` timed calls (after one untimed warm-up
+call), the state counts, and the machine, Python and numpy versions. Run it
+against the package on ``PYTHONPATH``:
 
-    PYTHONPATH=src python benchmarks/enumeration_layers.py --runs 15 --label change
+    PYTHONPATH=src python benchmarks/enumeration_layers.py --label change
 """
 
 import argparse
@@ -19,15 +19,7 @@ import sys
 import time
 
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def haar_unitary(d, rng):
-    import numpy as np
-
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+RUNS = 15
 
 
 def cpu_model() -> str:
@@ -49,12 +41,8 @@ def summary_ms(times) -> dict:
 
 def main(argv=None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=15, help="timed calls per layer and d")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the Haar bases")
     parser.add_argument("--label", default="", help="free text stored in the record")
     args = parser.parse_args(argv)
-    if args.runs < 2:
-        parser.error("--runs must be at least 2")
 
     import numpy as np
 
@@ -62,11 +50,11 @@ def main(argv=None) -> dict:
 
     layers = {}
     for d in range(3, 7):
-        u = haar_unitary(d, np.random.default_rng([args.seed, d]))
+        u = kdwitness.haar_unitary(d, 1000 + d)
         minimal = kdwitness.enumerate_min_uncertainty_states(u)
         positive = kdwitness.filter_kd_positive_pure(minimal, u)
         enum_times, filter_times = [], []
-        for _ in range(args.runs):
+        for _ in range(RUNS):
             start = time.perf_counter()
             minimal = kdwitness.enumerate_min_uncertainty_states(u)
             enum_times.append(time.perf_counter() - start)
@@ -81,8 +69,7 @@ def main(argv=None) -> dict:
         }
     return {
         "label": args.label,
-        "runs": args.runs,
-        "seed": args.seed,
+        "runs": RUNS,
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "machine": {
             "cpu": cpu_model(),
