@@ -1,0 +1,117 @@
+"""Layer timings: minimal-state enumeration, the KD-positive filter, the annealer.
+
+For each d = 3..6, on the Haar basis ``haar_unitary(d, 1000 + d)`` with BLAS
+pinned to one thread, times
+
+- ``enumerate_min_uncertainty_states`` and ``filter_kd_positive_pure``;
+- ``roof_upper_bound`` with the nonpositivity objective on the full-rank
+  state ``random_density(d, default_rng(2000 + d))``, anchored at the
+  KD-positive minimal states (as ``nonpositivity_roof_bounds`` anchors it),
+  at ``ROOF_CONFIG`` (4 restarts x 300 steps); its time is also given in µs
+  per step, one step being one restart's proposal, score and accept test.
+
+It prints one JSON record: per layer and dimension the median and quartiles
+of ``RUNS`` timed calls (after one untimed warm-up call), the state counts,
+the annealed bound, and the machine, Python and numpy versions. Run it
+against the package on ``PYTHONPATH``:
+
+    PYTHONPATH=src python benchmarks/layers.py --label change
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+RUNS = 15
+ROOF_CONFIG = {"restarts": 4, "steps": 300, "seed": 0}
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def summary_ms(times) -> dict:
+    ms = sorted(t * 1e3 for t in times)
+    q1, median, q3 = statistics.quantiles(ms, n=4, method="inclusive")
+    return {"median_ms": round(median, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4)}
+
+
+def timed(fn, *args, **kwargs):
+    """Result of one untimed warm-up call and the times of ``RUNS`` more."""
+    result = fn(*args, **kwargs)
+    times = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        fn(*args, **kwargs)
+        times.append(time.perf_counter() - start)
+    return result, times
+
+
+def main(argv=None) -> dict:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", default="", help="free text stored in the record")
+    args = parser.parse_args(argv)
+
+    import numpy as np
+
+    import kdwitness
+    from kdwitness.linalg import random_density
+    from kdwitness.roof import nonpositivity_values_fn
+
+    layers = {}
+    cfg = kdwitness.AnnealConfig(**ROOF_CONFIG)
+    steps = cfg.restarts * cfg.steps
+    for d in range(3, 7):
+        u = kdwitness.haar_unitary(d, 1000 + d)
+        minimal, enum_times = timed(kdwitness.enumerate_min_uncertainty_states, u)
+        positive, filter_times = timed(kdwitness.filter_kd_positive_pure, minimal, u)
+        rho = random_density(d, np.random.default_rng(2000 + d))
+        search, roof_times = timed(
+            kdwitness.roof_upper_bound, rho, nonpositivity_values_fn(u), cfg,
+            anchors=positive.states,
+        )
+        roof = summary_ms(roof_times)
+        layers[f"d{d}"] = {
+            "states": len(minimal),
+            "kd_positive_states": len(positive),
+            "enumerate_min_uncertainty_states": summary_ms(enum_times),
+            "filter_kd_positive_pure": summary_ms(filter_times),
+            "roof_upper_bound": {
+                **roof,
+                "us_per_step": round(roof["median_ms"] * 1e3 / steps, 2),
+                "upper_bound": search.value,
+            },
+        }
+    return {
+        "label": args.label,
+        "runs": RUNS,
+        "roof_config": ROOF_CONFIG,
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "machine": {
+            "cpu": cpu_model(),
+            "cpu_count": os.cpu_count(),
+            "platform": platform.platform(),
+        },
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "layers": layers,
+    }
+
+
+if __name__ == "__main__":
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = "1"
+    json.dump(main(), sys.stdout, indent=2)
+    print()

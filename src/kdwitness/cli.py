@@ -386,6 +386,11 @@ _HANDLERS = {
 
 _INPUT_ARGS = ("state", "basis", "generators", "positive_pure")
 _CONFIG_ARGS = ("eps", "tol", "seed", "restarts", "steps", "dim", "samples")
+_ROOF_TOLERANCES = (
+    "RANK_CUTOFF", "WEIGHT_CUTOFF", "EXACT_GAP_TOL", "WEIGHT_SUM_TOL",
+    "RECONSTRUCTION_TOL", "ROOF_ORDER_SLACK", "ROOF_RECHECK_TOL", "ISOMETRY_TOL",
+    "ANCHOR_RANGE_CUTOFF", "NONPOSITIVITY_STRICT_SLACK",
+)
 
 
 def _input_digests(args) -> dict:
@@ -406,6 +411,8 @@ def _config_echo(args) -> dict:
     for name in _CONFIG_ARGS:
         if hasattr(args, name):
             echo[name] = getattr(args, name)
+    if args.command.startswith("roof-"):
+        echo.update((name.lower(), getattr(config, name)) for name in _ROOF_TOLERANCES)
     return echo
 
 

@@ -3,10 +3,11 @@
 Keyword arguments override the base, feasibility, dedup and facet-match
 defaults per call, and ``KD_DEFAULT_TOL`` overrides the base one globally;
 the margin factor, the rank, null-space, phase, weight and exactness
-cutoffs are fixed.
+cutoffs, the minor floor and the roof tolerances are fixed.
 """
 
 import os
+import sys
 
 from .errors import ValidationError
 
@@ -18,6 +19,10 @@ FEASIBILITY_TOL = 1e-8
 
 # An "outside" verdict requires margin > MARGIN_FACTOR * feasibility tol.
 MARGIN_FACTOR = 10.0
+
+# complete_incompatibility rejects an eps below d times this: a smaller
+# minor of a d x d unitary cannot be told apart from zero in float64.
+MINOR_EPS_FLOOR_PER_DIM = 10.0 * sys.float_info.epsilon
 
 # Global-phase deduplication tolerance for enumerated pure states.
 STATE_DEDUP_TOL = 1e-8
@@ -41,6 +46,29 @@ WEIGHT_CUTOFF = 1e-12
 
 # Upper and lower roof bounds closing within this gap are reported exact.
 EXACT_GAP_TOL = 1e-6
+
+# A decomposition's weights sum to one within this, and its density matrix
+# reproduces the state within this Frobenius distance.
+WEIGHT_SUM_TOL = 1e-10
+RECONSTRUCTION_TOL = 1e-8
+
+# A roof estimate's lower bound may exceed its upper bound by at most this.
+ROOF_ORDER_SLACK = 1e-8
+
+# An annealed upper bound must equal its decomposition's recomputed objective
+# within this.
+ROOF_RECHECK_TOL = 1e-9
+
+# An isometry's columns are orthonormal within this Frobenius distance.
+ISOMETRY_TOL = 1e-9
+
+# Anchor states with less weight than this in the range of the state are
+# not used by the annealer's anchor moves.
+ANCHOR_RANGE_CUTOFF = 1e-12
+
+# A state whose total nonpositivity is at most 1 + this can get a strict
+# nonpositivity-roof certificate from a hull exclusion.
+NONPOSITIVITY_STRICT_SLACK = 2e-9
 
 
 def default_tol() -> float:

@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from . import config
-from .errors import DimensionMismatch, DimensionTooLarge, IndexOutOfRange
+from .errors import DimensionMismatch, DimensionTooLarge, IndexOutOfRange, ValidationError
 from .linalg import as_complex, dagger, frobenius
 
 MAX_MINOR_DIM = 8
@@ -93,8 +93,9 @@ def complete_incompatibility(transition, eps: float | None = None) -> Incompatib
     """Decide complete incompatibility by enumerating every minor.
 
     All square minors of all orders are evaluated; the verdict is positive
-    exactly when the smallest modulus exceeds ``eps``. The minimizing minor
-    is reported, with ties broken lexicographically by
+    exactly when the smallest modulus exceeds ``eps``, which may not be set
+    below rounding level (d times ``config.MINOR_EPS_FLOOR_PER_DIM``). The
+    minimizing minor is reported, with ties broken lexicographically by
     ``(order, row_set, col_set)``.
     """
     eps = config.default_tol() if eps is None else eps
@@ -105,6 +106,11 @@ def complete_incompatibility(transition, eps: float | None = None) -> Incompatib
     if d > MAX_MINOR_DIM:
         raise DimensionTooLarge(
             f"minor enumeration is guarded to d <= {MAX_MINOR_DIM}, got {d}"
+        )
+    floor = d * config.MINOR_EPS_FLOOR_PER_DIM
+    if not eps >= floor:
+        raise ValidationError(
+            f"eps {eps:g} is below the rounding floor {floor:.3g} of a {d} x {d} minor"
         )
     best_abs = np.inf
     best = (0, (), ())

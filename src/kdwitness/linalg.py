@@ -28,7 +28,8 @@ def as_complex(matrix, name: str = "matrix") -> np.ndarray:
 
 
 def dagger(matrix: np.ndarray) -> np.ndarray:
-    return matrix.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return matrix.conj().swapaxes(-1, -2)
 
 
 def frobenius(matrix: np.ndarray) -> float:

@@ -31,7 +31,6 @@ from .kd import kd_table, total_nonpositivity
 from .linalg import (
     EigenDecomposition,
     as_complex,
-    complex_gaussian,
     dagger,
     frobenius,
     hermitian_eig,
@@ -59,8 +58,8 @@ class Decomposition:
     def density(self) -> np.ndarray:
         return (self.states.T * self.weights) @ self.states.conj()
 
-    def validate(self, rho=None, tol: float = 1e-8) -> None:
-        if abs(self.weights.sum() - 1.0) > 1e-10:
+    def validate(self, rho=None, tol: float = config.RECONSTRUCTION_TOL) -> None:
+        if abs(self.weights.sum() - 1.0) > config.WEIGHT_SUM_TOL:
             raise CertificateError(f"weights sum to {self.weights.sum()}")
         if self.weights.min() < 0.0:
             raise CertificateError(f"negative weight {self.weights.min():.3e}")
@@ -74,7 +73,9 @@ class AnnealConfig:
 
     ``n_terms`` defaults to the square of the rank, which suffices for
     roof-achieving decompositions of continuous objectives. Runs are
-    deterministic given ``seed``; restart k uses ``seed + k``.
+    deterministic given ``seed``: restart k draws from its own stream,
+    seeded ``seed + k``, and the restarts run in lock step, so each one
+    takes the same moves and reaches the same value as when run alone.
     """
 
     n_terms: int | None = None
@@ -85,6 +86,23 @@ class AnnealConfig:
     t_end: float = 1e-4
     proposal_scale: float = 0.1
     sparsify_prob: float = 0.35
+
+    def __post_init__(self):
+        problems = [
+            (self.restarts < 1, f"restarts must be at least 1, got {self.restarts}"),
+            (self.steps < 0, f"steps must be nonnegative, got {self.steps}"),
+            (self.n_terms is not None and self.n_terms < 1,
+             f"n_terms must be at least 1, got {self.n_terms}"),
+            (not (self.t_start > 0.0 and self.t_end > 0.0),
+             f"t_start and t_end must be positive, got {self.t_start} and {self.t_end}"),
+            (not self.proposal_scale >= 0.0,
+             f"proposal_scale must be nonnegative, got {self.proposal_scale}"),
+            (not 0.0 <= self.sparsify_prob <= 1.0,
+             f"sparsify_prob must lie in [0, 1], got {self.sparsify_prob}"),
+        ]
+        for bad, message in problems:
+            if bad:
+                raise ValidationError(message)
 
 
 @dataclass(frozen=True)
@@ -117,7 +135,7 @@ class RoofEstimate:
     restart_values: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.lower_bound > self.upper_bound + 1e-8:
+        if self.lower_bound > self.upper_bound + config.ROOF_ORDER_SLACK:
             raise CertificateError(
                 f"lower bound {self.lower_bound} exceeds upper bound {self.upper_bound}"
             )
@@ -141,17 +159,24 @@ def decomposition_from_isometry(eig: EigenDecomposition, isometry) -> Decomposit
         raise ShapeMismatch(
             f"isometry shape {v.shape} incompatible with rank {r}"
         )
-    if frobenius(dagger(v) @ v - np.eye(r)) > 1e-9:
-        raise NotIsometry("columns are not orthonormal within 1e-9")
-    weights_basis = mu[:r]
-    vectors = eig.eigenvectors[:, :r]
-    mixed = v * np.sqrt(weights_basis)[None, :]
-    raw = mixed @ vectors.T
-    weights = np.einsum("ij,ij->i", raw, raw.conj()).real
-    keep = weights > config.WEIGHT_CUTOFF
+    if frobenius(dagger(v) @ v - np.eye(r)) > config.ISOMETRY_TOL:
+        raise NotIsometry(f"columns are not orthonormal within {config.ISOMETRY_TOL:g}")
+    raw, weights, keep = _members(eig, r, v)
     weights = weights[keep]
-    states = raw[keep] / np.sqrt(weights)[:, None]
-    return Decomposition(weights=weights, states=states)
+    return Decomposition(weights=weights, states=raw[keep] / np.sqrt(weights)[:, None])
+
+
+def _members(eig: EigenDecomposition, rank: int, v: np.ndarray):
+    """Unnormalized members, their weights and the kept-member mask.
+
+    ``v`` is one isometry or a stack of them; the arithmetic is the same for
+    each matrix of a stack as for that matrix alone.
+    """
+    mixed = v * np.sqrt(eig.eigenvalues[:rank])
+    raw = mixed @ eig.eigenvectors[:, :rank].T
+    # Contiguous, since a dot product's rounding depends on the stride.
+    weights = np.ascontiguousarray(np.einsum("...ij,...ij->...i", raw, raw.conj()).real)
+    return raw, weights, weights > config.WEIGHT_CUTOFF
 
 
 def support_values_fn(transition, eps: float | None = None):
@@ -181,15 +206,15 @@ def nonpositivity_values_fn(transition):
     return values
 
 
-def _polar(matrix: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(matrix, full_matrices=False)
+def _polar(stack: np.ndarray) -> np.ndarray:
+    u, _, vh = np.linalg.svd(stack, full_matrices=False)
     return u @ vh
 
 
-def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((matrix + dagger(matrix)) / 2.0)
+def _psd_sqrt(stack: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh((stack + dagger(stack)) / 2.0)
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ dagger(vecs)
+    return (vecs * np.sqrt(vals)[..., None, :]) @ dagger(vecs)
 
 
 class _AnchorSet:
@@ -198,29 +223,35 @@ class _AnchorSet:
     def __init__(self, anchors, eig: EigenDecomposition, rank: int):
         mu = eig.eigenvalues[:rank]
         vectors = eig.eigenvectors[:, :rank]
-        self.rows = []
+        rows = []
         self.t_max = []
         for chi in anchors:
             coeff = dagger(vectors) @ np.asarray(chi, dtype=complex)
             weight_in_range = float(np.vdot(coeff, coeff).real)
-            if weight_in_range < 1e-12:
+            if weight_in_range < config.ANCHOR_RANGE_CUTOFF:
                 continue
             row = coeff / np.sqrt(mu)
-            self.rows.append(row)
+            rows.append(row)
             self.t_max.append(1.0 / float(np.vdot(row, row).real))
-        self.count = len(self.rows)
+        self.rows = np.array(rows).reshape(len(rows), rank)
+        self.count = len(rows)
 
 
-def _sparsify(v: np.ndarray, member: int, row: np.ndarray, t: float) -> np.ndarray:
-    pinned = np.sqrt(t) * row
-    r = v.shape[1]
-    residual = np.eye(r) - np.outer(pinned.conj(), pinned)
+def _sparsify(v: np.ndarray, members: np.ndarray, pinned: np.ndarray) -> np.ndarray:
+    """Pin row ``members[k]`` of isometry ``v[k]`` to ``pinned[k]``.
+
+    The other rows are replaced by the polar factor of what they were times
+    the square root of what the pinned row leaves of the identity, so each
+    result is again an isometry.
+    """
+    count, n, r = v.shape
+    residual = np.eye(r) - pinned.conj()[:, :, None] * pinned[:, None, :]
     shrink = _psd_sqrt(residual)
-    rest = np.delete(v, member, axis=0)
-    rotated = _polar(rest) @ shrink
+    others = np.arange(n) != members[:, None]
+    rotated = _polar(v[others].reshape(count, n - 1, r)) @ shrink
     out = np.empty_like(v)
-    out[member] = pinned
-    out[np.arange(v.shape[0]) != member] = rotated
+    out[np.arange(count), members] = pinned
+    out[others] = rotated.reshape(-1, r)
     return out
 
 
@@ -233,21 +264,20 @@ def roof_upper_bound(
     """Upper bound on a convex roof by annealing over decompositions.
 
     ``values_fn`` maps an (n, d) array of member states to their n
-    objective values. Proposals are Gaussian perturbations retracted to the
-    isometry manifold; when ``anchors`` are supplied, additional moves pin
-    one member exactly to an anchor state, which is how sparse-support
-    members are reached at all. The returned value is always a valid upper
-    bound; its quality depends on the configuration.
+    objective values, each value depending on its own row only. Proposals
+    are Gaussian perturbations retracted to the isometry manifold; when
+    ``anchors`` are supplied, additional moves pin one member exactly to an
+    anchor state, which is how sparse-support members are reached at all.
+    All restarts advance together, one step at a time: each draws from its
+    own stream as if run alone, and the proposals of a step are built and
+    scored as one batch. The returned value is always a valid upper bound;
+    its quality depends on the configuration.
     """
     cfg = cfg or AnnealConfig()
     eig = hermitian_eig(as_complex(rho, "state"))
     rank = int(np.count_nonzero(eig.eigenvalues > config.RANK_CUTOFF))
     if rank == 0:
         raise ValidationError("state has no eigenvalue above the rank cutoff")
-
-    def evaluate(v: np.ndarray) -> tuple[float, Decomposition]:
-        dec = decomposition_from_isometry(eig, v)
-        return float(dec.weights @ values_fn(dec.states)), dec
 
     if rank == 1:
         psi = eig.eigenvectors[:, 0]
@@ -261,40 +291,85 @@ def roof_upper_bound(
     anchor_set = _AnchorSet(anchors, eig, rank) if anchors is not None else None
     use_anchors = anchor_set is not None and anchor_set.count > 0 and n > rank
 
+    def score(v: np.ndarray) -> np.ndarray:
+        raw, weights, keep = _members(eig, rank, v)
+        # A dropped member is left unnormalized rather than divided by zero.
+        states = raw / np.sqrt(np.where(keep, weights, 1.0))[..., None]
+        values = values_fn(states.reshape(-1, raw.shape[-1])).reshape(weights.shape)
+        # Per restart, the dot product that scores its decomposition.
+        scores = np.matmul(weights[:, None, :], values[:, :, None])[:, 0, 0]
+        if not keep.all():
+            # Dropped members leave the sum, as in a decomposition.
+            for k in np.flatnonzero(~keep.all(axis=1)):
+                scores[k] = weights[k][keep[k]] @ values[k][keep[k]]
+        return scores
+
     temps = cfg.t_start * (cfg.t_end / cfg.t_start) ** (
         np.arange(cfg.steps) / max(1, cfg.steps - 1)
     )
-    best_value = math.inf
-    best_dec: Decomposition | None = None
-    restart_values = []
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.seed + restart)
-        if restart == 0:
-            v = np.zeros((n, rank), dtype=complex)
-            v[:rank, :rank] = np.eye(rank)
-        else:
-            v = random_isometry(n, rank, rng)
-        value, dec = evaluate(v)
-        local_best, local_dec = value, dec
-        for temp in temps:
-            if use_anchors and rng.uniform() < cfg.sparsify_prob:
+    rngs = [np.random.default_rng(cfg.seed + k) for k in range(cfg.restarts)]
+    v = np.zeros((cfg.restarts, n, rank), dtype=complex)
+    v[0, :rank, :rank] = np.eye(rank)
+    for k in range(1, cfg.restarts):
+        v[k] = random_isometry(n, rank, rngs[k])
+    values = score(v)
+    best_values, best_v = values.copy(), v.copy()
+
+    # Restart k's Gaussian draws: real parts, then imaginary parts, the
+    # order in which complex_gaussian draws them.
+    noise = np.empty((cfg.restarts, 2, n, rank))
+    for temp in temps.tolist():
+        hops = []
+        for k, rng in enumerate(rngs):
+            # random() returns what uniform() returns, from one draw.
+            if use_anchors and rng.random() < cfg.sparsify_prob:
                 member = int(rng.integers(n))
                 which = int(rng.integers(anchor_set.count))
                 t = float(rng.uniform(0.3, 1.0)) * anchor_set.t_max[which]
-                proposal = _sparsify(v, member, anchor_set.rows[which], t)
+                hops.append((k, member, which, t))
             else:
-                sigma = cfg.proposal_scale * math.sqrt(temp)
-                proposal = _polar(v + sigma * complex_gaussian(v.shape, rng))
-            new_value, new_dec = evaluate(proposal)
-            delta = new_value - value
-            if delta <= 0.0 or rng.uniform() < math.exp(-delta / temp):
-                v, value, dec = proposal, new_value, new_dec
-                if value < local_best:
-                    local_best, local_dec = value, dec
-        restart_values.append(local_best)
-        if local_best < best_value:
-            best_value, best_dec = local_best, local_dec
-    return RoofSearchResult(best_value, best_dec, tuple(restart_values))
+                rng.standard_normal(out=noise[k])
+        proposal = np.empty_like(v)
+        moved = np.ones(cfg.restarts, dtype=bool)
+        if hops:
+            hopped, members, which, t = (np.array(column) for column in zip(*hops))
+            moved[hopped] = False
+            pinned = np.sqrt(t)[:, None] * anchor_set.rows[which]
+            proposal[hopped] = _sparsify(v[hopped], members, pinned)
+        if len(hops) < cfg.restarts:
+            sigma = cfg.proposal_scale * math.sqrt(temp)
+            drawn = noise[moved]
+            gaussian = (drawn[:, 0] + 1j * drawn[:, 1]) / np.sqrt(2.0)
+            proposal[moved] = _polar(v[moved] + sigma * gaussian)
+        new_values = score(proposal)
+        accept = np.array([
+            delta <= 0.0 or rng.random() < math.exp(-delta / temp)
+            for delta, rng in zip((new_values - values).tolist(), rngs)
+        ])
+        np.copyto(v, proposal, where=accept[:, None, None])
+        np.copyto(values, new_values, where=accept)
+        better = values < best_values
+        np.copyto(best_values, values, where=better)
+        np.copyto(best_v, v, where=better[:, None, None])
+
+    best = int(np.argmin(best_values))
+    return RoofSearchResult(
+        float(best_values[best]),
+        decomposition_from_isometry(eig, best_v[best]),
+        tuple(best_values.tolist()),
+    )
+
+
+def _recheck(result: RoofSearchResult, rho: np.ndarray, values) -> None:
+    """Re-validate an annealed upper bound on its own decomposition."""
+    dec = result.decomposition
+    dec.validate(rho)
+    recomputed = float(dec.weights @ values(dec.states))
+    if not abs(recomputed - result.value) <= config.ROOF_RECHECK_TOL:
+        raise CertificateError(
+            f"upper bound {result.value} differs from its decomposition's "
+            f"objective {recomputed}"
+        )
 
 
 def _roof_bounds(
@@ -341,6 +416,7 @@ def _roof_bounds(
         lower, certificate = floor, inside_certificate
     else:
         result = roof_upper_bound(rho_m, values, cfg, anchors=anchors)
+        _recheck(result, rho_m, values)
         if rank == 1:
             lower, certificate = result.value, CERT_RANK_ONE
         elif strict:
@@ -429,6 +505,6 @@ def nonpositivity_roof_bounds(
 
     return _roof_bounds(
         NONPOSITIVITY_OBJECTIVE, rho_m, nonpositivity_values_fn(u), base, anchor_source,
-        floor=1.0, inside_certificate=CERT_HULL, strict=base <= 1.0 + 2e-9,
-        cfg=cfg, tol=tol,
+        floor=1.0, inside_certificate=CERT_HULL,
+        strict=base <= 1.0 + config.NONPOSITIVITY_STRICT_SLACK, cfg=cfg, tol=tol,
     )

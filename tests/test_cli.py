@@ -168,6 +168,14 @@ def test_roof_nonpos_with_supplied_generators(files, capsys, tmp_path):
     assert doc["results"]["generator_provenance"] == "supplied"
 
 
+def test_roof_rejects_bad_anneal_config(files, capsys):
+    code, out, err = run(capsys, ["roof-nonpos", "--state", files["rho05"],
+                                  "--basis", files["basis"], "--restarts", "0", "--json"])
+    assert code == 2
+    assert json.loads(out)["error"]["category"] == "validation"
+    assert "restarts" in err
+
+
 def test_spin1_passes_and_mentions_facets(capsys):
     code, out, _ = run(capsys, ["spin1"])
     assert code == 0
@@ -193,6 +201,8 @@ def test_json_reports_are_deterministic(files, capsys):
     doc1.pop("timing_seconds")
     doc2.pop("timing_seconds")
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
+    assert doc1["config"]["roof_recheck_tol"] == 1e-9
+    assert doc1["config"]["nonpositivity_strict_slack"] == 2e-9
 
 
 def test_golden_table_report(capsys, monkeypatch):

@@ -7,7 +7,9 @@ from kdwitness import (
     DimensionTooLarge,
     IndexOutOfRange,
     SPIN1,
+    ValidationError,
     complete_incompatibility,
+    enumerate_min_uncertainty_states,
     projector_commutator_norm,
     support_counts_mixed,
     support_counts_pure,
@@ -85,6 +87,17 @@ def test_complete_incompatibility_dft():
     assert report4.min_abs_minor <= 1e-12
     assert report4.argmin_order == 2
     assert report4.minors_checked == sum(comb(4, k) ** 2 for k in range(1, 5))
+
+
+def test_eps_below_rounding_is_rejected():
+    # Minors of DFT 6 that vanish exactly come out at about 1e-17 in float64.
+    u = dft_matrix(6)
+    assert complete_incompatibility(u).min_abs_minor < 1e-15
+    with pytest.raises(ValidationError, match="rounding"):
+        complete_incompatibility(u, eps=1e-18)
+    with pytest.raises(ValidationError, match="rounding"):
+        enumerate_min_uncertainty_states(u, eps=1e-18)
+    assert not complete_incompatibility(u, eps=1e-13).completely_incompatible
 
 
 def test_complete_incompatibility_identity():

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from kdwitness import (
     AnnealConfig,
+    CertificateError,
     NotIsometry,
     SPIN1,
+    ValidationError,
     decomposition_from_isometry,
+    haar_unitary,
     hermitian_eig,
     kd_table,
     nonpositivity_roof_bounds,
@@ -14,10 +19,209 @@ from kdwitness import (
     support_roof_bounds,
     total_nonpositivity,
 )
-from kdwitness.linalg import projector, random_density, random_isometry
-from kdwitness.roof import nonpositivity_values_fn
+from kdwitness import roof
+from kdwitness.linalg import complex_gaussian, projector, random_density, random_isometry
+from kdwitness.roof import RoofSearchResult, nonpositivity_values_fn, support_values_fn
 
 LIGHT = AnnealConfig(restarts=6, steps=400, seed=0)
+
+
+# -- reference: the annealer one restart at a time -----------------------------
+
+
+def _reference_decomposition(eig, v):
+    mu = eig.eigenvalues
+    r = int(np.count_nonzero(mu > 1e-10))
+    mixed = v * np.sqrt(mu[:r])[None, :]
+    raw = mixed @ eig.eigenvectors[:, :r].T
+    weights = np.einsum("ij,ij->i", raw, raw.conj()).real
+    keep = weights > 1e-12
+    weights = weights[keep]
+    return weights, raw[keep] / np.sqrt(weights)[:, None]
+
+
+def _reference_polar(matrix):
+    u, _, vh = np.linalg.svd(matrix, full_matrices=False)
+    return u @ vh
+
+
+def _reference_psd_sqrt(matrix):
+    vals, vecs = np.linalg.eigh((matrix + matrix.conj().T) / 2.0)
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
+def _reference_sparsify(v, member, row, t):
+    pinned = np.sqrt(t) * row
+    r = v.shape[1]
+    residual = np.eye(r) - np.outer(pinned.conj(), pinned)
+    shrink = _reference_psd_sqrt(residual)
+    rotated = _reference_polar(np.delete(v, member, axis=0)) @ shrink
+    out = np.empty_like(v)
+    out[member] = pinned
+    out[np.arange(v.shape[0]) != member] = rotated
+    return out
+
+
+def _reference_roof_upper_bound(rho, values_fn, cfg, anchors=None):
+    """Value, restart values and decomposition, annealing one restart after another."""
+    eig = hermitian_eig(rho)
+    rank = int(np.count_nonzero(eig.eigenvalues > 1e-10))
+    vectors = eig.eigenvectors[:, :rank]
+    rows, t_max = [], []
+    for chi in anchors if anchors is not None else ():
+        coeff = vectors.conj().T @ np.asarray(chi, dtype=complex)
+        if float(np.vdot(coeff, coeff).real) < 1e-12:
+            continue
+        rows.append(coeff / np.sqrt(eig.eigenvalues[:rank]))
+        t_max.append(1.0 / float(np.vdot(rows[-1], rows[-1]).real))
+
+    def evaluate(v):
+        weights, states = _reference_decomposition(eig, v)
+        return float(weights @ values_fn(states)), (weights, states)
+
+    n = cfg.n_terms if cfg.n_terms is not None else rank * rank
+    use_anchors = len(rows) > 0 and n > rank
+    temps = cfg.t_start * (cfg.t_end / cfg.t_start) ** (
+        np.arange(cfg.steps) / max(1, cfg.steps - 1)
+    )
+    best_value, best_dec, restart_values = math.inf, None, []
+    for restart in range(cfg.restarts):
+        rng = np.random.default_rng(cfg.seed + restart)
+        if restart == 0:
+            v = np.zeros((n, rank), dtype=complex)
+            v[:rank, :rank] = np.eye(rank)
+        else:
+            v = random_isometry(n, rank, rng)
+        value, dec = evaluate(v)
+        local_best, local_dec = value, dec
+        for temp in temps:
+            if use_anchors and rng.uniform() < cfg.sparsify_prob:
+                member = int(rng.integers(n))
+                which = int(rng.integers(len(rows)))
+                t = float(rng.uniform(0.3, 1.0)) * t_max[which]
+                proposal = _reference_sparsify(v, member, rows[which], t)
+            else:
+                sigma = cfg.proposal_scale * math.sqrt(temp)
+                proposal = _reference_polar(v + sigma * complex_gaussian(v.shape, rng))
+            new_value, new_dec = evaluate(proposal)
+            delta = new_value - value
+            if delta <= 0.0 or rng.uniform() < math.exp(-delta / temp):
+                v, value, dec = proposal, new_value, new_dec
+                if value < local_best:
+                    local_best, local_dec = value, dec
+        restart_values.append(local_best)
+        if local_best < best_value:
+            best_value, best_dec = local_best, local_dec
+    return best_value, tuple(restart_values), best_dec
+
+
+def _assert_matches_reference(rho, values_fn, cfg, anchors):
+    value, restart_values, (weights, states) = _reference_roof_upper_bound(
+        rho, values_fn, cfg, anchors
+    )
+    res = roof_upper_bound(rho, values_fn, cfg, anchors=anchors)
+    assert res.value == value
+    assert res.restart_values == restart_values
+    assert res.decomposition.weights.tobytes() == weights.tobytes()
+    assert res.decomposition.states.tobytes() == states.tobytes()
+
+
+def _objective(name, u):
+    return support_values_fn(u) if name == "support" else nonpositivity_values_fn(u)
+
+
+SPIN1_ANCHORS = {"support": SPIN1.min_uncertainty_states, "nonpos": SPIN1.positive_states}
+
+
+def _haar4_state(rank, seed):
+    g = complex_gaussian((4, rank), np.random.default_rng(seed))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("objective", ["support", "nonpos"])
+@pytest.mark.parametrize("lam", [0.1, 0.5, 4.0 / 7.0])
+def test_lock_step_matches_reference_on_spin1(lam, objective):
+    _assert_matches_reference(
+        rho_lambda(lam),
+        _objective(objective, SPIN1.transition),
+        AnnealConfig(restarts=3, steps=150, seed=2),
+        SPIN1_ANCHORS[objective],
+    )
+
+
+@pytest.mark.parametrize("objective", ["support", "nonpos"])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_lock_step_matches_reference_without_anchors(rank, objective):
+    _assert_matches_reference(
+        _haar4_state(rank, 30 + rank),
+        _objective(objective, haar_unitary(4, 21)),
+        AnnealConfig(restarts=3, steps=150, seed=5),
+        None,
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        AnnealConfig(n_terms=3, restarts=3, steps=150, seed=1),
+        AnnealConfig(restarts=1, steps=200, seed=4),
+        AnnealConfig(restarts=3, steps=150, seed=6, sparsify_prob=0.0),
+        AnnealConfig(restarts=3, steps=150, seed=6, sparsify_prob=1.0),
+    ],
+    ids=["n_terms_equals_rank", "one_restart", "no_anchor_moves", "only_anchor_moves"],
+)
+def test_lock_step_matches_reference_on_edge_configs(cfg):
+    _assert_matches_reference(
+        rho_lambda(0.5),
+        nonpositivity_values_fn(SPIN1.transition),
+        cfg,
+        SPIN1.positive_states,
+    )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("restarts", 0),
+        ("steps", -1),
+        ("n_terms", 0),
+        ("t_start", 0.0),
+        ("t_end", -1e-4),
+        ("proposal_scale", -0.1),
+        ("sparsify_prob", -0.1),
+        ("sparsify_prob", 1.5),
+    ],
+)
+def test_anneal_config_rejects_bad_values(field, value):
+    with pytest.raises(ValidationError, match=field):
+        AnnealConfig(**{field: value})
+
+
+def test_anneal_config_accepts_boundary_values():
+    assert AnnealConfig(n_terms=1).n_terms == 1
+    cfg = AnnealConfig(restarts=1, steps=0, proposal_scale=0.0, sparsify_prob=1.0)
+    res = roof_upper_bound(rho_lambda(0.5), nonpositivity_values_fn(SPIN1.transition), cfg)
+    assert res.restart_values == (res.value,)
+
+
+@pytest.mark.parametrize("tamper", ["value", "weights"])
+def test_annealed_upper_bound_is_rechecked(monkeypatch, tamper):
+    search = roof.roof_upper_bound
+
+    def tampered(*args, **kwargs):
+        res = search(*args, **kwargs)
+        if tamper == "value":
+            return RoofSearchResult(res.value + 1e-3, res.decomposition, res.restart_values)
+        dec = roof.Decomposition(res.decomposition.weights * 1.01, res.decomposition.states)
+        return RoofSearchResult(res.value, dec, res.restart_values)
+
+    monkeypatch.setattr(roof, "roof_upper_bound", tampered)
+    with pytest.raises(CertificateError):
+        nonpositivity_roof_bounds(rho_lambda(0.5), SPIN1.transition, cfg=LIGHT)
+    with pytest.raises(CertificateError):
+        support_roof_bounds(rho_lambda(0.5), SPIN1.transition, cfg=LIGHT)
 
 
 def test_decomposition_identity_isometry_recovers_eigensystem():
