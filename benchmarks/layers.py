@@ -1,4 +1,4 @@
-"""Layer timings: minimal-state enumeration, the KD-positive filter, the annealer.
+"""Layer timings: minimal-state enumeration, the KD-positive filter, the annealer, facets.
 
 For each d = 3..6, on the Haar basis ``haar_unitary(d, 1000 + d)`` with BLAS
 pinned to one thread, times
@@ -10,16 +10,23 @@ pinned to one thread, times
   at ``ROOF_CONFIG`` (4 restarts x 300 steps); its time is also given in µs
   per step, one step being one restart's proposal, score and accept test.
 
-It prints one JSON record: per layer and dimension the median and quartiles
-of ``RUNS`` timed calls (after one untimed warm-up call), the state counts,
-the annealed bound, and the machine, Python and numpy versions. Run it
-against the package on ``PYTHONPATH``:
+It also times ``facet_enumeration_points`` on the real-embedded projectors
+of the 15 spin-1 minimal states and of ``FACET_SET_SIZES`` generic d = 3
+pure states ``random_pure_state(3, default_rng(3000 + n))``, with the facet
+count and the number C(n, affine rank) of subsets tested.
+
+It prints one JSON record: per layer and dimension or set the median and
+quartiles of ``RUNS`` timed calls (after one untimed warm-up call), the
+state counts, the annealed bound, the facet and subset counts, and the
+machine, Python and numpy versions. Run it against the package on
+``PYTHONPATH``:
 
     PYTHONPATH=src python benchmarks/layers.py --label change
 """
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -29,6 +36,7 @@ import time
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 RUNS = 15
 ROOF_CONFIG = {"restarts": 4, "steps": 300, "seed": 0}
+FACET_SET_SIZES = (12, 14, 16)
 
 
 def cpu_model() -> str:
@@ -67,7 +75,8 @@ def main(argv=None) -> dict:
     import numpy as np
 
     import kdwitness
-    from kdwitness.linalg import random_density
+    from kdwitness.geometry import facet_enumeration_points
+    from kdwitness.linalg import projector, random_density, random_pure_state
     from kdwitness.roof import nonpositivity_values_fn
 
     layers = {}
@@ -94,10 +103,26 @@ def main(argv=None) -> dict:
                 "upper_bound": search.value,
             },
         }
+
+    facet_sets = {"spin1": kdwitness.SPIN1.min_uncertainty_states}
+    for n in FACET_SET_SIZES:
+        rng = np.random.default_rng(3000 + n)
+        facet_sets[f"generic_{n}"] = [random_pure_state(3, rng) for _ in range(n)]
+    layers["facet_enumeration_points"] = {}
+    for name, states in facet_sets.items():
+        points = np.array([kdwitness.hermitian_to_real(projector(s)) for s in states])
+        rank = int(np.linalg.matrix_rank(points - points.mean(axis=0)))
+        facets, facet_times = timed(facet_enumeration_points, points)
+        layers["facet_enumeration_points"][name] = {
+            **summary_ms(facet_times),
+            "facets": len(facets),
+            "subsets": math.comb(len(states), rank),
+        }
     return {
         "label": args.label,
         "runs": RUNS,
         "roof_config": ROOF_CONFIG,
+        "facet_set_sizes": FACET_SET_SIZES,
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "machine": {
             "cpu": cpu_model(),

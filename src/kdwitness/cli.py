@@ -391,6 +391,16 @@ _ROOF_TOLERANCES = (
     "RECONSTRUCTION_TOL", "ROOF_ORDER_SLACK", "ROOF_RECHECK_TOL", "ISOMETRY_TOL",
     "ANCHOR_RANGE_CUTOFF", "NONPOSITIVITY_STRICT_SLACK",
 )
+_FACET_TOLERANCES = (
+    "FACET_ACTIVE_TOL", "FACET_MATCH_TOL", "FACET_RANK_ABS_CUTOFF",
+    "FACET_RANK_REL_CUTOFF", "MAX_FACET_SUBSETS",
+)
+# The config values each command echoes beyond the base and feasibility ones.
+_ECHOED_CONFIG = {
+    "facets": _FACET_TOLERANCES,
+    "roof-support": _ROOF_TOLERANCES,
+    "roof-nonpos": _ROOF_TOLERANCES,
+}
 
 
 def _input_digests(args) -> dict:
@@ -411,8 +421,9 @@ def _config_echo(args) -> dict:
     for name in _CONFIG_ARGS:
         if hasattr(args, name):
             echo[name] = getattr(args, name)
-    if args.command.startswith("roof-"):
-        echo.update((name.lower(), getattr(config, name)) for name in _ROOF_TOLERANCES)
+    echo.update(
+        (name.lower(), getattr(config, name)) for name in _ECHOED_CONFIG.get(args.command, ())
+    )
     return echo
 
 

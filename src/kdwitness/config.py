@@ -1,9 +1,10 @@
 """Central numerical tolerances.
 
-Keyword arguments override the base, feasibility, dedup and facet-match
-defaults per call, and ``KD_DEFAULT_TOL`` overrides the base one globally;
-the margin factor, the rank, null-space, phase, weight and exactness
-cutoffs, the minor floor and the roof tolerances are fixed.
+Keyword arguments override the base, feasibility, dedup, facet-active and
+facet-match defaults per call, and ``KD_DEFAULT_TOL`` overrides the base one
+globally; the margin factor, the rank, null-space, phase, weight and
+exactness cutoffs, the minor floor, the roof tolerances and the facet rank
+cutoffs and subset limit are fixed.
 """
 
 import os
@@ -27,8 +28,22 @@ MINOR_EPS_FLOOR_PER_DIM = 10.0 * sys.float_info.epsilon
 # Global-phase deduplication tolerance for enumerated pure states.
 STATE_DEDUP_TOL = 1e-8
 
+# A generator lies on a facet's hyperplane within this distance.
+FACET_ACTIVE_TOL = 1e-7
+
 # Two facets are identified when their normal forms agree to this tolerance.
 FACET_MATCH_TOL = 1e-7
+
+# In facet enumeration, a singular value of the generator set (its affine
+# rank) or of a subset's spanning rows (whether it spans a hyperplane)
+# counts above max(FACET_RANK_ABS_CUTOFF, FACET_RANK_REL_CUTOFF * largest).
+FACET_RANK_ABS_CUTOFF = 1e-12
+FACET_RANK_REL_CUTOFF = 1e-9
+
+# Facet enumeration tests C(n, affine rank) subsets of n generators and
+# refuses more than this many; a subset of generic d = 3 projectors costs
+# about 20 us on a 2-vCPU Xeon VM, so the limit is about 4 s there.
+MAX_FACET_SUBSETS = 200_000
 
 # Eigenvalue cutoff defining the rank used by decomposition searches.
 RANK_CUTOFF = 1e-10

@@ -11,8 +11,9 @@ separating-functional inequalities are re-checked after every solve and a
 violation is a hard error, never a silent downgrade.
 """
 
+import math
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -27,7 +28,11 @@ from .errors import (
 from .linalg import as_complex
 from .simplex import INFEASIBLE, OPTIMAL, solve_equality_lp
 
-MAX_FACET_GENERATORS = 30
+# Subsets per stacked SVD of the facet enumeration, fewer when a block's
+# (points x subsets) side-test array would exceed FACET_SIDE_ENTRIES, as it
+# can for sets of low affine rank and many points.
+FACET_BLOCK = 1024
+FACET_SIDE_ENTRIES = 1 << 21
 
 INSIDE = "inside"
 OUTSIDE = "outside"
@@ -191,7 +196,7 @@ class Facet:
 
 def facet_enumeration_points(
     points,
-    active_tol: float = 1e-7,
+    active_tol: float | None = None,
     match_tol: float | None = None,
 ) -> list[Facet]:
     """All bounding hyperplanes of the convex hull of a small point set.
@@ -202,55 +207,86 @@ def facet_enumeration_points(
     deduplicated on their active sets and their normalized hull-coordinates
     form. Facets come back in a canonical order independent of the input
     ordering.
+
+    The subsets are walked in ``combinations`` order, ``FACET_BLOCK`` at a
+    time (fewer for thousands of points): one stacked SVD per block gives
+    every subset's rank test and normal, and the side test runs on the whole
+    block. The hyperplanes that pass are then taken in subset order, so the
+    first one found for a facet stands for it. Raises DimensionTooLarge
+    before any work when the number of subsets exceeds
+    ``config.MAX_FACET_SUBSETS``.
     """
+    active_tol = config.FACET_ACTIVE_TOL if active_tol is None else active_tol
     match_tol = config.FACET_MATCH_TOL if match_tol is None else match_tol
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
-    if n > MAX_FACET_GENERATORS:
-        raise DimensionTooLarge(
-            f"facet enumeration is guarded to {MAX_FACET_GENERATORS} generators"
-        )
     centroid = pts.mean(axis=0)
     deltas = pts - centroid
     _, sing, vt = np.linalg.svd(deltas, full_matrices=False)
-    rank_tol = max(1e-12, (sing[0] if sing.size else 0.0) * 1e-9)
-    rank = int(np.count_nonzero(sing > rank_tol))
+    rank = int(np.count_nonzero(sing > _rank_cutoff(sing))) if sing.size else 0
     if rank < 1:
         raise DegenerateHull("generators span no affine directions")
+    n_subsets = math.comb(n, rank)
+    if n_subsets > config.MAX_FACET_SUBSETS:
+        raise DimensionTooLarge(
+            f"facet enumeration would test C({n}, {rank}) = {n_subsets} subsets, "
+            f"over the limit of {config.MAX_FACET_SUBSETS}"
+        )
     basis = vt[:rank].T
     hull_pts = deltas @ basis
+    # The block's side values may round differently from the per-subset
+    # ones below by at most this much, so the block test lets every
+    # hyperplane the per-subset test keeps through.
+    slack = 8 * rank * np.finfo(float).eps * float(np.abs(hull_pts).sum(axis=1).max())
 
-    found: list[tuple[np.ndarray, float, tuple[int, ...]]] = []
-    for subset in combinations(range(n), rank):
-        anchor = hull_pts[subset[0]]
+    kept_normals = np.empty((n_subsets, rank))
+    kept_offsets = np.empty(n_subsets)
+    actives: list[tuple[int, ...]] = []
+    block_size = max(1, min(FACET_BLOCK, FACET_SIDE_ENTRIES // n))
+    subsets = combinations(range(n), rank)
+    for _ in range(0, n_subsets, block_size):
+        block = np.fromiter(
+            chain.from_iterable(islice(subsets, block_size)), dtype=np.intp
+        ).reshape(-1, rank)
+        anchors = hull_pts[block[:, 0]]
         if rank == 1:
-            normal = np.array([1.0])
+            normals = np.ones((len(block), 1))
+            spanning = np.ones(len(block), dtype=bool)
         else:
-            rows = hull_pts[list(subset[1:])] - anchor
+            rows = hull_pts[block[:, 1:]] - anchors[:, None, :]
             _, sv, svt = np.linalg.svd(rows)
-            sub_tol = max(1e-12, sv[0] * 1e-9) if sv.size else 1e-12
-            if int(np.count_nonzero(sv > sub_tol)) < rank - 1:
+            spanning = np.count_nonzero(sv > _rank_cutoff(sv)[:, None], axis=1) == rank - 1
+            normals = svt[:, -1]
+        side = hull_pts @ normals.T - np.einsum("ij,ij->i", normals, anchors)
+        one_sided = (side.max(axis=0) <= active_tol + slack) | (
+            side.min(axis=0) >= -active_tol - slack
+        )
+        for j in np.flatnonzero(spanning & one_sided):
+            normal = normals[j]
+            offset = float(normal @ anchors[j])
+            side_j = hull_pts @ normal - offset
+            if side_j.max() <= active_tol:
+                pass
+            elif side_j.min() >= -active_tol:
+                normal, offset, side_j = -normal, -offset, -side_j
+            else:
                 continue
-            normal = svt[-1]
-        offset = float(normal @ anchor)
-        side = hull_pts @ normal - offset
-        if side.max() <= active_tol:
-            pass
-        elif side.min() >= -active_tol:
-            normal, offset, side = -normal, -offset, -side
-        else:
-            continue
-        if any(
-            abs(offset - off) <= match_tol and np.linalg.norm(normal - nrm) <= match_tol
-            for nrm, off, _ in found
-        ):
-            continue
-        active = tuple(int(k) for k in np.flatnonzero(np.abs(side) <= active_tol))
-        found.append((normal, offset, active))
+            k = len(actives)
+            # The array norm rounds differently from the per-pair one, so it
+            # only preselects; the per-pair norm decides.
+            near = np.flatnonzero(
+                (np.abs(offset - kept_offsets[:k]) <= match_tol)
+                & (np.linalg.norm(normal - kept_normals[:k], axis=1) <= 2 * match_tol)
+            )
+            if any(np.linalg.norm(normal - kept_normals[i]) <= match_tol for i in near):
+                continue
+            kept_normals[k] = normal
+            kept_offsets[k] = offset
+            actives.append(tuple(int(i) for i in np.flatnonzero(np.abs(side_j) <= active_tol)))
 
     facets = []
     listed: set[tuple[int, ...]] = set()
-    for normal, offset, active in found:
+    for normal, offset, active in zip(kept_normals, kept_offsets, actives):
         # Near a degenerate configuration, hyperplanes through different
         # subsets can hold the same active set yet differ by more than
         # match_tol; the first one found stands for that face.
@@ -263,7 +299,14 @@ def facet_enumeration_points(
     return facets
 
 
-def facet_enumeration(generators, active_tol: float = 1e-7) -> list[Facet]:
+def _rank_cutoff(sing):
+    """Singular values above this count towards the rank, per matrix of a stack."""
+    return np.maximum(
+        config.FACET_RANK_ABS_CUTOFF, sing[..., 0] * config.FACET_RANK_REL_CUTOFF
+    )
+
+
+def facet_enumeration(generators, active_tol: float | None = None) -> list[Facet]:
     """Facets of the hull of Hermitian generators, as Hermitian functionals."""
     d, points, _ = _embed(generators)
     return [

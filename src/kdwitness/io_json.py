@@ -146,6 +146,14 @@ def to_jsonable(obj):
     if isinstance(obj, np.complexfloating):
         return [_f(float(obj.real)), _f(float(obj.imag))]
     if isinstance(obj, np.ndarray):
+        # Numeric arrays convert in one step; adding 0.0 turns -0.0 into 0.0
+        # as _f does, and a complex entry becomes its [re, im] pair.
+        if obj.dtype.kind == "c":
+            return (np.stack([obj.real, obj.imag], -1) + 0.0).tolist()
+        if obj.dtype.kind == "f":
+            return (obj + 0.0).tolist()
+        if obj.dtype.kind in "biu":
+            return obj.tolist()
         return [to_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {

@@ -140,6 +140,11 @@ def test_facets(files, capsys):
     code, doc, _ = run_json(capsys, ["facets", "--generators", *files["gens"]])
     assert code == 0
     assert doc["results"]["count"] == 28
+    assert doc["config"]["facet_active_tol"] == 1e-7
+    assert doc["config"]["facet_match_tol"] == 1e-7
+    assert doc["config"]["facet_rank_abs_cutoff"] == 1e-12
+    assert doc["config"]["facet_rank_rel_cutoff"] == 1e-9
+    assert doc["config"]["max_facet_subsets"] == 200_000
 
 
 def test_roof_support_reports_strict_bound(files, capsys):

@@ -1,7 +1,12 @@
+from itertools import combinations
+from math import comb
+
 import numpy as np
 import pytest
 
 from kdwitness import (
+    SPIN1,
+    DimensionTooLarge,
     OutsideHull,
     ValidationError,
     facet_enumeration,
@@ -12,11 +17,117 @@ from kdwitness import (
     rho_lambda,
 )
 from kdwitness.geometry import (
+    FACET_BLOCK,
+    Facet,
     facet_enumeration_points,
     finite_convex_roof_points,
     membership_lp_points,
 )
-from kdwitness.linalg import dagger
+from kdwitness.linalg import dagger, projector, random_pure_state
+
+# A pure state about 6e-8 inside a spin-1 facet, within the active tolerance,
+# so hyperplanes through different subsets hold one active set.
+NEAR_FACET_STATE = np.array(
+    [
+        -0.3333333333333208,
+        0.6666664728479736 + 1.2687796414546038e-10j,
+        0.6666668604853097 - 1.2687796414546038e-10j,
+    ]
+)
+NEAR_FACET_STATE /= np.linalg.norm(NEAR_FACET_STATE)
+
+
+# -- reference: the facet enumeration one subset at a time ---------------------
+
+
+def _reference_facets(points, active_tol=1e-7, match_tol=1e-7):
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    centroid = pts.mean(axis=0)
+    deltas = pts - centroid
+    _, sing, vt = np.linalg.svd(deltas, full_matrices=False)
+    rank = int(np.count_nonzero(sing > max(1e-12, sing[0] * 1e-9)))
+    basis = vt[:rank].T
+    hull_pts = deltas @ basis
+
+    found = []
+    for subset in combinations(range(n), rank):
+        anchor = hull_pts[subset[0]]
+        if rank == 1:
+            normal = np.array([1.0])
+        else:
+            rows = hull_pts[list(subset[1:])] - anchor
+            _, sv, svt = np.linalg.svd(rows)
+            if int(np.count_nonzero(sv > max(1e-12, sv[0] * 1e-9))) < rank - 1:
+                continue
+            normal = svt[-1]
+        offset = float(normal @ anchor)
+        side = hull_pts @ normal - offset
+        if side.max() <= active_tol:
+            pass
+        elif side.min() >= -active_tol:
+            normal, offset, side = -normal, -offset, -side
+        else:
+            continue
+        if any(
+            abs(offset - off) <= match_tol and np.linalg.norm(normal - nrm) <= match_tol
+            for nrm, off, _ in found
+        ):
+            continue
+        active = tuple(int(k) for k in np.flatnonzero(np.abs(side) <= active_tol))
+        found.append((normal, offset, active))
+
+    facets = []
+    listed = set()
+    for normal, offset, active in found:
+        if active in listed:
+            continue
+        listed.add(active)
+        ambient = basis @ normal
+        facets.append(Facet(ambient, float(offset + ambient @ centroid), active))
+    facets.sort(key=lambda f: (round(f.offset, 9),) + tuple(np.round(f.functional, 9)))
+    return facets
+
+
+def _real_projectors(states):
+    return np.array([hermitian_to_real(projector(psi)) for psi in states])
+
+
+def _generic_projectors(n, seed):
+    rng = np.random.default_rng(seed)
+    return _real_projectors([random_pure_state(3, rng) for _ in range(n)])
+
+
+def _reference_cases():
+    # Points on a line have affine rank 1, so n of them make n subsets: 1024
+    # and 1025 make exactly one block and one block plus one, and 4096 make
+    # blocks cut short by the side-test array's size.
+    segment = np.outer(np.linspace(-1.0, 1.0, FACET_BLOCK + 1), [1.0, 2.0, -0.5])
+    rng = np.random.default_rng(5)
+    cases = {
+        "spin1": _real_projectors(SPIN1.min_uncertainty_states),
+        "spin1_near_degenerate": _real_projectors(
+            [*SPIN1.min_uncertainty_states, NEAR_FACET_STATE]
+        ),
+        "triangle": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        "collinear": segment[::64],
+        "one_block": rng.standard_normal((FACET_BLOCK, 1)) * [[1.0, -2.0]],
+        "one_block_plus_one": segment,
+        "long_segment": np.linspace(0.0, 1.0, 4 * FACET_BLOCK)[:, None] * [[3.0, 1.0]],
+    }
+    cases.update((f"generic_{n}", _generic_projectors(n, 300 + n)) for n in range(11, 17))
+    return cases
+
+
+def test_blocked_facets_match_the_per_subset_reference():
+    for name, points in _reference_cases().items():
+        got = facet_enumeration_points(points)
+        want = _reference_facets(points)
+        assert len(got) == len(want), name
+        for g, w in zip(got, want):
+            assert g.active == w.active, name
+            assert g.functional.tobytes() == w.functional.tobytes(), name
+            assert np.float64(g.offset).tobytes() == np.float64(w.offset).tobytes(), name
 
 
 def test_embedding_preserves_inner_products():
@@ -78,20 +189,23 @@ def test_facet_count_spin1(spin1_projectors):
 
 
 def test_facet_active_sets_are_unique_near_a_degenerate_set(spin1_projectors):
-    # This state lies about 6e-8 inside a spin-1 facet, within the active
-    # tolerance, so hyperplanes through different subsets hold one active set.
-    psi = np.array(
-        [
-            -0.3333333333333208,
-            0.6666664728479736 + 1.2687796414546038e-10j,
-            0.6666668604853097 - 1.2687796414546038e-10j,
-        ]
-    )
-    psi /= np.linalg.norm(psi)
-    facets = facet_enumeration(spin1_projectors + [np.outer(psi, psi.conj())])
+    facets = facet_enumeration(spin1_projectors + [projector(NEAR_FACET_STATE)])
     actives = [f.active for f in facets]
     assert len(set(actives)) == len(actives) == 57
     assert len(facet_enumeration(spin1_projectors)) == 28
+
+
+def test_facet_guard_counts_subsets():
+    # 22 generic d = 3 projectors span 8 affine dimensions: C(22, 8) subsets.
+    with pytest.raises(DimensionTooLarge, match=f"{comb(22, 8)} subsets"):
+        facet_enumeration_points(_generic_projectors(22, 7))
+    # 40 points of a polygon span 2: C(40, 2) = 780 subsets, well inside.
+    angles = 2.0 * np.pi * np.arange(40) / 40
+    facets = facet_enumeration_points(np.column_stack([np.cos(angles), np.sin(angles)]))
+    assert len(facets) == 40
+    assert sorted(f.active for f in facets) == sorted(
+        tuple(sorted((k, (k + 1) % 40))) for k in range(40)
+    )
 
 
 def test_facets_invariant_under_reordering(spin1_projectors):

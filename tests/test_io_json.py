@@ -1,0 +1,78 @@
+import dataclasses
+import json
+
+import numpy as np
+
+from kdwitness.io_json import dumps_report
+
+
+# -- reference: the element-by-element encoder ---------------------------------
+
+
+def _reference_f(x):
+    return float(x) + 0.0
+
+
+def _reference_to_jsonable(obj):
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, float):
+        return _reference_f(obj)
+    if isinstance(obj, complex):
+        return [_reference_f(obj.real), _reference_f(obj.imag)]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return _reference_f(float(obj))
+    if isinstance(obj, np.complexfloating):
+        return [_reference_f(float(obj.real)), _reference_f(float(obj.imag))]
+    if isinstance(obj, np.ndarray):
+        return [_reference_to_jsonable(v) for v in obj.tolist()]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            field.name: _reference_to_jsonable(getattr(obj, field.name))
+            for field in dataclasses.fields(obj)
+        }
+    if isinstance(obj, dict):
+        return {str(k): _reference_to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_to_jsonable(v) for v in obj]
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _reference_dumps(report):
+    return json.dumps(_reference_to_jsonable(report), sort_keys=True, indent=2) + "\n"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    matrix: np.ndarray
+    label: str
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outer:
+    inner: _Inner
+    weights: np.ndarray
+    pair: tuple
+
+
+def test_array_encoding_matches_the_element_reference():
+    rng = np.random.default_rng(12)
+    matrix = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    matrix[0, 1] = complex(-0.0, -0.0)
+    matrix[2, 2] = complex(0.0, -0.0)
+    reports = [
+        {"zeros": np.array([-0.0, 0.0, -0.0]), "scalar": -0.0, "cscalar": complex(-0.0, 1.0)},
+        {"complex": matrix, "stack": np.stack([matrix, matrix.conj()]),
+         "complex64": matrix.astype(np.complex64)},
+        {"nested": _Outer(_Inner(matrix, "m"), rng.dirichlet(np.ones(4)), (1, -0.0, "x")),
+         "list": [_Inner(np.eye(2) * -0.0, "z")]},
+        {"numpy_scalars": [np.float64(-0.0), np.int64(7), np.complex128(-0.0 - 2.5j),
+                           np.float32(0.1)],
+         "ints": np.arange(-3, 3), "bools": np.array([True, False]),
+         "float32": np.array([[-0.0, 1.5e-7]], dtype=np.float32),
+         "tuple": (np.array([1.0, -0.0]), None), "empty": np.zeros((0, 3))},
+    ]
+    for report in reports:
+        assert dumps_report(report) == _reference_dumps(report)

@@ -67,3 +67,48 @@ def test_degenerate_vertex_terminates():
     res = solve_equality_lp(a, b, c=np.arange(5.0))
     assert res.status == OPTIMAL
     assert res.x @ np.arange(5.0) == pytest.approx(res.objective)
+
+
+def _random_instances(seed, count):
+    """Seeded equality LPs in hull form, [P^T; 1] w = [x; 1], with a cost.
+
+    Even instances place x inside the hull of the points (feasible), odd ones
+    well outside it (infeasible).
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        dim = int(rng.integers(1, 6))
+        n = int(rng.integers(dim + 1, 4 * dim + 4))
+        points = rng.standard_normal((n, dim))
+        if k % 2 == 0:
+            target = rng.dirichlet(np.ones(n)) @ points
+        else:
+            direction = rng.standard_normal(dim)
+            target = (np.abs(points).sum(axis=1).max() + 1.0) * direction / np.linalg.norm(
+                direction
+            )
+        a = np.vstack([points.T, np.ones((1, n))])
+        b = np.concatenate([target, [1.0]])
+        yield a, b, rng.standard_normal(n)
+
+
+def test_agrees_with_scipy_highs():
+    optimize = pytest.importorskip("scipy.optimize")
+    feasible = infeasible = 0
+    for a, b, c in _random_instances(seed=404, count=60):
+        ref = optimize.linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+        res = solve_equality_lp(a, b, c=c)
+        if ref.status == 0:
+            feasible += 1
+            assert res.status == OPTIMAL
+            assert res.objective == pytest.approx(ref.fun, abs=1e-7)
+            assert np.abs(a @ res.x - b).max() <= 1e-9
+            assert res.x.min() >= 0.0
+        else:
+            infeasible += 1
+            assert ref.status == 2
+            assert res.status == INFEASIBLE
+            y = res.farkas
+            assert (y @ a).max() <= 1e-6
+            assert y @ b > 0.0
+    assert feasible == infeasible == 30
