@@ -1,4 +1,4 @@
-"""Layer timings: minimal-state enumeration, the KD-positive filter, the annealer, facets.
+"""Layer timings: minimal-state enumeration, the KD-positive filter, the annealer, minors, hull LPs, facets.
 
 For each d = 3..6, on the Haar basis ``haar_unitary(d, 1000 + d)`` with BLAS
 pinned to one thread, times
@@ -10,6 +10,14 @@ pinned to one thread, times
   at ``ROOF_CONFIG`` (4 restarts x 300 steps); its time is also given in µs
   per step, one step being one restart's proposal, score and accept test.
 
+It times ``complete_incompatibility`` on ``haar_unitary(d, 1000 + d)`` at
+d = 3..8, with the number of minors checked, and ``membership_lp`` at
+d = 4..6 over the projectors of that basis's minimal states, for the inside
+target ``MEMBERSHIP_INSIDE`` (their uniform mixture) and the outside target
+``MEMBERSHIP_OUTSIDE`` (the pure state ``random_pure_state(d,
+default_rng(4000 + d))``), with the verdict and the iterations of the
+simplex behind it.
+
 It also times ``facet_enumeration_points`` on the real-embedded projectors
 of the 15 spin-1 minimal states and of ``FACET_SET_SIZES`` generic d = 3
 pure states ``random_pure_state(3, default_rng(3000 + n))``, with the facet
@@ -17,7 +25,8 @@ count and the number C(n, affine rank) of subsets tested.
 
 It prints one JSON record: per layer and dimension or set the median and
 quartiles of ``RUNS`` timed calls (after one untimed warm-up call), the
-state counts, the annealed bound, the facet and subset counts, and the
+state counts, the annealed bound, the minor counts, the hull verdicts and
+simplex iterations, the facet and subset counts, and the
 machine, Python and numpy versions. Run it against the package on
 ``PYTHONPATH``:
 
@@ -37,6 +46,10 @@ BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
 RUNS = 15
 ROOF_CONFIG = {"restarts": 4, "steps": 300, "seed": 0}
 FACET_SET_SIZES = (12, 14, 16)
+MINOR_DIMS = range(3, 9)
+MEMBERSHIP_DIMS = range(4, 7)
+MEMBERSHIP_INSIDE = "uniform mixture of the minimal states"
+MEMBERSHIP_OUTSIDE = "random_pure_state(d, default_rng(4000 + d))"
 
 
 def cpu_model() -> str:
@@ -75,7 +88,8 @@ def main(argv=None) -> dict:
     import numpy as np
 
     import kdwitness
-    from kdwitness.geometry import facet_enumeration_points
+    from kdwitness import config
+    from kdwitness.geometry import _hull_lp, facet_enumeration_points
     from kdwitness.linalg import projector, random_density, random_pure_state
     from kdwitness.roof import nonpositivity_values_fn
 
@@ -104,6 +118,36 @@ def main(argv=None) -> dict:
             },
         }
 
+    layers["complete_incompatibility"] = {}
+    for d in MINOR_DIMS:
+        u = kdwitness.haar_unitary(d, 1000 + d)
+        report, minor_times = timed(kdwitness.complete_incompatibility, u)
+        layers["complete_incompatibility"][f"d{d}"] = {
+            **summary_ms(minor_times),
+            "minors_checked": report.minors_checked,
+        }
+
+    layers["membership_lp"] = {}
+    for d in MEMBERSHIP_DIMS:
+        u = kdwitness.haar_unitary(d, 1000 + d)
+        gens = [projector(s) for s in kdwitness.enumerate_min_uncertainty_states(u).states]
+        psi = random_pure_state(d, np.random.default_rng(4000 + d))
+        targets = {"inside": sum(gens) / len(gens), "outside": projector(psi)}
+        # Per matrix, so that the script also runs against packages whose
+        # hermitian_to_real takes one matrix only.
+        points = np.array([kdwitness.hermitian_to_real(g) for g in gens])
+        for side, target in targets.items():
+            cert, lp_times = timed(kdwitness.membership_lp, target, gens)
+            # The phase-one LP that membership_lp solves, for its iteration count.
+            lp = _hull_lp(points, kdwitness.hermitian_to_real(target), None,
+                          config.FEASIBILITY_TOL)
+            layers["membership_lp"][f"d{d}_{side}"] = {
+                **summary_ms(lp_times),
+                "generators": len(gens),
+                "verdict": cert.verdict,
+                "simplex_iterations": lp.iterations,
+            }
+
     facet_sets = {"spin1": kdwitness.SPIN1.min_uncertainty_states}
     for n in FACET_SET_SIZES:
         rng = np.random.default_rng(3000 + n)
@@ -123,6 +167,9 @@ def main(argv=None) -> dict:
         "runs": RUNS,
         "roof_config": ROOF_CONFIG,
         "facet_set_sizes": FACET_SET_SIZES,
+        "minor_dims": list(MINOR_DIMS),
+        "membership_dims": list(MEMBERSHIP_DIMS),
+        "membership_targets": {"inside": MEMBERSHIP_INSIDE, "outside": MEMBERSHIP_OUTSIDE},
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "machine": {
             "cpu": cpu_model(),

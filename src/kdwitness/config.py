@@ -3,8 +3,9 @@
 Keyword arguments override the base, feasibility, dedup, facet-active and
 facet-match defaults per call, and ``KD_DEFAULT_TOL`` overrides the base one
 globally; the margin factor, the rank, null-space, phase, weight and
-exactness cutoffs, the minor floor, the roof tolerances and the facet rank
-cutoffs and subset limit are fixed.
+exactness cutoffs, the minor floor and count limit, the roof tolerances,
+the facet rank cutoffs and subset limit, and the simplex pivot tolerance,
+Bland ratio-tie window and Farkas slack are fixed.
 """
 
 import os
@@ -25,6 +26,11 @@ MARGIN_FACTOR = 10.0
 # minor of a d x d unitary cannot be told apart from zero in float64.
 MINOR_EPS_FLOOR_PER_DIM = 10.0 * sys.float_info.epsilon
 
+# complete_incompatibility evaluates all C(2d, d) - 1 minors of a d x d
+# transition matrix and refuses more than this many: C(16, 8) - 1, the
+# d = 8 count, about 16 ms on a 2-vCPU Xeon VM.
+MAX_MINORS = 12_869
+
 # Global-phase deduplication tolerance for enumerated pure states.
 STATE_DEDUP_TOL = 1e-8
 
@@ -44,6 +50,17 @@ FACET_RANK_REL_CUTOFF = 1e-9
 # refuses more than this many; a subset of generic d = 3 projectors costs
 # about 20 us on a 2-vCPU Xeon VM, so the limit is about 4 s there.
 MAX_FACET_SUBSETS = 200_000
+
+# The simplex treats tableau entries and reduced costs of at most this
+# modulus as zero when choosing pivots.
+PIVOT_TOL = 1e-10
+
+# Bland's leaving-row rule treats two ratio-test ratios within this of each
+# other as tied, and then takes the row whose basic variable has the lower index.
+BLAND_TIE_TOL = 1e-14
+
+# An infeasibility certificate y may have y @ A above zero by at most this.
+FARKAS_SLACK_TOL = 1e-6
 
 # Eigenvalue cutoff defining the rank used by decomposition searches.
 RANK_CUTOFF = 1e-10

@@ -40,13 +40,21 @@ INDETERMINATE = "indeterminate"
 
 
 def hermitian_to_real(matrix) -> np.ndarray:
-    """Isometric real coordinates of a Hermitian matrix."""
+    """Isometric real coordinates of a Hermitian matrix, or of each matrix in a stack.
+
+    A stack of shape ``(..., d, d)`` gives coordinates of shape ``(..., d * d)``.
+    """
     h = as_complex(matrix, "matrix")
-    d = h.shape[0]
+    d = h.shape[-1]
     iu, ju = np.triu_indices(d, k=1)
-    upper = h[iu, ju]
+    upper = h[..., iu, ju]
     return np.concatenate(
-        [np.diagonal(h).real, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag]
+        [
+            np.diagonal(h, axis1=-2, axis2=-1).real,
+            np.sqrt(2.0) * upper.real,
+            np.sqrt(2.0) * upper.imag,
+        ],
+        axis=-1,
     )
 
 
@@ -91,17 +99,19 @@ def _embed(generators, target=None):
     """Dimension, real generator points and target point of Hermitian inputs.
 
     Every matrix, the target included, must share the first generator's
-    square shape.
+    square shape; the shapes are checked before the generators are stacked.
     """
-    gens = [as_complex(g, "generator") for g in generators]
-    if not gens:
+    generators = list(generators)
+    shapes = [np.shape(g) for g in generators]
+    if not shapes:
         raise ValidationError("need at least one generator")
-    d = gens[0].shape[0]
-    target_m = None if target is None else as_complex(target, "target")
-    if any(m.shape != (d, d) for m in gens + [target_m] if m is not None):
+    d = shapes[0][0]
+    if target is not None:
+        shapes.append(np.shape(target))
+    if any(shape != (d, d) for shape in shapes):
         raise ValidationError(f"all matrices must be {d} x {d}, like the first generator")
-    points = np.array([hermitian_to_real(g) for g in gens])
-    return d, points, None if target_m is None else hermitian_to_real(target_m)
+    points = hermitian_to_real(as_complex(generators, "generator"))
+    return d, points, None if target is None else hermitian_to_real(as_complex(target, "target"))
 
 
 def _hull_lp(points, x, c, tol: float):

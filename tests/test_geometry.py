@@ -144,6 +144,19 @@ def test_embedding_preserves_inner_products():
             assert np.allclose(real_to_hermitian(hermitian_to_real(h1), d), h1)
 
 
+def test_stacked_embedding_matches_the_per_matrix_embedding():
+    rng = np.random.default_rng(32)
+    for d in (1, 2, 3, 6):
+        for shape in ((5,), (2, 3)):
+            g = rng.standard_normal(shape + (d, d)) + 1j * rng.standard_normal(shape + (d, d))
+            h = g + dagger(g)
+            h[..., 0, -1] = -0.0  # signed zeros keep their sign
+            got = hermitian_to_real(h)
+            assert got.shape == shape + (d * d,)
+            for index in np.ndindex(*shape):
+                assert got[index].tobytes() == hermitian_to_real(h[index]).tobytes()
+
+
 def test_membership_generator_is_inside(spin1_projectors):
     cert = membership_lp(spin1_projectors[0], spin1_projectors)
     assert cert.verdict == "inside"

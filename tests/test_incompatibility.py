@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -18,6 +19,55 @@ from kdwitness.linalg import haar_unitary, projector, random_pure_state
 from kdwitness.studies import dft_matrix
 
 from conftest import state
+
+
+# -- reference: the minor stack built one (rows, cols) pair at a time ---------
+
+
+def _reference_minor_search(u):
+    """Smallest |minor|, its (order, rows, cols) and the count, pair by pair."""
+    d = u.shape[0]
+    best_abs = np.inf
+    best = (0, (), ())
+    checked = 0
+    for order in range(1, d + 1):
+        subsets = list(combinations(range(d), order))
+        pairs = [(r, c) for r in subsets for c in subsets]
+        stacked = np.empty((len(pairs), order, order), dtype=complex)
+        for k, (rows, cols) in enumerate(pairs):
+            stacked[k] = u[np.ix_(rows, cols)]
+        dets = np.abs(np.linalg.det(stacked))
+        checked += len(pairs)
+        k_min = int(np.argmin(dets))
+        if dets[k_min] < best_abs:
+            best_abs = float(dets[k_min])
+            best = (order, pairs[k_min][0], pairs[k_min][1])
+    return best_abs, best, checked
+
+
+def _planted_zero_minor():
+    # Rows {1, 3} x cols {0, 2} of a Haar d = 5 matrix replaced by a rank-one
+    # block, so that one 2 x 2 minor vanishes exactly.
+    u = haar_unitary(5, seed=3)
+    u[np.ix_([1, 3], [0, 2])] = np.outer([0.3, 0.6], [0.5, 1.0])
+    return u
+
+
+def test_gathered_minors_match_the_per_pair_reference():
+    # DFT matrices have many minors of equal modulus, so their argmin comes
+    # from the lexicographic tie-break.
+    cases = {f"haar_{d}": haar_unitary(d, seed=1000 + d) for d in range(2, 9)}
+    cases.update((f"dft_{d}", dft_matrix(d)) for d in range(2, 9))
+    cases["identity"] = np.eye(4, dtype=complex)
+    cases["planted_zero"] = _planted_zero_minor()
+    for name, u in cases.items():
+        report = complete_incompatibility(u)
+        best_abs, best, checked = _reference_minor_search(u)
+        assert np.float64(report.min_abs_minor).tobytes() == np.float64(best_abs).tobytes(), name
+        assert (report.argmin_order, report.argmin_rows, report.argmin_cols) == best, name
+        assert report.minors_checked == checked == comb(2 * u.shape[0], u.shape[0]) - 1, name
+    planted = complete_incompatibility(cases["planted_zero"])
+    assert planted.min_abs_minor == 0.0 and not planted.completely_incompatible
 
 
 def test_support_pure_basis_state():
@@ -107,7 +157,9 @@ def test_complete_incompatibility_identity():
 
 
 def test_complete_incompatibility_guard():
-    with pytest.raises(DimensionTooLarge):
+    # The guard counts minors, C(2d, d) - 1: d = 8 has 12 869, d = 9 48 619.
+    assert complete_incompatibility(np.eye(8)).minors_checked == 12_869
+    with pytest.raises(DimensionTooLarge, match=r"C\(18, 9\) - 1 = 48619 .* limit of 12869"):
         complete_incompatibility(np.eye(9))
 
 
