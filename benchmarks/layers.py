@@ -1,4 +1,9 @@
-"""Layer timings: minimal-state enumeration, the KD-positive filter, the annealer, minors, hull LPs, facets.
+"""Layer timings: minimal-state enumeration, the KD-positive filter, the annealer, minors, hull LPs, facets, repeat calls.
+
+Packages that keep per-basis work for reuse (``kdwitness.basis``) get their
+cache cleared before every timed call of a cached layer, so each layer is
+timed doing its work, not reading it back; the "same basis again" layer
+times the reuse itself.
 
 For each d = 3..6, on the Haar basis ``haar_unitary(d, 1000 + d)`` with BLAS
 pinned to one thread, times
@@ -18,6 +23,14 @@ target ``MEMBERSHIP_INSIDE`` (their uniform mixture) and the outside target
 default_rng(4000 + d))``), with the verdict and the iterations of the
 simplex behind it.
 
+At d = 4..6 (``AGAIN_DIMS``) it times the dedup of the enumeration alone
+(``pure_positive._drop_near_repeats`` on all realized candidates, which
+``dedup_tol=-1`` returns, at the default dedup tolerance), and the "same
+basis again" layer: ``enumerate_min_uncertainty_states`` plus
+``support_roof_bounds`` and ``nonpositivity_roof_bounds`` on the inside
+mixture (the uniform mixture of the KD-positive minimal states), once on a
+fresh cache ("first") and once more on the same basis ("repeat").
+
 It also times ``facet_enumeration_points`` on the real-embedded projectors
 of the 15 spin-1 minimal states and of ``FACET_SET_SIZES`` generic d = 3
 pure states ``random_pure_state(3, default_rng(3000 + n))``, with the facet
@@ -34,6 +47,7 @@ machine, Python and numpy versions. Run it against the package on
 """
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -48,6 +62,7 @@ ROOF_CONFIG = {"restarts": 4, "steps": 300, "seed": 0}
 FACET_SET_SIZES = (12, 14, 16)
 MINOR_DIMS = range(3, 9)
 MEMBERSHIP_DIMS = range(4, 7)
+AGAIN_DIMS = range(4, 7)
 MEMBERSHIP_INSIDE = "uniform mixture of the minimal states"
 MEMBERSHIP_OUTSIDE = "random_pure_state(d, default_rng(4000 + d))"
 
@@ -69,11 +84,25 @@ def summary_ms(times) -> dict:
     return {"median_ms": round(median, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4)}
 
 
-def timed(fn, *args, **kwargs):
-    """Result of one untimed warm-up call and the times of ``RUNS`` more."""
+def _cache_clear():
+    """The package's per-basis cache reset, or a no-op for packages without one."""
+    try:
+        return importlib.import_module("kdwitness.basis").clear_cache
+    except ImportError:
+        return lambda: None
+
+
+def timed(fn, *args, fresh=True, **kwargs):
+    """Result of one untimed warm-up call and the times of ``RUNS`` more.
+
+    With ``fresh`` the per-basis cache is cleared, untimed, before each call.
+    """
+    clear = _cache_clear() if fresh else (lambda: None)
+    clear()
     result = fn(*args, **kwargs)
     times = []
     for _ in range(RUNS):
+        clear()
         start = time.perf_counter()
         fn(*args, **kwargs)
         times.append(time.perf_counter() - start)
@@ -88,7 +117,7 @@ def main(argv=None) -> dict:
     import numpy as np
 
     import kdwitness
-    from kdwitness import config
+    from kdwitness import config, pure_positive
     from kdwitness.geometry import _hull_lp, facet_enumeration_points
     from kdwitness.linalg import projector, random_density, random_pure_state
     from kdwitness.roof import nonpositivity_values_fn
@@ -148,6 +177,32 @@ def main(argv=None) -> dict:
                 "simplex_iterations": lp.iterations,
             }
 
+    layers["same_basis_again"] = {}
+    for d in AGAIN_DIMS:
+        u = kdwitness.haar_unitary(d, 1000 + d)
+        candidates = kdwitness.enumerate_min_uncertainty_states(u, dedup_tol=-1.0).states
+        _, dedup_times = timed(pure_positive._drop_near_repeats, candidates,
+                               config.STATE_DEDUP_TOL)
+        minimal = kdwitness.enumerate_min_uncertainty_states(u)
+        positive = kdwitness.filter_kd_positive_pure(minimal, u)
+        rho = np.einsum("ki,kj->ij", positive.states, positive.states.conj()) / len(positive)
+
+        def again(u=u, rho=rho):
+            kdwitness.enumerate_min_uncertainty_states(u)
+            kdwitness.support_roof_bounds(rho, u)
+            return kdwitness.nonpositivity_roof_bounds(rho, u)
+
+        estimate, first_times = timed(again)
+        _, repeat_times = timed(again, fresh=False)
+        layers["same_basis_again"][f"d{d}"] = {
+            "candidates": len(candidates),
+            "states": len(minimal),
+            "dedup": summary_ms(dedup_times),
+            "first": summary_ms(first_times),
+            "repeat": summary_ms(repeat_times),
+            "nonpositivity_exact": estimate.exact,
+        }
+
     facet_sets = {"spin1": kdwitness.SPIN1.min_uncertainty_states}
     for n in FACET_SET_SIZES:
         rng = np.random.default_rng(3000 + n)
@@ -169,6 +224,7 @@ def main(argv=None) -> dict:
         "facet_set_sizes": FACET_SET_SIZES,
         "minor_dims": list(MINOR_DIMS),
         "membership_dims": list(MEMBERSHIP_DIMS),
+        "again_dims": list(AGAIN_DIMS),
         "membership_targets": {"inside": MEMBERSHIP_INSIDE, "outside": MEMBERSHIP_OUTSIDE},
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "machine": {

@@ -34,7 +34,6 @@ from .incompatibility import (
     IncompatibilityReport,
     SupportCount,
     complete_incompatibility,
-    projector_commutator_norm,
     support_counts_mixed,
     support_counts_pure,
 )
@@ -50,7 +49,6 @@ from .linalg import (
     EigenDecomposition,
     haar_unitary,
     hermitian_eig,
-    minor_determinant,
     projector,
 )
 from .pure_positive import (

@@ -393,7 +393,7 @@ _ROOF_TOLERANCES = (
 )
 _FACET_TOLERANCES = (
     "FACET_ACTIVE_TOL", "FACET_MATCH_TOL", "FACET_RANK_ABS_CUTOFF",
-    "FACET_RANK_REL_CUTOFF", "MAX_FACET_SUBSETS",
+    "FACET_RANK_REL_CUTOFF", "MAX_FACET_SUBSETS", "MAX_FACET_SIDE_ENTRIES",
 )
 # The config values each command echoes beyond the base and feasibility ones.
 _ECHOED_CONFIG = {

@@ -4,8 +4,9 @@ Keyword arguments override the base, feasibility, dedup, facet-active and
 facet-match defaults per call, and ``KD_DEFAULT_TOL`` overrides the base one
 globally; the margin factor, the rank, null-space, phase, weight and
 exactness cutoffs, the minor floor and count limit, the roof tolerances,
-the facet rank cutoffs and subset limit, and the simplex pivot tolerance,
-Bland ratio-tie window and Farkas slack are fixed.
+the facet rank cutoffs, subset limit and side-test entry limit, the
+simplex pivot tolerance, Bland ratio-tie window and Farkas slack, and the
+basis cache size ``BASIS_CACHE_SIZE`` are fixed.
 """
 
 import os
@@ -31,6 +32,12 @@ MINOR_EPS_FLOOR_PER_DIM = 10.0 * sys.float_info.epsilon
 # d = 8 count, about 16 ms on a 2-vCPU Xeon VM.
 MAX_MINORS = 12_869
 
+# The per-basis work of this many transition matrices (the minor search,
+# the minimal states, their KD-positive subsets and embedded projectors) is
+# kept for reuse; the least recently used matrix is dropped first. Cached
+# parts stay resident, and at d = 6 they take about 0.3 MB per matrix.
+BASIS_CACHE_SIZE = 4
+
 # Global-phase deduplication tolerance for enumerated pure states.
 STATE_DEDUP_TOL = 1e-8
 
@@ -50,6 +57,12 @@ FACET_RANK_REL_CUTOFF = 1e-9
 # refuses more than this many; a subset of generic d = 3 projectors costs
 # about 20 us on a 2-vCPU Xeon VM, so the limit is about 4 s there.
 MAX_FACET_SUBSETS = 200_000
+
+# Each tested subset's side test reads every one of the n points, so facet
+# enumeration also refuses more than this many side-test entries,
+# C(n, affine rank) * n: 2**24, the count of 4096 points on a line, which
+# take about 0.2 s on a 2-vCPU Xeon VM; 20 000 such points would take seconds.
+MAX_FACET_SIDE_ENTRIES = 1 << 24
 
 # The simplex treats tableau entries and reduced costs of at most this
 # modulus as zero when choosing pivots.

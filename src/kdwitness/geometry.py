@@ -174,7 +174,11 @@ def membership_lp(target, generators, tol: float | None = None) -> MembershipCer
     norm.
     """
     d, points, x = _embed(generators, target)
-    outcome = membership_lp_points(x, points, tol=tol)
+    return hermitian_certificate(membership_lp_points(x, points, tol=tol), d)
+
+
+def hermitian_certificate(outcome: MembershipCertificate, d: int) -> MembershipCertificate:
+    """A certificate over embedded d x d matrices, as :func:`membership_lp` reports it."""
     if outcome.verdict == INSIDE:
         return outcome
     functional = real_to_hermitian(outcome.functional, d)
@@ -224,7 +228,8 @@ def facet_enumeration_points(
     block. The hyperplanes that pass are then taken in subset order, so the
     first one found for a facet stands for it. Raises DimensionTooLarge
     before any work when the number of subsets exceeds
-    ``config.MAX_FACET_SUBSETS``.
+    ``config.MAX_FACET_SUBSETS``, or when the side-test entries, n per
+    subset, exceed ``config.MAX_FACET_SIDE_ENTRIES``.
     """
     active_tol = config.FACET_ACTIVE_TOL if active_tol is None else active_tol
     match_tol = config.FACET_MATCH_TOL if match_tol is None else match_tol
@@ -241,6 +246,11 @@ def facet_enumeration_points(
         raise DimensionTooLarge(
             f"facet enumeration would test C({n}, {rank}) = {n_subsets} subsets, "
             f"over the limit of {config.MAX_FACET_SUBSETS}"
+        )
+    if n_subsets * n > config.MAX_FACET_SIDE_ENTRIES:
+        raise DimensionTooLarge(
+            f"facet enumeration would evaluate C({n}, {rank}) * {n} = {n_subsets * n} "
+            f"side-test entries, over the limit of {config.MAX_FACET_SIDE_ENTRIES}"
         )
     basis = vt[:rank].T
     hull_pts = deltas @ basis

@@ -12,8 +12,9 @@ from itertools import combinations
 import numpy as np
 
 from . import config
-from .errors import DimensionMismatch, DimensionTooLarge, IndexOutOfRange, ValidationError
-from .linalg import as_complex, dagger, frobenius
+from .basis import BasisPair
+from .errors import DimensionMismatch, DimensionTooLarge, ValidationError
+from .linalg import as_complex, dagger
 
 
 @dataclass(frozen=True)
@@ -98,15 +99,14 @@ def complete_incompatibility(transition, eps: float | None = None) -> Incompatib
     ``(order, row_set, col_set)``.
 
     Each order's minors are gathered into one stack, row sets outer and
-    column sets inner, and go through one batched determinant. Raises
-    DimensionTooLarge before any work when the number of minors,
-    C(2d, d) - 1, exceeds ``config.MAX_MINORS``.
+    column sets inner, and go through one batched determinant. The search
+    does not depend on ``eps`` and runs once per basis (see
+    :mod:`kdwitness.basis`). Raises DimensionTooLarge before any work when
+    the number of minors, C(2d, d) - 1, exceeds ``config.MAX_MINORS``.
     """
     eps = config.default_tol() if eps is None else eps
-    u = as_complex(transition, "transition matrix")
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionMismatch(f"transition matrix must be square, got {u.shape}")
-    d = u.shape[0]
+    pair = BasisPair.of(transition)
+    d = pair.transition.shape[0]
     n_minors = math.comb(2 * d, d) - 1
     if n_minors > config.MAX_MINORS:
         raise DimensionTooLarge(
@@ -118,6 +118,23 @@ def complete_incompatibility(transition, eps: float | None = None) -> Incompatib
         raise ValidationError(
             f"eps {eps:g} is below the rounding floor {floor:.3g} of a {d} x {d} minor"
         )
+    best_abs, order, rows, cols = pair.part(
+        "minor search", lambda: _smallest_minor(pair.transition)
+    )
+    return IncompatibilityReport(
+        completely_incompatible=bool(best_abs > eps),
+        min_abs_minor=best_abs,
+        argmin_order=order,
+        argmin_rows=rows,
+        argmin_cols=cols,
+        minors_checked=n_minors,
+        eps=eps,
+    )
+
+
+def _smallest_minor(u: np.ndarray) -> tuple[float, int, tuple[int, ...], tuple[int, ...]]:
+    """Smallest |minor| of ``u`` with its order, row set and column set."""
+    d = u.shape[0]
     best_abs = np.inf
     best = (0, (), ())
     for order in range(1, d + 1):
@@ -129,37 +146,4 @@ def complete_incompatibility(transition, eps: float | None = None) -> Incompatib
         if dets[k_min] < best_abs:
             best_abs = float(dets[k_min])
             best = (order, subsets[k_min // len(subsets)], subsets[k_min % len(subsets)])
-    return IncompatibilityReport(
-        completely_incompatible=bool(best_abs > eps),
-        min_abs_minor=best_abs,
-        argmin_order=best[0],
-        argmin_rows=best[1],
-        argmin_cols=best[2],
-        minors_checked=n_minors,
-        eps=eps,
-    )
-
-
-def projector_commutator_norm(transition, a_set, b_set) -> float:
-    """Frobenius norm of the commutator of two coarse-grained projectors.
-
-    The first projector spans the selected computational basis vectors, the
-    second the selected columns of the transition matrix. Both index sets
-    must be proper nonempty subsets.
-    """
-    u = as_complex(transition, "transition matrix")
-    d = u.shape[0]
-    s = tuple(int(i) for i in a_set)
-    t = tuple(int(j) for j in b_set)
-    for name, idx in (("a_set", s), ("b_set", t)):
-        if not 1 <= len(idx) < d:
-            raise IndexOutOfRange(
-                f"{name} must be a proper nonempty subset, got size {len(idx)} of {d}"
-            )
-        if len(set(idx)) != len(idx) or any(i < 0 or i >= d for i in idx):
-            raise IndexOutOfRange(f"{name} {idx} is not a valid index set for d={d}")
-    pa = np.zeros((d, d), dtype=complex)
-    pa[s, s] = 1.0
-    cols = u[:, t]
-    pb = cols @ dagger(cols)
-    return frobenius(pa @ pb - pb @ pa)
+    return (best_abs, *best)

@@ -1,8 +1,8 @@
 """Dense complex linear algebra for small dimensions.
 
 Everything here operates on plain ``numpy`` arrays at dimensions of order
-ten or less: Hermitian eigendecompositions, minors, Haar-random unitaries,
-and seeded Gaussian sampling. All routines are pure and deterministic given
+ten or less: Hermitian eigendecompositions, Haar-random unitaries, and
+seeded Gaussian sampling. All routines are pure and deterministic given
 their inputs (and seed).
 """
 
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    IndexOutOfRange,
     NoConvergence,
     NotHermitian,
     ShapeMismatch,
@@ -84,32 +83,6 @@ def hermitian_eig(matrix, tol: float = 1e-9) -> EigenDecomposition:
     if frobenius(dagger(vectors) @ vectors - np.eye(d)) > 1e-10:
         raise NoConvergence("eigenvector matrix is not orthonormal")
     return decomp
-
-
-def _index_set(indices, d: int, name: str) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in indices)
-    if len(idx) == 0:
-        raise ShapeMismatch(f"{name} must contain at least one index")
-    if len(set(idx)) != len(idx):
-        raise IndexOutOfRange(f"{name} contains repeated indices: {idx}")
-    if any(i < 0 or i >= d for i in idx):
-        raise IndexOutOfRange(f"{name} {idx} out of range for dimension {d}")
-    return idx
-
-
-def minor_determinant(matrix, row_set, col_set) -> complex:
-    """Determinant of the square submatrix selected by 0-based index sets."""
-    m = as_complex(matrix, "matrix")
-    if m.ndim != 2:
-        raise ShapeMismatch("minor_determinant expects a 2-d matrix")
-    rows = _index_set(row_set, m.shape[0], "row_set")
-    cols = _index_set(col_set, m.shape[1], "col_set")
-    if len(rows) != len(cols):
-        raise ShapeMismatch(
-            f"row and column sets differ in size: {len(rows)} vs {len(cols)}"
-        )
-    sub = m[np.ix_(rows, cols)]
-    return complex(np.linalg.det(sub))
 
 
 def complex_gaussian(shape, rng: np.random.Generator) -> np.ndarray:

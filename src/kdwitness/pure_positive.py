@@ -22,6 +22,7 @@ from .errors import (
     NonGenericPatternWarning,
     NotCompletelyIncompatible,
 )
+from .basis import BasisPair, read_only
 from .incompatibility import complete_incompatibility
 from .kd import kd_entries, kd_positive_each
 from .linalg import as_complex
@@ -105,28 +106,43 @@ def _support_masks(subsets: list[tuple[int, ...]], d: int) -> np.ndarray:
     return masks
 
 
-def _drop_near_repeats(candidates: np.ndarray, dedup_tol: float) -> list[int]:
+def _drop_near_repeats(candidates: np.ndarray, dedup_tol: float) -> np.ndarray:
     """Indices of the candidates kept by a greedy pass in order.
 
     A candidate is dropped when its :func:`phase_invariant_distance` to an
-    earlier kept one is at most ``dedup_tol``; it is measured against all
-    kept states at once.
+    earlier kept one is at most ``dedup_tol``. Only pairs whose keys
+    ``|psi| @ w`` (``w`` a fixed unit vector) lie within ``dedup_tol`` of each
+    other are measured: by Cauchy-Schwarz and the reverse triangle
+    inequality, the keys of two states differ by at most their distance.
     """
-    kept = np.empty_like(candidates)
-    kept_conj = np.empty_like(candidates)
-    index: list[int] = []
-    for k, psi in enumerate(candidates):
-        n = len(index)
-        inner = kept_conj[:n] @ psi
-        magnitude = np.abs(inner)
-        phase = np.divide(inner, magnitude, out=np.ones_like(inner), where=magnitude > 0.0)
-        distance = np.linalg.norm(psi - phase[:, np.newaxis] * kept[:n], axis=1)
-        if np.any(distance <= dedup_tol):
-            continue
-        kept[n] = psi
-        kept_conj[n] = psi.conj()
-        index.append(k)
-    return index
+    n, d = candidates.shape
+    w = np.sqrt(np.arange(1.0, d + 1.0))
+    keys = np.abs(candidates) @ (w / np.linalg.norm(w))
+    # Rounding of two keys and of one distance, each a sum of d terms of size
+    # at most one, stays below this.
+    window = dedup_tol + 8 * d * np.finfo(float).eps
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    lo = np.searchsorted(ranked, ranked - window, side="left")
+    spans = np.maximum(np.searchsorted(ranked, ranked + window, side="right") - lo, 0)
+    # Every (later, earlier) pair of candidates whose keys lie within the window.
+    b = np.repeat(np.arange(n), spans)
+    a = lo[b] + np.arange(b.size) - np.repeat(np.cumsum(spans) - spans, spans)
+    later, earlier = order[b], order[a]
+    pairs = earlier < later
+    later, earlier = later[pairs], earlier[pairs]
+    psi, chi = candidates[later], candidates[earlier]
+    inner = np.einsum("ij,ij->i", chi.conj(), psi)
+    magnitude = np.abs(inner)
+    phase = np.divide(inner, magnitude, out=np.ones_like(inner), where=magnitude > 0.0)
+    near = np.linalg.norm(psi - phase[:, np.newaxis] * chi, axis=1) <= dedup_tol
+    later, earlier = later[near], earlier[near]
+    keep = np.ones(n, dtype=bool)
+    by_later = np.argsort(later, kind="stable")
+    groups, starts = np.unique(later[by_later], return_index=True)
+    for k, group in zip(groups.tolist(), np.split(earlier[by_later], starts[1:])):
+        keep[k] = not keep[group].any()
+    return np.flatnonzero(keep)
 
 
 def enumerate_min_uncertainty_states(
@@ -139,14 +155,24 @@ def enumerate_min_uncertainty_states(
     States are deduplicated up to global phase and returned with patterns
     in lexicographic order. The patterns with |S| = a form one family,
     solved as one stack of (a-1) x a systems.
+
+    Each basis is solved once per ``(eps, dedup_tol)``, and later calls get
+    the same list, with read-only states (see :mod:`kdwitness.basis`).
     """
     eps = config.default_tol() if eps is None else eps
     dedup_tol = config.STATE_DEDUP_TOL if dedup_tol is None else dedup_tol
-    u = as_complex(transition, "transition matrix")
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionMismatch(f"transition matrix must be square, got {u.shape}")
-    d = u.shape[0]
-    if d > MAX_ENUM_DIM:
+    return minimal_states(BasisPair.of(transition), eps, dedup_tol)
+
+
+def minimal_states(pair: BasisPair, eps: float, dedup_tol: float) -> PureStateList:
+    """:func:`enumerate_min_uncertainty_states` of a basis pair at set tolerances.
+
+    The dimension guard and the incompatibility check run, and the
+    NonGenericPatternWarnings of the solve are issued, on every call; the
+    solve itself runs once.
+    """
+    u = pair.transition
+    if u.shape[0] > MAX_ENUM_DIM:
         raise DimensionTooLarge(f"enumeration is guarded to d <= {MAX_ENUM_DIM}")
     report = complete_incompatibility(u, eps=eps)
     if not report.completely_incompatible:
@@ -155,7 +181,38 @@ def enumerate_min_uncertainty_states(
             f"minor of order {report.argmin_order} at rows {report.argmin_rows}, "
             f"cols {report.argmin_cols} has modulus {report.min_abs_minor:.3e}"
         )
+    result = pair.part(("minimal", eps, dedup_tol), lambda: _solve_patterns(u, eps, dedup_tol))
+    for pattern, null_dim in result.degenerate_patterns:
+        warnings.warn(
+            f"pattern {pattern} has null-space dimension {null_dim}",
+            NonGenericPatternWarning,
+            stacklevel=3,
+        )
+    return result
 
+
+def kd_positive_states(
+    pair: BasisPair, eps: float, dedup_tol: float, tol: float
+) -> PureStateList:
+    """The KD-positive ones of :func:`minimal_states`, filtered once per ``tol``.
+
+    Checks and warns on every call as :func:`minimal_states` does.
+    """
+    minimal = minimal_states(pair, eps, dedup_tol)
+    return pair.part(
+        ("kd_positive", eps, dedup_tol, tol),
+        lambda: _read_only_states(filter_kd_positive_pure(minimal, pair.transition, tol)),
+    )
+
+
+def _read_only_states(state_list: PureStateList) -> PureStateList:
+    read_only(state_list.states)
+    return state_list
+
+
+def _solve_patterns(u: np.ndarray, eps: float, dedup_tol: float) -> PureStateList:
+    """The enumeration proper, for a basis already checked."""
+    d = u.shape[0]
     found_states: list[np.ndarray] = []
     found_patterns: list[SupportPattern] = []
     degenerate: list[tuple[SupportPattern, int]] = []
@@ -172,14 +229,10 @@ def enumerate_min_uncertainty_states(
         # pattern k's system is conj(U)[S, outside T].T, of shape (a - 1, a).
         constraints = u_conj[index_a[:, np.newaxis, :], outside_b[:, :, np.newaxis]]
         vectors, null_dims = _null_vectors(constraints)
-        for k in np.flatnonzero(null_dims != 1):
-            pattern = SupportPattern(subs_a[of_a[k]], subs_b[of_b[k]])
-            degenerate.append((pattern, int(null_dims[k])))
-            warnings.warn(
-                f"pattern {pattern} has null-space dimension {null_dims[k]}",
-                NonGenericPatternWarning,
-                stacklevel=2,
-            )
+        degenerate.extend(
+            (SupportPattern(subs_a[of_a[k]], subs_b[of_b[k]]), int(null_dims[k]))
+            for k in np.flatnonzero(null_dims != 1)
+        )
         solved = np.flatnonzero(null_dims == 1)
         psi = np.zeros((solved.size, d), dtype=complex)
         np.put_along_axis(psi, index_a[solved], vectors[solved], axis=1)
@@ -195,7 +248,7 @@ def enumerate_min_uncertainty_states(
     candidates = np.concatenate(found_states)
     keep = _drop_near_repeats(candidates, dedup_tol)
     return PureStateList(
-        states=candidates[keep],
+        states=read_only(candidates[keep]),
         patterns=tuple(found_patterns[k] for k in keep),
         dedup_tol=dedup_tol,
         degenerate_patterns=tuple(degenerate),

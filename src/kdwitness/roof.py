@@ -25,7 +25,16 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .geometry import INDETERMINATE, INSIDE, OUTSIDE, MembershipCertificate, membership_lp
+from .basis import BasisPair, read_only
+from .geometry import (
+    INDETERMINATE,
+    INSIDE,
+    OUTSIDE,
+    MembershipCertificate,
+    hermitian_certificate,
+    hermitian_to_real,
+    membership_lp_points,
+)
 from .incompatibility import support_counts_mixed
 from .kd import kd_table, total_nonpositivity
 from .linalg import (
@@ -34,10 +43,9 @@ from .linalg import (
     dagger,
     frobenius,
     hermitian_eig,
-    projector,
     random_isometry,
 )
-from .pure_positive import enumerate_min_uncertainty_states, filter_kd_positive_pure
+from .pure_positive import kd_positive_states, minimal_states
 
 SUPPORT_OBJECTIVE = "support_uncertainty"
 NONPOSITIVITY_OBJECTIVE = "total_nonpositivity"
@@ -387,18 +395,19 @@ def _roof_bounds(
     """Bounds shared by both roofs, given what differs between them.
 
     ``anchor_source`` is called only for states of rank two or more and
-    returns the pure states whose hull decides the roof with their
-    provenance, or ``(None, None)`` when no hull route exists; then only the
-    convexity bound ``base`` is certified. Inside the hull the roof equals
-    ``floor``; a certified exclusion puts it strictly above ``floor`` when
-    ``strict`` holds and at or above ``base`` otherwise.
+    returns the pure states whose hull decides the roof, the real points of
+    their projectors and their provenance, or ``(None, None, None)`` when no
+    hull route exists; then only the convexity bound ``base`` is certified.
+    Inside the hull the roof equals ``floor``; a certified exclusion puts it
+    strictly above ``floor`` when ``strict`` holds and at or above ``base``
+    otherwise.
     """
     eig = hermitian_eig(rho_m)
     rank = int(np.count_nonzero(eig.eigenvalues > config.RANK_CUTOFF))
-    anchors, provenance = anchor_source() if rank > 1 else (None, None)
+    anchors, points, provenance = anchor_source() if rank > 1 else (None, None, None)
     if anchors is not None and len(anchors) > 0:
-        anchors = np.asarray(anchors, dtype=complex)
-        cert = membership_lp(rho_m, [projector(s) for s in anchors], tol=tol)
+        outcome = membership_lp_points(hermitian_to_real(rho_m), points, tol=tol)
+        cert = hermitian_certificate(outcome, rho_m.shape[0])
     else:
         anchors = provenance = cert = None
     verdict = cert.verdict if cert is not None else None
@@ -439,6 +448,17 @@ def _roof_bounds(
     )
 
 
+def _projector_points(states: np.ndarray) -> np.ndarray:
+    """Real coordinates of the projectors of state rows (see hermitian_to_real)."""
+    psi = as_complex(states, "state")
+    return hermitian_to_real(psi[..., :, np.newaxis] * psi[..., np.newaxis, :].conj())
+
+
+def _cached_points(pair: BasisPair, key, states: np.ndarray) -> np.ndarray:
+    """:func:`_projector_points` of a cached state list, computed once per key."""
+    return pair.part(key, lambda: read_only(_projector_points(states)))
+
+
 def support_roof_bounds(
     rho,
     transition,
@@ -460,7 +480,10 @@ def support_roof_bounds(
     base = float(support_counts_mixed(rho_m, u, eps=eps).n_ab)
 
     def anchor_source():
-        return enumerate_min_uncertainty_states(u, eps=eps).states, "derived"
+        pair = BasisPair.of(u)
+        minimal = minimal_states(pair, eps, config.STATE_DEDUP_TOL)
+        key = ("minimal points", eps, config.STATE_DEDUP_TOL)
+        return minimal.states, _cached_points(pair, key, minimal.states), "derived"
 
     return _roof_bounds(
         SUPPORT_OBJECTIVE, rho_m, support_values_fn(u, eps=eps), base, anchor_source,
@@ -496,12 +519,16 @@ def nonpositivity_roof_bounds(
 
     def anchor_source():
         if positive_pure is not None:
-            return positive_pure, "supplied"
+            anchors = np.asarray(positive_pure, dtype=complex)
+            return anchors, _projector_points(anchors), "supplied"
+        pair = BasisPair.of(u)
+        tol_kd = config.default_tol()
         try:
-            minimal = enumerate_min_uncertainty_states(u)
+            positive = kd_positive_states(pair, tol_kd, config.STATE_DEDUP_TOL, tol_kd)
         except (NotCompletelyIncompatible, DimensionTooLarge):
-            return None, None
-        return filter_kd_positive_pure(minimal, u).states, "derived"
+            return None, None, None
+        key = ("kd_positive points", tol_kd, config.STATE_DEDUP_TOL, tol_kd)
+        return positive.states, _cached_points(pair, key, positive.states), "derived"
 
     return _roof_bounds(
         NONPOSITIVITY_OBJECTIVE, rho_m, nonpositivity_values_fn(u), base, anchor_source,

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from kdwitness import SPIN1
+from kdwitness import SPIN1, basis
 from kdwitness.linalg import projector
+
+
+@pytest.fixture(autouse=True)
+def fresh_basis_cache():
+    # A test that patches a module can leave parts computed under the patch
+    # in the shared per-basis cache; no other test may see them.
+    basis.clear_cache()
+    yield
+    basis.clear_cache()
 
 
 @pytest.fixture(scope="session")

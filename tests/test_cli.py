@@ -145,6 +145,7 @@ def test_facets(files, capsys):
     assert doc["config"]["facet_rank_abs_cutoff"] == 1e-12
     assert doc["config"]["facet_rank_rel_cutoff"] == 1e-9
     assert doc["config"]["max_facet_subsets"] == 200_000
+    assert doc["config"]["max_facet_side_entries"] == 1 << 24
 
 
 def test_roof_support_reports_strict_bound(files, capsys):

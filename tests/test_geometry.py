@@ -221,6 +221,17 @@ def test_facet_guard_counts_subsets():
     )
 
 
+def test_facet_guard_counts_side_test_entries():
+    # 20 000 points on a line are only 20 000 subsets, but each subset's side
+    # test reads all 20 000 points.
+    line = np.linspace(0.0, 1.0, 20_000)[:, None] * [[1.0, 2.0]]
+    with pytest.raises(DimensionTooLarge, match=r"C\(20000, 1\) \* 20000 = 400000000 side-test"):
+        facet_enumeration_points(line)
+    # 4096 points, 2**24 entries, are exactly at the limit.
+    facets = facet_enumeration_points(line[:: 20_000 // 4096][:4096])
+    assert [f.active for f in facets] == [(0,), (4095,)]
+
+
 def test_facets_invariant_under_reordering(spin1_projectors):
     facets = facet_enumeration(spin1_projectors)
     rng = np.random.default_rng(3)

@@ -6,12 +6,10 @@ import pytest
 
 from kdwitness import (
     DimensionTooLarge,
-    IndexOutOfRange,
     SPIN1,
     ValidationError,
     complete_incompatibility,
     enumerate_min_uncertainty_states,
-    projector_commutator_norm,
     support_counts_mixed,
     support_counts_pure,
 )
@@ -161,34 +159,6 @@ def test_complete_incompatibility_guard():
     assert complete_incompatibility(np.eye(8)).minors_checked == 12_869
     with pytest.raises(DimensionTooLarge, match=r"C\(18, 9\) - 1 = 48619 .* limit of 12869"):
         complete_incompatibility(np.eye(9))
-
-
-def test_projector_commutator_spin1():
-    assert projector_commutator_norm(SPIN1.transition, [0], [0]) > 0.1
-
-
-def test_projector_commutator_identity_basis():
-    assert projector_commutator_norm(np.eye(3), [0], [0]) == pytest.approx(0.0)
-
-
-def test_projector_commutator_dft4_invariant_subspace():
-    u = dft_matrix(4)
-    assert projector_commutator_norm(u, [0, 2], [0, 2]) <= 1e-10
-    # Oracle by direct matrix arithmetic: both projectors act on the span
-    # of (1,0,1,0) and (0,1,0,1), so they commute.
-    pa = np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex)
-    cols = u[:, [0, 2]]
-    pb = cols @ cols.conj().T
-    assert np.linalg.norm(pa @ pb - pb @ pa) <= 1e-12
-
-
-def test_projector_commutator_validation():
-    with pytest.raises(IndexOutOfRange):
-        projector_commutator_norm(SPIN1.transition, [], [0])
-    with pytest.raises(IndexOutOfRange):
-        projector_commutator_norm(SPIN1.transition, [0, 1, 2], [0])
-    with pytest.raises(IndexOutOfRange):
-        projector_commutator_norm(SPIN1.transition, [3], [0])
 
 
 def test_support_floor_for_completely_incompatible_bases():

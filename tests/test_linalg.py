@@ -2,17 +2,13 @@ import numpy as np
 import pytest
 
 from kdwitness import (
-    IndexOutOfRange,
     NotHermitian,
-    ShapeMismatch,
     ValidationError,
     haar_unitary,
     hermitian_eig,
-    minor_determinant,
     rho_lambda,
 )
 from kdwitness.linalg import dagger, frobenius, random_density
-from kdwitness.studies import dft_matrix
 
 
 def test_eig_identity():
@@ -47,52 +43,6 @@ def test_eig_reconstruction_and_orthonormality(d):
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_minor_single_entry():
-    u = haar_unitary(4, seed=3)
-    assert minor_determinant(u, [2], [1]) == pytest.approx(u[2, 1])
-
-
-def test_minor_full_size_unitary_has_unit_modulus():
-    u = haar_unitary(5, seed=9)
-    full = minor_determinant(u, range(5), range(5))
-    assert abs(abs(full) - 1.0) <= 1e-10
-
-
-def test_minor_dft4_vanishes():
-    # Direct oracle: the selected submatrix is [[1, 1], [1, 1]] / 2.
-    u = dft_matrix(4)
-    sub = u[np.ix_([0, 2], [0, 2])]
-    assert np.allclose(sub, np.full((2, 2), 0.5))
-    by_hand = sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]
-    assert by_hand == pytest.approx(0.0, abs=1e-15)
-    assert abs(minor_determinant(u, [0, 2], [0, 2])) <= 1e-12
-
-
-def test_minor_errors():
-    u = haar_unitary(3, seed=0)
-    with pytest.raises(ShapeMismatch):
-        minor_determinant(u, [0, 1], [0])
-    with pytest.raises(ShapeMismatch):
-        minor_determinant(u, [], [])
-    with pytest.raises(IndexOutOfRange):
-        minor_determinant(u, [0, 0], [0, 1])
-    with pytest.raises(IndexOutOfRange):
-        minor_determinant(u, [0, 3], [0, 1])
-
-
-@pytest.mark.parametrize("d", [3, 4])
-def test_minor_adjoint_conjugation(d):
-    rng = np.random.default_rng(17)
-    u = haar_unitary(d, seed=21)
-    for _ in range(20):
-        k = int(rng.integers(1, d + 1))
-        rows = sorted(rng.choice(d, size=k, replace=False).tolist())
-        cols = sorted(rng.choice(d, size=k, replace=False).tolist())
-        lhs = minor_determinant(dagger(u), cols, rows)
-        rhs = np.conj(minor_determinant(u, rows, cols))
-        assert abs(lhs - rhs) <= 1e-10
 
 
 def test_haar_unitarity_and_determinism():

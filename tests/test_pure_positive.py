@@ -133,6 +133,49 @@ def test_dedup_keeps_the_first_of_near_states(dedup_tol):
     assert len(result) < 56  # C(8, 5) patterns, all realized at the default tolerance
 
 
+def _reference_drop_near_repeats(candidates, dedup_tol):
+    kept = []
+    for k, psi in enumerate(candidates):
+        if all(phase_invariant_distance(psi, candidates[j]) > dedup_tol for j in kept):
+            kept.append(k)
+    return kept
+
+
+def _adversarial_candidates(dedup_tol, rng):
+    """States at distances just inside and outside dedup_tol of earlier ones,
+    in chains, and states with equal moduli but other entry phases."""
+    d = 4
+    base = rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d))
+    base[::3, 1] = 0.0
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    out = list(base)
+    for factor in (1 - 1e-3, 1 + 1e-3):
+        for psi in base:
+            # chi = cos(a) psi + sin(a) v with v orthogonal to psi lies at
+            # phase-invariant distance 2 sin(a / 2) from psi.
+            for _ in range(2):
+                v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                v -= np.vdot(psi, v) * psi
+                v /= np.linalg.norm(v)
+                a = 2 * np.arcsin(min(1.0, dedup_tol * factor / 2))
+                chi = np.cos(a) * psi + np.sin(a) * v
+                out.append(np.exp(2j * np.pi * rng.random()) * chi)
+                psi = chi
+    for psi in base:
+        out.append(np.abs(psi) * np.exp(2j * np.pi * rng.random(d)))
+    order = rng.permutation(len(out))
+    return np.array(out)[order]
+
+
+@pytest.mark.parametrize("dedup_tol", [1e-8, 0.5, 1.0, 1.4])
+def test_dedup_matches_the_pairwise_greedy_on_adversarial_sets(dedup_tol):
+    rng = np.random.default_rng(int(dedup_tol * 1e3) + 11)
+    for _ in range(5):
+        candidates = _adversarial_candidates(dedup_tol, rng)
+        kept = pure_positive._drop_near_repeats(candidates, dedup_tol)
+        assert kept.tolist() == _reference_drop_near_repeats(candidates, dedup_tol)
+
+
 def _match_one_to_one(found, reference, tol=1e-8):
     remaining = list(range(found.shape[0]))
     for ref in reference:
