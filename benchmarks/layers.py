@@ -34,12 +34,14 @@ fresh cache ("first") and once more on the same basis ("repeat").
 It also times ``facet_enumeration_points`` on the real-embedded projectors
 of the 15 spin-1 minimal states and of ``FACET_SET_SIZES`` generic d = 3
 pure states ``random_pure_state(3, default_rng(3000 + n))``, with the facet
-count and the number C(n, affine rank) of subsets tested.
+count, the number C(n, affine rank) of subsets tested, and how many of them
+reach the stacked SVD (counted on one more untimed call, by wrapping
+``numpy.linalg.svd`` and adding up the matrices of its stacked calls).
 
 It prints one JSON record: per layer and dimension or set the median and
 quartiles of ``RUNS`` timed calls (after one untimed warm-up call), the
 state counts, the annealed bound, the minor counts, the hull verdicts and
-simplex iterations, the facet and subset counts, and the
+simplex iterations, the facet, subset and SVD-subset counts, and the
 machine, Python and numpy versions. Run it against the package on
 ``PYTHONPATH``:
 
@@ -107,6 +109,26 @@ def timed(fn, *args, fresh=True, **kwargs):
         fn(*args, **kwargs)
         times.append(time.perf_counter() - start)
     return result, times
+
+
+def stacked_svd_matrices(fn, *args):
+    """Result of one call of ``fn`` and the matrices it passed to ``numpy.linalg.svd`` in stacks."""
+    import numpy as np
+
+    svd = np.linalg.svd
+    count = 0
+
+    def counted(a, *svd_args, **svd_kwargs):
+        nonlocal count
+        if np.ndim(a) > 2:
+            count += math.prod(np.shape(a)[:-2])
+        return svd(a, *svd_args, **svd_kwargs)
+
+    np.linalg.svd = counted
+    try:
+        return fn(*args), count
+    finally:
+        np.linalg.svd = svd
 
 
 def main(argv=None) -> dict:
@@ -212,10 +234,12 @@ def main(argv=None) -> dict:
         points = np.array([kdwitness.hermitian_to_real(projector(s)) for s in states])
         rank = int(np.linalg.matrix_rank(points - points.mean(axis=0)))
         facets, facet_times = timed(facet_enumeration_points, points)
+        _, to_svd = stacked_svd_matrices(facet_enumeration_points, points)
         layers["facet_enumeration_points"][name] = {
             **summary_ms(facet_times),
             "facets": len(facets),
             "subsets": math.comb(len(states), rank),
+            "subsets_to_svd": to_svd,
         }
     return {
         "label": args.label,

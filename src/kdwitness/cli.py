@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 success (or all checks passing), 1 usage error, 2 validation
-error, 3 numerical indeterminacy (a hull margin too thin to call), and 4
-internal failure. Every subcommand accepts ``--json`` for a structured
-report; identical commands with identical seeds produce byte-identical
-reports apart from the timing field.
+error (the input is at fault: malformed, over a size guard, not completely
+incompatible, a degenerate hull, or a target outside the hull), 3 numerical
+indeterminacy (a hull margin too thin to call), and 4 internal failure.
+Every subcommand accepts ``--json`` for a structured report; identical
+commands with identical seeds produce byte-identical reports apart from the
+timing field.
 """
 
 import argparse
@@ -15,9 +17,12 @@ import numpy as np
 
 from . import config
 from .errors import (
+    DegenerateHull,
     IndeterminateMembership,
     KDError,
     MatrixFileError,
+    NotCompletelyIncompatible,
+    OutsideHull,
     UsageError,
     ValidationError,
 )
@@ -452,7 +457,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MatrixFileError, ValidationError) as exc:
+    except (ValidationError, NotCompletelyIncompatible, DegenerateHull, OutsideHull) as exc:
         _emit_error(json_wanted, "validation", exc)
         return EXIT_VALIDATION
     except IndeterminateMembership as exc:

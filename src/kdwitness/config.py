@@ -5,8 +5,9 @@ facet-match defaults per call, and ``KD_DEFAULT_TOL`` overrides the base one
 globally; the margin factor, the rank, null-space, phase, weight and
 exactness cutoffs, the minor floor and count limit, the roof tolerances,
 the facet rank cutoffs, subset limit and side-test entry limit, the
-simplex pivot tolerance, Bland ratio-tie window and Farkas slack, and the
-basis cache size ``BASIS_CACHE_SIZE`` are fixed.
+simplex pivot tolerance, Bland ratio-tie window and Farkas slack, the
+hull certificates' weight and functional thresholds, the eigendecomposition
+checks, and the basis cache size ``BASIS_CACHE_SIZE`` are fixed.
 """
 
 import os
@@ -55,7 +56,9 @@ FACET_RANK_REL_CUTOFF = 1e-9
 
 # Facet enumeration tests C(n, affine rank) subsets of n generators and
 # refuses more than this many; a subset of generic d = 3 projectors costs
-# about 20 us on a 2-vCPU Xeon VM, so the limit is about 4 s there.
+# 4-8 us on a 2-vCPU Xeon VM with BLAS on one thread, most of them stopping
+# at the cheap prefilter (the 125 970 subsets of 20 take 0.54 s), so the
+# limit is about 1 s there.
 MAX_FACET_SUBSETS = 200_000
 
 # Each tested subset's side test reads every one of the n points, so facet
@@ -74,6 +77,23 @@ BLAND_TIE_TOL = 1e-14
 
 # An infeasibility certificate y may have y @ A above zero by at most this.
 FARKAS_SLACK_TOL = 1e-6
+
+# A hull-membership inside certificate's weights may fall below zero by at
+# most INSIDE_WEIGHT_SLACK and must sum to one within INSIDE_WEIGHT_SUM_TOL.
+INSIDE_WEIGHT_SLACK = 1e-12
+INSIDE_WEIGHT_SUM_TOL = 1e-10
+
+# An outside certificate's separating functional of norm below this counts as
+# zero; a Hermitian one is rescaled to trace one only when its trace exceeds
+# FUNCTIONAL_TRACE_FLOOR, and is otherwise reported at unit Frobenius norm.
+FUNCTIONAL_ZERO_NORM = 1e-14
+FUNCTIONAL_TRACE_FLOOR = 1e-6
+
+# hermitian_eig's decomposition must reproduce its matrix within
+# EIG_RECONSTRUCTION_TOL * (1 + ||H||_F) and its eigenvectors must be
+# orthonormal within EIG_ORTHONORMAL_TOL, both in Frobenius norm.
+EIG_RECONSTRUCTION_TOL = 1e-10
+EIG_ORTHONORMAL_TOL = 1e-10
 
 # Eigenvalue cutoff defining the rank used by decomposition searches.
 RANK_CUTOFF = 1e-10

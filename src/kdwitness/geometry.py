@@ -34,6 +34,12 @@ from .simplex import INFEASIBLE, OPTIMAL, solve_equality_lp
 FACET_BLOCK = 1024
 FACET_SIDE_ENTRIES = 1 << 21
 
+# The prefilter's cheap normals solve each subset's spanning rows with the
+# fixed probe row cos(k * FACET_PROBE_ANGLE), k = 1..rank, appended. Any
+# fixed row does; a subset whose normal the row is nearly orthogonal to
+# gets a loose bound and goes on to the SVD.
+FACET_PROBE_ANGLE = 1.0
+
 INSIDE = "inside"
 OUTSIDE = "outside"
 INDETERMINATE = "indeterminate"
@@ -144,9 +150,9 @@ def membership_lp_points(
             raise CertificateError(
                 f"inside certificate fails reconstruction: residual {residual:.3e}"
             )
-        if w.min() < -1e-12:
+        if w.min() < -config.INSIDE_WEIGHT_SLACK:
             raise CertificateError(f"inside certificate has weight {w.min():.3e} < 0")
-        if abs(w.sum() - 1.0) > 1e-10:
+        if abs(w.sum() - 1.0) > config.INSIDE_WEIGHT_SUM_TOL:
             raise CertificateError(f"inside certificate weights sum to {w.sum()}")
         return MembershipCertificate(INSIDE, w, None, None, None, None, tol)
 
@@ -154,7 +160,7 @@ def membership_lp_points(
     y = result.farkas
     v = y[: points.shape[1]]
     norm = float(np.linalg.norm(v))
-    if norm < 1e-14:
+    if norm < config.FUNCTIONAL_ZERO_NORM:
         raise CertificateError("separating functional degenerated to zero")
     v = v / norm
     values = points @ v
@@ -183,7 +189,7 @@ def hermitian_certificate(outcome: MembershipCertificate, d: int) -> MembershipC
         return outcome
     functional = real_to_hermitian(outcome.functional, d)
     trace = float(np.trace(functional).real)
-    if trace <= 1e-6:
+    if trace <= config.FUNCTIONAL_TRACE_FLOOR:
         return replace(outcome, functional=functional, normalization="unit_frobenius")
     return replace(
         outcome,
@@ -223,9 +229,16 @@ def facet_enumeration_points(
     ordering.
 
     The subsets are walked in ``combinations`` order, ``FACET_BLOCK`` at a
-    time (fewer for thousands of points): one stacked SVD per block gives
-    every subset's rank test and normal, and the side test runs on the whole
-    block. The hyperplanes that pass are then taken in subset order, so the
+    time (fewer for thousands of points). At affine rank 2 and above a
+    prefilter first gives each subset of the block a cheap normal from one
+    stacked solve, and drops the subsets that it proves to have points
+    strictly on both sides of their hyperplane, by a margin that bounds how
+    far the cheap normal's side values can lie from the SVD normal's (see
+    ``_prefilter``); on generic sets about one subset in twenty is left.
+    One stacked SVD of the rest gives every remaining subset's rank test and
+    normal, each matrix solved on its own as before, so the facets are the
+    same to the bit, and the side test runs on all of them at once. The
+    hyperplanes that pass are then taken in subset order, so the
     first one found for a facet stands for it. Raises DimensionTooLarge
     before any work when the number of subsets exceeds
     ``config.MAX_FACET_SUBSETS``, or when the side-test entries, n per
@@ -274,6 +287,11 @@ def facet_enumeration_points(
             spanning = np.ones(len(block), dtype=bool)
         else:
             rows = hull_pts[block[:, 1:]] - anchors[:, None, :]
+            cheap, margin = _prefilter(rows, anchors, hull_pts, active_tol + slack)
+            side = hull_pts @ cheap.T - np.einsum("ij,ij->i", cheap, anchors)
+            # A NaN margin (all spanning rows zero) proves nothing.
+            unproven = ~((side.max(axis=0) > margin) & (side.min(axis=0) < -margin))
+            rows, anchors = rows[unproven], anchors[unproven]
             _, sv, svt = np.linalg.svd(rows)
             spanning = np.count_nonzero(sv > _rank_cutoff(sv)[:, None], axis=1) == rank - 1
             normals = svt[:, -1]
@@ -324,6 +342,61 @@ def _rank_cutoff(sing):
     return np.maximum(
         config.FACET_RANK_ABS_CUTOFF, sing[..., 0] * config.FACET_RANK_REL_CUTOFF
     )
+
+
+def _prefilter(rows, anchors, hull_pts, limit):
+    """Cheap unit normals of a block of subsets, and per subset the margin that proves it two-sided.
+
+    ``rows`` stacks each subset's spanning rows A, (rank - 1) x rank, and
+    ``anchors`` their anchor points a. Each A with the probe row appended is
+    solved for e_rank in one stacked call (one stacked complete QR of A^T,
+    its last column, if that raises or gives non-finite values), and the
+    unit solution n is a cheap normal. A subset with some point above
+    ``limit + delta`` and some below ``-limit - delta`` under n cannot be a
+    facet, where delta bounds how far its side values can lie from the SVD
+    normal v's for any A the SVD would call spanning:
+
+    - with gamma = 64 * rank * eps, generous for the SVD's backward error,
+      the SVD's singular values are within gamma ||A||_F of the exact ones,
+      and sigma_max >= ||A||_F / sqrt(rank - 1); so a kept A, whose
+      computed sigma_min exceeds FACET_RANK_REL_CUTOFF * sigma_max, has
+      sigma_min >= s = ||A||_F (REL / sqrt(rank - 1) - 2 gamma);
+    - a unit x whose part w orthogonal to the null vector u of A has
+      ||A x|| >= s ||w||, so x is within sqrt(2) ||w|| <= sqrt(2) ||A x|| / s
+      of +u or -u;
+    - v is a null vector of A + E with ||E|| <= gamma ||A||_F, so
+      ||A v|| <= gamma ||A||_F, and the computed ||A n|| is within another
+      gamma ||A||_F of the exact one: up to sign, n and v are within
+      sqrt(2) (||A n|| + 2 gamma ||A||_F) / s, plus 8 * rank * eps for
+      their norms being one only to rounding;
+    - a side value (q - a) . x then moves by at most
+      (max ||q|| + ||a||) times that distance.
+
+    ``limit`` carries the active tolerance and the rounding slack of the
+    side values themselves, as in the block test.
+    """
+    count, rank = anchors.shape
+    eps = np.finfo(float).eps
+    square = np.empty((count, rank, rank))
+    square[:, :-1] = rows
+    square[:, -1] = np.cos(FACET_PROBE_ANGLE * np.arange(1, rank + 1))
+    unit = np.zeros(rank)
+    unit[-1] = 1.0
+    with np.errstate(all="ignore"):
+        try:
+            normals = np.linalg.solve(square, unit)
+        except np.linalg.LinAlgError:
+            normals = np.full((count, rank), np.nan)
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        if not np.isfinite(normals).all():
+            normals = np.linalg.qr(np.swapaxes(rows, 1, 2), mode="complete")[0][..., -1]
+        size = np.linalg.norm(rows, axis=(1, 2))
+        residual = np.linalg.norm(np.einsum("ijk,ik->ij", rows, normals), axis=1)
+        gamma = 64 * rank * eps
+        floor = size * max(0.0, config.FACET_RANK_REL_CUTOFF / math.sqrt(rank - 1) - 2 * gamma)
+        apart = math.sqrt(2.0) * (residual + 2 * gamma * size) / floor + 8 * rank * eps
+        reach = float(np.linalg.norm(hull_pts, axis=1).max()) + np.linalg.norm(anchors, axis=1)
+    return normals, limit + reach * apart
 
 
 def facet_enumeration(generators, active_tol: float | None = None) -> list[Facet]:

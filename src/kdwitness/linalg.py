@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from .errors import (
     NoConvergence,
     NotHermitian,
@@ -78,9 +79,9 @@ def hermitian_eig(matrix, tol: float = 1e-9) -> EigenDecomposition:
     vectors = np.ascontiguousarray(vectors[:, order])
     decomp = EigenDecomposition(values, vectors)
     d = h.shape[0]
-    if frobenius(decomp.reconstruct() - h) > 1e-10 * scale:
+    if frobenius(decomp.reconstruct() - h) > config.EIG_RECONSTRUCTION_TOL * scale:
         raise NoConvergence("eigendecomposition failed its reconstruction bound")
-    if frobenius(dagger(vectors) @ vectors - np.eye(d)) > 1e-10:
+    if frobenius(dagger(vectors) @ vectors - np.eye(d)) > config.EIG_ORTHONORMAL_TOL:
         raise NoConvergence("eigenvector matrix is not orthonormal")
     return decomp
 

@@ -4,7 +4,16 @@ import pathlib
 import numpy as np
 import pytest
 
-from kdwitness import SPIN1, is_kd_positive, kd_table, rho_lambda
+from kdwitness import (
+    SPIN1,
+    CertificateError,
+    OutsideHull,
+    dft_matrix,
+    is_kd_positive,
+    kd_table,
+    rho_lambda,
+)
+from kdwitness import cli
 from kdwitness.cli import main
 from kdwitness.io_json import load_matrix_file, save_matrix_file
 from kdwitness.linalg import projector
@@ -238,6 +247,37 @@ def test_json_error_reporting(files, capsys, tmp_path):
     assert code == 2
     doc = json.loads(out)
     assert doc["error"]["category"] == "validation"
+
+
+def test_input_faults_are_validation_errors(files, capsys, tmp_path):
+    # A basis pair that is not completely incompatible, and a hull of one point.
+    dft = tmp_path / "dft6.json"
+    save_matrix_file(dft, dft_matrix(6), "unitary")
+    code, doc, _ = run_json(capsys, ["enumerate", "--basis", str(dft)])
+    assert code == 2
+    assert doc["error"]["category"] == "validation"
+    assert doc["error"]["type"] == "NotCompletelyIncompatible"
+    code, doc, _ = run_json(capsys, ["facets", "--generators", files["gens"][0],
+                                     files["gens"][0]])
+    assert code == 2
+    assert doc["error"] == {"category": "validation", "type": "DegenerateHull",
+                            "message": "generators span no affine directions"}
+
+
+@pytest.mark.parametrize("error, code, category", [
+    (OutsideHull("target is outside the convex hull of the generators"), 2, "validation"),
+    (CertificateError("outside certificate has margin 0 <= 0"), 4, "internal"),
+])
+def test_error_categories(files, capsys, monkeypatch, error, code, category):
+    def raise_error(generators):
+        raise error
+
+    monkeypatch.setattr(cli, "facet_enumeration", raise_error)
+    got, doc, err = run_json(capsys, ["facets", "--generators", *files["gens"]])
+    assert got == code
+    assert doc["error"]["category"] == category
+    assert doc["error"]["type"] == type(error).__name__
+    assert err.startswith(f"{category} error:")
 
 
 def test_matrix_file_round_trip(tmp_path):

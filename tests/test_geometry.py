@@ -19,6 +19,7 @@ from kdwitness import (
 from kdwitness.geometry import (
     FACET_BLOCK,
     Facet,
+    _prefilter,
     facet_enumeration_points,
     finite_convex_roof_points,
     membership_lp_points,
@@ -128,6 +129,132 @@ def test_blocked_facets_match_the_per_subset_reference():
             assert g.active == w.active, name
             assert g.functional.tobytes() == w.functional.tobytes(), name
             assert np.float64(g.offset).tobytes() == np.float64(w.offset).tobytes(), name
+
+
+def _assert_same_facets(points, name=""):
+    got = facet_enumeration_points(points)
+    want = _reference_facets(points)
+    assert [g.active for g in got] == [w.active for w in want], name
+    for g, w in zip(got, want):
+        assert g.functional.tobytes() == w.functional.tobytes(), name
+        assert np.float64(g.offset).tobytes() == np.float64(w.offset).tobytes(), name
+
+
+def _prefilter_on(points, subset):
+    """The prefilter's margin m for one subset of a full-rank set, and whether it drops it."""
+    deltas = points - points.mean(axis=0)
+    _, _, vt = np.linalg.svd(deltas, full_matrices=False)
+    hull_pts = deltas @ vt.T
+    slack = 8 * len(subset) * np.finfo(float).eps * float(np.abs(hull_pts).sum(axis=1).max())
+    anchors = hull_pts[list(subset[:1])]
+    rows = hull_pts[list(subset[1:])][None] - anchors[:, None, :]
+    normals, margin = _prefilter(rows, anchors, hull_pts, 1e-7 + slack)
+    side = hull_pts @ normals[0] - normals[0] @ anchors[0]
+    return float(margin[0]), bool(side.max() > margin[0] and side.min() < -margin[0])
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_points_at_the_prefilter_margin_give_the_reference_facets(sign, factor):
+    # The base triangle 0, 1, 2 spans a facet of the tetrahedron; a fifth point
+    # sits factor * m inside (sign +1) or outside (sign -1) its plane.
+    tetrahedron = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 1.0]])
+
+    def with_point(height):
+        return np.vstack([tetrahedron, [[0.3, 0.3, height]]])
+
+    margin, _ = _prefilter_on(with_point(sign * 1e-4), (0, 1, 2))
+    assert 1e-6 < margin < 1e-2
+    points = with_point(sign * factor * margin)
+    _, dropped = _prefilter_on(points, (0, 1, 2))
+    if factor != 1.0:
+        assert dropped == (sign < 0 and factor > 1.0)
+    _assert_same_facets(points)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 2.0, 5.0, 10.0])
+def test_facets_spanned_near_the_rank_cutoff_match_the_reference(ratio):
+    # Rows (1, 0, 0) and (2, e, 0) have sigma_min / sigma_max = e / 5 to first
+    # order, so the base facet's first subset is a sliver at `ratio` times the
+    # rank cutoff (below it at 0.5, where a later subset spans the facet). Its
+    # normal is off by up to about 1e-7 / ratio, which moves the side value of
+    # the far point on the same plane by up to about 1e-6, either way.
+    rng = np.random.default_rng(int(ratio * 10))
+    e = 5.0 * ratio * 1e-9
+    for _ in range(6):
+        far = np.append(rng.uniform(-12.0, -6.0, 2), 0.0)
+        points = np.array(
+            [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, e, 0.0], [0.5, 0.5, 1.0], [1.0, -1.0, 0.0], far]
+        )
+        rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        _assert_same_facets(points @ rotation.T, f"ratio {ratio}")
+
+
+def test_prefilter_margin_covers_the_gap_to_the_svd_normal():
+    # Sliver subsets within 10x the rank cutoff, where the cheap and the SVD
+    # normals differ most: every side value under one lies within the
+    # derived delta (the margin less its limit) of the other's, up to sign.
+    rng = np.random.default_rng(17)
+    limit = 1e-7
+    worst = 0.0
+    for ratio in np.linspace(1.1, 10.0, 60):
+        e = 5.0 * ratio * 1e-9
+        rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        sliver = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, e, 0.0]])
+        points = np.vstack([sliver, rng.uniform(-30.0, 30.0, (5, 3))]) @ rotation.T
+        rows = (points[1:3] - points[0])[None]
+        _, sv, svt = np.linalg.svd(rows)
+        assert sv[0, -1] > 1e-9 * sv[0, 0]
+        cheap, margin = _prefilter(rows, points[:1], points, limit)
+        delta = float(margin[0]) - limit
+        sides = [(points - points[0]) @ normal for normal in (cheap[0], svt[0, -1])]
+        gap = min(np.abs(sides[0] - sides[1]).max(), np.abs(sides[0] + sides[1]).max())
+        assert gap <= delta, ratio
+        assert delta < 0.1
+        worst = max(worst, gap)
+    assert worst > 1e-9
+
+
+def test_blocks_on_the_qr_fallback_match_the_reference(monkeypatch):
+    cases = _reference_cases()
+    qr = np.linalg.qr
+    fallbacks = []
+
+    def counted_qr(*args, **kwargs):
+        fallbacks.append(1)
+        return qr(*args, **kwargs)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    for solve in (singular, lambda a, b: np.full(a.shape[:-1], np.nan)):
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        for name in ("spin1", "triangle", "generic_14"):
+            _assert_same_facets(cases[name], name)
+        # generic_14: 3003 subsets in 3 blocks, all on the fallback.
+        assert len(fallbacks) >= 3
+        fallbacks.clear()
+
+
+def test_rank_one_and_rank_two_sets_match_the_reference():
+    rng = np.random.default_rng(11)
+    lift = np.linalg.qr(rng.standard_normal((4, 4)))[0][:, :2]
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, 30))
+    polygon = np.column_stack([np.cos(angles), np.sin(angles)])
+    # Midpoints of edges and points 1e-8 off them: collinear and nearly
+    # collinear triples, on the boundary and within the active tolerance.
+    midpoints = (polygon + np.roll(polygon, -1, axis=0)) / 2.0
+    nudged = midpoints[::3] * (1.0 + 1e-8)
+    cases = {
+        "rank1_in_3d": np.outer(rng.uniform(-1.0, 1.0, 50), [1.0, -2.0, 0.5]),
+        "rank1_repeated": np.outer([0.0, 1.0, 1.0, 0.5, 0.0], [2.0, 1.0]),
+        "rank2_polygon_in_4d": polygon @ lift.T,
+        "rank2_on_edges": np.vstack([polygon, midpoints[::2], nudged]) @ lift.T,
+        "rank2_repeated": np.vstack([polygon[:8], polygon[:8], [[0.0, 0.0]]]),
+    }
+    for name, points in cases.items():
+        _assert_same_facets(points, name)
 
 
 def test_embedding_preserves_inner_products():
