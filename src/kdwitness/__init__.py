@@ -7,7 +7,6 @@ from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
     IndeterminateMembership,
-    IndexOutOfRange,
     KDError,
     MatrixFileError,
     NoConvergence,

@@ -10,6 +10,7 @@ timing field.
 """
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -84,21 +85,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("facets", "bounding hyperplanes of a generator hull")
     p.add_argument("--generators", required=True, nargs="+")
 
-    p = add("roof-support", "convex-roof bounds for the support uncertainty")
-    p.add_argument("--state", required=True)
-    p.add_argument("--basis", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=40)
-    p.add_argument("--steps", type=int, default=2000)
-
-    p = add("roof-nonpos", "convex-roof bounds for the total nonpositivity")
-    p.add_argument("--state", required=True)
-    p.add_argument("--basis", required=True)
+    for name, objective in (("roof-support", "support uncertainty"),
+                            ("roof-nonpos", "total nonpositivity")):
+        p = add(name, f"convex-roof bounds for the {objective}")
+        p.add_argument("--state", required=True)
+        p.add_argument("--basis", required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--restarts", type=int, default=40)
+        p.add_argument("--steps", type=int, default=2000)
+    # p is roof-nonpos's parser here.
     p.add_argument("--positive-pure", action="append", default=None,
                    help="pure-state file; repeat for each generator")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=40)
-    p.add_argument("--steps", type=int, default=2000)
 
     add("spin1", "score every quantitative claim about the built-in spin-1 system")
 
@@ -162,15 +159,7 @@ def _cmd_support(args, report):
         counts = support_counts_pure(state, basis, eps=eps)
     else:
         counts = support_counts_mixed(state, basis, eps=eps)
-    report["results"] = {
-        "state_kind": kind,
-        "n_a": counts.n_a,
-        "n_b": counts.n_b,
-        "n_ab": counts.n_ab,
-        "eps": counts.eps,
-        "smallest_kept": counts.smallest_kept,
-        "largest_discarded": counts.largest_discarded,
-    }
+    report["results"] = {**dataclasses.asdict(counts), "n_ab": counts.n_ab, "state_kind": kind}
     return EXIT_OK, [
         f"{kind} state: n_a={counts.n_a}, n_b={counts.n_b}, n_ab={counts.n_ab} "
         f"(eps {eps:g})",
@@ -187,8 +176,8 @@ def _cmd_incompat(args, report):
         "min_abs_minor": rep.min_abs_minor,
         "argmin": {
             "order": rep.argmin_order,
-            "rows": list(rep.argmin_rows),
-            "cols": list(rep.argmin_cols),
+            "rows": rep.argmin_rows,
+            "cols": rep.argmin_cols,
         },
         "minors_checked": rep.minors_checked,
         "eps": rep.eps,
@@ -211,13 +200,9 @@ def _cmd_enumerate(args, report):
     report["results"] = {
         "count": len(minimal),
         "states": minimal.states,
-        "patterns": [
-            {"a_support": list(p.a_support), "b_support": list(p.b_support)}
-            for p in minimal.patterns
-        ],
+        "patterns": minimal.patterns,
         "degenerate_patterns": [
-            {"a_support": list(p.a_support), "b_support": list(p.b_support),
-             "null_dim": n}
+            {"a_support": p.a_support, "b_support": p.b_support, "null_dim": n}
             for p, n in minimal.degenerate_patterns
         ],
         "kd_positive_count": len(positive),
@@ -262,13 +247,7 @@ def _cmd_hull(args, report):
 
 def _cmd_facets(args, report):
     facets = facet_enumeration([_load_density(path) for path in args.generators])
-    report["results"] = {
-        "count": len(facets),
-        "facets": [
-            {"functional": f.functional, "offset": f.offset, "active": list(f.active)}
-            for f in facets
-        ],
-    }
+    report["results"] = {"count": len(facets), "facets": facets}
     lines = [f"{len(facets)} facets"]
     for k, f in enumerate(facets):
         lines.append(f"  facet {k}: offset {f.offset:+.9f}, active {list(f.active)}")
@@ -285,15 +264,12 @@ def _roof_report(estimate, report):
         "upper_bound": estimate.upper_bound,
         "exact": estimate.exact,
         "generator_provenance": estimate.generator_provenance,
-        "restart_values": list(estimate.restart_values),
+        "restart_values": estimate.restart_values,
     }
     if estimate.membership is not None:
         report["certificates"] = {"membership": _certificate_dict(estimate.membership)}
     if estimate.upper_decomposition is not None:
-        report["results"]["decomposition"] = {
-            "weights": estimate.upper_decomposition.weights,
-            "states": estimate.upper_decomposition.states,
-        }
+        report["results"]["decomposition"] = estimate.upper_decomposition
     relation = ">" if estimate.lower_strict else ">="
     lines = [
         f"objective: {estimate.objective}",
@@ -335,18 +311,8 @@ def _cmd_spin1(args, report):
     report["results"] = {
         "passed": result.passed,
         "facet_count": result.facet_count,
-        "witness_expectations": list(result.witness_expectations),
-        "checks": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "expected": c.expected,
-                "computed": c.computed,
-                "tolerance": c.tolerance,
-                "claim": c.claim,
-            }
-            for c in result.checks
-        ],
+        "witness_expectations": result.witness_expectations,
+        "checks": result.checks,
     }
     lines = []
     for c in result.checks:
@@ -362,13 +328,7 @@ def _cmd_spin1(args, report):
 
 def _cmd_haar_study(args, report):
     study = haar_genericity_study(args.dim, args.samples, args.seed)
-    report["results"] = {
-        "dim": study.dim,
-        "samples": study.samples,
-        "seed": study.seed,
-        "fraction_completely_incompatible": study.fraction_completely_incompatible,
-        "min_minor_quantiles": study.min_minor_quantiles,
-    }
+    report["results"] = study
     return EXIT_OK, [
         f"dim {study.dim}, {study.samples} samples, seed {study.seed}",
         f"fraction completely incompatible: {study.fraction_completely_incompatible}",

@@ -25,10 +25,6 @@ class ShapeMismatch(ValidationError):
     """Index sets or array shapes are inconsistent."""
 
 
-class IndexOutOfRange(ValidationError):
-    """An index set refers outside the valid range or has invalid size."""
-
-
 class DimensionTooLarge(ValidationError):
     """The requested dimension exceeds a combinatorial guard."""
 

@@ -229,20 +229,20 @@ def facet_enumeration_points(
     ordering.
 
     The subsets are walked in ``combinations`` order, ``FACET_BLOCK`` at a
-    time (fewer for thousands of points). At affine rank 2 and above a
-    prefilter first gives each subset of the block a cheap normal from one
-    stacked solve, and drops the subsets that it proves to have points
-    strictly on both sides of their hyperplane, by a margin that bounds how
-    far the cheap normal's side values can lie from the SVD normal's (see
-    ``_prefilter``); on generic sets about one subset in twenty is left.
-    One stacked SVD of the rest gives every remaining subset's rank test and
-    normal, each matrix solved on its own as before, so the facets are the
-    same to the bit, and the side test runs on all of them at once. The
-    hyperplanes that pass are then taken in subset order, so the
-    first one found for a facet stands for it. Raises DimensionTooLarge
-    before any work when the number of subsets exceeds
-    ``config.MAX_FACET_SUBSETS``, or when the side-test entries, n per
-    subset, exceed ``config.MAX_FACET_SIDE_ENTRIES``.
+    time (fewer for thousands of points). One drop test runs on each block:
+    it removes the subsets with points strictly on both sides of their
+    hyperplane by more than a margin. At affine rank 1 the normal is exact
+    and the margin is the active tolerance plus rounding slack. At rank 2
+    and above each subset gets a cheap normal from one stacked solve, and
+    the margin also bounds how far its side values can lie from the SVD
+    normal's (see ``_prefilter``); on generic sets about one subset in
+    twenty is left. One stacked SVD of the rest gives every remaining
+    subset's rank test and normal, each matrix solved on its own. The
+    per-subset side test then decides, in subset order, so the first
+    hyperplane found for a facet, and for an active set, stands for it.
+    Raises DimensionTooLarge before any work when the number of subsets
+    exceeds ``config.MAX_FACET_SUBSETS``, or when the side-test entries, n
+    per subset, exceed ``config.MAX_FACET_SIDE_ENTRIES``.
     """
     active_tol = config.FACET_ACTIVE_TOL if active_tol is None else active_tol
     match_tol = config.FACET_MATCH_TOL if match_tol is None else match_tol
@@ -267,14 +267,16 @@ def facet_enumeration_points(
         )
     basis = vt[:rank].T
     hull_pts = deltas @ basis
-    # The block's side values may round differently from the per-subset
-    # ones below by at most this much, so the block test lets every
-    # hyperplane the per-subset test keeps through.
+    # The drop test's side values may round differently from the per-subset
+    # ones below by at most this much, so it keeps every hyperplane the
+    # per-subset test keeps.
     slack = 8 * rank * np.finfo(float).eps * float(np.abs(hull_pts).sum(axis=1).max())
 
+    facets = []
     kept_normals = np.empty((n_subsets, rank))
     kept_offsets = np.empty(n_subsets)
-    actives: list[tuple[int, ...]] = []
+    kept = 0
+    listed: set[tuple[int, ...]] = set()
     block_size = max(1, min(FACET_BLOCK, FACET_SIDE_ENTRIES // n))
     subsets = combinations(range(n), rank)
     for _ in range(0, n_subsets, block_size):
@@ -283,23 +285,22 @@ def facet_enumeration_points(
         ).reshape(-1, rank)
         anchors = hull_pts[block[:, 0]]
         if rank == 1:
-            normals = np.ones((len(block), 1))
-            spanning = np.ones(len(block), dtype=bool)
+            normals, margin = np.ones((len(block), 1)), active_tol + slack
         else:
             rows = hull_pts[block[:, 1:]] - anchors[:, None, :]
-            cheap, margin = _prefilter(rows, anchors, hull_pts, active_tol + slack)
-            side = hull_pts @ cheap.T - np.einsum("ij,ij->i", cheap, anchors)
-            # A NaN margin (all spanning rows zero) proves nothing.
-            unproven = ~((side.max(axis=0) > margin) & (side.min(axis=0) < -margin))
-            rows, anchors = rows[unproven], anchors[unproven]
-            _, sv, svt = np.linalg.svd(rows)
+            normals, margin = _prefilter(rows, anchors, hull_pts, active_tol + slack)
+        side = hull_pts @ normals.T - np.einsum("ij,ij->i", normals, anchors)
+        # A NaN margin (all spanning rows zero) proves nothing.
+        unproven = ~((side.max(axis=0) > margin) & (side.min(axis=0) < -margin))
+        anchors = anchors[unproven]
+        if rank == 1:
+            normals = normals[unproven]
+            spanning = np.ones(len(anchors), dtype=bool)
+        else:
+            _, sv, svt = np.linalg.svd(rows[unproven])
             spanning = np.count_nonzero(sv > _rank_cutoff(sv)[:, None], axis=1) == rank - 1
             normals = svt[:, -1]
-        side = hull_pts @ normals.T - np.einsum("ij,ij->i", normals, anchors)
-        one_sided = (side.max(axis=0) <= active_tol + slack) | (
-            side.min(axis=0) >= -active_tol - slack
-        )
-        for j in np.flatnonzero(spanning & one_sided):
+        for j in np.flatnonzero(spanning):
             normal = normals[j]
             offset = float(normal @ anchors[j])
             side_j = hull_pts @ normal - offset
@@ -309,30 +310,25 @@ def facet_enumeration_points(
                 normal, offset, side_j = -normal, -offset, -side_j
             else:
                 continue
-            k = len(actives)
             # The array norm rounds differently from the per-pair one, so it
             # only preselects; the per-pair norm decides.
             near = np.flatnonzero(
-                (np.abs(offset - kept_offsets[:k]) <= match_tol)
-                & (np.linalg.norm(normal - kept_normals[:k], axis=1) <= 2 * match_tol)
+                (np.abs(offset - kept_offsets[:kept]) <= match_tol)
+                & (np.linalg.norm(normal - kept_normals[:kept], axis=1) <= 2 * match_tol)
             )
             if any(np.linalg.norm(normal - kept_normals[i]) <= match_tol for i in near):
                 continue
-            kept_normals[k] = normal
-            kept_offsets[k] = offset
-            actives.append(tuple(int(i) for i in np.flatnonzero(np.abs(side_j) <= active_tol)))
-
-    facets = []
-    listed: set[tuple[int, ...]] = set()
-    for normal, offset, active in zip(kept_normals, kept_offsets, actives):
-        # Near a degenerate configuration, hyperplanes through different
-        # subsets can hold the same active set yet differ by more than
-        # match_tol; the first one found stands for that face.
-        if active in listed:
-            continue
-        listed.add(active)
-        ambient = basis @ normal
-        facets.append(Facet(ambient, float(offset + ambient @ centroid), active))
+            kept_normals[kept] = normal
+            kept_offsets[kept] = offset
+            kept += 1
+            # Near a degenerate configuration, hyperplanes through different
+            # subsets can hold the same active set yet differ by more than
+            # match_tol; the first one found stands for that face.
+            active = tuple(int(i) for i in np.flatnonzero(np.abs(side_j) <= active_tol))
+            if active not in listed:
+                listed.add(active)
+                ambient = basis @ normal
+                facets.append(Facet(ambient, float(offset + ambient @ centroid), active))
     facets.sort(key=lambda f: (round(f.offset, 9),) + tuple(np.round(f.functional, 9)))
     return facets
 
@@ -373,7 +369,7 @@ def _prefilter(rows, anchors, hull_pts, limit):
       (max ||q|| + ||a||) times that distance.
 
     ``limit`` carries the active tolerance and the rounding slack of the
-    side values themselves, as in the block test.
+    side values themselves.
     """
     count, rank = anchors.shape
     eps = np.finfo(float).eps

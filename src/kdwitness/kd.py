@@ -42,11 +42,6 @@ class KDTable:
             raise CertificateError(f"table total {self.total} is not 1")
 
 
-def kd_entries(density, u: np.ndarray) -> np.ndarray:
-    """Table entries ``conj(U) * (rho @ U)`` of one density matrix or a stack."""
-    return np.conj(u) * (density @ u)
-
-
 def kd_table(state, transition) -> KDTable:
     """Quasiprobability table of a state for a basis pair.
 
@@ -65,7 +60,7 @@ def kd_table(state, transition) -> KDTable:
         raise DimensionMismatch(
             f"state dimension {s.shape[0]} does not match basis dimension {u.shape[0]}"
         )
-    q = kd_entries(s, u)
+    q = np.conj(u) * (s @ u)
     return KDTable(
         dim=u.shape[0],
         table=q,

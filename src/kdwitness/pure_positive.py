@@ -24,7 +24,7 @@ from .errors import (
 )
 from .basis import BasisPair, read_only
 from .incompatibility import complete_incompatibility
-from .kd import kd_entries, kd_positive_each
+from .kd import kd_positive_each
 from .linalg import as_complex
 
 MAX_ENUM_DIM = 6
@@ -268,8 +268,9 @@ def filter_kd_positive_pure(
         raise DimensionMismatch(
             f"states of shape {states.shape} do not match basis dimension {u.shape[0]}"
         )
-    projectors = states[:, :, np.newaxis] * states[:, np.newaxis, :].conj()
-    keep = np.flatnonzero(kd_positive_each(kd_entries(projectors, u), tol))
+    # A pure state's table entry (i, j) is conj(U_ij) psi_i (psi^dagger U)_j.
+    tables = np.conj(u) * states[:, :, np.newaxis] * (states.conj() @ u)[:, np.newaxis, :]
+    keep = np.flatnonzero(kd_positive_each(tables, tol))
     return PureStateList(
         states=states[keep],
         patterns=tuple(state_list.patterns[k] for k in keep),

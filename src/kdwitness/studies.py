@@ -4,11 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge, ValidationError
+from .errors import ValidationError
 from .incompatibility import complete_incompatibility
 from .linalg import haar_unitary
-
-MAX_STUDY_DIM = 6
 
 
 def dft_matrix(d: int) -> np.ndarray:
@@ -35,10 +33,9 @@ def haar_genericity_study(d: int, samples: int, seed: int) -> GenericityStudy:
     Each sample uses a seed derived from the study seed, so the study is
     reproducible and individual samples can be re-examined. The quantiles
     of the smallest minor modulus show how far typical samples sit from
-    the degenerate set.
+    the degenerate set. The size guard is the minor count of
+    :func:`complete_incompatibility`, checked before any minor is computed.
     """
-    if d > MAX_STUDY_DIM:
-        raise DimensionTooLarge(f"study is guarded to d <= {MAX_STUDY_DIM}")
     if samples < 1:
         raise ValidationError("need at least one sample")
     hits = 0

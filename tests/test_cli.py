@@ -220,6 +220,75 @@ def test_json_reports_are_deterministic(files, capsys):
     assert doc1["config"]["nonpositivity_strict_slack"] == 2e-9
 
 
+def _key_paths(value, path=""):
+    """Every key of nested dicts as a dotted path; list items add ``[]``."""
+    if isinstance(value, dict):
+        return set().union(*({path + k} | _key_paths(v, f"{path}{k}.") for k, v in value.items()))
+    if isinstance(value, list):
+        return set().union(*(_key_paths(v, path[:-1] + "[]." if path else "") for v in value))
+    return set()
+
+
+_MEMBERSHIP_KEYS = {"membership"} | {
+    f"membership.{k}" for k in
+    ("functional", "margin", "normalization", "threshold", "tolerance", "verdict", "weights")
+}
+_ROOF_KEYS = {
+    "base_value", "decomposition", "decomposition.states", "decomposition.weights", "exact",
+    "generator_provenance", "lower_bound", "lower_certificate", "lower_strict", "objective",
+    "restart_values", "upper_bound",
+}
+_ANNEAL = ["--restarts", "2", "--steps", "100"]
+# Per command: argv, with fixture names for files, and the expected key paths
+# of the report's results and certificates.
+_REPORT_KEYS = [
+    (["table", "--state", "rho05", "--basis", "basis"], {
+        "a_marginals", "b_marginals", "dim", "kd_positive", "kd_positive.tolerance",
+        "kd_positive.value", "kd_table", "min_overlap", "total", "total_nonpositivity",
+        "worst_entry", "worst_entry.col", "worst_entry.offence", "worst_entry.row",
+        "worst_entry.value"}, set()),
+    (["support", "--state", "psi1", "--basis", "basis"], {
+        "eps", "largest_discarded", "n_a", "n_ab", "n_b", "smallest_kept", "state_kind"}, set()),
+    (["incompat", "--basis", "basis"], {
+        "argmin", "argmin.cols", "argmin.order", "argmin.rows", "completely_incompatible",
+        "eps", "min_abs_minor", "minors_checked"}, set()),
+    (["enumerate", "--basis", "basis"], {
+        "count", "degenerate_patterns", "kd_positive_count", "kd_positive_indices", "patterns",
+        "patterns[].a_support", "patterns[].b_support", "states"}, set()),
+    (["hull", "--state", "rho05", "--generators", "gens"], {"verdict"}, _MEMBERSHIP_KEYS),
+    (["facets", "--generators", "gens"], {
+        "count", "facets", "facets[].active", "facets[].functional", "facets[].offset"}, set()),
+    (["roof-support", "--state", "rho05", "--basis", "basis", *_ANNEAL],
+     _ROOF_KEYS, _MEMBERSHIP_KEYS),
+    (["roof-nonpos", "--state", "rho05", "--basis", "basis", *_ANNEAL],
+     _ROOF_KEYS, _MEMBERSHIP_KEYS),
+    (["spin1"], {
+        "checks", "checks[].claim", "checks[].computed", "checks[].computed.kd_positive",
+        "checks[].computed.margin", "checks[].computed.nonpositivity_roof_upper",
+        "checks[].computed.support_roof_strict_above", "checks[].computed.total_nonpositivity",
+        "checks[].expected", "checks[].name", "checks[].passed", "checks[].tolerance",
+        "facet_count", "passed", "witness_expectations"}, set()),
+    (["haar-study", "--dim", "3", "--samples", "5", "--seed", "7"], {
+        "dim", "fraction_completely_incompatible", "min_minor_quantiles",
+        "min_minor_quantiles.max", "min_minor_quantiles.median", "min_minor_quantiles.min",
+        "min_minor_quantiles.q25", "min_minor_quantiles.q75", "samples", "seed"}, set()),
+]
+
+
+@pytest.mark.parametrize("argv, results, certificates", _REPORT_KEYS,
+                         ids=[argv[0] for argv, _, _ in _REPORT_KEYS])
+def test_report_keys(files, capsys, argv, results, certificates):
+    # Reports serialise result types, so a renamed field would rename a key.
+    resolved = []
+    for arg in argv:
+        value = files.get(arg, arg)
+        resolved += value if isinstance(value, list) else [value]
+    code, doc, _ = run_json(capsys, resolved)
+    assert code == 0
+    assert _key_paths(doc["results"]) == results
+    assert _key_paths(doc["certificates"]) == certificates
+
+
 def test_golden_table_report(capsys, monkeypatch):
     monkeypatch.chdir(DATA)
     code, doc, _ = run_json(capsys, ["table", "--state", "state.json",

@@ -217,6 +217,21 @@ def test_spin1_positive_filter():
     assert rejected == 6
 
 
+@pytest.mark.parametrize("u", [
+    pytest.param(SPIN1.transition, id="spin1"),
+    *(pytest.param(dft_matrix(d), id=f"dft{d}") for d in (2, 3, 5)),
+    *(pytest.param(haar_unitary(d, seed), id=f"haar{d}-{seed}")
+      for d in range(2, 7) for seed in (11, 12, 13)),
+])
+def test_filter_keeps_the_states_with_positive_tables(u):
+    result = enumerate_min_uncertainty_states(u)
+    positive = filter_kd_positive_pure(result, u)
+    kept = {p: k for k, p in enumerate(result.patterns)}
+    want = [k for k, psi in enumerate(result.states) if is_kd_positive(kd_table(psi, u))]
+    assert [kept[p] for p in positive.patterns] == want
+    assert np.array_equal(positive.states, result.states[want])
+
+
 def test_filter_is_idempotent_and_a_subset():
     result = enumerate_min_uncertainty_states(SPIN1.transition)
     once = filter_kd_positive_pure(result, SPIN1.transition)

@@ -48,8 +48,10 @@ def test_genericity_with_an_explicit_non_generic_point():
 
 
 def test_genericity_study_validation():
-    with pytest.raises(DimensionTooLarge):
-        haar_genericity_study(7, 10, seed=0)
+    # The guard is the minor count: d = 7 runs, d = 9 is refused before any work.
+    assert haar_genericity_study(7, 2, seed=0).samples == 2
+    with pytest.raises(DimensionTooLarge, match="48619 minors"):
+        haar_genericity_study(9, 10, seed=0)
     with pytest.raises(ValidationError):
         haar_genericity_study(3, 0, seed=0)
 
