@@ -126,24 +126,25 @@ def _cmd_table(args, report):
     tol = config.default_tol()
     table = kd_table(state, basis)
     i, j, value, offence = worst_entry(table)
-    positive = is_kd_positive(table, tol=tol)
+    positive = is_kd_positive(table)
+    nonpositivity, overlap = total_nonpositivity(table), min_overlap(basis)
     report["results"] = {
         "dim": table.dim,
         "kd_table": table.table,
         "a_marginals": table.a_marginals,
         "b_marginals": table.b_marginals,
         "total": table.total,
-        "total_nonpositivity": total_nonpositivity(table),
-        "min_overlap": min_overlap(basis),
+        "total_nonpositivity": nonpositivity,
+        "min_overlap": overlap,
         "kd_positive": {"value": positive, "tolerance": tol},
         "worst_entry": {"row": i, "col": j, "value": value, "offence": offence},
     }
-    lines = [f"dim {table.dim}, basis min overlap {min_overlap(basis):.6g}"]
+    lines = [f"dim {table.dim}, basis min overlap {overlap:.6g}"]
     for row in table.table:
         lines.append("  " + "  ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row))
     lines.append(f"a marginals: {np.round(table.a_marginals, 9).tolist()}")
     lines.append(f"b marginals: {np.round(table.b_marginals, 9).tolist()}")
-    lines.append(f"total nonpositivity: {total_nonpositivity(table):.12g}")
+    lines.append(f"total nonpositivity: {nonpositivity:.12g}")
     lines.append(
         f"KD positive: {positive} (tol {tol:g}; worst entry at ({i},{j}) "
         f"value {value:.6g}, offence {offence:.3g})"
@@ -284,26 +285,20 @@ def _roof_report(estimate, report):
     return lines
 
 
-def _cmd_roof_support(args, report):
+def _cmd_roof(args, report):
     state = _load_density(args.state)
     _, basis = load_matrix_file(args.basis, expect_kind="unitary")
-    cfg = AnnealConfig(seed=args.seed, restarts=args.restarts, steps=args.steps)
-    estimate = support_roof_bounds(state, basis, cfg=cfg)
-    return EXIT_OK, _roof_report(estimate, report)
-
-
-def _cmd_roof_nonpos(args, report):
-    state = _load_density(args.state)
-    _, basis = load_matrix_file(args.basis, expect_kind="unitary")
-    positive = None
-    if args.positive_pure:
-        positive = [
+    extra = {}
+    if args.command == "roof-nonpos" and args.positive_pure:
+        extra["positive_pure"] = [
             load_matrix_file(path, expect_kind="pure_state")[1]
             for path in args.positive_pure
         ]
     cfg = AnnealConfig(seed=args.seed, restarts=args.restarts, steps=args.steps)
-    estimate = nonpositivity_roof_bounds(state, basis, cfg=cfg, positive_pure=positive)
-    return EXIT_OK, _roof_report(estimate, report)
+    # Looked up per call, so that a rebound module name is honoured.
+    bounds = (support_roof_bounds if args.command == "roof-support"
+              else nonpositivity_roof_bounds)
+    return EXIT_OK, _roof_report(bounds(state, basis, cfg=cfg, **extra), report)
 
 
 def _cmd_spin1(args, report):
@@ -343,8 +338,8 @@ _HANDLERS = {
     "enumerate": _cmd_enumerate,
     "hull": _cmd_hull,
     "facets": _cmd_facets,
-    "roof-support": _cmd_roof_support,
-    "roof-nonpos": _cmd_roof_nonpos,
+    "roof-support": _cmd_roof,
+    "roof-nonpos": _cmd_roof,
     "spin1": _cmd_spin1,
     "haar-study": _cmd_haar_study,
 }

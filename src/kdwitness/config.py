@@ -1,13 +1,16 @@
 """Central numerical tolerances.
 
-Keyword arguments override the base, feasibility, dedup, facet-active and
-facet-match defaults per call, and ``KD_DEFAULT_TOL`` overrides the base one
-globally; the margin factor, the rank, null-space, phase, weight and
-exactness cutoffs, the minor floor and count limit, the roof tolerances,
-the facet rank cutoffs, subset limit and side-test entry limit, the
-simplex pivot tolerance, Bland ratio-tie window and Farkas slack, the
-hull certificates' weight and functional thresholds, the eigendecomposition
-checks, and the basis cache size ``BASIS_CACHE_SIZE`` are fixed.
+Per call, keyword arguments override only the base tolerance as the ``eps``
+of the support counts, the incompatibility decision and the enumeration,
+the feasibility tolerance of a hull-membership query (``hull --tol``), and
+the enumeration's dedup tolerance; ``KD_DEFAULT_TOL`` overrides the base one
+globally. Everything else is fixed: the facet active and match tolerances,
+the margin factor, the rank, null-space, phase, weight and exactness
+cutoffs, the minor floor and count limit, the roof tolerances, the facet
+rank cutoffs, subset limit and side-test entry limit, the simplex pivot
+tolerance, Bland ratio-tie window and Farkas slack, the hull certificates'
+weight and functional thresholds, the eigendecomposition checks, and the
+basis cache size ``BASIS_CACHE_SIZE``.
 """
 
 import os

@@ -134,6 +134,19 @@ def _hull_lp(points, x, c, tol: float):
     return solve_equality_lp(a_matrix, b_vector, c=c, feas_tol=tol)
 
 
+def _check_inside(points, x, w, tol: float) -> None:
+    """Raise CertificateError unless ``w`` are convex weights of ``points`` giving ``x``."""
+    residual = float(np.linalg.norm(points.T @ w - x))
+    if residual > tol:
+        raise CertificateError(
+            f"inside certificate fails reconstruction: residual {residual:.3e}"
+        )
+    if w.min() < -config.INSIDE_WEIGHT_SLACK:
+        raise CertificateError(f"inside certificate has weight {w.min():.3e} < 0")
+    if abs(w.sum() - 1.0) > config.INSIDE_WEIGHT_SUM_TOL:
+        raise CertificateError(f"inside certificate weights sum to {w.sum()}")
+
+
 def membership_lp_points(
     target, generators, tol: float | None = None
 ) -> MembershipCertificate:
@@ -144,17 +157,8 @@ def membership_lp_points(
     result = _hull_lp(points, x, None, tol)
 
     if result.status == OPTIMAL:
-        w = result.x
-        residual = float(np.linalg.norm(points.T @ w - x))
-        if residual > tol:
-            raise CertificateError(
-                f"inside certificate fails reconstruction: residual {residual:.3e}"
-            )
-        if w.min() < -config.INSIDE_WEIGHT_SLACK:
-            raise CertificateError(f"inside certificate has weight {w.min():.3e} < 0")
-        if abs(w.sum() - 1.0) > config.INSIDE_WEIGHT_SUM_TOL:
-            raise CertificateError(f"inside certificate weights sum to {w.sum()}")
-        return MembershipCertificate(INSIDE, w, None, None, None, None, tol)
+        _check_inside(points, x, result.x, tol)
+        return MembershipCertificate(INSIDE, result.x, None, None, None, None, tol)
 
     assert result.status == INFEASIBLE
     y = result.farkas
@@ -214,11 +218,7 @@ class Facet:
     active: tuple[int, ...]
 
 
-def facet_enumeration_points(
-    points,
-    active_tol: float | None = None,
-    match_tol: float | None = None,
-) -> list[Facet]:
+def facet_enumeration_points(points) -> list[Facet]:
     """All bounding hyperplanes of the convex hull of a small point set.
 
     Works inside the affine hull of the points: candidate hyperplanes pass
@@ -244,8 +244,7 @@ def facet_enumeration_points(
     exceeds ``config.MAX_FACET_SUBSETS``, or when the side-test entries, n
     per subset, exceed ``config.MAX_FACET_SIDE_ENTRIES``.
     """
-    active_tol = config.FACET_ACTIVE_TOL if active_tol is None else active_tol
-    match_tol = config.FACET_MATCH_TOL if match_tol is None else match_tol
+    active_tol, match_tol = config.FACET_ACTIVE_TOL, config.FACET_MATCH_TOL
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
     centroid = pts.mean(axis=0)
@@ -395,39 +394,38 @@ def _prefilter(rows, anchors, hull_pts, limit):
     return normals, limit + reach * apart
 
 
-def facet_enumeration(generators, active_tol: float | None = None) -> list[Facet]:
+def facet_enumeration(generators) -> list[Facet]:
     """Facets of the hull of Hermitian generators, as Hermitian functionals."""
     d, points, _ = _embed(generators)
     return [
         replace(f, functional=real_to_hermitian(f.functional, d))
-        for f in facet_enumeration_points(points, active_tol=active_tol)
+        for f in facet_enumeration_points(points)
     ]
 
 
-def finite_convex_roof_points(
-    values, target, points, tol: float | None = None
-) -> tuple[float, np.ndarray]:
+def finite_convex_roof_points(values, target, points) -> tuple[float, np.ndarray]:
     """Smallest convex combination of generator values reproducing a target.
 
     This is the exact convex roof of the value assignment when the point
     set is the full extreme set of its hull. Raises OutsideHull when the
-    target is not a convex combination of the points.
+    target is not a convex combination of the points, and CertificateError
+    when the optimal weights fail the checks of an inside certificate.
     """
-    tol = config.FEASIBILITY_TOL if tol is None else tol
     pts = np.asarray(points, dtype=float)
+    x = np.asarray(target, dtype=float)
     vals = np.asarray(values, dtype=float)
     if vals.shape != (pts.shape[0],):
         raise ValidationError("one value per generator is required")
-    result = _hull_lp(pts, np.asarray(target, dtype=float), vals, tol)
+    result = _hull_lp(pts, x, vals, config.FEASIBILITY_TOL)
     if result.status == INFEASIBLE:
         raise OutsideHull("target is outside the convex hull of the generators")
     if result.status != OPTIMAL:
         raise CertificateError(f"unexpected LP status {result.status}")
+    _check_inside(pts, x, result.x, config.FEASIBILITY_TOL)
     return float(result.objective), result.x
 
 
-def finite_convex_roof(values, target, generators, tol: float | None = None) -> float:
+def finite_convex_roof(values, target, generators) -> float:
     """Hermitian wrapper around :func:`finite_convex_roof_points`."""
     _, points, x = _embed(generators, target)
-    value, _ = finite_convex_roof_points(values, x, points, tol=tol)
-    return value
+    return finite_convex_roof_points(values, x, points)[0]

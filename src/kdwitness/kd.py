@@ -27,9 +27,9 @@ class KDTable:
     b_marginals: np.ndarray
     total: complex
 
-    def validate(self, tol: float | None = None) -> None:
+    def validate(self) -> None:
         """Check the marginal identities the table must satisfy."""
-        tol = config.default_tol() if tol is None else tol
+        tol = config.default_tol()
         row = self.table.sum(axis=1)
         col = self.table.sum(axis=0)
         if np.max(np.abs(row.imag)) > tol or np.max(np.abs(col.imag)) > tol:
@@ -74,16 +74,14 @@ def _entries(table) -> np.ndarray:
     return table.table if isinstance(table, KDTable) else as_complex(table, "table")
 
 
-def is_kd_positive(table, tol: float | None = None) -> bool:
-    """True when every entry is real and nonnegative within ``tol``."""
-    tol = config.default_tol() if tol is None else tol
-    return bool(kd_positive_each(_entries(table)[np.newaxis], tol)[0])
+def is_kd_positive(table) -> bool:
+    """True when every entry is real and nonnegative within the base tolerance."""
+    return bool(kd_positive_each(_entries(table)[np.newaxis])[0])
 
 
-def kd_positive_each(tables: np.ndarray, tol: float) -> np.ndarray:
+def kd_positive_each(tables: np.ndarray) -> np.ndarray:
     """:func:`is_kd_positive` of every table in a stack along the first axis."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    tol = config.default_tol()
     entry_axes = tuple(range(1, tables.ndim))
     return np.all(np.abs(tables.imag) <= tol, axis=entry_axes) & np.all(
         tables.real >= -tol, axis=entry_axes

@@ -54,20 +54,20 @@ class EigenDecomposition:
         return (v * self.eigenvalues) @ dagger(v)
 
 
-def hermitian_eig(matrix, tol: float = 1e-9) -> EigenDecomposition:
+def hermitian_eig(matrix) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
     Raises NotHermitian when the symmetry defect exceeds
-    ``tol * (1 + ||H||_F)`` and NoConvergence if the underlying solver fails.
-    Eigenvalues are returned in descending order.
+    ``config.BASE_TOL * (1 + ||H||_F)`` and NoConvergence if the underlying
+    solver fails. Eigenvalues are returned in descending order.
     """
     h = as_complex(matrix, "matrix")
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {h.shape}")
     scale = 1.0 + frobenius(h)
-    if frobenius(h - dagger(h)) > tol * scale:
+    if frobenius(h - dagger(h)) > config.BASE_TOL * scale:
         raise NotHermitian(
-            f"matrix is not Hermitian within {tol:g} relative tolerance"
+            f"matrix is not Hermitian within {config.BASE_TOL:g} relative tolerance"
         )
     sym = (h + dagger(h)) / 2.0
     try:

@@ -56,18 +56,18 @@ class PureStateList:
         return self.states.shape[0]
 
 
-def canonical_phase(psi, zero_tol: float = config.PHASE_ZERO_TOL) -> np.ndarray:
+def canonical_phase(psi) -> np.ndarray:
     """Rotate the global phase so the first nonzero amplitude is real positive.
 
     Accepts one state or a stack of states along the last axis; a state with
-    no amplitude above ``zero_tol`` is returned unchanged.
+    no amplitude above ``config.PHASE_ZERO_TOL`` is returned unchanged.
     """
     psi = np.asarray(psi, dtype=complex)
-    first = np.argmax(np.abs(psi) > zero_tol, axis=-1)[..., np.newaxis]
+    first = np.argmax(np.abs(psi) > config.PHASE_ZERO_TOL, axis=-1)[..., np.newaxis]
     amp = np.take_along_axis(psi, first, axis=-1)
     magnitude = np.abs(amp)
-    # With no amplitude above zero_tol, argmax picks one at or below it.
-    found = magnitude > zero_tol
+    # With no amplitude above the cutoff, argmax picks one at or below it.
+    found = magnitude > config.PHASE_ZERO_TOL
     return psi * np.where(found, amp.conj() / np.where(found, magnitude, 1.0), 1.0)
 
 
@@ -191,17 +191,17 @@ def minimal_states(pair: BasisPair, eps: float, dedup_tol: float) -> PureStateLi
     return result
 
 
-def kd_positive_states(
-    pair: BasisPair, eps: float, dedup_tol: float, tol: float
-) -> PureStateList:
-    """The KD-positive ones of :func:`minimal_states`, filtered once per ``tol``.
+def kd_positive_states(pair: BasisPair) -> PureStateList:
+    """The KD-positive ones of :func:`minimal_states` at the default tolerances.
 
-    Checks and warns on every call as :func:`minimal_states` does.
+    Filtered once per base tolerance; checks and warns on every call as
+    :func:`minimal_states` does.
     """
-    minimal = minimal_states(pair, eps, dedup_tol)
+    tol = config.default_tol()
+    minimal = minimal_states(pair, tol, config.STATE_DEDUP_TOL)
     return pair.part(
-        ("kd_positive", eps, dedup_tol, tol),
-        lambda: _read_only_states(filter_kd_positive_pure(minimal, pair.transition, tol)),
+        ("kd_positive", tol),
+        lambda: _read_only_states(filter_kd_positive_pure(minimal, pair.transition)),
     )
 
 
@@ -255,11 +255,8 @@ def _solve_patterns(u: np.ndarray, eps: float, dedup_tol: float) -> PureStateLis
     )
 
 
-def filter_kd_positive_pure(
-    state_list: PureStateList, transition, tol: float | None = None
-) -> PureStateList:
+def filter_kd_positive_pure(state_list: PureStateList, transition) -> PureStateList:
     """Keep the states whose quasiprobability table is entrywise positive."""
-    tol = config.default_tol() if tol is None else tol
     u = as_complex(transition, "transition matrix")
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatch(f"transition matrix must be square, got {u.shape}")
@@ -270,7 +267,7 @@ def filter_kd_positive_pure(
         )
     # A pure state's table entry (i, j) is conj(U_ij) psi_i (psi^dagger U)_j.
     tables = np.conj(u) * states[:, :, np.newaxis] * (states.conj() @ u)[:, np.newaxis, :]
-    keep = np.flatnonzero(kd_positive_each(tables, tol))
+    keep = np.flatnonzero(kd_positive_each(tables))
     return PureStateList(
         states=states[keep],
         patterns=tuple(state_list.patterns[k] for k in keep),

@@ -66,51 +66,38 @@ class Decomposition:
     def density(self) -> np.ndarray:
         return (self.states.T * self.weights) @ self.states.conj()
 
-    def validate(self, rho=None, tol: float = config.RECONSTRUCTION_TOL) -> None:
+    def validate(self, rho) -> None:
         if abs(self.weights.sum() - 1.0) > config.WEIGHT_SUM_TOL:
             raise CertificateError(f"weights sum to {self.weights.sum()}")
         if self.weights.min() < 0.0:
             raise CertificateError(f"negative weight {self.weights.min():.3e}")
-        if rho is not None and frobenius(self.density() - np.asarray(rho)) > tol:
+        if frobenius(self.density() - np.asarray(rho)) > config.RECONSTRUCTION_TOL:
             raise CertificateError("decomposition does not reproduce the state")
 
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    """Annealing parameters for the decomposition search.
+    """Size and seed of the decomposition search.
 
-    ``n_terms`` defaults to the square of the rank, which suffices for
-    roof-achieving decompositions of continuous objectives. Runs are
-    deterministic given ``seed``: restart k draws from its own stream,
-    seeded ``seed + k``, and the restarts run in lock step, so each one
-    takes the same moves and reaches the same value as when run alone.
+    These are the values the ``roof-*`` commands take from ``--restarts``,
+    ``--steps`` and ``--seed``; the schedule itself is fixed (``T_START``,
+    ``T_END``, ``PROPOSAL_SCALE``, ``SPARSIFY_PROB``), and a rank-r state is
+    decomposed into r * r members, which suffices for roof-achieving
+    decompositions of continuous objectives. Runs are deterministic given
+    ``seed``: restart k draws from its own stream, seeded ``seed + k``, and
+    the restarts run in lock step, so each one takes the same moves and
+    reaches the same value as when run alone.
     """
 
-    n_terms: int | None = None
     restarts: int = 40
     steps: int = 2000
     seed: int = 0
-    t_start: float = 1.0
-    t_end: float = 1e-4
-    proposal_scale: float = 0.1
-    sparsify_prob: float = 0.35
 
     def __post_init__(self):
-        problems = [
-            (self.restarts < 1, f"restarts must be at least 1, got {self.restarts}"),
-            (self.steps < 0, f"steps must be nonnegative, got {self.steps}"),
-            (self.n_terms is not None and self.n_terms < 1,
-             f"n_terms must be at least 1, got {self.n_terms}"),
-            (not (self.t_start > 0.0 and self.t_end > 0.0),
-             f"t_start and t_end must be positive, got {self.t_start} and {self.t_end}"),
-            (not self.proposal_scale >= 0.0,
-             f"proposal_scale must be nonnegative, got {self.proposal_scale}"),
-            (not 0.0 <= self.sparsify_prob <= 1.0,
-             f"sparsify_prob must lie in [0, 1], got {self.sparsify_prob}"),
-        ]
-        for bad, message in problems:
-            if bad:
-                raise ValidationError(message)
+        if self.restarts < 1:
+            raise ValidationError(f"restarts must be at least 1, got {self.restarts}")
+        if self.steps < 0:
+            raise ValidationError(f"steps must be nonnegative, got {self.steps}")
 
 
 @dataclass(frozen=True)
@@ -187,9 +174,9 @@ def _members(eig: EigenDecomposition, rank: int, v: np.ndarray):
     return raw, weights, weights > config.WEIGHT_CUTOFF
 
 
-def support_values_fn(transition, eps: float | None = None):
+def support_values_fn(transition):
     """Batched support-uncertainty objective for decomposition members."""
-    eps = config.default_tol() if eps is None else eps
+    eps = config.default_tol()
     u_conj = np.conj(as_complex(transition, "transition matrix"))
 
     def values(states: np.ndarray) -> np.ndarray:
@@ -263,6 +250,16 @@ def _sparsify(v: np.ndarray, members: np.ndarray, pinned: np.ndarray) -> np.ndar
     return out
 
 
+# The annealing schedule: temperatures fall geometrically from T_START to
+# T_END over the steps, a Gaussian move has scale PROPOSAL_SCALE times the
+# root of the temperature, and when anchors are given each move pins a member
+# to one of them with probability SPARSIFY_PROB.
+T_START = 1.0
+T_END = 1e-4
+PROPOSAL_SCALE = 0.1
+SPARSIFY_PROB = 0.35
+
+
 def roof_upper_bound(
     rho,
     values_fn,
@@ -293,11 +290,8 @@ def roof_upper_bound(
         value = float(values_fn(dec.states)[0])
         return RoofSearchResult(value, dec, (value,))
 
-    n = cfg.n_terms if cfg.n_terms is not None else rank * rank
-    if n < rank:
-        raise ValidationError(f"n_terms={n} is below the rank {rank}")
-    anchor_set = _AnchorSet(anchors, eig, rank) if anchors is not None else None
-    use_anchors = anchor_set is not None and anchor_set.count > 0 and n > rank
+    n = rank * rank
+    anchor_set = _AnchorSet(() if anchors is None else anchors, eig, rank)
 
     def score(v: np.ndarray) -> np.ndarray:
         raw, weights, keep = _members(eig, rank, v)
@@ -312,7 +306,7 @@ def roof_upper_bound(
                 scores[k] = weights[k][keep[k]] @ values[k][keep[k]]
         return scores
 
-    temps = cfg.t_start * (cfg.t_end / cfg.t_start) ** (
+    temps = T_START * (T_END / T_START) ** (
         np.arange(cfg.steps) / max(1, cfg.steps - 1)
     )
     rngs = [np.random.default_rng(cfg.seed + k) for k in range(cfg.restarts)]
@@ -330,7 +324,7 @@ def roof_upper_bound(
         hops = []
         for k, rng in enumerate(rngs):
             # random() returns what uniform() returns, from one draw.
-            if use_anchors and rng.random() < cfg.sparsify_prob:
+            if anchor_set.count and rng.random() < SPARSIFY_PROB:
                 member = int(rng.integers(n))
                 which = int(rng.integers(anchor_set.count))
                 t = float(rng.uniform(0.3, 1.0)) * anchor_set.t_max[which]
@@ -345,7 +339,7 @@ def roof_upper_bound(
             pinned = np.sqrt(t)[:, None] * anchor_set.rows[which]
             proposal[hopped] = _sparsify(v[hopped], members, pinned)
         if len(hops) < cfg.restarts:
-            sigma = cfg.proposal_scale * math.sqrt(temp)
+            sigma = PROPOSAL_SCALE * math.sqrt(temp)
             drawn = noise[moved]
             gaussian = (drawn[:, 0] + 1j * drawn[:, 1]) / np.sqrt(2.0)
             proposal[moved] = _polar(v[moved] + sigma * gaussian)
@@ -390,7 +384,6 @@ def _roof_bounds(
     inside_certificate: str,
     strict: bool,
     cfg: AnnealConfig | None,
-    tol: float | None,
 ) -> RoofEstimate:
     """Bounds shared by both roofs, given what differs between them.
 
@@ -406,7 +399,7 @@ def _roof_bounds(
     rank = int(np.count_nonzero(eig.eigenvalues > config.RANK_CUTOFF))
     anchors, points, provenance = anchor_source() if rank > 1 else (None, None, None)
     if anchors is not None and len(anchors) > 0:
-        outcome = membership_lp_points(hermitian_to_real(rho_m), points, tol=tol)
+        outcome = membership_lp_points(hermitian_to_real(rho_m), points)
         cert = hermitian_certificate(outcome, rho_m.shape[0])
     else:
         anchors = provenance = cert = None
@@ -459,13 +452,7 @@ def _cached_points(pair: BasisPair, key, states: np.ndarray) -> np.ndarray:
     return pair.part(key, lambda: read_only(_projector_points(states)))
 
 
-def support_roof_bounds(
-    rho,
-    transition,
-    cfg: AnnealConfig | None = None,
-    eps: float | None = None,
-    tol: float | None = None,
-) -> RoofEstimate:
+def support_roof_bounds(rho, transition, cfg: AnnealConfig | None = None) -> RoofEstimate:
     """Bounds on the convex roof of the support uncertainty.
 
     Requires a completely incompatible basis pair (dimension at most six),
@@ -474,7 +461,7 @@ def support_roof_bounds(
     inside gives the exact value d+1, exclusion certifies the roof strictly
     above d+1, and the annealed upper bound quantifies the excess.
     """
-    eps = config.default_tol() if eps is None else eps
+    eps = config.default_tol()
     u = as_complex(transition, "transition matrix")
     rho_m = as_complex(rho, "state")
     base = float(support_counts_mixed(rho_m, u, eps=eps).n_ab)
@@ -482,13 +469,12 @@ def support_roof_bounds(
     def anchor_source():
         pair = BasisPair.of(u)
         minimal = minimal_states(pair, eps, config.STATE_DEDUP_TOL)
-        key = ("minimal points", eps, config.STATE_DEDUP_TOL)
-        return minimal.states, _cached_points(pair, key, minimal.states), "derived"
+        points = _cached_points(pair, ("minimal points", eps), minimal.states)
+        return minimal.states, points, "derived"
 
     return _roof_bounds(
-        SUPPORT_OBJECTIVE, rho_m, support_values_fn(u, eps=eps), base, anchor_source,
-        floor=float(u.shape[0] + 1), inside_certificate=CERT_FLOOR, strict=True,
-        cfg=cfg, tol=tol,
+        SUPPORT_OBJECTIVE, rho_m, support_values_fn(u), base, anchor_source,
+        floor=float(u.shape[0] + 1), inside_certificate=CERT_FLOOR, strict=True, cfg=cfg,
     )
 
 
@@ -497,7 +483,6 @@ def nonpositivity_roof_bounds(
     transition,
     cfg: AnnealConfig | None = None,
     positive_pure=None,
-    tol: float | None = None,
 ) -> RoofEstimate:
     """Bounds on the convex roof of the total nonpositivity.
 
@@ -522,16 +507,15 @@ def nonpositivity_roof_bounds(
             anchors = np.asarray(positive_pure, dtype=complex)
             return anchors, _projector_points(anchors), "supplied"
         pair = BasisPair.of(u)
-        tol_kd = config.default_tol()
         try:
-            positive = kd_positive_states(pair, tol_kd, config.STATE_DEDUP_TOL, tol_kd)
+            positive = kd_positive_states(pair)
         except (NotCompletelyIncompatible, DimensionTooLarge):
             return None, None, None
-        key = ("kd_positive points", tol_kd, config.STATE_DEDUP_TOL, tol_kd)
+        key = ("kd_positive points", config.default_tol())
         return positive.states, _cached_points(pair, key, positive.states), "derived"
 
     return _roof_bounds(
         NONPOSITIVITY_OBJECTIVE, rho_m, nonpositivity_values_fn(u), base, anchor_source,
         floor=1.0, inside_certificate=CERT_HULL,
-        strict=base <= 1.0 + config.NONPOSITIVITY_STRICT_SLACK, cfg=cfg, tol=tol,
+        strict=base <= 1.0 + config.NONPOSITIVITY_STRICT_SLACK, cfg=cfg,
     )

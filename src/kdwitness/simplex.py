@@ -14,12 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BLAND_TIE_TOL, FARKAS_SLACK_TOL, PIVOT_TOL
+from .config import BLAND_TIE_TOL, FARKAS_SLACK_TOL, FEASIBILITY_TOL, PIVOT_TOL
 from .errors import CertificateError, SolverStall
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+# Each phase raises SolverStall after this many pivots.
+MAX_ITERATIONS = 50_000
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,8 @@ def _pivot(tableau: np.ndarray, cost_row: np.ndarray, row: int, col: int,
 
 
 def _iterate(tableau: np.ndarray, cost_row: np.ndarray, basis: list[int],
-             n_cols: int, max_iters: int) -> tuple[str, int]:
-    for iteration in range(max_iters):
+             n_cols: int) -> tuple[str, int]:
+    for iteration in range(MAX_ITERATIONS):
         col = _enter_bland(cost_row, n_cols)
         if col < 0:
             return OPTIMAL, iteration
@@ -79,16 +82,10 @@ def _iterate(tableau: np.ndarray, cost_row: np.ndarray, basis: list[int],
         if row < 0:
             return UNBOUNDED, iteration
         _pivot(tableau, cost_row, row, col, basis)
-    raise SolverStall(f"simplex did not terminate within {max_iters} iterations")
+    raise SolverStall(f"simplex did not terminate within {MAX_ITERATIONS} iterations")
 
 
-def solve_equality_lp(
-    A,
-    b,
-    c=None,
-    feas_tol: float = 1e-8,
-    max_iters: int = 50_000,
-) -> LPResult:
+def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL) -> LPResult:
     """Two-phase simplex on ``min c@x : A@x = b, x >= 0``.
 
     With ``c=None`` only feasibility is decided (phase one). On
@@ -109,7 +106,7 @@ def solve_equality_lp(
     cost_row = -tableau[:, :-1].sum(axis=0)
     cost_row[n:] += 1.0
 
-    status, iters = _iterate(tableau, cost_row, basis, n + m, max_iters)
+    status, iters = _iterate(tableau, cost_row, basis, n + m)
     if status == UNBOUNDED:
         raise CertificateError("phase one of the simplex reported unbounded")
     artificial_mass = sum(
@@ -157,7 +154,7 @@ def solve_equality_lp(
         cost_row = costs.copy()
         for i, jb in enumerate(basis):
             cost_row -= cost_row[jb] * tableau[i, :-1]
-        status, iters2 = _iterate(tableau, cost_row, basis, n, max_iters)
+        status, iters2 = _iterate(tableau, cost_row, basis, n)
         total_iters += iters2
         if status == UNBOUNDED:
             return LPResult(UNBOUNDED, None, None, None, 0.0, total_iters)

@@ -150,15 +150,15 @@ def _match_sets(found: np.ndarray, reference: np.ndarray, tol: float) -> float:
     return worst
 
 
-def run_spin1_checks(anneal: AnnealConfig | None = None) -> Spin1Report:
+def run_spin1_checks() -> Spin1Report:
     """Execute and score every quantitative claim about the spin-1 system.
 
-    Failures become report entries rather than exceptions. The annealing
-    configuration only affects the roof upper bounds; the default is a
-    light configuration so the whole run stays fast.
+    Failures become report entries rather than exceptions. The roof upper
+    bounds anneal at 6 restarts x 400 steps, light enough that the whole
+    run stays fast.
     """
     start = time.perf_counter()
-    anneal = anneal or AnnealConfig(restarts=6, steps=400, seed=0)
+    anneal = AnnealConfig(restarts=6, steps=400, seed=0)
     u = SPIN1.transition
     w = SPIN1.witness
     checks: list[CheckResult] = []
@@ -194,15 +194,14 @@ def run_spin1_checks(anneal: AnnealConfig | None = None) -> Spin1Report:
 
     # The roofs below reuse this enumeration and its KD-positive subset.
     pair = BasisPair.of(u)
-    base_tol = config.default_tol()
-    minimal = minimal_states(pair, base_tol, config.STATE_DEDUP_TOL)
+    minimal = minimal_states(pair, config.default_tol(), config.STATE_DEDUP_TOL)
     record("minimal_state_count", len(minimal) == 15, 15, len(minimal), 0.0,
            "exactly fifteen pure states have minimal support uncertainty")
     worst = _match_sets(minimal.states, SPIN1.min_uncertainty_states, 1e-8)
     record("minimal_states_match", worst <= 1e-8, "<= 1e-8", worst, 1e-8,
            "the enumerated states match the fixture list up to global phase")
 
-    positive = kd_positive_states(pair, base_tol, config.STATE_DEDUP_TOL, base_tol)
+    positive = kd_positive_states(pair)
     record("positive_state_count", len(positive) == 9, 9, len(positive), 0.0,
            "exactly nine of the fifteen states are KD positive")
     worst_pos = _match_sets(positive.states, SPIN1.positive_states, 1e-8)

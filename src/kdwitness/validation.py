@@ -14,27 +14,25 @@ def _square(matrix, name: str) -> np.ndarray:
     return m
 
 
-def validate_unitary(matrix, tol: float | None = None) -> np.ndarray:
-    tol = config.default_tol() if tol is None else tol
+def validate_unitary(matrix) -> np.ndarray:
     u = _square(matrix, "unitary")
     defect = frobenius(dagger(u) @ u - np.eye(u.shape[0]))
-    if defect > tol:
+    if defect > config.default_tol():
         raise ValidationError(f"matrix is not unitary: ||U^H U - I||_F = {defect:.3e}")
     return u
 
 
-def validate_hermitian(matrix, tol: float | None = None) -> np.ndarray:
-    tol = config.default_tol() if tol is None else tol
+def validate_hermitian(matrix) -> np.ndarray:
     h = _square(matrix, "hermitian")
     scale = 1.0 + frobenius(h)
-    if frobenius(h - dagger(h)) > tol * scale:
+    if frobenius(h - dagger(h)) > config.default_tol() * scale:
         raise NotHermitian("matrix is not Hermitian within tolerance")
     return h
 
 
-def validate_density(matrix, tol: float | None = None) -> np.ndarray:
-    tol = config.default_tol() if tol is None else tol
-    rho = validate_hermitian(matrix, tol)
+def validate_density(matrix) -> np.ndarray:
+    tol = config.default_tol()
+    rho = validate_hermitian(matrix)
     trace = np.trace(rho).real
     if abs(trace - 1.0) > tol:
         raise ValidationError(f"density matrix trace {trace} is not 1")
@@ -44,12 +42,11 @@ def validate_density(matrix, tol: float | None = None) -> np.ndarray:
     return rho
 
 
-def validate_pure_state(vector, tol: float | None = None) -> np.ndarray:
-    tol = config.default_tol() if tol is None else tol
+def validate_pure_state(vector) -> np.ndarray:
     psi = as_complex(vector, "pure state")
     if psi.ndim != 1:
         raise ValidationError(f"pure state must be a vector, got shape {psi.shape}")
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > config.default_tol():
         raise ValidationError(f"pure state norm {norm} is not 1")
     return psi

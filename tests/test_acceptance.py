@@ -189,7 +189,7 @@ def test_criterion_6_witness_laws_on_random_pairs():
             ok &= dev <= 1e-9
             n = total_nonpositivity(table)
             ok &= n >= 1.0 - 1e-9
-            ok &= is_kd_positive(table, tol=1e-9) == (n <= 1.0 + 2e-9)
+            ok &= is_kd_positive(table) == (n <= 1.0 + 2e-9)
             checked += 1
         # Positive direction of the equivalence plus convexity spot checks.
         for k in range(100):
@@ -198,7 +198,7 @@ def test_criterion_6_witness_laws_on_random_pairs():
             rho_pos = (u * w_mix) @ u.conj().T
             t_pos = kd_table(rho_pos, u)
             n_pos = total_nonpositivity(t_pos)
-            ok &= is_kd_positive(t_pos, tol=1e-9) and n_pos <= 1.0 + 2e-9
+            ok &= is_kd_positive(t_pos) and n_pos <= 1.0 + 2e-9
             rho1 = random_density(d, rng)
             rho2 = random_density(d, rng)
             t = float(rng.uniform())

@@ -41,8 +41,8 @@ def test_cached_arrays_are_read_only():
     u = haar_unitary(4, 3)
     minimal = enumerate_min_uncertainty_states(u)
     assert enumerate_min_uncertainty_states(u) is minimal
-    pair, tol = BasisPair.of(u), config.default_tol()
-    positive = kd_positive_states(pair, tol, config.STATE_DEDUP_TOL, tol)
+    pair = BasisPair.of(u)
+    positive = kd_positive_states(pair)
     rho = _inside_mixture(positive.states)
     assert support_roof_bounds(rho, u).exact and nonpositivity_roof_bounds(rho, u).exact
     assert not pair.transition.flags.writeable
@@ -124,10 +124,13 @@ def test_each_tolerance_still_changes_the_answer(monkeypatch):
     v = haar_unitary(4, 7)
     assert len(enumerate_min_uncertainty_states(v)) == 56
     assert len(enumerate_min_uncertainty_states(v, dedup_tol=0.5)) < 56
-    pair, tol = BasisPair.of(v), config.default_tol()
-    strict = kd_positive_states(pair, tol, config.STATE_DEDUP_TOL, tol)
-    loose = kd_positive_states(pair, tol, config.STATE_DEDUP_TOL, 2.0)
-    assert len(strict) < len(loose) == 56
+    pair = BasisPair.of(v)
+    strict = kd_positive_states(pair)
+    # The positivity tolerance is the base one, set here through the environment.
+    monkeypatch.setenv("KD_DEFAULT_TOL", "3e-2")
+    loose = kd_positive_states(pair)
+    assert len(enumerate_min_uncertainty_states(v)) == 56
+    assert len(strict) < len(loose) < 56
 
 
 def test_cache_stays_within_its_size():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 
@@ -6,6 +7,7 @@ import pytest
 
 from kdwitness import (
     SPIN1,
+    CertificateError,
     DimensionTooLarge,
     OutsideHull,
     ValidationError,
@@ -16,6 +18,7 @@ from kdwitness import (
     real_to_hermitian,
     rho_lambda,
 )
+from kdwitness import geometry
 from kdwitness.geometry import (
     FACET_BLOCK,
     Facet,
@@ -397,6 +400,36 @@ def test_mixed_dimension_generators_are_a_validation_error(spin1_projectors):
 def test_finite_convex_roof_outside_raises(spin1_projectors):
     with pytest.raises(OutsideHull):
         finite_convex_roof(np.ones(15), rho_lambda(0.5), spin1_projectors)
+
+
+# Each tampering of the optimal weights [0.5, 0, 0, 0.5] of the square's centre
+# fails one inside-certificate check: the first moves the reconstruction, the
+# second keeps it and the sum but goes negative (the four corners have one
+# affine dependency), the third keeps the reconstruction (the first corner is
+# the origin) but not the sum.
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda w: 3.27 * w, "residual"),
+        (lambda w: w + 2.0 * np.array([1.0, -1.0, -1.0, 1.0]), "weight"),
+        (lambda w: w + np.array([0.5, 0.0, 0.0, 0.0]), "sum to"),
+    ],
+    ids=["residual", "negative", "sum"],
+)
+def test_finite_convex_roof_rechecks_its_weights(monkeypatch, tamper, message):
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    args = ([0.0, 1.0, 1.0, 1.0], np.array([0.5, 0.5]), points)
+    value, weights = finite_convex_roof_points(*args)
+    assert value == 0.5 and weights.tolist() == [0.5, 0.0, 0.0, 0.5]
+    solve = geometry.solve_equality_lp
+
+    def tampered(*a, **k):
+        res = solve(*a, **k)
+        return replace(res, x=tamper(res.x))
+
+    monkeypatch.setattr(geometry, "solve_equality_lp", tampered)
+    with pytest.raises(CertificateError, match=message):
+        finite_convex_roof_points(*args)
 
 
 def _half_circle_model(n=64):

@@ -93,7 +93,7 @@ def test_faithfulness_on_random_states():
         table = kd_table(rho, u)
         n = total_nonpositivity(table)
         assert n >= 1.0 - 1e-9
-        assert is_kd_positive(table, tol=1e-9) == (n <= 1.0 + 2e-9)
+        assert is_kd_positive(table) == (n <= 1.0 + 2e-9)
 
 
 def test_faithfulness_on_constructed_positive_states():
@@ -107,7 +107,7 @@ def test_faithfulness_on_constructed_positive_states():
         rho = t * np.diag(w_a).astype(complex)
         rho += (1 - t) * (u * w_b) @ u.conj().T
         table = kd_table(rho, u)
-        assert is_kd_positive(table, tol=1e-9)
+        assert is_kd_positive(table)
         assert total_nonpositivity(table) == pytest.approx(1.0, abs=2e-9)
 
 

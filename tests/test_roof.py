@@ -80,9 +80,8 @@ def _reference_roof_upper_bound(rho, values_fn, cfg, anchors=None):
         weights, states = _reference_decomposition(eig, v)
         return float(weights @ values_fn(states)), (weights, states)
 
-    n = cfg.n_terms if cfg.n_terms is not None else rank * rank
-    use_anchors = len(rows) > 0 and n > rank
-    temps = cfg.t_start * (cfg.t_end / cfg.t_start) ** (
+    n = rank * rank
+    temps = roof.T_START * (roof.T_END / roof.T_START) ** (
         np.arange(cfg.steps) / max(1, cfg.steps - 1)
     )
     best_value, best_dec, restart_values = math.inf, None, []
@@ -96,13 +95,13 @@ def _reference_roof_upper_bound(rho, values_fn, cfg, anchors=None):
         value, dec = evaluate(v)
         local_best, local_dec = value, dec
         for temp in temps:
-            if use_anchors and rng.uniform() < cfg.sparsify_prob:
+            if rows and rng.uniform() < roof.SPARSIFY_PROB:
                 member = int(rng.integers(n))
                 which = int(rng.integers(len(rows)))
                 t = float(rng.uniform(0.3, 1.0)) * t_max[which]
                 proposal = _reference_sparsify(v, member, rows[which], t)
             else:
-                sigma = cfg.proposal_scale * math.sqrt(temp)
+                sigma = roof.PROPOSAL_SCALE * math.sqrt(temp)
                 proposal = _reference_polar(v + sigma * complex_gaussian(v.shape, rng))
             new_value, new_dec = evaluate(proposal)
             delta = new_value - value
@@ -163,14 +162,7 @@ def test_lock_step_matches_reference_without_anchors(rank, objective):
 
 
 @pytest.mark.parametrize(
-    "cfg",
-    [
-        AnnealConfig(n_terms=3, restarts=3, steps=150, seed=1),
-        AnnealConfig(restarts=1, steps=200, seed=4),
-        AnnealConfig(restarts=3, steps=150, seed=6, sparsify_prob=0.0),
-        AnnealConfig(restarts=3, steps=150, seed=6, sparsify_prob=1.0),
-    ],
-    ids=["n_terms_equals_rank", "one_restart", "no_anchor_moves", "only_anchor_moves"],
+    "cfg", [AnnealConfig(restarts=1, steps=200, seed=4)], ids=["one_restart"]
 )
 def test_lock_step_matches_reference_on_edge_configs(cfg):
     _assert_matches_reference(
@@ -186,12 +178,6 @@ def test_lock_step_matches_reference_on_edge_configs(cfg):
     [
         ("restarts", 0),
         ("steps", -1),
-        ("n_terms", 0),
-        ("t_start", 0.0),
-        ("t_end", -1e-4),
-        ("proposal_scale", -0.1),
-        ("sparsify_prob", -0.1),
-        ("sparsify_prob", 1.5),
     ],
 )
 def test_anneal_config_rejects_bad_values(field, value):
@@ -200,8 +186,7 @@ def test_anneal_config_rejects_bad_values(field, value):
 
 
 def test_anneal_config_accepts_boundary_values():
-    assert AnnealConfig(n_terms=1).n_terms == 1
-    cfg = AnnealConfig(restarts=1, steps=0, proposal_scale=0.0, sparsify_prob=1.0)
+    cfg = AnnealConfig(restarts=1, steps=0)
     res = roof_upper_bound(rho_lambda(0.5), nonpositivity_values_fn(SPIN1.transition), cfg)
     assert res.restart_values == (res.value,)
 

@@ -75,7 +75,7 @@ def test_dimension_two_has_only_basis_states():
         batch = rng.standard_normal((500, 2)) + 1j * rng.standard_normal((500, 2))
         batch /= np.linalg.norm(batch, axis=1)[:, None]
         for psi in batch:
-            if is_kd_positive(kd_table(psi, u), tol=1e-9):
+            if is_kd_positive(kd_table(psi, u)):
                 assert min(
                     phase_invariant_distance(psi, ref) for ref in reference
                 ) <= 1e-6
