@@ -216,16 +216,14 @@ def _cmd_enumerate(args, report):
     ]
 
 
+def _fields_dict(obj, renamed: dict, skipped=()) -> dict:
+    """The fields of a dataclass by name, some under another key, some left out."""
+    return {renamed.get(f.name, f.name): getattr(obj, f.name)
+            for f in dataclasses.fields(obj) if f.name not in skipped}
+
+
 def _certificate_dict(cert):
-    return {
-        "verdict": cert.verdict,
-        "weights": cert.weights,
-        "functional": cert.functional,
-        "threshold": cert.threshold,
-        "margin": cert.margin,
-        "normalization": cert.normalization,
-        "tolerance": cert.tol,
-    }
+    return _fields_dict(cert, {"tol": "tolerance"})
 
 
 def _cmd_hull(args, report):
@@ -256,21 +254,11 @@ def _cmd_facets(args, report):
 
 
 def _roof_report(estimate, report):
-    report["results"] = {
-        "objective": estimate.objective,
-        "base_value": estimate.base_value,
-        "lower_bound": estimate.lower_bound,
-        "lower_certificate": estimate.lower_certificate,
-        "lower_strict": estimate.lower_strict,
-        "upper_bound": estimate.upper_bound,
-        "exact": estimate.exact,
-        "generator_provenance": estimate.generator_provenance,
-        "restart_values": estimate.restart_values,
-    }
+    report["results"] = _fields_dict(
+        estimate, {"upper_decomposition": "decomposition"}, skipped=("membership",)
+    )
     if estimate.membership is not None:
         report["certificates"] = {"membership": _certificate_dict(estimate.membership)}
-    if estimate.upper_decomposition is not None:
-        report["results"]["decomposition"] = estimate.upper_decomposition
     relation = ">" if estimate.lower_strict else ">="
     lines = [
         f"objective: {estimate.objective}",

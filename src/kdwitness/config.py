@@ -1,9 +1,9 @@
 """Central numerical tolerances.
 
 Per call, keyword arguments override only the base tolerance as the ``eps``
-of the support counts, the incompatibility decision and the enumeration,
-the feasibility tolerance of a hull-membership query (``hull --tol``), and
-the enumeration's dedup tolerance; ``KD_DEFAULT_TOL`` overrides the base one
+of the support counts and the incompatibility decision, the feasibility
+tolerance of a hull-membership query (``hull --tol``), and the
+enumeration's dedup tolerance; ``KD_DEFAULT_TOL`` overrides the base one
 globally. Everything else is fixed: the facet active and match tolerances,
 the margin factor, the rank, null-space, phase, weight and exactness
 cutoffs, the minor floor and count limit, the roof tolerances, the facet
@@ -36,10 +36,10 @@ MINOR_EPS_FLOOR_PER_DIM = 10.0 * sys.float_info.epsilon
 # d = 8 count, about 16 ms on a 2-vCPU Xeon VM.
 MAX_MINORS = 12_869
 
-# The per-basis work of this many transition matrices (the minor search,
-# the minimal states, their KD-positive subsets and embedded projectors) is
-# kept for reuse; the least recently used matrix is dropped first. Cached
-# parts stay resident, and at d = 6 they take about 0.3 MB per matrix.
+# Each per-basis cache (the minor search, and the enumeration's pattern
+# solve at its tolerances) keeps this many results for reuse; the least
+# recently used is dropped first. Cached results stay resident, and at
+# d = 6 they take about 0.16 MB per matrix.
 BASIS_CACHE_SIZE = 4
 
 # Global-phase deduplication tolerance for enumerated pure states.

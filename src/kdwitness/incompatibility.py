@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from . import config
-from .basis import BasisPair
+from .basis import per_basis
 from .errors import DimensionMismatch, DimensionTooLarge, ValidationError
 from .linalg import as_complex, dagger
 
@@ -105,8 +105,10 @@ def complete_incompatibility(transition, eps: float | None = None) -> Incompatib
     the number of minors, C(2d, d) - 1, exceeds ``config.MAX_MINORS``.
     """
     eps = config.default_tol() if eps is None else eps
-    pair = BasisPair.of(transition)
-    d = pair.transition.shape[0]
+    u = as_complex(transition, "transition matrix")
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise DimensionMismatch(f"transition matrix must be square, got {u.shape}")
+    d = u.shape[0]
     n_minors = math.comb(2 * d, d) - 1
     if n_minors > config.MAX_MINORS:
         raise DimensionTooLarge(
@@ -118,9 +120,7 @@ def complete_incompatibility(transition, eps: float | None = None) -> Incompatib
         raise ValidationError(
             f"eps {eps:g} is below the rounding floor {floor:.3g} of a {d} x {d} minor"
         )
-    best_abs, order, rows, cols = pair.part(
-        "minor search", lambda: _smallest_minor(pair.transition)
-    )
+    best_abs, order, rows, cols = _smallest_minor(u)
     return IncompatibilityReport(
         completely_incompatible=bool(best_abs > eps),
         min_abs_minor=best_abs,
@@ -132,6 +132,7 @@ def complete_incompatibility(transition, eps: float | None = None) -> Incompatib
     )
 
 
+@per_basis
 def _smallest_minor(u: np.ndarray) -> tuple[float, int, tuple[int, ...], tuple[int, ...]]:
     """Smallest |minor| of ``u`` with its order, row set and column set."""
     d = u.shape[0]

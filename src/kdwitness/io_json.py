@@ -38,10 +38,13 @@ def _entry_to_complex(entry, path: str, where: str) -> complex:
     if (
         not isinstance(entry, (list, tuple))
         or len(entry) != 2
-        or not all(isinstance(v, (int, float)) for v in entry)
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
     ):
         raise MatrixFileError(path, f"{where}: expected an [re, im] pair, got {entry!r}")
-    return complex(entry[0], entry[1])
+    try:
+        return complex(entry[0], entry[1])
+    except OverflowError as exc:
+        raise MatrixFileError(path, f"{where}: {exc}") from exc
 
 
 def load_matrix_file(path: str, expect_kind: str | None = None) -> tuple[str, np.ndarray]:
@@ -51,12 +54,13 @@ def load_matrix_file(path: str, expect_kind: str | None = None) -> tuple[str, np
             doc = json.load(handle)
     except OSError as exc:
         raise MatrixFileError(path, f"cannot read file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # Malformed JSON, text that is not UTF-8, or an integer too long to parse.
         raise MatrixFileError(path, f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MatrixFileError(path, "top level must be a JSON object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise MatrixFileError(path, f"'dim' must be a positive integer, got {dim!r}")
     entries = doc.get("entries")
     if entries is None:
@@ -120,10 +124,11 @@ def save_matrix_file(path: str, array, kind: str) -> None:
 
 
 def file_digest(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        digest.update(handle.read())
-    return digest.hexdigest()
+    try:
+        with open(path, "rb") as handle:
+            return hashlib.sha256(handle.read()).hexdigest()
+    except OSError as exc:
+        raise MatrixFileError(path, f"cannot read file: {exc}") from exc
 
 
 def _f(x: float) -> float:

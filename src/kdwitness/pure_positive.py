@@ -22,7 +22,7 @@ from .errors import (
     NonGenericPatternWarning,
     NotCompletelyIncompatible,
 )
-from .basis import BasisPair, read_only
+from .basis import per_basis
 from .incompatibility import complete_incompatibility
 from .kd import kd_positive_each
 from .linalg import as_complex
@@ -146,7 +146,7 @@ def _drop_near_repeats(candidates: np.ndarray, dedup_tol: float) -> np.ndarray:
 
 
 def enumerate_min_uncertainty_states(
-    transition, eps: float | None = None, dedup_tol: float | None = None
+    transition, dedup_tol: float | None = None
 ) -> PureStateList:
     """All pure states with minimal support uncertainty, one per pattern.
 
@@ -156,22 +156,17 @@ def enumerate_min_uncertainty_states(
     in lexicographic order. The patterns with |S| = a form one family,
     solved as one stack of (a-1) x a systems.
 
-    Each basis is solved once per ``(eps, dedup_tol)``, and later calls get
-    the same list, with read-only states (see :mod:`kdwitness.basis`).
-    """
-    eps = config.default_tol() if eps is None else eps
-    dedup_tol = config.STATE_DEDUP_TOL if dedup_tol is None else dedup_tol
-    return minimal_states(BasisPair.of(transition), eps, dedup_tol)
-
-
-def minimal_states(pair: BasisPair, eps: float, dedup_tol: float) -> PureStateList:
-    """:func:`enumerate_min_uncertainty_states` of a basis pair at set tolerances.
-
     The dimension guard and the incompatibility check run, and the
     NonGenericPatternWarnings of the solve are issued, on every call; the
-    solve itself runs once.
+    solve runs once per basis, base tolerance and ``dedup_tol``, and later
+    calls get the same list, with read-only states (see
+    :mod:`kdwitness.basis`).
     """
-    u = pair.transition
+    eps = config.default_tol()
+    dedup_tol = config.STATE_DEDUP_TOL if dedup_tol is None else dedup_tol
+    u = as_complex(transition, "transition matrix")
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise DimensionMismatch(f"transition matrix must be square, got {u.shape}")
     if u.shape[0] > MAX_ENUM_DIM:
         raise DimensionTooLarge(f"enumeration is guarded to d <= {MAX_ENUM_DIM}")
     report = complete_incompatibility(u, eps=eps)
@@ -181,35 +176,17 @@ def minimal_states(pair: BasisPair, eps: float, dedup_tol: float) -> PureStateLi
             f"minor of order {report.argmin_order} at rows {report.argmin_rows}, "
             f"cols {report.argmin_cols} has modulus {report.min_abs_minor:.3e}"
         )
-    result = pair.part(("minimal", eps, dedup_tol), lambda: _solve_patterns(u, eps, dedup_tol))
+    result = _solve_patterns(u, eps, dedup_tol)
     for pattern, null_dim in result.degenerate_patterns:
         warnings.warn(
             f"pattern {pattern} has null-space dimension {null_dim}",
             NonGenericPatternWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     return result
 
 
-def kd_positive_states(pair: BasisPair) -> PureStateList:
-    """The KD-positive ones of :func:`minimal_states` at the default tolerances.
-
-    Filtered once per base tolerance; checks and warns on every call as
-    :func:`minimal_states` does.
-    """
-    tol = config.default_tol()
-    minimal = minimal_states(pair, tol, config.STATE_DEDUP_TOL)
-    return pair.part(
-        ("kd_positive", tol),
-        lambda: _read_only_states(filter_kd_positive_pure(minimal, pair.transition)),
-    )
-
-
-def _read_only_states(state_list: PureStateList) -> PureStateList:
-    read_only(state_list.states)
-    return state_list
-
-
+@per_basis
 def _solve_patterns(u: np.ndarray, eps: float, dedup_tol: float) -> PureStateList:
     """The enumeration proper, for a basis already checked."""
     d = u.shape[0]
@@ -247,8 +224,10 @@ def _solve_patterns(u: np.ndarray, eps: float, dedup_tol: float) -> PureStateLis
 
     candidates = np.concatenate(found_states)
     keep = _drop_near_repeats(candidates, dedup_tol)
+    states = candidates[keep]
+    states.flags.writeable = False
     return PureStateList(
-        states=read_only(candidates[keep]),
+        states=states,
         patterns=tuple(found_patterns[k] for k in keep),
         dedup_tol=dedup_tol,
         degenerate_patterns=tuple(degenerate),

@@ -25,7 +25,6 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
 )
-from .basis import BasisPair, read_only
 from .geometry import (
     INDETERMINATE,
     INSIDE,
@@ -45,7 +44,7 @@ from .linalg import (
     hermitian_eig,
     random_isometry,
 )
-from .pure_positive import kd_positive_states, minimal_states
+from .pure_positive import enumerate_min_uncertainty_states, filter_kd_positive_pure
 
 SUPPORT_OBJECTIVE = "support_uncertainty"
 NONPOSITIVITY_OBJECTIVE = "total_nonpositivity"
@@ -447,11 +446,6 @@ def _projector_points(states: np.ndarray) -> np.ndarray:
     return hermitian_to_real(psi[..., :, np.newaxis] * psi[..., np.newaxis, :].conj())
 
 
-def _cached_points(pair: BasisPair, key, states: np.ndarray) -> np.ndarray:
-    """:func:`_projector_points` of a cached state list, computed once per key."""
-    return pair.part(key, lambda: read_only(_projector_points(states)))
-
-
 def support_roof_bounds(rho, transition, cfg: AnnealConfig | None = None) -> RoofEstimate:
     """Bounds on the convex roof of the support uncertainty.
 
@@ -467,10 +461,8 @@ def support_roof_bounds(rho, transition, cfg: AnnealConfig | None = None) -> Roo
     base = float(support_counts_mixed(rho_m, u, eps=eps).n_ab)
 
     def anchor_source():
-        pair = BasisPair.of(u)
-        minimal = minimal_states(pair, eps, config.STATE_DEDUP_TOL)
-        points = _cached_points(pair, ("minimal points", eps), minimal.states)
-        return minimal.states, points, "derived"
+        states = enumerate_min_uncertainty_states(u).states
+        return states, _projector_points(states), "derived"
 
     return _roof_bounds(
         SUPPORT_OBJECTIVE, rho_m, support_values_fn(u), base, anchor_source,
@@ -506,13 +498,13 @@ def nonpositivity_roof_bounds(
         if positive_pure is not None:
             anchors = np.asarray(positive_pure, dtype=complex)
             return anchors, _projector_points(anchors), "supplied"
-        pair = BasisPair.of(u)
         try:
-            positive = kd_positive_states(pair)
+            minimal = enumerate_min_uncertainty_states(u)
         except (NotCompletelyIncompatible, DimensionTooLarge):
             return None, None, None
-        key = ("kd_positive points", config.default_tol())
-        return positive.states, _cached_points(pair, key, positive.states), "derived"
+        # On a C-ordered matrix, whose rounding the kept rows depend on.
+        states = filter_kd_positive_pure(minimal, np.ascontiguousarray(u)).states
+        return states, _projector_points(states), "derived"
 
     return _roof_bounds(
         NONPOSITIVITY_OBJECTIVE, rho_m, nonpositivity_values_fn(u), base, anchor_source,

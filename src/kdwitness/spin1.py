@@ -14,14 +14,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import config
-from .basis import BasisPair
 from .errors import OutOfRange
 from .geometry import OUTSIDE, facet_enumeration, membership_lp
 from .incompatibility import complete_incompatibility
 from .kd import is_kd_positive, kd_table, total_nonpositivity
 from .linalg import projector
-from .pure_positive import kd_positive_states, minimal_states, phase_invariant_distance
+from .pure_positive import (
+    enumerate_min_uncertainty_states,
+    filter_kd_positive_pure,
+    phase_invariant_distance,
+)
 from .roof import AnnealConfig, nonpositivity_roof_bounds, support_roof_bounds
 
 
@@ -192,16 +194,15 @@ def run_spin1_checks() -> Spin1Report:
            ">= -1e-10 real", (min_real, max_imag), 1e-10,
            "the quasiprobability table of the witness is real and nonnegative")
 
-    # The roofs below reuse this enumeration and its KD-positive subset.
-    pair = BasisPair.of(u)
-    minimal = minimal_states(pair, config.default_tol(), config.STATE_DEDUP_TOL)
+    # The roofs below reuse this enumeration.
+    minimal = enumerate_min_uncertainty_states(u)
     record("minimal_state_count", len(minimal) == 15, 15, len(minimal), 0.0,
            "exactly fifteen pure states have minimal support uncertainty")
     worst = _match_sets(minimal.states, SPIN1.min_uncertainty_states, 1e-8)
     record("minimal_states_match", worst <= 1e-8, "<= 1e-8", worst, 1e-8,
            "the enumerated states match the fixture list up to global phase")
 
-    positive = kd_positive_states(pair)
+    positive = filter_kd_positive_pure(minimal, u)
     record("positive_state_count", len(positive) == 9, 9, len(positive), 0.0,
            "exactly nine of the fifteen states are KD positive")
     worst_pos = _match_sets(positive.states, SPIN1.positive_states, 1e-8)

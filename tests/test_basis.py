@@ -1,4 +1,4 @@
-"""The shared per-basis cache: same answers as fresh work, read-only, bounded."""
+"""The per-basis caches: same answers as fresh work, read-only, bounded."""
 
 import warnings
 from types import SimpleNamespace
@@ -7,23 +7,29 @@ import numpy as np
 import pytest
 
 from kdwitness import (
+    AnnealConfig,
     DimensionMismatch,
     DimensionTooLarge,
     NotCompletelyIncompatible,
     SPIN1,
     ValidationError,
+    basis,
     complete_incompatibility,
     config,
     enumerate_min_uncertainty_states,
+    filter_kd_positive_pure,
     haar_unitary,
+    incompatibility,
     nonpositivity_roof_bounds,
     pure_positive,
+    rho_lambda,
     support_roof_bounds,
 )
-from kdwitness.basis import BasisPair, _shared
 from kdwitness.errors import NonGenericPatternWarning
-from kdwitness.pure_positive import kd_positive_states
+from kdwitness.io_json import to_jsonable
 from kdwitness.studies import dft_matrix
+
+CACHES = (incompatibility._smallest_minor, pure_positive._solve_patterns)
 
 
 def _inside_mixture(states):
@@ -32,30 +38,34 @@ def _inside_mixture(states):
 
 def test_equal_content_shares_one_pair():
     u = haar_unitary(4, 1)
-    assert BasisPair.of(u) is BasisPair.of(u.copy())
-    assert BasisPair.of(u) is BasisPair.of(np.asfortranarray(u))
-    assert BasisPair.of(u) is not BasisPair.of(haar_unitary(4, 2))
+    first = enumerate_min_uncertainty_states(u)
+    assert enumerate_min_uncertainty_states(u.copy()) is first
+    assert enumerate_min_uncertainty_states(np.asfortranarray(u)) is first
+    assert enumerate_min_uncertainty_states(haar_unitary(4, 2)) is not first
+    hits = incompatibility._smallest_minor.cache_info().hits
+    complete_incompatibility(np.asfortranarray(u))
+    assert incompatibility._smallest_minor.cache_info().hits == hits + 1
+
+
+def test_computation_gets_a_read_only_c_ordered_copy():
+    seen = []
+    spy = basis.per_basis(lambda u: seen.append(u) or len(seen))
+    u = np.asfortranarray(haar_unitary(3, 4))
+    assert spy(u) == spy(u.copy()) == 1
+    (copy,) = seen
+    assert copy.flags.c_contiguous and not copy.flags.writeable
+    assert np.array_equal(copy, u)
 
 
 def test_cached_arrays_are_read_only():
     u = haar_unitary(4, 3)
     minimal = enumerate_min_uncertainty_states(u)
-    assert enumerate_min_uncertainty_states(u) is minimal
-    pair = BasisPair.of(u)
-    positive = kd_positive_states(pair)
-    rho = _inside_mixture(positive.states)
+    rho = _inside_mixture(filter_kd_positive_pure(minimal, u).states)
     assert support_roof_bounds(rho, u).exact and nonpositivity_roof_bounds(rho, u).exact
-    assert not pair.transition.flags.writeable
-    arrays = [pair.transition] + [
-        getattr(part, "states", part) for part in pair._parts.values()
-    ]
-    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-    # The transition, the minimal and KD-positive states and both point sets.
-    assert len(arrays) == 5
-    for array in arrays:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 0.0
+    assert enumerate_min_uncertainty_states(u) is minimal
+    assert not minimal.states.flags.writeable
+    with pytest.raises(ValueError):
+        minimal.states[0] = 0.0
 
 
 def test_warnings_are_replayed_on_every_hit(monkeypatch):
@@ -113,8 +123,6 @@ def test_each_tolerance_still_changes_the_answer(monkeypatch):
     assert complete_incompatibility(u).completely_incompatible
     report = complete_incompatibility(u, eps=1e-6)
     assert not report.completely_incompatible and report.eps == 1e-6
-    with pytest.raises(NotCompletelyIncompatible):
-        enumerate_min_uncertainty_states(u, eps=1e-6)
     monkeypatch.setenv("KD_DEFAULT_TOL", "1e-6")
     assert not complete_incompatibility(u).completely_incompatible
     with pytest.raises(NotCompletelyIncompatible):
@@ -124,18 +132,47 @@ def test_each_tolerance_still_changes_the_answer(monkeypatch):
     v = haar_unitary(4, 7)
     assert len(enumerate_min_uncertainty_states(v)) == 56
     assert len(enumerate_min_uncertainty_states(v, dedup_tol=0.5)) < 56
-    pair = BasisPair.of(v)
-    strict = kd_positive_states(pair)
+    strict = filter_kd_positive_pure(enumerate_min_uncertainty_states(v), v)
     # The positivity tolerance is the base one, set here through the environment.
     monkeypatch.setenv("KD_DEFAULT_TOL", "3e-2")
-    loose = kd_positive_states(pair)
+    loose = filter_kd_positive_pure(enumerate_min_uncertainty_states(v), v)
     assert len(enumerate_min_uncertainty_states(v)) == 56
     assert len(strict) < len(loose) < 56
 
 
 def test_cache_stays_within_its_size():
-    first = BasisPair.of(haar_unitary(3, 0))
+    first = enumerate_min_uncertainty_states(haar_unitary(3, 0))
     for seed in range(1, config.BASIS_CACHE_SIZE + 5):
-        complete_incompatibility(haar_unitary(3, seed))
-    assert _shared.cache_info().currsize == config.BASIS_CACHE_SIZE
-    assert BasisPair.of(haar_unitary(3, 0)) is not first
+        enumerate_min_uncertainty_states(haar_unitary(3, seed))
+    for cache in CACHES:
+        assert cache.cache_info().currsize == config.BASIS_CACHE_SIZE
+    assert enumerate_min_uncertainty_states(haar_unitary(3, 0)) is not first
+    basis.clear_cache()
+    assert all(cache.cache_info().currsize == 0 for cache in CACHES)
+
+
+def _spin1_rho():
+    return rho_lambda(0.3), SPIN1.transition
+
+
+def _haar_inside():
+    u = haar_unitary(5, 5)
+    positive = filter_kd_positive_pure(enumerate_min_uncertainty_states(u), u)
+    return _inside_mixture(positive.states), u
+
+
+@pytest.mark.parametrize("case", [_spin1_rho, _haar_inside], ids=["spin1", "haar5_inside"])
+@pytest.mark.parametrize(
+    "bounds", [support_roof_bounds, nonpositivity_roof_bounds], ids=["support", "nonpos"]
+)
+def test_roofs_agree_on_a_cold_and_a_warm_cache(case, bounds):
+    rho, u = case()
+    cfg = AnnealConfig(restarts=3, steps=150, seed=1)
+    basis.clear_cache()
+    cold = bounds(rho, u, cfg=cfg)
+    assert all(cache.cache_info().currsize > 0 for cache in CACHES)
+    warm = bounds(rho, u, cfg=cfg)
+    assert to_jsonable(warm) == to_jsonable(cold)
+    for part in ("weights", "states"):
+        assert (getattr(warm.upper_decomposition, part).tobytes()
+                == getattr(cold.upper_decomposition, part).tobytes())

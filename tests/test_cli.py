@@ -318,6 +318,25 @@ def test_json_error_reporting(files, capsys, tmp_path):
     assert doc["error"]["category"] == "validation"
 
 
+@pytest.mark.parametrize("path, content, message", [
+    ("nope.json", None, "cannot read file"),
+    (".", None, "cannot read file"),
+    ("latin1.json", b"\xff{}", "invalid JSON"),
+    ("long.json", b"[" + b"1" * 5000 + b"]", "invalid JSON"),
+], ids=["missing", "directory", "not_utf8", "int_too_long"])
+def test_unreadable_input_is_a_matrix_file_error(
+    files, capsys, monkeypatch, tmp_path, path, content, message
+):
+    monkeypatch.chdir(tmp_path)
+    if content is not None:
+        (tmp_path / path).write_bytes(content)
+    code, doc, _ = run_json(capsys, ["table", "--state", path, "--basis", files["basis"]])
+    assert code == 2
+    assert doc["error"]["category"] == "validation"
+    assert doc["error"]["type"] == "MatrixFileError"
+    assert doc["error"]["message"].startswith(f"{path}: {message}")
+
+
 def test_input_faults_are_validation_errors(files, capsys, tmp_path):
     # A basis pair that is not completely incompatible, and a hull of one point.
     dft = tmp_path / "dft6.json"

@@ -9,7 +9,6 @@ from kdwitness import (
     SPIN1,
     ValidationError,
     complete_incompatibility,
-    enumerate_min_uncertainty_states,
     support_counts_mixed,
     support_counts_pure,
 )
@@ -143,8 +142,6 @@ def test_eps_below_rounding_is_rejected():
     assert complete_incompatibility(u).min_abs_minor < 1e-15
     with pytest.raises(ValidationError, match="rounding"):
         complete_incompatibility(u, eps=1e-18)
-    with pytest.raises(ValidationError, match="rounding"):
-        enumerate_min_uncertainty_states(u, eps=1e-18)
     assert not complete_incompatibility(u, eps=1e-13).completely_incompatible
 
 

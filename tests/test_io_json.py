@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
+import pytest
 
-from kdwitness.io_json import dumps_report
+from kdwitness import MatrixFileError
+from kdwitness.io_json import dumps_report, load_matrix_file
 
 
 # -- reference: the element-by-element encoder ---------------------------------
@@ -76,3 +79,17 @@ def test_array_encoding_matches_the_element_reference():
     ]
     for report in reports:
         assert dumps_report(report) == _reference_dumps(report)
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"dim": True, "kind": "pure_state", "entries": [[1.0, 0.0]]}, "'dim'"),
+    ({"dim": 1, "kind": "pure_state", "entries": [[True, False]]}, "entry 0"),
+    ({"dim": 1, "kind": "pure_state", "entries": [[1.0, False]]}, "entry 0"),
+    ({"dim": 1, "kind": "unitary", "entries": [[[True, 0.0]]]}, "entry (0,0)"),
+    ({"dim": 1, "kind": "pure_state", "entries": [[10**400, 0.0]]}, "entry 0"),
+], ids=["dim", "entry", "imaginary_part", "matrix_entry", "int_beyond_float"])
+def test_entries_that_are_not_floats_are_located(tmp_path, doc, where):
+    path = tmp_path / "entries.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MatrixFileError, match=re.escape(where)):
+        load_matrix_file(str(path))
