@@ -35,17 +35,31 @@ It also times ``facet_enumeration_points`` on the real-embedded projectors
 of the 15 spin-1 minimal states and of ``FACET_SET_SIZES`` generic d = 3
 pure states ``random_pure_state(3, default_rng(3000 + n))``, with the facet
 count, the number C(n, affine rank) of subsets tested, and how many of them
-reach the stacked SVD (counted on one more untimed call, by wrapping
-``numpy.linalg.svd`` and adding up the matrices of its stacked calls).
+reach the stacked SVD and the prefilter's stacked QR (counted on one more
+untimed call, by wrapping ``numpy.linalg.svd`` and ``numpy.linalg.qr`` and
+adding up the matrices of their stacked calls). It times the Hermitian
+wrapper ``facet_enumeration`` on the projectors themselves, so the cost of
+embedding the generators and converting the functionals shows next to the
+points function.
 
 It prints one JSON record: per layer and dimension or set the median and
 quartiles of ``RUNS`` timed calls (after one untimed warm-up call), the
 state counts, the annealed bound, the minor counts, the hull verdicts and
-simplex iterations, the facet, subset and SVD-subset counts, and the
-machine, Python and numpy versions. Run it against the package on
+simplex iterations, the facet, subset, SVD-subset and QR-subset counts, and
+the machine, Python and numpy versions. Run it against the package on
 ``PYTHONPATH``:
 
-    PYTHONPATH=src python benchmarks/layers.py --label change
+    PYTHONPATH=src python benchmarks/layers.py --label change > change-1.json
+
+The quartiles are those of consecutive calls in one process; they do not
+measure the spread between runs, which on a shared machine is often larger.
+To compare two checkouts, run the script at least three times per side,
+alternating which side runs first, and combine the records:
+
+    python benchmarks/layers.py --combine parent-*.json change-*.json
+
+which prints, per label and timed layer, the median of the run medians and
+their range across runs.
 """
 
 import argparse
@@ -111,36 +125,75 @@ def timed(fn, *args, fresh=True, **kwargs):
     return result, times
 
 
-def stacked_svd_matrices(fn, *args):
-    """Result of one call of ``fn`` and the matrices it passed to ``numpy.linalg.svd`` in stacks."""
+def stacked_matrices(fn, *args, names=("svd", "qr")):
+    """Result of one call of ``fn`` and, per ``numpy.linalg`` function named, the matrices it got in stacks."""
     import numpy as np
 
-    svd = np.linalg.svd
-    count = 0
+    originals = {name: getattr(np.linalg, name) for name in names}
+    counts = dict.fromkeys(names, 0)
 
-    def counted(a, *svd_args, **svd_kwargs):
-        nonlocal count
-        if np.ndim(a) > 2:
-            count += math.prod(np.shape(a)[:-2])
-        return svd(a, *svd_args, **svd_kwargs)
+    def counted(name):
+        def call(a, *f_args, **f_kwargs):
+            if np.ndim(a) > 2:
+                counts[name] += math.prod(np.shape(a)[:-2])
+            return originals[name](a, *f_args, **f_kwargs)
 
-    np.linalg.svd = counted
+        return call
+
+    for name in names:
+        setattr(np.linalg, name, counted(name))
     try:
-        return fn(*args), count
+        return fn(*args), counts
     finally:
-        np.linalg.svd = svd
+        for name, original in originals.items():
+            setattr(np.linalg, name, original)
+
+
+def combine(paths) -> dict:
+    """Per label, each timed layer's median of the run medians and their range across runs.
+
+    Other values come from the label's first record.
+    """
+    by_label = {}
+    for path in paths:
+        with open(path) as f:
+            record = json.load(f)
+        by_label.setdefault(record["label"], []).append(record["layers"])
+
+    def merge(nodes):
+        first = nodes[0]
+        if isinstance(first, dict) and "median_ms" in first:
+            medians = [node["median_ms"] for node in nodes]
+            rest = {k: v for k, v in first.items() if not k.endswith("_ms")}
+            return {
+                "median_of_run_medians_ms": round(statistics.median(medians), 4),
+                "run_median_range_ms": [min(medians), max(medians)],
+                **rest,
+            }
+        if isinstance(first, dict):
+            return {key: merge([node[key] for node in nodes]) for key in first}
+        return first
+
+    return {
+        "runs_per_label": {label: len(runs) for label, runs in by_label.items()},
+        "layers": {label: merge(runs) for label, runs in by_label.items()},
+    }
 
 
 def main(argv=None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="", help="free text stored in the record")
+    parser.add_argument("--combine", nargs="+", metavar="RECORD",
+                        help="combine the JSON records of earlier runs instead of timing")
     args = parser.parse_args(argv)
+    if args.combine:
+        return combine(args.combine)
 
     import numpy as np
 
     import kdwitness
     from kdwitness import config, pure_positive
-    from kdwitness.geometry import _hull_lp, facet_enumeration_points
+    from kdwitness.geometry import _hull_lp, facet_enumeration, facet_enumeration_points
     from kdwitness.linalg import projector, random_density, random_pure_state
     from kdwitness.roof import nonpositivity_values_fn
 
@@ -230,17 +283,22 @@ def main(argv=None) -> dict:
         rng = np.random.default_rng(3000 + n)
         facet_sets[f"generic_{n}"] = [random_pure_state(3, rng) for _ in range(n)]
     layers["facet_enumeration_points"] = {}
+    layers["facet_enumeration"] = {}
     for name, states in facet_sets.items():
-        points = np.array([kdwitness.hermitian_to_real(projector(s)) for s in states])
+        generators = [projector(s) for s in states]
+        points = np.array([kdwitness.hermitian_to_real(g) for g in generators])
         rank = int(np.linalg.matrix_rank(points - points.mean(axis=0)))
         facets, facet_times = timed(facet_enumeration_points, points)
-        _, to_svd = stacked_svd_matrices(facet_enumeration_points, points)
+        _, stacked = stacked_matrices(facet_enumeration_points, points)
         layers["facet_enumeration_points"][name] = {
             **summary_ms(facet_times),
             "facets": len(facets),
             "subsets": math.comb(len(states), rank),
-            "subsets_to_svd": to_svd,
+            "subsets_to_svd": stacked["svd"],
+            "subsets_to_qr": stacked["qr"],
         }
+        hermitian, wrapper_times = timed(facet_enumeration, generators)
+        layers["facet_enumeration"][name] = {**summary_ms(wrapper_times), "facets": len(hermitian)}
     return {
         "label": args.label,
         "runs": RUNS,

@@ -12,7 +12,9 @@ violation is a hard error, never a silent downgrade.
 """
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -27,12 +29,15 @@ from .errors import (
 )
 from .linalg import as_complex
 from .simplex import INFEASIBLE, OPTIMAL, solve_equality_lp
+from .validation import require_hermitian
 
 # Subsets per stacked SVD of the facet enumeration, fewer when a block's
 # (points x subsets) side-test array would exceed FACET_SIDE_ENTRIES, as it
 # can for sets of low affine rank and many points.
 FACET_BLOCK = 1024
 FACET_SIDE_ENTRIES = 1 << 21
+# One-sided hyperplanes per dedup step, which bounds its (step x kept) offset test.
+FACET_DEDUP_CHUNK = 64
 
 # The prefilter's cheap normals solve each subset's spanning rows with the
 # fixed probe row cos(k * FACET_PROBE_ANGLE), k = 1..rank, appended. Any
@@ -45,37 +50,37 @@ OUTSIDE = "outside"
 INDETERMINATE = "indeterminate"
 
 
+@lru_cache(maxsize=16)
+def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the strict upper triangle of a d x d matrix."""
+    iu, ju = np.triu_indices(d, k=1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def hermitian_to_real(matrix) -> np.ndarray:
     """Isometric real coordinates of a Hermitian matrix, or of each matrix in a stack.
 
     A stack of shape ``(..., d, d)`` gives coordinates of shape ``(..., d * d)``.
     """
     h = as_complex(matrix, "matrix")
-    d = h.shape[-1]
-    iu, ju = np.triu_indices(d, k=1)
-    upper = h[..., iu, ju]
-    return np.concatenate(
-        [
-            np.diagonal(h, axis1=-2, axis2=-1).real,
-            np.sqrt(2.0) * upper.real,
-            np.sqrt(2.0) * upper.imag,
-        ],
-        axis=-1,
-    )
+    iu, ju = _upper_pairs(h.shape[-1])
+    upper, diagonal = h[..., iu, ju], np.diagonal(h, axis1=-2, axis2=-1).real
+    return np.concatenate([diagonal, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag], axis=-1)
 
 
 def real_to_hermitian(coords, d: int) -> np.ndarray:
-    """Inverse of :func:`hermitian_to_real`."""
+    """Inverse of :func:`hermitian_to_real`, also on a stack of shape ``(..., d * d)``."""
     x = np.asarray(coords, dtype=float)
-    if x.shape != (d * d,):
+    if x.shape[-1:] != (d * d,):
         raise ValidationError(f"expected {d * d} coordinates, got shape {x.shape}")
-    h = np.zeros((d, d), dtype=complex)
-    np.fill_diagonal(h, x[:d])
-    iu, ju = np.triu_indices(d, k=1)
+    h = np.zeros(x.shape[:-1] + (d, d), dtype=complex)
+    h.reshape(x.shape)[..., :: d + 1] = x[..., :d]
+    iu, ju = _upper_pairs(d)
     k = d + iu.size
-    upper = (x[d:k] + 1j * x[k:]) / np.sqrt(2.0)
-    h[iu, ju] = upper
-    h[ju, iu] = upper.conj()
+    upper = (x[..., d:k] + 1j * x[..., k:]) / np.sqrt(2.0)
+    h[..., iu, ju] = upper
+    h[..., ju, iu] = upper.conj()
     return h
 
 
@@ -105,19 +110,20 @@ def _embed(generators, target=None):
     """Dimension, real generator points and target point of Hermitian inputs.
 
     Every matrix, the target included, must share the first generator's
-    square shape; the shapes are checked before the generators are stacked.
+    square shape; the shapes are checked before the matrices are stacked.
+    Raises NotHermitian when any matrix fails validate_hermitian's test.
     """
-    generators = list(generators)
-    shapes = [np.shape(g) for g in generators]
-    if not shapes:
+    matrices = [*generators] + ([] if target is None else [target])
+    n = len(matrices) - (target is not None)
+    if n == 0:
         raise ValidationError("need at least one generator")
-    d = shapes[0][0]
-    if target is not None:
-        shapes.append(np.shape(target))
-    if any(shape != (d, d) for shape in shapes):
+    d = np.shape(matrices[0])[0]
+    if any(np.shape(m) != (d, d) for m in matrices):
         raise ValidationError(f"all matrices must be {d} x {d}, like the first generator")
-    points = hermitian_to_real(as_complex(generators, "generator"))
-    return d, points, None if target is None else hermitian_to_real(as_complex(target, "target"))
+    stack = as_complex(matrices, "generator or target")
+    require_hermitian(stack)
+    points = hermitian_to_real(stack)
+    return d, points[:n], None if target is None else points[n]
 
 
 def _hull_lp(points, x, c, tol: float):
@@ -229,22 +235,21 @@ def facet_enumeration_points(points) -> list[Facet]:
     ordering.
 
     The subsets are walked in ``combinations`` order, ``FACET_BLOCK`` at a
-    time (fewer for thousands of points). One drop test runs on each block:
-    it removes the subsets with points strictly on both sides of their
-    hyperplane by more than a margin. At affine rank 1 the normal is exact
-    and the margin is the active tolerance plus rounding slack. At rank 2
-    and above each subset gets a cheap normal from one stacked solve, and
-    the margin also bounds how far its side values can lie from the SVD
-    normal's (see ``_prefilter``); on generic sets about one subset in
-    twenty is left. One stacked SVD of the rest gives every remaining
-    subset's rank test and normal, each matrix solved on its own. The
-    per-subset side test then decides, in subset order, so the first
-    hyperplane found for a facet, and for an active set, stands for it.
-    Raises DimensionTooLarge before any work when the number of subsets
-    exceeds ``config.MAX_FACET_SUBSETS``, or when the side-test entries, n
-    per subset, exceed ``config.MAX_FACET_SIDE_ENTRIES``.
+    time (fewer for thousands of points). A drop test removes each block's
+    subsets with points strictly on both sides of their hyperplane by more
+    than a margin: the active tolerance plus rounding slack and, at rank 2
+    and above, where one stacked solve gives cheap normals, a bound on how
+    far their side values can lie from the SVD normal's (see
+    ``_prefilter``). One stacked SVD of the rest gives their rank tests and
+    normals. Stacked products that round as the per-subset ones do give all
+    their side values at once, and the one-sided hyperplanes are then
+    deduplicated in subset order (see ``_unmatched``), so the first found
+    for a facet, and for an active set, stands for it. Raises
+    DimensionTooLarge before any work when the number of subsets exceeds
+    ``config.MAX_FACET_SUBSETS``, or when the side-test entries, n per
+    subset, exceed ``config.MAX_FACET_SIDE_ENTRIES``.
     """
-    active_tol, match_tol = config.FACET_ACTIVE_TOL, config.FACET_MATCH_TOL
+    active_tol = config.FACET_ACTIVE_TOL
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
     centroid = pts.mean(axis=0)
@@ -271,11 +276,10 @@ def facet_enumeration_points(points) -> list[Facet]:
     # per-subset test keeps.
     slack = 8 * rank * np.finfo(float).eps * float(np.abs(hull_pts).sum(axis=1).max())
 
-    facets = []
-    kept_normals = np.empty((n_subsets, rank))
-    kept_offsets = np.empty(n_subsets)
+    # Each kept hyperplane is its unit normal and then its offset.
+    kept_planes = np.empty((n_subsets, rank + 1))
     kept = 0
-    listed: set[tuple[int, ...]] = set()
+    listed: dict[tuple[int, ...], int] = {}  # active set -> its first kept hyperplane
     block_size = max(1, min(FACET_BLOCK, FACET_SIDE_ENTRIES // n))
     subsets = combinations(range(n), rank)
     for _ in range(0, n_subsets, block_size):
@@ -294,42 +298,58 @@ def facet_enumeration_points(points) -> list[Facet]:
         anchors = anchors[unproven]
         if rank == 1:
             normals = normals[unproven]
-            spanning = np.ones(len(anchors), dtype=bool)
         else:
             _, sv, svt = np.linalg.svd(rows[unproven])
             spanning = np.count_nonzero(sv > _rank_cutoff(sv)[:, None], axis=1) == rank - 1
-            normals = svt[:, -1]
-        for j in np.flatnonzero(spanning):
-            normal = normals[j]
-            offset = float(normal @ anchors[j])
-            side_j = hull_pts @ normal - offset
-            if side_j.max() <= active_tol:
-                pass
-            elif side_j.min() >= -active_tol:
-                normal, offset, side_j = -normal, -offset, -side_j
-            else:
-                continue
-            # The array norm rounds differently from the per-pair one, so it
-            # only preselects; the per-pair norm decides.
-            near = np.flatnonzero(
-                (np.abs(offset - kept_offsets[:kept]) <= match_tol)
-                & (np.linalg.norm(normal - kept_normals[:kept], axis=1) <= 2 * match_tol)
-            )
-            if any(np.linalg.norm(normal - kept_normals[i]) <= match_tol for i in near):
-                continue
-            kept_normals[kept] = normal
-            kept_offsets[kept] = offset
-            kept += 1
+            normals, anchors = svt[spanning, -1], anchors[spanning]
+        # These stacked products round as the per-subset ones do; einsum need not.
+        offsets = np.matmul(normals[:, None, :], anchors[:, :, None])[:, 0]
+        side = np.matmul(hull_pts, normals[:, :, None])[..., 0] - offsets
+        below = side.max(axis=1) <= active_tol
+        flip = ~below & (side.min(axis=1) >= -active_tol)
+        planes = np.hstack([normals, offsets])
+        planes[flip] = -planes[flip]
+        one_sided = np.flatnonzero(below | flip)
+        for start in range(0, len(one_sided), FACET_DEDUP_CHUNK):
+            found = one_sided[start : start + FACET_DEDUP_CHUNK]
+            found = found[_unmatched(planes[found], kept_planes[:kept])]
+            kept_planes[kept : kept + len(found)] = planes[found]
             # Near a degenerate configuration, hyperplanes through different
             # subsets can hold the same active set yet differ by more than
-            # match_tol; the first one found stands for that face.
-            active = tuple(int(i) for i in np.flatnonzero(np.abs(side_j) <= active_tol))
-            if active not in listed:
-                listed.add(active)
-                ambient = basis @ normal
-                facets.append(Facet(ambient, float(offset + ambient @ centroid), active))
-    facets.sort(key=lambda f: (round(f.offset, 9),) + tuple(np.round(f.functional, 9)))
-    return facets
+            # FACET_MATCH_TOL; the first one found stands for that face.
+            for k, on in enumerate(np.abs(side[found]) <= active_tol, start=kept):
+                listed.setdefault(tuple(np.flatnonzero(on).tolist()), k)
+            kept += len(found)
+    firsts, actives = list(listed.values()), list(listed)
+    ambient = np.matmul(basis, kept_planes[firsts, :-1, None])[..., 0]
+    offsets = (kept_planes[firsts, -1] + np.matmul(ambient[:, None], centroid)[:, 0]).tolist()
+    # Canonical order: offsets rounded by Python's round, functionals by numpy's.
+    keys = [(round(o, 9), *row) for o, row in zip(offsets, np.round(ambient, 9).tolist())]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [Facet(ambient[k], offsets[k], actives[k]) for k in order]
+
+
+def _unmatched(planes, kept_planes) -> np.ndarray:
+    """Which hyperplanes, in order, match no kept one and no earlier one kept.
+
+    Matching offsets, and normals by the per-pair norm, agree within FACET_MATCH_TOL.
+    """
+    match_tol = config.FACET_MATCH_TOL
+    base = len(kept_planes)
+    pool = np.concatenate([kept_planes, planes])
+    near = np.abs(planes[:, -1:] - pool[:, -1]) <= match_tol
+    near[:, base:] = np.tril(near[:, base:], k=-1)
+    keep = np.ones(len(planes), dtype=bool)
+    # In pool order, each kept hyperplane drops the later ones it matches.
+    for c in np.flatnonzero(near.any(axis=0)).tolist():
+        if c < base or keep[c - base]:
+            rows = np.flatnonzero(near[:, c] & keep)
+            # Only preselects: the array norm rounds differently from the per-pair one.
+            close = np.linalg.norm(planes[rows, :-1] - pool[c, :-1], axis=1) <= 2 * match_tol
+            for i in rows[close].tolist():
+                if np.linalg.norm(planes[i, :-1] - pool[c, :-1]) <= match_tol:
+                    keep[i] = False
+    return keep
 
 
 def _rank_cutoff(sing):
@@ -344,12 +364,13 @@ def _prefilter(rows, anchors, hull_pts, limit):
 
     ``rows`` stacks each subset's spanning rows A, (rank - 1) x rank, and
     ``anchors`` their anchor points a. Each A with the probe row appended is
-    solved for e_rank in one stacked call (one stacked complete QR of A^T,
-    its last column, if that raises or gives non-finite values), and the
-    unit solution n is a cheap normal. A subset with some point above
-    ``limit + delta`` and some below ``-limit - delta`` under n cannot be a
-    facet, where delta bounds how far its side values can lie from the SVD
-    normal v's for any A the SVD would call spanning:
+    solved for e_rank in one stacked call, and the unit solution n is a
+    cheap normal. If that call raises, a second one leaves out the systems
+    whose determinant, from the same LU, is zero; those without a finite n
+    take the last column of a complete QR of A^T. A subset with some point
+    above ``limit + delta`` and some below ``-limit - delta`` under n cannot
+    be a facet, where delta bounds how far its side values can lie from the
+    SVD normal v's for any A the SVD would call spanning:
 
     - with gamma = 64 * rank * eps, generous for the SVD's backward error,
       the SVD's singular values are within gamma ||A||_F of the exact ones,
@@ -375,16 +396,20 @@ def _prefilter(rows, anchors, hull_pts, limit):
     square = np.empty((count, rank, rank))
     square[:, :-1] = rows
     square[:, -1] = np.cos(FACET_PROBE_ANGLE * np.arange(1, rank + 1))
-    unit = np.zeros(rank)
-    unit[-1] = 1.0
+    unit = np.eye(rank)[-1]
     with np.errstate(all="ignore"):
         try:
             normals = np.linalg.solve(square, unit)
         except np.linalg.LinAlgError:
             normals = np.full((count, rank), np.nan)
+            regular = np.linalg.det(square) != 0
+            with suppress(np.linalg.LinAlgError):
+                normals[regular] = np.linalg.solve(square[regular], unit)
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        if not np.isfinite(normals).all():
-            normals = np.linalg.qr(np.swapaxes(rows, 1, 2), mode="complete")[0][..., -1]
+        failed = ~np.isfinite(normals).all(axis=1)
+        if failed.any():
+            spans = rows[failed].transpose(0, 2, 1)
+            normals[failed] = np.linalg.qr(spans, mode="complete")[0][..., -1]
         size = np.linalg.norm(rows, axis=(1, 2))
         residual = np.linalg.norm(np.einsum("ijk,ik->ij", rows, normals), axis=1)
         gamma = 64 * rank * eps
@@ -397,10 +422,9 @@ def _prefilter(rows, anchors, hull_pts, limit):
 def facet_enumeration(generators) -> list[Facet]:
     """Facets of the hull of Hermitian generators, as Hermitian functionals."""
     d, points, _ = _embed(generators)
-    return [
-        replace(f, functional=real_to_hermitian(f.functional, d))
-        for f in facet_enumeration_points(points)
-    ]
+    facets = facet_enumeration_points(points)
+    functionals = real_to_hermitian(np.reshape([f.functional for f in facets], (-1, d * d)), d)
+    return [replace(f, functional=h) for f, h in zip(facets, functionals)]
 
 
 def finite_convex_roof_points(values, target, points) -> tuple[float, np.ndarray]:

@@ -22,11 +22,16 @@ def validate_unitary(matrix) -> np.ndarray:
     return u
 
 
+def require_hermitian(stack: np.ndarray) -> None:
+    """Raise NotHermitian unless each matrix of a (..., d, d) stack is Hermitian to tolerance."""
+    scale = 1.0 + np.linalg.norm(stack, axis=(-2, -1))
+    if np.any(np.linalg.norm(stack - dagger(stack), axis=(-2, -1)) > config.default_tol() * scale):
+        raise NotHermitian("matrix is not Hermitian within tolerance")
+
+
 def validate_hermitian(matrix) -> np.ndarray:
     h = _square(matrix, "hermitian")
-    scale = 1.0 + frobenius(h)
-    if frobenius(h - dagger(h)) > config.default_tol() * scale:
-        raise NotHermitian("matrix is not Hermitian within tolerance")
+    require_hermitian(h)
     return h
 
 

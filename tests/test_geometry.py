@@ -9,6 +9,7 @@ from kdwitness import (
     SPIN1,
     CertificateError,
     DimensionTooLarge,
+    NotHermitian,
     OutsideHull,
     ValidationError,
     facet_enumeration,
@@ -21,6 +22,7 @@ from kdwitness import (
 from kdwitness import geometry
 from kdwitness.geometry import (
     FACET_BLOCK,
+    FACET_PROBE_ANGLE,
     Facet,
     _prefilter,
     facet_enumeration_points,
@@ -97,9 +99,13 @@ def _real_projectors(states):
     return np.array([hermitian_to_real(projector(psi)) for psi in states])
 
 
-def _generic_projectors(n, seed):
+def _generic_states(n, seed):
     rng = np.random.default_rng(seed)
-    return _real_projectors([random_pure_state(3, rng) for _ in range(n)])
+    return [random_pure_state(3, rng) for _ in range(n)]
+
+
+def _generic_projectors(n, seed):
+    return _real_projectors(_generic_states(n, seed))
 
 
 def _reference_cases():
@@ -108,8 +114,12 @@ def _reference_cases():
     # blocks cut short by the side-test array's size.
     segment = np.outer(np.linspace(-1.0, 1.0, FACET_BLOCK + 1), [1.0, 2.0, -0.5])
     rng = np.random.default_rng(5)
+    spin1 = _real_projectors(SPIN1.min_uncertainty_states)
     cases = {
-        "spin1": _real_projectors(SPIN1.min_uncertainty_states),
+        "spin1": spin1,
+        # Three generators twice: C(18, 5) = 8568 subsets, and many one-sided
+        # hyperplanes of equal offset in each block for the dedup.
+        "spin1_three_repeated": np.vstack([spin1, spin1[[0, 4, 9]]]),
         "spin1_near_degenerate": _real_projectors(
             [*SPIN1.min_uncertainty_states, NEAR_FACET_STATE]
         ),
@@ -240,6 +250,32 @@ def test_blocks_on_the_qr_fallback_match_the_reference(monkeypatch):
         fallbacks.clear()
 
 
+def test_prefilter_runs_qr_only_on_the_exactly_singular_systems(monkeypatch):
+    # On spin-1 some subsets' probe systems are exactly singular, so every
+    # block's stacked solve raises; only those systems may reach the QR.
+    points = _reference_cases()["spin1"]
+    deltas = points - points.mean(axis=0)
+    _, sing, vt = np.linalg.svd(deltas, full_matrices=False)
+    rank = int(np.count_nonzero(sing > 1e-9 * sing[0]))
+    hull_pts = deltas @ vt[:rank].T
+    subsets = np.array(list(combinations(range(len(points)), rank)))
+    square = np.empty((len(subsets), rank, rank))
+    square[:, :-1] = hull_pts[subsets[:, 1:]] - hull_pts[subsets[:, :1]]
+    square[:, -1] = np.cos(FACET_PROBE_ANGLE * np.arange(1, rank + 1))
+    singular = int(np.count_nonzero(np.linalg.det(square) == 0))
+    assert 0 < singular < len(subsets)
+    qr = np.linalg.qr
+    to_qr = []
+
+    def counted_qr(a, *args, **kwargs):
+        to_qr.append(len(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    _assert_same_facets(points)
+    assert sum(to_qr) == singular
+
+
 def test_rank_one_and_rank_two_sets_match_the_reference():
     rng = np.random.default_rng(11)
     lift = np.linalg.qr(rng.standard_normal((4, 4)))[0][:, :2]
@@ -285,6 +321,47 @@ def test_stacked_embedding_matches_the_per_matrix_embedding():
             assert got.shape == shape + (d * d,)
             for index in np.ndindex(*shape):
                 assert got[index].tobytes() == hermitian_to_real(h[index]).tobytes()
+
+
+def test_stacked_inverse_embedding_matches_the_per_matrix_inverse():
+    rng = np.random.default_rng(33)
+    for d in (1, 2, 3, 6):
+        for shape in ((5,), (2, 3)):
+            x = rng.standard_normal(shape + (d * d,))
+            x[..., -1] = -0.0  # signed zeros keep their sign
+            got = real_to_hermitian(x, d)
+            assert got.shape == shape + (d, d)
+            for index in np.ndindex(*shape):
+                assert got[index].tobytes() == real_to_hermitian(x[index], d).tobytes()
+    with pytest.raises(ValidationError):
+        real_to_hermitian(np.zeros((2, 8)), 3)
+
+
+def test_hermitian_facets_are_the_point_facets_converted_one_by_one(spin1_projectors):
+    for generators in (spin1_projectors, [projector(psi) for psi in _generic_states(12, 41)]):
+        facets = facet_enumeration(generators)
+        points = facet_enumeration_points(np.array([hermitian_to_real(g) for g in generators]))
+        assert [f.active for f in facets] == [p.active for p in points]
+        for f, p in zip(facets, points):
+            assert f.functional.tobytes() == real_to_hermitian(p.functional, 3).tobytes()
+            assert f.offset == p.offset
+
+
+# The diagonal 0.5 + 0.3i, 0.5, 0 and the generator [[1, 1], [0, 0]] are not
+# Hermitian; their real and upper-triangle parts alone would give answers.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda basis, target: membership_lp(target, basis),
+        lambda basis, target: finite_convex_roof([1.0, 2.0, 3.0], target, basis),
+        lambda basis, target: facet_enumeration([np.diag([1.0, 0.0]), [[1.0, 1.0], [0.0, 0.0]]]),
+    ],
+    ids=["membership", "finite_roof", "facets"],
+)
+def test_hull_functions_reject_non_hermitian_matrices(call):
+    basis = [np.diag(column).astype(complex) for column in np.eye(3)]
+    with pytest.raises(NotHermitian):
+        call(basis, np.diag([0.5 + 0.3j, 0.5, 0.0]))
 
 
 def test_membership_generator_is_inside(spin1_projectors):
