@@ -125,12 +125,12 @@ def timed(fn, *args, fresh=True, **kwargs):
     return result, times
 
 
-def stacked_matrices(fn, *args, names=("svd", "qr")):
-    """Result of one call of ``fn`` and, per ``numpy.linalg`` function named, the matrices it got in stacks."""
+def stacked_matrices(fn, *args):
+    """Result of one call of ``fn`` and the matrices it passed, stacked, to ``svd`` and ``qr``."""
     import numpy as np
 
-    originals = {name: getattr(np.linalg, name) for name in names}
-    counts = dict.fromkeys(names, 0)
+    originals = {name: getattr(np.linalg, name) for name in ("svd", "qr")}
+    counts = dict.fromkeys(originals, 0)
 
     def counted(name):
         def call(a, *f_args, **f_kwargs):
@@ -140,7 +140,7 @@ def stacked_matrices(fn, *args, names=("svd", "qr")):
 
         return call
 
-    for name in names:
+    for name in originals:
         setattr(np.linalg, name, counted(name))
     try:
         return fn(*args), counts

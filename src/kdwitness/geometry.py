@@ -36,8 +36,6 @@ from .validation import require_hermitian
 # can for sets of low affine rank and many points.
 FACET_BLOCK = 1024
 FACET_SIDE_ENTRIES = 1 << 21
-# One-sided hyperplanes per dedup step, which bounds its (step x kept) offset test.
-FACET_DEDUP_CHUNK = 64
 
 # The prefilter's cheap normals solve each subset's spanning rows with the
 # fixed probe row cos(k * FACET_PROBE_ANGLE), k = 1..rank, appended. Any
@@ -64,9 +62,17 @@ def hermitian_to_real(matrix) -> np.ndarray:
     A stack of shape ``(..., d, d)`` gives coordinates of shape ``(..., d * d)``.
     """
     h = as_complex(matrix, "matrix")
-    iu, ju = _upper_pairs(h.shape[-1])
-    upper, diagonal = h[..., iu, ju], np.diagonal(h, axis1=-2, axis2=-1).real
-    return np.concatenate([diagonal, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag], axis=-1)
+    d = h.shape[-1]
+    iu, ju = _upper_pairs(d)
+    upper = h[..., iu, ju]
+    return np.concatenate(
+        [
+            np.diagonal(h, axis1=-2, axis2=-1).real,
+            np.sqrt(2.0) * upper.real,
+            np.sqrt(2.0) * upper.imag,
+        ],
+        axis=-1,
+    )
 
 
 def real_to_hermitian(coords, d: int) -> np.ndarray:
@@ -295,10 +301,8 @@ def facet_enumeration_points(points) -> list[Facet]:
         side = hull_pts @ normals.T - np.einsum("ij,ij->i", normals, anchors)
         # A NaN margin (all spanning rows zero) proves nothing.
         unproven = ~((side.max(axis=0) > margin) & (side.min(axis=0) < -margin))
-        anchors = anchors[unproven]
-        if rank == 1:
-            normals = normals[unproven]
-        else:
+        normals, anchors = normals[unproven], anchors[unproven]
+        if rank > 1:
             _, sv, svt = np.linalg.svd(rows[unproven])
             spanning = np.count_nonzero(sv > _rank_cutoff(sv)[:, None], axis=1) == rank - 1
             normals, anchors = svt[spanning, -1], anchors[spanning]
@@ -310,16 +314,14 @@ def facet_enumeration_points(points) -> list[Facet]:
         planes = np.hstack([normals, offsets])
         planes[flip] = -planes[flip]
         one_sided = np.flatnonzero(below | flip)
-        for start in range(0, len(one_sided), FACET_DEDUP_CHUNK):
-            found = one_sided[start : start + FACET_DEDUP_CHUNK]
-            found = found[_unmatched(planes[found], kept_planes[:kept])]
-            kept_planes[kept : kept + len(found)] = planes[found]
-            # Near a degenerate configuration, hyperplanes through different
-            # subsets can hold the same active set yet differ by more than
-            # FACET_MATCH_TOL; the first one found stands for that face.
-            for k, on in enumerate(np.abs(side[found]) <= active_tol, start=kept):
-                listed.setdefault(tuple(np.flatnonzero(on).tolist()), k)
-            kept += len(found)
+        found = one_sided[_unmatched(planes[one_sided], kept_planes[:kept])]
+        kept_planes[kept : kept + len(found)] = planes[found]
+        # Near a degenerate configuration, hyperplanes through different
+        # subsets can hold the same active set yet differ by more than
+        # FACET_MATCH_TOL; the first one found stands for that face.
+        for k, on in enumerate(np.abs(side[found]) <= active_tol, start=kept):
+            listed.setdefault(tuple(np.flatnonzero(on).tolist()), k)
+        kept += len(found)
     firsts, actives = list(listed.values()), list(listed)
     ambient = np.matmul(basis, kept_planes[firsts, :-1, None])[..., 0]
     offsets = (kept_planes[firsts, -1] + np.matmul(ambient[:, None], centroid)[:, 0]).tolist()
@@ -396,7 +398,8 @@ def _prefilter(rows, anchors, hull_pts, limit):
     square = np.empty((count, rank, rank))
     square[:, :-1] = rows
     square[:, -1] = np.cos(FACET_PROBE_ANGLE * np.arange(1, rank + 1))
-    unit = np.eye(rank)[-1]
+    unit = np.zeros(rank)
+    unit[-1] = 1.0
     with np.errstate(all="ignore"):
         try:
             normals = np.linalg.solve(square, unit)
