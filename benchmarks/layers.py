@@ -1,4 +1,4 @@
-"""Layer timings: minimal-state enumeration, the KD-positive filter, the annealer, minors, hull LPs, facets, repeat calls.
+"""Layer timings: minimal-state enumeration, the KD-positive filter, the annealer, minors, hull LPs, finite roofs, facets, repeat calls.
 
 Packages that keep per-basis work for reuse (``kdwitness.basis``) get their
 cache cleared before every timed call of a cached layer, so each layer is
@@ -21,7 +21,11 @@ d = 4..6 over the projectors of that basis's minimal states, for the inside
 target ``MEMBERSHIP_INSIDE`` (their uniform mixture) and the outside target
 ``MEMBERSHIP_OUTSIDE`` (the pure state ``random_pure_state(d,
 default_rng(4000 + d))``), with the verdict and the iterations of the
-simplex behind it.
+simplex behind it. At the same d it times the phase-two LP
+``finite_convex_roof`` over those projectors, with the total nonpositivity
+(``nonpositivity_values_fn``) of each minimal state as its value, on the
+inside target, with the roof value and the iterations of the simplex behind
+it (phase one and phase two together).
 
 At d = 4..6 (``AGAIN_DIMS``) it times the dedup of the enumeration alone
 (``pure_positive._drop_near_repeats`` on all realized candidates, which
@@ -44,8 +48,8 @@ points function.
 
 It prints one JSON record: per layer and dimension or set the median and
 quartiles of ``RUNS`` timed calls (after one untimed warm-up call), the
-state counts, the annealed bound, the minor counts, the hull verdicts and
-simplex iterations, the facet, subset, SVD-subset and QR-subset counts, and
+state counts, the annealed bound, the minor counts, the hull verdicts, finite
+roof values and simplex iterations, the facet, subset, SVD-subset and QR-subset counts, and
 the machine, Python and numpy versions. Run it against the package on
 ``PYTHONPATH``:
 
@@ -232,9 +236,11 @@ def main(argv=None) -> dict:
         }
 
     layers["membership_lp"] = {}
+    layers["finite_convex_roof"] = {}
     for d in MEMBERSHIP_DIMS:
         u = kdwitness.haar_unitary(d, 1000 + d)
-        gens = [projector(s) for s in kdwitness.enumerate_min_uncertainty_states(u).states]
+        minimal = kdwitness.enumerate_min_uncertainty_states(u).states
+        gens = [projector(s) for s in minimal]
         psi = random_pure_state(d, np.random.default_rng(4000 + d))
         targets = {"inside": sum(gens) / len(gens), "outside": projector(psi)}
         # Per matrix, so that the script also runs against packages whose
@@ -251,6 +257,18 @@ def main(argv=None) -> dict:
                 "verdict": cert.verdict,
                 "simplex_iterations": lp.iterations,
             }
+        values = nonpositivity_values_fn(u)(minimal)
+        inside = targets["inside"]
+        roof, roof_times = timed(kdwitness.finite_convex_roof, values, inside, gens)
+        # The phase-two LP that finite_convex_roof solves, for its iteration count.
+        lp = _hull_lp(points, kdwitness.hermitian_to_real(inside), values,
+                      config.FEASIBILITY_TOL)
+        layers["finite_convex_roof"][f"d{d}_inside"] = {
+            **summary_ms(roof_times),
+            "generators": len(gens),
+            "roof": roof,
+            "simplex_iterations": lp.iterations,
+        }
 
     layers["same_basis_again"] = {}
     for d in AGAIN_DIMS:
