@@ -334,10 +334,12 @@ _HANDLERS = {
 
 _INPUT_ARGS = ("state", "basis", "generators", "positive_pure")
 _CONFIG_ARGS = ("eps", "tol", "seed", "restarts", "steps", "dim", "samples")
+_SIMPLEX_TOLERANCES = ("PIVOT_TOL", "BLAND_TIE_TOL", "FARKAS_SLACK_TOL", "LP_PRIMAL_TOL",
+                       "LP_DUAL_TOL")
 _ROOF_TOLERANCES = (
     "RANK_CUTOFF", "WEIGHT_CUTOFF", "EXACT_GAP_TOL", "WEIGHT_SUM_TOL",
     "RECONSTRUCTION_TOL", "ROOF_ORDER_SLACK", "ROOF_RECHECK_TOL", "ISOMETRY_TOL",
-    "ANCHOR_RANGE_CUTOFF", "NONPOSITIVITY_STRICT_SLACK",
+    "ANCHOR_RANGE_CUTOFF", "NONPOSITIVITY_STRICT_SLACK", *_SIMPLEX_TOLERANCES,
 )
 _FACET_TOLERANCES = (
     "FACET_ACTIVE_TOL", "FACET_MATCH_TOL", "FACET_RANK_ABS_CUTOFF",
@@ -345,6 +347,7 @@ _FACET_TOLERANCES = (
 )
 # The config values each command echoes beyond the base and feasibility ones.
 _ECHOED_CONFIG = {
+    "hull": _SIMPLEX_TOLERANCES,
     "facets": _FACET_TOLERANCES,
     "roof-support": _ROOF_TOLERANCES,
     "roof-nonpos": _ROOF_TOLERANCES,

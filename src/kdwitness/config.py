@@ -8,9 +8,9 @@ globally. Everything else is fixed: the facet active and match tolerances,
 the margin factor, the rank, null-space, phase, weight and exactness
 cutoffs, the minor floor and count limit, the roof tolerances, the facet
 rank cutoffs, subset limit and side-test entry limit, the simplex pivot
-tolerance, Bland ratio-tie window and Farkas slack, the hull certificates'
-weight and functional thresholds, the eigendecomposition checks, and the
-basis cache size ``BASIS_CACHE_SIZE``.
+tolerance, Bland ratio-tie window, Farkas slack and re-check slacks, the
+hull certificates' weight and functional thresholds, the eigendecomposition
+checks, and the basis cache size ``BASIS_CACHE_SIZE``.
 """
 
 import os
@@ -80,6 +80,12 @@ BLAND_TIE_TOL = 1e-14
 
 # An infeasibility certificate y may have y @ A above zero by at most this.
 FARKAS_SLACK_TOL = 1e-6
+
+# An optimal simplex result has |A @ x - b| <= feasibility tol + LP_PRIMAL_TOL
+# and x >= -LP_PRIMAL_TOL; with costs c, the duals y solved on its final basis
+# have reduced costs c - y @ A >= -LP_DUAL_TOL.
+LP_PRIMAL_TOL = 1e-9
+LP_DUAL_TOL = 1e-7
 
 # A hull-membership inside certificate's weights may fall below zero by at
 # most INSIDE_WEIGHT_SLACK and must sum to one within INSIDE_WEIGHT_SUM_TOL.

@@ -71,18 +71,20 @@ def canonical_phase(psi) -> np.ndarray:
     return psi * np.where(found, amp.conj() / np.where(found, magnitude, 1.0), 1.0)
 
 
-def phase_invariant_distance(psi, chi) -> float:
+def phase_invariant_distance(psi, chi):
     """Distance between rays: min over phases of the Euclidean distance.
 
     Computed by aligning the global phase and subtracting, which keeps full
     precision near zero (the closed form through the overlap loses half the
-    significant digits there).
+    significant digits there). Stacks of states broadcast over leading axes,
+    each entry with the bits of the call on its pair alone.
     """
     a = np.asarray(psi, dtype=complex)
     b = np.asarray(chi, dtype=complex)
-    inner = np.vdot(b, a)
-    phase = inner / abs(inner) if abs(inner) > 0.0 else 1.0
-    return float(np.linalg.norm(a - phase * b))
+    inner = (b.conj() * a).sum(axis=-1)
+    phase = np.divide(inner, np.abs(inner), out=np.ones_like(inner), where=inner != 0.0)
+    dist = np.linalg.norm(a - phase[..., np.newaxis] * b, axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def _null_vectors(constraints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

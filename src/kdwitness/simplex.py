@@ -1,20 +1,28 @@
 """Dense two-phase simplex for small equality-form linear programs.
 
-Solves ``min c @ x`` subject to ``A @ x = b`` and ``x >= 0`` with Bland's
-rule for anti-cycling. Problems in this package have tens of rows and up to
-a few thousand columns (one per hull generator), so the classic dense
-tableau is used: each pricing step, ratio test and pivot is a handful of
-whole-array operations, and only the ratio test's tie rule walks the
-candidate rows one by one. When the constraints are infeasible, a Farkas
-certificate ``y`` is produced with ``y @ A <= 0`` componentwise (within
-``config.FARKAS_SLACK_TOL``) and ``y @ b > 0``.
+Solves ``min c @ x`` subject to ``A @ x = b`` and ``x >= 0``. Problems in
+this package have tens of rows and up to a few thousand columns (one per
+hull generator), so the classic dense tableau is used: each pricing step,
+ratio test and pivot is a handful of whole-array operations, and only the
+ratio test's tie rule walks the candidate rows one by one. Pricing takes the
+most negative reduced cost (Dantzig's rule), with Bland's rule against
+cycling after a run of degenerate pivots; long phases recompute the tableau
+from the original columns now and then, so rounding cannot pile up.
+
+Apart from the pivots, every optimal result is re-checked against the
+original ``A``, ``b`` and ``c`` (residual, sign, and reduced costs of duals
+solved on its final basis), and an infeasible one carries a Farkas
+certificate ``y`` with ``y @ A <= 0`` componentwise (within
+``config.FARKAS_SLACK_TOL``) and ``y @ b > 0``; a failed check raises
+CertificateError.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BLAND_TIE_TOL, FARKAS_SLACK_TOL, FEASIBILITY_TOL, PIVOT_TOL
+from .config import (BLAND_TIE_TOL, FARKAS_SLACK_TOL, FEASIBILITY_TOL, LP_DUAL_TOL,
+                     LP_PRIMAL_TOL, PIVOT_TOL)
 from .errors import CertificateError, SolverStall
 
 OPTIMAL = "optimal"
@@ -23,6 +31,14 @@ UNBOUNDED = "unbounded"
 
 # Each phase raises SolverStall after this many pivots.
 MAX_ITERATIONS = 50_000
+
+# Pricing falls back to Bland's rule after this many consecutive pivots whose
+# step is at most PIVOT_TOL, and returns to Dantzig's after the next longer one.
+BLAND_AFTER = 32
+
+# The tableau and cost row are recomputed from the original columns after this
+# many pivots, and once more at the end of a phase that ran longer.
+REINVERT_EVERY = 64
 
 
 @dataclass(frozen=True)
@@ -35,12 +51,13 @@ class LPResult:
     iterations: int
 
 
-def _enter_bland(cost_row: np.ndarray, n_cols: int) -> int:
-    improving = (cost_row[:n_cols] < -PIVOT_TOL).nonzero()[0]
-    return int(improving[0]) if improving.size else -1
+def _enter(cost_row: np.ndarray, bland: bool) -> int:
+    """First improving column (Bland), else the most negative one (lowest index on ties)."""
+    improving = cost_row < -PIVOT_TOL
+    return int(improving.argmax() if bland else cost_row.argmin()) if improving.any() else -1
 
 
-def _leave_bland(tableau: np.ndarray, col: int, basis: list[int]) -> int:
+def _leave(tableau: np.ndarray, col: int, basis: list[int]) -> int:
     column = tableau[:, col]
     rows = (column > PIVOT_TOL).nonzero()[0]
     ratios = tableau[rows, -1] / column[rows]
@@ -72,17 +89,47 @@ def _pivot(tableau: np.ndarray, cost_row: np.ndarray, row: int, col: int,
     basis[row] = col
 
 
+def _reinvert(basis: list[int], system: np.ndarray, costs: np.ndarray):
+    """Tableau and cost row on ``basis``, from ``system = [columns | rhs]`` and ``costs``."""
+    tableau = np.linalg.solve(system[:, basis], system)
+    tableau[:, basis] = np.eye(len(basis))
+    cost_row = costs - costs[basis] @ tableau[:, :-1]
+    cost_row[basis] = 0.0
+    return tableau, cost_row
+
+
 def _iterate(tableau: np.ndarray, cost_row: np.ndarray, basis: list[int],
-             n_cols: int) -> tuple[str, int]:
+             system: np.ndarray, costs: np.ndarray, n: int) -> tuple[str, int]:
+    """Pivot until no column j < n prices in; in phase one, artificials never re-enter."""
+    degenerate = since_reinversion = 0
     for iteration in range(MAX_ITERATIONS):
-        col = _enter_bland(cost_row, n_cols)
+        col = _enter(cost_row[:n], degenerate >= BLAND_AFTER)
+        if since_reinversion == REINVERT_EVERY or (
+                col < 0 and since_reinversion and iteration > REINVERT_EVERY):
+            tableau[:], cost_row[:] = _reinvert(basis, system, costs)
+            since_reinversion = 0
+            col = _enter(cost_row[:n], degenerate >= BLAND_AFTER)
         if col < 0:
             return OPTIMAL, iteration
-        row = _leave_bland(tableau, col, basis)
+        row = _leave(tableau, col, basis)
         if row < 0:
             return UNBOUNDED, iteration
+        degenerate = degenerate + 1 if tableau[row, -1] / tableau[row, col] <= PIVOT_TOL else 0
         _pivot(tableau, cost_row, row, col, basis)
+        since_reinversion += 1
     raise SolverStall(f"simplex did not terminate within {MAX_ITERATIONS} iterations")
+
+
+def _recheck(a, b, c, x, basis: list[int], rows: list[int], feas_tol: float) -> None:
+    """Raise CertificateError unless x is feasible and, with costs c, optimal on its basis."""
+    residual = float(np.abs(a @ x - b).max(initial=0.0))
+    if residual > feas_tol + LP_PRIMAL_TOL or x.min(initial=0.0) < -LP_PRIMAL_TOL:
+        raise CertificateError(f"optimal x misses A @ x = b by {residual:.3e} or has "
+                               f"entry {x.min(initial=0.0):.3e} < 0")
+    if c is not None:
+        reduced = c - np.linalg.solve(a[rows][:, basis].T, c[basis]) @ a[rows]
+        if reduced.min() < -LP_DUAL_TOL:
+            raise CertificateError(f"optimal basis has reduced cost {reduced.min():.3e} < 0")
 
 
 def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL) -> LPResult:
@@ -90,7 +137,8 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL) -> LPResu
 
     With ``c=None`` only feasibility is decided (phase one). On
     infeasibility the result carries a validated Farkas certificate in the
-    original row order and sign convention.
+    original row order and sign convention; an optimal result has passed
+    the re-check of the module docstring.
     """
     a_orig = np.asarray(A, dtype=float)
     b_orig = np.asarray(b, dtype=float)
@@ -99,37 +147,28 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL) -> LPResu
     a_mod = a_orig * signs[:, None]
     b_mod = b_orig * signs
 
-    ext = np.hstack([a_mod, np.eye(m)])
-    tableau = np.hstack([ext, b_mod[:, None]])
+    system = np.hstack([a_mod, np.eye(m), b_mod[:, None]])
+    tableau = system.copy()
     basis = list(range(n, n + m))
-    # Reduced costs for phase 1 (artificial costs 1, basis = artificials).
-    cost_row = -tableau[:, :-1].sum(axis=0)
-    cost_row[n:] += 1.0
+    # Phase one: artificial costs 1, starting from the artificial basis.
+    costs_phase1 = np.repeat([0.0, 1.0], [n, m])
+    cost_row = costs_phase1 - tableau[:, :-1].sum(axis=0)
 
-    status, iters = _iterate(tableau, cost_row, basis, n + m)
+    status, iters = _iterate(tableau, cost_row, basis, system, costs_phase1, n)
     if status == UNBOUNDED:
         raise CertificateError("phase one of the simplex reported unbounded")
-    artificial_mass = sum(
-        tableau[i, -1] for i in range(len(basis)) if basis[i] >= n
-    )
+    artificial_mass = sum(tableau[i, -1] for i, j in enumerate(basis) if j >= n)
     if artificial_mass > feas_tol:
-        costs_phase1 = np.zeros(n + m)
-        costs_phase1[n:] = 1.0
-        basis_cols = ext[:, basis]
-        y = np.linalg.solve(basis_cols.T, costs_phase1[list(basis)])
-        y_orig = y * signs
+        y_orig = np.linalg.solve(system[:, basis].T, costs_phase1[basis]) * signs
         slack = a_orig.T @ y_orig
-        gain = float(y_orig @ b_orig)
         if slack.size and slack.max() > FARKAS_SLACK_TOL:
-            raise CertificateError(
-                f"Farkas certificate violates y@A <= 0 by {slack.max():.3e}"
-            )
-        if gain <= 0.0:
+            raise CertificateError(f"Farkas certificate violates y@A <= 0 by {slack.max():.3e}")
+        if y_orig @ b_orig <= 0.0:
             raise CertificateError("Farkas certificate has nonpositive objective")
         return LPResult(INFEASIBLE, None, None, y_orig, float(artificial_mass), iters)
 
-    # Drive artificial variables out of the basis; drop redundant rows.
-    redundant: list[int] = []
+    # Drive artificial variables out of the basis. An artificial that cannot
+    # leave marks its constraint row as redundant, and that row is dropped.
     nonbasic = np.ones(n, dtype=bool)
     nonbasic[[j for j in basis if j < n]] = False
     for i in range(m):
@@ -140,28 +179,24 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL) -> LPResu
             pivot_col = int(candidates[0])
             _pivot(tableau, cost_row, i, pivot_col, basis)
             nonbasic[pivot_col] = False
-        else:
-            redundant.append(i)
-    if redundant:
-        keep = [i for i in range(tableau.shape[0]) if i not in redundant]
-        tableau = tableau[keep]
-        basis = [basis[i] for i in keep]
+    rows = [k for k in range(m) if n + k not in basis]
+    basis = [j for j in basis if j < n]
 
-    total_iters = iters
-    if c is not None:
-        costs = np.asarray(c, dtype=float)
-        tableau = np.hstack([tableau[:, :n], tableau[:, -1:]])
-        cost_row = costs.copy()
-        for i, jb in enumerate(basis):
-            cost_row -= cost_row[jb] * tableau[i, :-1]
-        status, iters2 = _iterate(tableau, cost_row, basis, n)
-        total_iters += iters2
+    # x, or phase two's tableau, from the original columns on this basis.
+    costs = None if c is None else np.asarray(c, dtype=float)
+    if costs is None:
+        x_basic = np.linalg.solve(a_mod[np.ix_(rows, basis)], b_mod[rows])
+    else:
+        system = np.hstack([a_mod, b_mod[:, None]])[rows]
+        tableau, cost_row = _reinvert(basis, system, costs)
+        status, iters2 = _iterate(tableau, cost_row, basis, system, costs, n)
+        iters += iters2
         if status == UNBOUNDED:
-            return LPResult(UNBOUNDED, None, None, None, 0.0, total_iters)
+            return LPResult(UNBOUNDED, None, None, None, 0.0, iters)
+        x_basic = tableau[:, -1]
 
     x = np.zeros(n)
-    for i, jb in enumerate(basis):
-        if jb < n:
-            x[jb] = tableau[i, -1]
-    objective = float(np.asarray(c, dtype=float) @ x) if c is not None else 0.0
-    return LPResult(OPTIMAL, x, objective, None, float(artificial_mass), total_iters)
+    x[basis] = x_basic
+    _recheck(a_orig, b_orig, costs, x, basis, rows, feas_tol)
+    objective = 0.0 if costs is None else float(costs @ x)
+    return LPResult(OPTIMAL, x, objective, None, float(artificial_mass), iters)

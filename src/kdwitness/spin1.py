@@ -140,15 +140,14 @@ def _match_sets(found: np.ndarray, reference: np.ndarray, tol: float) -> float:
     """Worst phase-invariant distance of a greedy bijection, inf on failure."""
     if found.shape != reference.shape:
         return float("inf")
-    remaining = list(range(found.shape[0]))
+    dists = phase_invariant_distance(found[:, np.newaxis], reference[np.newaxis])
     worst = 0.0
-    for ref in reference:
-        dists = [(phase_invariant_distance(found[k], ref), k) for k in remaining]
-        best_dist, best_k = min(dists)
-        if best_dist > tol:
+    for column in dists.T:
+        best_k = int(np.argmin(column))
+        if column[best_k] > tol:
             return float("inf")
-        worst = max(worst, best_dist)
-        remaining.remove(best_k)
+        worst = max(worst, float(column[best_k]))
+        dists[best_k] = np.inf
     return worst
 
 

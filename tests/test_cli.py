@@ -220,6 +220,19 @@ def test_json_reports_are_deterministic(files, capsys):
     assert doc1["config"]["nonpositivity_strict_slack"] == 2e-9
 
 
+@pytest.mark.parametrize("command", ["hull", "roof-support", "roof-nonpos"])
+def test_simplex_tolerances_are_echoed(files, capsys, command):
+    inputs = ["--generators", *files["gens"]] if command == "hull" else ["--basis", files["basis"]]
+    extra = [] if command == "hull" else _ANNEAL
+    code, doc, _ = run_json(capsys, [command, "--state", files["mixed"], *inputs, *extra])
+    assert code == 0
+    assert doc["config"]["pivot_tol"] == 1e-10
+    assert doc["config"]["bland_tie_tol"] == 1e-14
+    assert doc["config"]["farkas_slack_tol"] == 1e-6
+    assert doc["config"]["lp_primal_tol"] == 1e-9
+    assert doc["config"]["lp_dual_tol"] == 1e-7
+
+
 def _key_paths(value, path=""):
     """Every key of nested dicts as a dotted path; list items add ``[]``."""
     if isinstance(value, dict):

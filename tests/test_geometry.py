@@ -546,3 +546,24 @@ def test_half_circle_roof_positive_on_upper_targets():
     assert value > 0.0
     value_up, _ = finite_convex_roof_points(values, np.array([0.0, 0.5]), points)
     assert value_up > value
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_membership_verdicts_agree_with_highs_on_minimal_states(d):
+    optimize = pytest.importorskip("scipy.optimize")
+    from kdwitness import enumerate_min_uncertainty_states, haar_unitary
+
+    for seed in (1, 2):
+        states = enumerate_min_uncertainty_states(haar_unitary(d, 500 + 10 * d + seed)).states
+        generators = [projector(s) for s in states]
+        points = np.array([hermitian_to_real(g) for g in generators])
+        rng = np.random.default_rng(seed)
+        inside = np.einsum("k,kij->ij", rng.dirichlet(np.ones(len(states))), generators)
+        outside = projector(random_pure_state(d, rng))
+        for expected, target in (("inside", inside), ("outside", outside)):
+            a = np.vstack([points.T, np.ones((1, len(points)))])
+            b = np.concatenate([hermitian_to_real(target), [1.0]])
+            ref = optimize.linprog(np.zeros(len(points)), A_eq=a, b_eq=b, bounds=(0, None),
+                                   method="highs")
+            assert ref.status == (0 if expected == "inside" else 2)
+            assert membership_lp(target, generators).verdict == expected

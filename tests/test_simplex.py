@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
 
+from kdwitness import simplex
+from kdwitness.errors import CertificateError, SolverStall
 from kdwitness.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_equality_lp
 
 
 # -- reference: the tableau simplex with its row and column loops --------------
 
 
-def _reference_enter_bland(cost_row, n_cols):
-    for j in range(n_cols):
+def _reference_enter(cost_row, n, bland):
+    """First improving column j < n under Bland's rule, else the most negative
+    (lowest index on ties)."""
+    best = -1
+    for j in range(n):
         if cost_row[j] < -1e-10:
-            return j
-    return -1
+            if bland:
+                return j
+            if best == -1 or cost_row[j] < cost_row[best]:
+                best = j
+    return best
 
 
 def _reference_leave_bland(tableau, col, basis):
@@ -39,65 +47,101 @@ def _reference_pivot(tableau, cost_row, row, col, basis):
     basis[row] = col
 
 
-def _reference_iterate(tableau, cost_row, basis, n_cols):
+def _reference_reinvert(tableau, cost_row, basis, system, costs):
+    tableau[:] = np.linalg.solve(system[:, basis], system)
+    for i, jb in enumerate(basis):
+        tableau[:, jb] = 0.0
+        tableau[i, jb] = 1.0
+    cost_row[:] = costs - costs[basis] @ tableau[:, :-1]
+    for jb in basis:
+        cost_row[jb] = 0.0
+
+
+def _reference_iterate(tableau, cost_row, basis, system, costs, n, bland_after, reinvert_every):
+    """Dantzig pricing, Bland's rule after ``bland_after`` degenerate pivots in a
+    row, a reinversion every ``reinvert_every`` pivots and, in a phase longer
+    than that, before declaring the basis optimal."""
+    degenerate = since = 0
     for iteration in range(50_000):
-        col = _reference_enter_bland(cost_row, n_cols)
+        if since == reinvert_every:
+            _reference_reinvert(tableau, cost_row, basis, system, costs)
+            since = 0
+        col = _reference_enter(cost_row, n, degenerate >= bland_after)
+        if col < 0 and since > 0 and iteration > reinvert_every:
+            _reference_reinvert(tableau, cost_row, basis, system, costs)
+            since = 0
+            col = _reference_enter(cost_row, n, degenerate >= bland_after)
         if col < 0:
             return OPTIMAL, iteration
         row = _reference_leave_bland(tableau, col, basis)
         if row < 0:
             return UNBOUNDED, iteration
+        if tableau[row, -1] / tableau[row, col] <= 1e-10:
+            degenerate += 1
+        else:
+            degenerate = 0
         _reference_pivot(tableau, cost_row, row, col, basis)
+        since += 1
     raise AssertionError("reference simplex did not terminate")
 
 
-def _reference_solve(a, b, c=None, feas_tol=1e-8):
+def _reference_solve(a, b, c=None, feas_tol=1e-8, bland_after=32, reinvert_every=64):
     """(status, x, farkas, phase1_gap, iterations) of the loop-based simplex."""
     m, n = a.shape
+    rules = (n, bland_after, reinvert_every)
     signs = np.where(b < 0.0, -1.0, 1.0)
     ext = np.hstack([a * signs[:, None], np.eye(m)])
-    tableau = np.hstack([ext, (b * signs)[:, None]])
+    system = np.hstack([ext, (b * signs)[:, None]])
+    tableau = system.copy()
     basis = list(range(n, n + m))
-    cost_row = -tableau[:, :-1].sum(axis=0)
-    cost_row[n:] += 1.0
-    status, iters = _reference_iterate(tableau, cost_row, basis, n + m)
+    costs_phase1 = np.zeros(n + m)
+    costs_phase1[n:] = 1.0
+    cost_row = costs_phase1 - tableau[:, :-1].sum(axis=0)
+    status, iters = _reference_iterate(tableau, cost_row, basis, system, costs_phase1, *rules)
     mass = sum(tableau[i, -1] for i in range(len(basis)) if basis[i] >= n)
     if mass > feas_tol:
-        costs_phase1 = np.zeros(n + m)
-        costs_phase1[n:] = 1.0
         y = np.linalg.solve(ext[:, basis].T, costs_phase1[list(basis)])
         return INFEASIBLE, None, y * signs, float(mass), iters
-    redundant = []
     for i in range(m):
         if basis[i] < n:
             continue
-        pivot_col = -1
         for j in range(n):
             if j not in basis and abs(tableau[i, j]) > 1e-10:
-                pivot_col = j
+                _reference_pivot(tableau, cost_row, i, j, basis)
                 break
-        if pivot_col >= 0:
-            _reference_pivot(tableau, cost_row, i, pivot_col, basis)
-        else:
-            redundant.append(i)
-    if redundant:
-        keep = [i for i in range(tableau.shape[0]) if i not in redundant]
-        tableau = tableau[keep]
-        basis = [basis[i] for i in keep]
-    if c is not None:
-        tableau = np.hstack([tableau[:, :n], tableau[:, -1:]])
-        cost_row = np.array(c, dtype=float)
-        for i, jb in enumerate(basis):
-            cost_row -= cost_row[jb] * tableau[i, :-1]
-        status, iters2 = _reference_iterate(tableau, cost_row, basis, n)
+    # An artificial still basic marks its constraint row as redundant.
+    rows = [k for k in range(m) if n + k not in basis]
+    basis = [j for j in basis if j < n]
+    system = system[rows][:, list(range(n)) + [-1]]
+    if c is None:
+        x_basic = np.linalg.solve(system[:, basis], system[:, -1])
+    else:
+        costs = np.array(c, dtype=float)
+        tableau = np.empty_like(system)
+        cost_row = np.empty(n)
+        _reference_reinvert(tableau, cost_row, basis, system, costs)
+        status, iters2 = _reference_iterate(tableau, cost_row, basis, system, costs, *rules)
         iters += iters2
         if status != OPTIMAL:
             return status, None, None, 0.0, iters
+        x_basic = tableau[:, -1]
     x = np.zeros(n)
     for i, jb in enumerate(basis):
-        if jb < n:
-            x[jb] = tableau[i, -1]
+        x[jb] = x_basic[i]
     return OPTIMAL, x, None, float(mass), iters
+
+
+# Beale's cycling example (minimize -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7 over
+# three equality rows with slacks x1, x2, x3); its optimum is -1/20.
+_BEALE_A = np.array(
+    [
+        [0.25, -60.0, -1 / 25, 9.0, 1.0, 0.0, 0.0],
+        [0.5, -90.0, -1 / 50, 3.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+    ]
+)
+_BEALE_B = np.array([0.0, 0.0, 1.0])
+_BEALE_C = np.array([-0.75, 150.0, -1 / 50, 6.0, 0.0, 0.0, 0.0])
 
 
 def _reference_lps():
@@ -147,6 +191,13 @@ def _reference_lps():
         ]
     )
     yield beale, np.array([0.0, 0.0, 1.0]), np.array([-0.75, 20.0, -0.5, 6.0, 0, 0, 0])
+    yield _BEALE_A, _BEALE_B, _BEALE_C
+    # Hull LPs long enough that the default rule reinverts in mid-run.
+    for dim, n in ((12, 150), (20, 400)):
+        points = rng.standard_normal((n, dim))
+        a = np.vstack([points.T, np.ones((1, n))])
+        b = np.concatenate([rng.dirichlet(np.ones(n)) @ points, [1.0]])
+        yield a, b, np.abs(points).sum(axis=1)
 
 
 def test_feasibility_only():
@@ -202,6 +253,12 @@ def test_infeasible_by_nonnegativity():
     y = res.farkas
     assert (a.T @ y).max() <= 1e-8
     assert y @ b > 0.0
+
+
+def test_a_program_without_columns():
+    infeasible = solve_equality_lp(np.zeros((1, 0)), np.array([1.0]))
+    assert infeasible.status == INFEASIBLE and infeasible.farkas.tolist() == [1.0]
+    assert solve_equality_lp(np.zeros((1, 0)), np.array([0.0])).x.shape == (0,)
 
 
 def test_degenerate_vertex_terminates():
@@ -263,11 +320,11 @@ def _bytes(array):
     return None if array is None else np.asarray(array).tobytes()
 
 
-def test_vectorised_simplex_matches_the_loop_reference():
+def _assert_matches_the_loop_reference(**rules):
     statuses = set()
     for k, (a, b, c) in enumerate(_reference_lps()):
         for cost in (None, c):
-            status, x, farkas, gap, iterations = _reference_solve(a, b, cost)
+            status, x, farkas, gap, iterations = _reference_solve(a, b, cost, **rules)
             res = solve_equality_lp(a, b, c=cost)
             assert res.status == status, k
             assert _bytes(res.x) == _bytes(x), k
@@ -276,3 +333,124 @@ def test_vectorised_simplex_matches_the_loop_reference():
             assert res.iterations == iterations, k
             statuses.add(status)
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def test_vectorised_simplex_matches_the_loop_reference():
+    _assert_matches_the_loop_reference()
+
+
+def test_fallback_and_reinversion_match_the_loop_reference(monkeypatch):
+    # Bland's rule after every degenerate pivot and a reinversion every three
+    # pivots, so that both run on most of the reference LPs.
+    monkeypatch.setattr(simplex, "BLAND_AFTER", 1)
+    monkeypatch.setattr(simplex, "REINVERT_EVERY", 3)
+    _assert_matches_the_loop_reference(bland_after=1, reinvert_every=3)
+
+
+def test_beale_cycling_lp_terminates_at_its_optimum():
+    res = solve_equality_lp(_BEALE_A, _BEALE_B, c=_BEALE_C)
+    assert res.status == OPTIMAL
+    assert res.objective == pytest.approx(-1 / 20, abs=1e-12)
+    assert res.x[[0, 2, 4]] == pytest.approx([1 / 25, 1.0, 3 / 100], abs=1e-12)
+
+
+def _beale_from_the_slack_basis():
+    system = np.hstack([_BEALE_A, _BEALE_B[:, None]])
+    tableau, cost_row, basis = system.copy(), _BEALE_C.copy(), [4, 5, 6]
+    status, _ = simplex._iterate(tableau, cost_row, basis, system, _BEALE_C, 7)
+    x = np.zeros(7)
+    x[basis] = tableau[:, -1]
+    return status, _BEALE_C @ x
+
+
+def test_bland_fallback_breaks_the_dantzig_cycle(monkeypatch):
+    # From the slack basis, Dantzig's rule with lowest-index ties cycles on
+    # Beale's example; the fallback leaves the cycle and reaches the optimum.
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 500)
+    status, objective = _beale_from_the_slack_basis()
+    assert status == OPTIMAL
+    assert objective == pytest.approx(-1 / 20, abs=1e-12)
+    monkeypatch.setattr(simplex, "BLAND_AFTER", 10**9)
+    with pytest.raises(SolverStall):
+        _beale_from_the_slack_basis()
+
+
+def _corrupt_reinversion(monkeypatch, corrupt):
+    """Patch the reinversion so that ``corrupt(tableau, cost_row)`` runs after each."""
+    reinvert = simplex._reinvert
+
+    def corrupted(*args):
+        tableau, cost_row = reinvert(*args)
+        corrupt(tableau, cost_row)
+        return tableau, cost_row
+
+    monkeypatch.setattr(simplex, "_reinvert", corrupted)
+
+
+def _hull_lp(seed=5, dim=4, n=30):
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((n, dim))
+    a = np.vstack([points.T, np.ones((1, n))])
+    b = np.concatenate([rng.dirichlet(np.ones(n)) @ points, [1.0]])
+    return a, b, rng.standard_normal(n)
+
+
+def test_recheck_rejects_a_drifted_right_hand_side(monkeypatch):
+    a, b, c = _hull_lp()
+
+    def corrupt(tableau, cost_row):
+        tableau[:, -1] += 1e-6
+
+    _corrupt_reinversion(monkeypatch, corrupt)
+    with pytest.raises(CertificateError, match="misses A @ x = b"):
+        solve_equality_lp(a, b, c=c)
+
+
+def test_recheck_rejects_a_false_feasibility_claim(monkeypatch):
+    # A target outside the hull, and a last phase-one pivot that wipes the
+    # artificial values: the LP looks feasible, but no x on its basis is.
+    a, b, _ = _hull_lp()
+    b[:-1] += 10.0
+    pivots = solve_equality_lp(a, b).iterations
+    pivot = simplex._pivot
+    calls = []
+
+    def corrupted(tableau, cost_row, row, col, basis):
+        pivot(tableau, cost_row, row, col, basis)
+        calls.append(col)
+        if len(calls) == pivots:
+            tableau[[i for i, j in enumerate(basis) if j >= a.shape[1]], -1] = 0.0
+
+    monkeypatch.setattr(simplex, "_pivot", corrupted)
+    with pytest.raises(CertificateError, match="optimal x"):
+        solve_equality_lp(a, b)
+
+
+def test_recheck_rejects_a_suboptimal_basis(monkeypatch):
+    # A cost row wiped to zero makes every basis look optimal; the duals solved
+    # on the final basis show that it is not.
+    a, b, c = _hull_lp()
+    _corrupt_reinversion(monkeypatch, lambda tableau, cost_row: cost_row.fill(0.0))
+    with pytest.raises(CertificateError, match="reduced cost"):
+        solve_equality_lp(a, b, c=c)
+
+
+def test_clustered_columns_pass_the_recheck_and_agree_with_highs():
+    # Columns in tight clusters with one integer cost per cluster: bases that
+    # mix near-parallel columns, and many tied prices. No seeded LP of this
+    # kind was found whose tableau drifts without reinversion, so this test
+    # exercises such bases and the re-check; it does not reproduce a drift.
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(2024)
+    dim, clusters, per = 20, 30, 20
+    centers = rng.standard_normal((clusters, dim))
+    points = (centers[:, None] + 1e-3 * rng.standard_normal((clusters, per, dim))).reshape(-1, dim)
+    n = points.shape[0]
+    a = np.vstack([points.T, np.ones((1, n))])
+    b = np.concatenate([rng.dirichlet(np.ones(n)) @ points, [1.0]])
+    c = np.repeat(rng.integers(2, 8, clusters).astype(float), per)
+    res = solve_equality_lp(a, b, c=c)
+    ref = optimize.linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+    assert res.status == OPTIMAL and ref.status == 0
+    assert res.objective == pytest.approx(ref.fun, abs=1e-9)
+    assert np.abs(a @ res.x - b).max() <= 1e-12

@@ -4,10 +4,13 @@ import pytest
 from kdwitness import (
     OutOfRange,
     SPIN1,
+    enumerate_min_uncertainty_states,
+    phase_invariant_distance,
     rho_lambda,
     rho_lambda_eigenvalues,
     run_spin1_checks,
 )
+from kdwitness.spin1 import _match_sets
 
 
 def test_fixture_invariants():
@@ -68,3 +71,36 @@ def test_full_check_run_passes():
     assert report.facet_count == 28
     assert len(report.witness_expectations) == 15
     assert max(report.witness_expectations) == pytest.approx(0.5, abs=1e-12)
+
+
+def _loop_match(found, reference, tol):
+    """The greedy bijection one pair at a time: each reference takes the
+    nearest remaining found state, the lower index on ties."""
+    remaining = list(range(found.shape[0]))
+    worst = 0.0
+    for ref in reference:
+        best_dist, best_k = min((phase_invariant_distance(found[k], ref), k) for k in remaining)
+        if best_dist > tol:
+            return float("inf")
+        worst = max(worst, best_dist)
+        remaining.remove(best_k)
+    return worst
+
+
+def test_match_sets_equals_the_pairwise_loop_on_permuted_phased_fixtures():
+    reference = SPIN1.min_uncertainty_states
+    enumerated = enumerate_min_uncertainty_states(SPIN1.transition).states
+    rng = np.random.default_rng(15)
+    for states in (reference, enumerated):
+        for _ in range(10):
+            order = rng.permutation(len(states))
+            phases = np.exp(2j * np.pi * rng.random(len(states)))
+            found = states[order] * phases[:, None]
+            worst = _match_sets(found, reference, 1e-8)
+            assert worst == _loop_match(found, reference, 1e-8)
+            assert worst <= 1e-15
+    # A state moved off the fixture fails the match; so does a size mismatch.
+    moved = reference.copy()
+    moved[3] = reference[4]
+    assert _match_sets(moved, reference, 1e-8) == _loop_match(moved, reference, 1e-8) == np.inf
+    assert _match_sets(reference[:14], reference, 1e-8) == np.inf
