@@ -133,11 +133,7 @@ def _drop_near_repeats(candidates: np.ndarray, dedup_tol: float) -> np.ndarray:
     later, earlier = order[b], order[a]
     pairs = earlier < later
     later, earlier = later[pairs], earlier[pairs]
-    psi, chi = candidates[later], candidates[earlier]
-    inner = np.einsum("ij,ij->i", chi.conj(), psi)
-    magnitude = np.abs(inner)
-    phase = np.divide(inner, magnitude, out=np.ones_like(inner), where=magnitude > 0.0)
-    near = np.linalg.norm(psi - phase[:, np.newaxis] * chi, axis=1) <= dedup_tol
+    near = phase_invariant_distance(candidates[later], candidates[earlier]) <= dedup_tol
     later, earlier = later[near], earlier[near]
     keep = np.ones(n, dtype=bool)
     by_later = np.argsort(later, kind="stable")

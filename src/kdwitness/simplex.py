@@ -53,8 +53,10 @@ class LPResult:
 
 def _enter(cost_row: np.ndarray, bland: bool) -> int:
     """First improving column (Bland), else the most negative one (lowest index on ties)."""
-    improving = cost_row < -PIVOT_TOL
-    return int(improving.argmax() if bland else cost_row.argmin()) if improving.any() else -1
+    if not cost_row.size:
+        return -1
+    col = int((cost_row < -PIVOT_TOL).argmax() if bland else cost_row.argmin())
+    return col if cost_row[col] < -PIVOT_TOL else -1
 
 
 def _leave(tableau: np.ndarray, col: int, basis: list[int]) -> int:
@@ -179,14 +181,15 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL) -> LPResu
             pivot_col = int(candidates[0])
             _pivot(tableau, cost_row, i, pivot_col, basis)
             nonbasic[pivot_col] = False
+    kept = [i for i, j in enumerate(basis) if j < n]
     rows = [k for k in range(m) if n + k not in basis]
-    basis = [j for j in basis if j < n]
+    basis = [basis[i] for i in kept]
 
-    # x, or phase two's tableau, from the original columns on this basis.
     costs = None if c is None else np.asarray(c, dtype=float)
     if costs is None:
-        x_basic = np.linalg.solve(a_mod[np.ix_(rows, basis)], b_mod[rows])
+        x_basic = tableau[kept, -1]
     else:
+        # Phase two starts from the original columns on the final phase-one basis.
         system = np.hstack([a_mod, b_mod[:, None]])[rows]
         tableau, cost_row = _reinvert(basis, system, costs)
         status, iters2 = _iterate(tableau, cost_row, basis, system, costs, n)

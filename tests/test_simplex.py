@@ -110,11 +110,12 @@ def _reference_solve(a, b, c=None, feas_tol=1e-8, bland_after=32, reinvert_every
                 _reference_pivot(tableau, cost_row, i, j, basis)
                 break
     # An artificial still basic marks its constraint row as redundant.
+    kept = [i for i in range(m) if basis[i] < n]
     rows = [k for k in range(m) if n + k not in basis]
-    basis = [j for j in basis if j < n]
+    basis = [basis[i] for i in kept]
     system = system[rows][:, list(range(n)) + [-1]]
     if c is None:
-        x_basic = np.linalg.solve(system[:, basis], system[:, -1])
+        x_basic = [tableau[i, -1] for i in kept]
     else:
         costs = np.array(c, dtype=float)
         tableau = np.empty_like(system)
