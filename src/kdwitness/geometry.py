@@ -299,7 +299,7 @@ def facet_enumeration_points(points) -> list[Facet]:
             rows = hull_pts[block[:, 1:]] - anchors[:, None, :]
             normals, margin = _prefilter(rows, anchors, hull_pts, active_tol + slack)
         side = hull_pts @ normals.T - np.einsum("ij,ij->i", normals, anchors)
-        # A NaN margin (all spanning rows zero) proves nothing.
+        # NaN side values or margins (no cheap normal, or no spanning rows) prove nothing.
         unproven = ~((side.max(axis=0) > margin) & (side.min(axis=0) < -margin))
         normals, anchors = normals[unproven], anchors[unproven]
         if rank > 1:
@@ -334,7 +334,7 @@ def facet_enumeration_points(points) -> list[Facet]:
 def _unmatched(planes, kept_planes) -> np.ndarray:
     """Which hyperplanes, in order, match no kept one and no earlier one kept.
 
-    Matching offsets, and normals by the per-pair norm, agree within FACET_MATCH_TOL.
+    Matching offsets, and normals by the norm of their difference, agree within FACET_MATCH_TOL.
     """
     match_tol = config.FACET_MATCH_TOL
     base = len(kept_planes)
@@ -346,11 +346,8 @@ def _unmatched(planes, kept_planes) -> np.ndarray:
     for c in np.flatnonzero(near.any(axis=0)).tolist():
         if c < base or keep[c - base]:
             rows = np.flatnonzero(near[:, c] & keep)
-            # Only preselects: the array norm rounds differently from the per-pair one.
-            close = np.linalg.norm(planes[rows, :-1] - pool[c, :-1], axis=1) <= 2 * match_tol
-            for i in rows[close].tolist():
-                if np.linalg.norm(planes[i, :-1] - pool[c, :-1]) <= match_tol:
-                    keep[i] = False
+            apart = np.linalg.norm(planes[rows, :-1] - pool[c, :-1], axis=1)
+            keep[rows[apart <= match_tol]] = False
     return keep
 
 
@@ -368,8 +365,8 @@ def _prefilter(rows, anchors, hull_pts, limit):
     ``anchors`` their anchor points a. Each A with the probe row appended is
     solved for e_rank in one stacked call, and the unit solution n is a
     cheap normal. If that call raises, a second one leaves out the systems
-    whose determinant, from the same LU, is zero; those without a finite n
-    take the last column of a complete QR of A^T. A subset with some point
+    whose determinant, from the same LU, is zero; a subset left without a
+    finite n proves nothing and goes to the SVD. A subset with some point
     above ``limit + delta`` and some below ``-limit - delta`` under n cannot
     be a facet, where delta bounds how far its side values can lie from the
     SVD normal v's for any A the SVD would call spanning:
@@ -409,10 +406,6 @@ def _prefilter(rows, anchors, hull_pts, limit):
             with suppress(np.linalg.LinAlgError):
                 normals[regular] = np.linalg.solve(square[regular], unit)
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        failed = ~np.isfinite(normals).all(axis=1)
-        if failed.any():
-            spans = rows[failed].transpose(0, 2, 1)
-            normals[failed] = np.linalg.qr(spans, mode="complete")[0][..., -1]
         size = np.linalg.norm(rows, axis=(1, 2))
         residual = np.linalg.norm(np.einsum("ijk,ik->ij", rows, normals), axis=1)
         gamma = 64 * rank * eps

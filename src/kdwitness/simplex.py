@@ -14,7 +14,7 @@ original ``A``, ``b`` and ``c`` (residual, sign, and reduced costs of duals
 solved on its final basis), and an infeasible one carries a Farkas
 certificate ``y`` with ``y @ A <= 0`` componentwise (within
 ``config.FARKAS_SLACK_TOL``) and ``y @ b > 0``; a failed check raises
-CertificateError.
+CertificateError, and a basis the pivots left singular raises NoConvergence.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import (BLAND_TIE_TOL, FARKAS_SLACK_TOL, FEASIBILITY_TOL, LP_DUAL_TOL,
                      LP_PRIMAL_TOL, PIVOT_TOL)
-from .errors import CertificateError, SolverStall
+from .errors import CertificateError, NoConvergence, SolverStall
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -91,9 +91,12 @@ def _pivot(tableau: np.ndarray, cost_row: np.ndarray, row: int, col: int,
     basis[row] = col
 
 
-def _reinvert(basis: list[int], system: np.ndarray, costs: np.ndarray):
+def _reinvert(basis: list[int], system: np.ndarray, costs: np.ndarray, pivots: int):
     """Tableau and cost row on ``basis``, from ``system = [columns | rhs]`` and ``costs``."""
-    tableau = np.linalg.solve(system[:, basis], system)
+    try:
+        tableau = np.linalg.solve(system[:, basis], system)
+    except np.linalg.LinAlgError:
+        raise NoConvergence(f"simplex basis turned singular after {pivots} pivots") from None
     tableau[:, basis] = np.eye(len(basis))
     cost_row = costs - costs[basis] @ tableau[:, :-1]
     cost_row[basis] = 0.0
@@ -108,7 +111,7 @@ def _iterate(tableau: np.ndarray, cost_row: np.ndarray, basis: list[int],
         col = _enter(cost_row[:n], degenerate >= BLAND_AFTER)
         if since_reinversion == REINVERT_EVERY or (
                 col < 0 and since_reinversion and iteration > REINVERT_EVERY):
-            tableau[:], cost_row[:] = _reinvert(basis, system, costs)
+            tableau[:], cost_row[:] = _reinvert(basis, system, costs, iteration)
             since_reinversion = 0
             col = _enter(cost_row[:n], degenerate >= BLAND_AFTER)
         if col < 0:
@@ -191,7 +194,7 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL) -> LPResu
     else:
         # Phase two starts from the original columns on the final phase-one basis.
         system = np.hstack([a_mod, b_mod[:, None]])[rows]
-        tableau, cost_row = _reinvert(basis, system, costs)
+        tableau, cost_row = _reinvert(basis, system, costs, iters)
         status, iters2 = _iterate(tableau, cost_row, basis, system, costs, n)
         iters += iters2
         if status == UNBOUNDED:

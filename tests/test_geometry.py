@@ -9,11 +9,15 @@ from kdwitness import (
     SPIN1,
     CertificateError,
     DimensionTooLarge,
+    KDError,
     NotHermitian,
     OutsideHull,
     ValidationError,
+    enumerate_min_uncertainty_states,
     facet_enumeration,
+    filter_kd_positive_pure,
     finite_convex_roof,
+    haar_unitary,
     hermitian_to_real,
     membership_lp,
     real_to_hermitian,
@@ -30,6 +34,7 @@ from kdwitness.geometry import (
     membership_lp_points,
 )
 from kdwitness.linalg import dagger, projector, random_pure_state
+from kdwitness.roof import nonpositivity_values_fn
 
 # A pure state about 6e-8 inside a spin-1 facet, within the active tolerance,
 # so hyperplanes through different subsets hold one active set.
@@ -228,31 +233,42 @@ def test_prefilter_margin_covers_the_gap_to_the_svd_normal():
     assert worst > 1e-9
 
 
-def test_blocks_on_the_qr_fallback_match_the_reference(monkeypatch):
-    cases = _reference_cases()
-    qr = np.linalg.qr
-    fallbacks = []
+def _record_stacked_svd(monkeypatch):
+    """Record the spanning rows of every subset that reaches the stacked SVD."""
+    svd = np.linalg.svd
+    received = []
 
-    def counted_qr(*args, **kwargs):
-        fallbacks.append(1)
-        return qr(*args, **kwargs)
+    def recorded_svd(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            received.extend(np.asarray(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    return received
+
+
+def test_blocks_without_cheap_normals_reach_the_svd_and_match_the_reference(monkeypatch):
+    cases = _reference_cases()
+    received = _record_stacked_svd(monkeypatch)
 
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    # Every subset: C(15, 5) on spin-1, C(3, 2) on the triangle and
+    # C(14, 8) in 3 blocks on generic_14.
+    subsets = {"spin1": 3003, "triangle": 3, "generic_14": 3003}
     for solve in (singular, lambda a, b: np.full(a.shape[:-1], np.nan)):
         monkeypatch.setattr(np.linalg, "solve", solve)
-        for name in ("spin1", "triangle", "generic_14"):
+        for name, count in subsets.items():
+            received.clear()
             _assert_same_facets(cases[name], name)
-        # generic_14: 3003 subsets in 3 blocks, all on the fallback.
-        assert len(fallbacks) >= 3
-        fallbacks.clear()
+            assert len(received) == count, name
 
 
-def test_prefilter_runs_qr_only_on_the_exactly_singular_systems(monkeypatch):
+def test_exactly_singular_probe_systems_reach_the_svd(monkeypatch):
     # On spin-1 some subsets' probe systems are exactly singular, so every
-    # block's stacked solve raises; only those systems may reach the QR.
+    # block's stacked solve raises; those systems get no cheap normal, and
+    # the stacked SVD judges them.
     points = _reference_cases()["spin1"]
     deltas = points - points.mean(axis=0)
     _, sing, vt = np.linalg.svd(deltas, full_matrices=False)
@@ -262,18 +278,12 @@ def test_prefilter_runs_qr_only_on_the_exactly_singular_systems(monkeypatch):
     square = np.empty((len(subsets), rank, rank))
     square[:, :-1] = hull_pts[subsets[:, 1:]] - hull_pts[subsets[:, :1]]
     square[:, -1] = np.cos(FACET_PROBE_ANGLE * np.arange(1, rank + 1))
-    singular = int(np.count_nonzero(np.linalg.det(square) == 0))
-    assert 0 < singular < len(subsets)
-    qr = np.linalg.qr
-    to_qr = []
-
-    def counted_qr(a, *args, **kwargs):
-        to_qr.append(len(a))
-        return qr(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    singular = square[np.linalg.det(square) == 0, :-1]
+    assert 0 < len(singular) < len(subsets)
+    received = _record_stacked_svd(monkeypatch)
     _assert_same_facets(points)
-    assert sum(to_qr) == singular
+    assert len(received) < len(subsets)
+    assert {a.tobytes() for a in singular} <= {a.tobytes() for a in received}
 
 
 def test_rank_one_and_rank_two_sets_match_the_reference():
@@ -477,6 +487,24 @@ def test_mixed_dimension_generators_are_a_validation_error(spin1_projectors):
 def test_finite_convex_roof_outside_raises(spin1_projectors):
     with pytest.raises(OutsideHull):
         finite_convex_roof(np.ones(15), rho_lambda(0.5), spin1_projectors)
+
+
+def test_finite_convex_roof_at_d6_returns_one_or_a_typed_error():
+    # An inside mixture of the KD-positive states of a d = 6 Haar basis: the
+    # nonpositivity roof is exactly 1. The phase-two simplex over the 792
+    # minimal-state projectors has been seen to reach a singular basis here;
+    # that must surface as a KDError, never as a numpy exception.
+    u = haar_unitary(6, 302)
+    minimal = enumerate_min_uncertainty_states(u)
+    positive = filter_kd_positive_pure(minimal, u)
+    weights = np.random.default_rng(2).dirichlet(np.ones(len(positive.states)))
+    rho = sum(w * projector(s) for w, s in zip(weights, positive.states))
+    values = nonpositivity_values_fn(u)(minimal.states)
+    try:
+        value = finite_convex_roof(values, rho, [projector(s) for s in minimal.states])
+    except KDError:
+        return
+    assert value == pytest.approx(1.0, abs=1e-9)
 
 
 # Each tampering of the optimal weights [0.5, 0, 0, 0.5] of the square's centre
