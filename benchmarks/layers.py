@@ -16,12 +16,14 @@ pinned to one thread, times
   per step, one step being one restart's proposal, score and accept test.
 
 It times ``complete_incompatibility`` on ``haar_unitary(d, 1000 + d)`` at
-d = 3..8, with the number of minors checked, and ``membership_lp`` at
-d = 4..6 over the projectors of that basis's minimal states, for the inside
-target ``MEMBERSHIP_INSIDE`` (their uniform mixture) and the outside target
-``MEMBERSHIP_OUTSIDE`` (the pure state ``random_pure_state(d,
-default_rng(4000 + d))``), with the verdict and the iterations of the
-simplex behind it. At the same d it times the phase-two LP
+d = 3..8 and on the DFT matrix ``dft_matrix(8)`` ("dft8", whose many
+vanishing minors make it the worst case for a search that re-evaluates the
+minors near the minimum), with the number of minors checked. It times
+``membership_lp`` at d = 4..6 over the projectors of that basis's minimal
+states, for the inside target ``MEMBERSHIP_INSIDE`` (their uniform mixture)
+and the outside target ``MEMBERSHIP_OUTSIDE`` (the pure state
+``random_pure_state(d, default_rng(4000 + d))``), with the verdict and the
+iterations of the simplex behind it. At the same d it times the phase-two LP
 ``finite_convex_roof`` over those projectors, with the total nonpositivity
 (``nonpositivity_values_fn``) of each minimal state as its value, on the
 inside target, with the roof value and the iterations of the simplex behind
@@ -39,19 +41,18 @@ It also times ``facet_enumeration_points`` on the real-embedded projectors
 of the 15 spin-1 minimal states and of ``FACET_SET_SIZES`` generic d = 3
 pure states ``random_pure_state(3, default_rng(3000 + n))``, with the facet
 count, the number C(n, affine rank) of subsets tested, and how many of them
-reach the stacked SVD and the prefilter's stacked QR (counted on one more
-untimed call, by wrapping ``numpy.linalg.svd`` and ``numpy.linalg.qr`` and
-adding up the matrices of their stacked calls). It times the Hermitian
-wrapper ``facet_enumeration`` on the projectors themselves, so the cost of
-embedding the generators and converting the functionals shows next to the
-points function.
+reach the stacked SVD (counted on one more untimed call, by wrapping
+``numpy.linalg.svd`` and adding up the matrices of its stacked calls). It
+times the Hermitian wrapper ``facet_enumeration`` on the projectors
+themselves, so the cost of embedding the generators and converting the
+functionals shows next to the points function.
 
 It prints one JSON record: per layer and dimension or set the median and
 quartiles of ``RUNS`` timed calls (after one untimed warm-up call), the
 state counts, the annealed bound, the minor counts, the hull verdicts, finite
-roof values and simplex iterations, the facet, subset, SVD-subset and QR-subset counts, and
-the machine, Python and numpy versions. Run it against the package on
-``PYTHONPATH``:
+roof values and simplex iterations, the facet, subset and SVD-subset
+counts, and the machine, Python and numpy versions. Run it against the
+package on ``PYTHONPATH``:
 
     PYTHONPATH=src python benchmarks/layers.py --label change > change-1.json
 
@@ -129,28 +130,24 @@ def timed(fn, *args, fresh=True, **kwargs):
     return result, times
 
 
-def stacked_matrices(fn, *args):
-    """Result of one call of ``fn`` and the matrices it passed, stacked, to ``svd`` and ``qr``."""
+def svd_subsets(fn, *args):
+    """Result of one call of ``fn`` and the number of matrices it passed, stacked, to ``svd``."""
     import numpy as np
 
-    originals = {name: getattr(np.linalg, name) for name in ("svd", "qr")}
-    counts = dict.fromkeys(originals, 0)
+    original = np.linalg.svd
+    count = 0
 
-    def counted(name):
-        def call(a, *f_args, **f_kwargs):
-            if np.ndim(a) > 2:
-                counts[name] += math.prod(np.shape(a)[:-2])
-            return originals[name](a, *f_args, **f_kwargs)
+    def counted(a, *f_args, **f_kwargs):
+        nonlocal count
+        if np.ndim(a) > 2:
+            count += math.prod(np.shape(a)[:-2])
+        return original(a, *f_args, **f_kwargs)
 
-        return call
-
-    for name in originals:
-        setattr(np.linalg, name, counted(name))
+    np.linalg.svd = counted
     try:
-        return fn(*args), counts
+        return fn(*args), count
     finally:
-        for name, original in originals.items():
-            setattr(np.linalg, name, original)
+        np.linalg.svd = original
 
 
 def combine(paths) -> dict:
@@ -200,6 +197,7 @@ def main(argv=None) -> dict:
     from kdwitness.geometry import _hull_lp, facet_enumeration, facet_enumeration_points
     from kdwitness.linalg import projector, random_density, random_pure_state
     from kdwitness.roof import nonpositivity_values_fn
+    from kdwitness.studies import dft_matrix
 
     layers = {}
     cfg = kdwitness.AnnealConfig(**ROOF_CONFIG)
@@ -227,10 +225,11 @@ def main(argv=None) -> dict:
         }
 
     layers["complete_incompatibility"] = {}
-    for d in MINOR_DIMS:
-        u = kdwitness.haar_unitary(d, 1000 + d)
+    minor_bases = {f"d{d}": kdwitness.haar_unitary(d, 1000 + d) for d in MINOR_DIMS}
+    minor_bases["dft8"] = dft_matrix(8)
+    for name, u in minor_bases.items():
         report, minor_times = timed(kdwitness.complete_incompatibility, u)
-        layers["complete_incompatibility"][f"d{d}"] = {
+        layers["complete_incompatibility"][name] = {
             **summary_ms(minor_times),
             "minors_checked": report.minors_checked,
         }
@@ -307,13 +306,12 @@ def main(argv=None) -> dict:
         points = np.array([kdwitness.hermitian_to_real(g) for g in generators])
         rank = int(np.linalg.matrix_rank(points - points.mean(axis=0)))
         facets, facet_times = timed(facet_enumeration_points, points)
-        _, stacked = stacked_matrices(facet_enumeration_points, points)
+        _, to_svd = svd_subsets(facet_enumeration_points, points)
         layers["facet_enumeration_points"][name] = {
             **summary_ms(facet_times),
             "facets": len(facets),
             "subsets": math.comb(len(states), rank),
-            "subsets_to_svd": stacked["svd"],
-            "subsets_to_qr": stacked["qr"],
+            "subsets_to_svd": to_svd,
         }
         hermitian, wrapper_times = timed(facet_enumeration, generators)
         layers["facet_enumeration"][name] = {**summary_ms(wrapper_times), "facets": len(hermitian)}
