@@ -115,18 +115,23 @@ class MembershipCertificate:
 def _embed(generators, target=None):
     """Dimension, real generator points and target point of Hermitian inputs.
 
-    Every matrix, the target included, must share the first generator's
-    square shape; the shapes are checked before the matrices are stacked.
-    Raises NotHermitian when any matrix fails validate_hermitian's test.
+    The generators are stacked once, and the stack and the target must hold
+    matrices of the first generator's square shape. Raises NotHermitian when
+    any matrix fails validate_hermitian's test.
     """
-    matrices = [*generators] + ([] if target is None else [target])
-    n = len(matrices) - (target is not None)
+    stack = generators if isinstance(generators, np.ndarray) else list(generators)
+    n = len(stack)
     if n == 0:
         raise ValidationError("need at least one generator")
-    d = np.shape(matrices[0])[0]
-    if any(np.shape(m) != (d, d) for m in matrices):
+    d = np.shape(stack[0])[0]
+    with suppress(ValueError):  # a ragged list stays a list
+        stack = np.asarray(stack, dtype=complex)
+    target_shape = (d, d) if target is None else np.shape(target)
+    if getattr(stack, "shape", ())[1:] != (d, d) or target_shape != (d, d):
         raise ValidationError(f"all matrices must be {d} x {d}, like the first generator")
-    stack = as_complex(matrices, "generator or target")
+    if target is not None:
+        stack = np.concatenate([stack, np.asarray(target, dtype=complex)[None]])
+    stack = as_complex(stack, "generator or target")
     require_hermitian(stack)
     points = hermitian_to_real(stack)
     return d, points[:n], None if target is None else points[n]

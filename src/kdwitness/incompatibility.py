@@ -1,12 +1,14 @@
 """Support-uncertainty counters and the complete-incompatibility decision.
 
 A basis pair is completely incompatible when every minor of every order of
-its transition matrix is nonvanishing. The decision here is by exhaustive
-enumeration of all C(2d, d) - 1 minors, which is cheap up to dimension eight.
+its transition matrix is nonvanishing. The decision here checks all
+C(2d, d) - 1 minors, by a Laplace recurrence with LU re-checks near the
+minimum, which is cheap up to dimension eight.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -15,6 +17,8 @@ from . import config
 from .basis import per_basis
 from .errors import DimensionMismatch, DimensionTooLarge, ValidationError
 from .linalg import as_complex, dagger
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -98,11 +102,13 @@ def complete_incompatibility(transition, eps: float | None = None) -> Incompatib
     minimizing minor is reported, with ties broken lexicographically by
     ``(order, row_set, col_set)``.
 
-    Each order's minors are gathered into one stack, row sets outer and
-    column sets inner, and go through one batched determinant. The search
-    does not depend on ``eps`` and runs once per basis (see
-    :mod:`kdwitness.basis`). Raises DimensionTooLarge before any work when
-    the number of minors, C(2d, d) - 1, exceeds ``config.MAX_MINORS``.
+    A Laplace recurrence computes each order from the one below, with an
+    error bound; only minors within that bound of the least go through
+    ``np.linalg.det``, one stack per order, so the report has the bits of an
+    LU of every minor. The search does not depend on ``eps`` and runs once
+    per basis (see :mod:`kdwitness.basis`). Raises DimensionTooLarge before
+    any work when the number of minors, C(2d, d) - 1, exceeds
+    ``config.MAX_MINORS``.
     """
     eps = config.default_tol() if eps is None else eps
     u = as_complex(transition, "transition matrix")
@@ -132,19 +138,83 @@ def complete_incompatibility(transition, eps: float | None = None) -> Incompatib
     )
 
 
+@lru_cache(maxsize=16)
+def _laplace_tables(d: int) -> tuple:
+    """Per order k = 1..d: its subsets, gather positions (for k > 1) and bound factors.
+
+    For minor (R, C), rows outer, the (n, n, k) positions point at (-1)^(k-1+j)
+    u[max R, c_j] in [u, -u] and at minor (R - max R, C - c_j) one order below.
+    """
+    tables, below, root2 = [], {}, math.sqrt(2)
+    for k in range(1, d + 1):
+        sets = list(combinations(range(d), k))
+        s, gather = np.array(sets), ()
+        if k > 1:
+            drop = np.array([[below[c[:j] + c[j + 1:]] for j in range(k)] for c in sets])
+            parent = np.array([below[r[:-1]] for r in sets])[:, None, None] * len(below)
+            gather = (s[:, -1, None, None] * d + s + (k - 1 + np.arange(k)) % 2 * d * d,
+                      parent + drop)
+        relative = math.factorial(k) * (k - 1) * (2 * k + 2) + 800 * k * (k + 1)
+        relative += 8 * root2 * k**3.5 * (1 + root2) ** (k - 1)
+        for a in (s, *gather):
+            a.flags.writeable = False
+        tables.append((s, gather, 4 * relative * _EPS, 8 * k * (1 + root2) ** k))
+        below = {c: i for i, c in enumerate(sets)}
+    return tuple(tables)
+
+
+def _minors_by_recurrence(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every minor M of ``u``, flat by order, rows outer, and a bound b >= |M - LU|.
+
+    M_k[R, C] = sum_j (-1)^(k-1+j) u[max R, c_j] M_{k-1}[R - max R, C - c_j],
+    one gathered multiply-add per order; LU is ``np.linalg.det`` of the minor.
+    Bound, for any square finite u, with v its largest column norm: every
+    order-k minor is at most v^k (Hadamard). The recurrence adds g_k = (2k +
+    2) eps relative to each of the k terms of a level, each at most v^k, so
+    it errs by k! ((1 + g_k)^(k-1) - 1) v^k at most. LU pivots on |re| +
+    |im|, so |l| <= sqrt 2 and a column grows by (1 + sqrt 2)^(k-1) at most;
+    the backward error 8k eps |L||U| moves each column by eta_k = 8 sqrt 2
+    k^2.5 (1 + sqrt 2)^(k-1) eps of its norm, the determinant by ((1 +
+    eta_k)^k - 1) v^k, and sign exp(sum log |u_ii|) adds 800 k (k + 1) eps
+    relative. Doubled for rounding and higher orders, b = 4 (k! (k - 1) g_k
+    + k eta_k + 800 k (k + 1) eps) v^k + (8k (1 + sqrt 2)^k max(1, v))^k
+    2^-1074, the last term for underflow; it is infinite, and the whole order
+    re-checked, wherever the LU or the recurrence could overflow.
+    """
+    tables = _laplace_tables(u.shape[0])
+    signed = np.concatenate([u.ravel(), -u.ravel()])
+    v = np.linalg.norm(u, axis=0).max(initial=0.0)
+    minors, bounds = [u.ravel()], []
+    for s, gather, factor, growth in tables:
+        if gather:
+            u_at, below_at = gather
+            minors.append(np.einsum("rcj,rcj->rc", signed[u_at], minors[-1][below_at]).ravel())
+        k = s.shape[1]
+        bounds.append(factor * v**k + (growth * max(1.0, v)) ** k * 2.0**-1074)
+    return np.concatenate(minors), np.repeat(bounds, [len(s) ** 2 for s, *_ in tables])
+
+
 @per_basis
 def _smallest_minor(u: np.ndarray) -> tuple[float, int, tuple[int, ...], tuple[int, ...]]:
-    """Smallest |minor| of ``u`` with its order, row set and column set."""
-    d = u.shape[0]
-    best_abs = np.inf
-    best = (0, (), ())
-    for order in range(1, d + 1):
-        subsets = list(combinations(range(d), order))
-        s = np.array(subsets)
-        stacked = u[s[:, None, :, None], s[None, :, None, :]].reshape(-1, order, order)
-        dets = np.abs(np.linalg.det(stacked))
+    """Smallest |minor| of ``u`` by LU, with its order, row set and column set.
+
+    Only minors with |M| - b <= min(|M| + b), and NaNs, can be it or its ties.
+    """
+    best_abs, best, start = np.inf, (0, (), ()), 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        minors, bound = _minors_by_recurrence(u)
+        moduli = np.abs(minors)
+        near = ~(moduli - bound > np.min(moduli + bound, initial=np.inf))
+    for subsets, *_ in _laplace_tables(u.shape[0]):
+        n = len(subsets)
+        picks = np.flatnonzero(near[start:start + n * n])
+        start += n * n
+        if not picks.size:
+            continue
+        rows, cols = subsets[picks // n], subsets[picks % n]
+        dets = np.abs(np.linalg.det(u[rows[:, :, None], cols[:, None, :]]))
         k_min = int(np.argmin(dets))
         if dets[k_min] < best_abs:
             best_abs = float(dets[k_min])
-            best = (order, subsets[k_min // len(subsets)], subsets[k_min % len(subsets)])
+            best = (subsets.shape[1], tuple(rows[k_min].tolist()), tuple(cols[k_min].tolist()))
     return (best_abs, *best)

@@ -12,6 +12,8 @@ from kdwitness import (
     support_counts_mixed,
     support_counts_pure,
 )
+from kdwitness.basis import clear_cache
+from kdwitness.incompatibility import _minors_by_recurrence
 from kdwitness.linalg import haar_unitary, projector, random_pure_state
 from kdwitness.studies import dft_matrix
 
@@ -65,6 +67,68 @@ def test_gathered_minors_match_the_per_pair_reference():
         assert report.minors_checked == checked == comb(2 * u.shape[0], u.shape[0]) - 1, name
     planted = complete_incompatibility(cases["planted_zero"])
     assert planted.min_abs_minor == 0.0 and not planted.completely_incompatible
+
+
+def _lu_minors(u):
+    """Every minor of ``u`` by ``np.linalg.det``, flat in the recurrence's layout."""
+    d = u.shape[0]
+    dets = []
+    for order in range(1, d + 1):
+        s = np.array(list(combinations(range(d), order)))
+        dets.append(np.linalg.det(u[s[:, None, :, None], s[None, :, None, :]]).ravel())
+    return np.concatenate(dets)
+
+
+def test_recurrence_error_is_within_its_bound_on_every_minor():
+    rng = np.random.default_rng(17)
+    cases = {f"haar_{d}": haar_unitary(d, seed=1100 + d) for d in range(2, 9)}
+    cases["haar_6_x1e3"] = haar_unitary(6, seed=1206) * 1e3
+    cases["haar_6_x1e-3"] = haar_unitary(6, seed=1206) * 1e-3
+    cases["gaussian_6"] = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    for name, u in cases.items():
+        minors, bound = _minors_by_recurrence(u)
+        assert minors.shape == bound.shape == (comb(2 * u.shape[0], u.shape[0]) - 1,), name
+        assert np.all(np.abs(minors - _lu_minors(u)) <= bound), name
+
+
+def test_near_ties_ordered_opposite_by_the_recurrence_keep_the_lu_argmin():
+    # Haar minima come in Jacobi pairs, complementary minors of equal modulus
+    # up to rounding, so the recurrence and the LU often order the two
+    # smallest minors differently. The report follows the LU either way.
+    opposite = 0
+    for seed in range(40):
+        u = haar_unitary(4, seed=seed)
+        minors, bound = _minors_by_recurrence(u)
+        lu = np.abs(_lu_minors(u))
+        by_rec, by_lu = int(np.argmin(np.abs(minors))), int(np.argmin(lu))
+        if lu[by_rec] > lu[by_lu] and abs(minors[by_rec]) < abs(minors[by_lu]):
+            opposite += 1
+            assert lu[by_rec] - lu[by_lu] < bound[by_lu], seed
+        report = complete_incompatibility(u)
+        best_abs, best, _ = _reference_minor_search(u)
+        assert np.float64(report.min_abs_minor).tobytes() == np.float64(best_abs).tobytes(), seed
+        assert (report.argmin_order, report.argmin_rows, report.argmin_cols) == best, seed
+    assert opposite >= 2
+
+
+def test_minors_that_overflow_or_underflow_keep_the_reference_bits():
+    for u in (haar_unitary(5, seed=9) * 1e150, haar_unitary(8, seed=9) * 1e-120):
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = complete_incompatibility(u)
+            best_abs, best, _ = _reference_minor_search(u)
+        assert np.float64(report.min_abs_minor).tobytes() == np.float64(best_abs).tobytes()
+        assert (report.argmin_order, report.argmin_rows, report.argmin_cols) == best
+
+
+def test_haar_minors_rechecked_by_lu_are_few(monkeypatch):
+    # Only the smallest Jacobi pair is near the minimum of a Haar basis.
+    det, rechecked = np.linalg.det, []
+    monkeypatch.setattr(np.linalg, "det", lambda a: rechecked.append(len(a)) or det(a))
+    for seed in range(5):
+        rechecked.clear()
+        clear_cache()
+        complete_incompatibility(haar_unitary(8, seed=seed))
+        assert 1 <= sum(rechecked) <= 8, seed
 
 
 def test_support_pure_basis_state():
