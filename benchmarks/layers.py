@@ -1,4 +1,4 @@
-"""Layer timings: minimal-state enumeration, the KD-positive filter, the annealer, minors, hull LPs, finite roofs, facets, repeat calls.
+"""Layer timings: minimal-state enumeration, the KD-positive filter, the annealer, minors, hull LPs, finite roofs, facets, repeat calls, the support roof.
 
 Packages that keep per-basis work for reuse (``kdwitness.basis``) get their
 cache cleared before every timed call of a cached layer, so each layer is
@@ -47,11 +47,23 @@ times the Hermitian wrapper ``facet_enumeration`` on the projectors
 themselves, so the cost of embedding the generators and converting the
 functionals shows next to the points function.
 
+It times ``support_roof_bounds`` (the "support_roof" layer) on the spin-1
+states ``rho_lambda`` at ``COUNTEREXAMPLE_LAMBDAS`` and on hull-excluded
+states of ``haar_unitary(d, 1000 + d)`` at d = 4, 5 and ranks 2 and 3 (the
+first state ``G G^H / Tr`` with ``G`` a d x r complex Gaussian from
+``default_rng(5000 + 10 d + r)`` that ``membership_lp`` puts outside the
+hull of the minimal states), with the upper bound, the dual bound where the
+package reports one, and, counted on one more untimed call by wrapping the
+roof module's ``solve_equality_lp``, the master LPs solved (rounds) and the
+columns of the last one. Packages whose ``support_roof_bounds`` takes
+``cfg`` anneal at ``ROOF_CONFIG``.
+
 It prints one JSON record: per layer and dimension or set the median and
 quartiles of ``RUNS`` timed calls (after one untimed warm-up call), the
 state counts, the annealed bound, the minor counts, the hull verdicts, finite
 roof values and simplex iterations, the facet, subset and SVD-subset
-counts, and the machine, Python and numpy versions. Run it against the
+counts, the support-roof bounds, rounds and columns, and the machine,
+Python and numpy versions. Run it against the
 package on ``PYTHONPATH``:
 
     PYTHONPATH=src python benchmarks/layers.py --label change > change-1.json
@@ -65,10 +77,23 @@ alternating which side runs first, and combine the records:
 
 which prints, per label and timed layer, the median of the run medians and
 their range across runs.
+
+Runs in separate processes also see the machine's speed drift between
+them. ``--against CHECKOUT`` cancels that for the support-roof rows and the
+annealer rows (``roof_upper_bound`` at d = 3..6, which serve as controls):
+it imports the other checkout's package under a second name and times the
+two packages in one process, one call each per block, the order turning
+every block, and adds an "alternating" entry with both medians and their
+ratio:
+
+    PYTHONPATH=src python benchmarks/layers.py --label change \
+        --against ../parent --against-label parent > change.json
 """
 
 import argparse
 import importlib
+import importlib.util
+import inspect
 import json
 import math
 import os
@@ -84,6 +109,8 @@ FACET_SET_SIZES = (12, 14, 16)
 MINOR_DIMS = range(3, 9)
 MEMBERSHIP_DIMS = range(4, 7)
 AGAIN_DIMS = range(4, 7)
+SUPPORT_DIMS = (4, 5)
+SUPPORT_RANKS = (2, 3)
 MEMBERSHIP_INSIDE = "uniform mixture of the minimal states"
 MEMBERSHIP_OUTSIDE = "random_pure_state(d, default_rng(4000 + d))"
 
@@ -105,10 +132,10 @@ def summary_ms(times) -> dict:
     return {"median_ms": round(median, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4)}
 
 
-def _cache_clear():
+def _cache_clear(package="kdwitness"):
     """The package's per-basis cache reset, or a no-op for packages without one."""
     try:
-        return importlib.import_module("kdwitness.basis").clear_cache
+        return importlib.import_module(f"{package}.basis").clear_cache
     except ImportError:
         return lambda: None
 
@@ -128,6 +155,96 @@ def timed(fn, *args, fresh=True, **kwargs):
         fn(*args, **kwargs)
         times.append(time.perf_counter() - start)
     return result, times
+
+
+def load_checkout(path: str, name: str):
+    """The ``kdwitness`` package of the checkout at ``path``, imported as ``name``.
+
+    Its imports are relative, so its modules load as ``name.<module>``, next
+    to the package on ``PYTHONPATH``.
+    """
+    init = os.path.join(path, "src", "kdwitness", "__init__.py")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[os.path.dirname(init)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def alternated(calls, clears):
+    """Times of ``RUNS`` blocks, each running every call once, after one untimed warm-up each.
+
+    The order of the calls turns by one every block; each call's cache is
+    cleared, untimed, before it runs.
+    """
+    for call, clear in zip(calls, clears):
+        clear()
+        call()
+    times = [[] for _ in calls]
+    for block in range(RUNS):
+        for k in range(len(calls)):
+            i = (block + k) % len(calls)
+            clears[i]()
+            start = time.perf_counter()
+            calls[i]()
+            times[i].append(time.perf_counter() - start)
+    return times
+
+
+def support_call(package, rho, u):
+    """A call of the package's ``support_roof_bounds``, at ``ROOF_CONFIG`` where it anneals."""
+    bounds = package.support_roof_bounds
+    kwargs = {}
+    if "cfg" in inspect.signature(bounds).parameters:
+        kwargs["cfg"] = package.AnnealConfig(**ROOF_CONFIG)
+    return lambda: bounds(rho, u, **kwargs)
+
+
+def master_lps(package, call):
+    """Master LPs one call of ``call`` solves in the roof module, and the columns of the last.
+
+    ``(None, None)`` for a package whose roof module solves none.
+    """
+    roof = sys.modules[f"{package.__name__}.roof"]
+    solve = getattr(roof, "solve_equality_lp", None)
+    if solve is None:
+        return None, None
+    columns = []
+
+    def counted(a, *args, **kwargs):
+        columns.append(int(a.shape[1]))
+        return solve(a, *args, **kwargs)
+
+    roof.solve_equality_lp = counted
+    try:
+        call()
+    finally:
+        roof.solve_equality_lp = solve
+    return len(columns), (columns[-1] if columns else None)
+
+
+def support_states(kdwitness):
+    """The support-roof layer's states: name -> (rho, u)."""
+    import numpy as np
+
+    from kdwitness.linalg import complex_gaussian, projector
+
+    u3 = kdwitness.SPIN1.transition
+    states = {f"spin1_{lam:.4f}": (kdwitness.rho_lambda(lam), u3)
+              for lam in kdwitness.spin1.COUNTEREXAMPLE_LAMBDAS}
+    for d in SUPPORT_DIMS:
+        u = kdwitness.haar_unitary(d, 1000 + d)
+        gens = [projector(s) for s in kdwitness.enumerate_min_uncertainty_states(u).states]
+        for r in SUPPORT_RANKS:
+            rng = np.random.default_rng(5000 + 10 * d + r)
+            while True:
+                g = complex_gaussian((d, r), rng)
+                rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+                if kdwitness.membership_lp(rho, gens).verdict == "outside":
+                    break
+            states[f"d{d}_rank{r}"] = (rho, u)
+    return states
 
 
 def svd_subsets(fn, *args):
@@ -186,6 +303,10 @@ def main(argv=None) -> dict:
     parser.add_argument("--label", default="", help="free text stored in the record")
     parser.add_argument("--combine", nargs="+", metavar="RECORD",
                         help="combine the JSON records of earlier runs instead of timing")
+    parser.add_argument("--against", metavar="CHECKOUT",
+                        help="also time this checkout's package, alternating, in this process")
+    parser.add_argument("--against-label", default="against",
+                        help="free text naming the --against checkout in the record")
     args = parser.parse_args(argv)
     if args.combine:
         return combine(args.combine)
@@ -295,6 +416,45 @@ def main(argv=None) -> dict:
             "nonpositivity_exact": estimate.exact,
         }
 
+    layers["support_roof"] = {}
+    support = support_states(kdwitness)
+    for name, (rho, u) in support.items():
+        call = support_call(kdwitness, rho, u)
+        estimate, support_times = timed(call)
+        rounds, columns = master_lps(kdwitness, call)
+        layers["support_roof"][name] = {
+            **summary_ms(support_times),
+            "upper_bound": estimate.upper_bound,
+            "dual_bound": getattr(estimate, "dual_bound", None),
+            "rounds": rounds,
+            "columns": columns,
+        }
+
+    alternating = None
+    if args.against:
+        other = load_checkout(args.against, "kdwitness_against")
+        pairs = {f"support_roof.{name}": [support_call(k, rho, u) for k in (kdwitness, other)]
+                 for name, (rho, u) in support.items()}
+        for d in range(3, 7):
+            u = kdwitness.haar_unitary(d, 1000 + d)
+            rho = random_density(d, np.random.default_rng(2000 + d))
+            anchors = kdwitness.filter_kd_positive_pure(
+                kdwitness.enumerate_min_uncertainty_states(u), u).states
+            pairs[f"roof_upper_bound.d{d}"] = [
+                (lambda k=k, u=u, rho=rho, a=anchors: k.roof_upper_bound(
+                    rho, k.roof.nonpositivity_values_fn(u), k.AnnealConfig(**ROOF_CONFIG),
+                    anchors=a))
+                for k in (kdwitness, other)]
+        clears = [_cache_clear(), _cache_clear(other.__name__)]
+        alternating = {}
+        for name, calls in pairs.items():
+            mine, theirs = (summary_ms(t) for t in alternated(calls, clears))
+            alternating[name] = {
+                args.label or "this": mine,
+                args.against_label: theirs,
+                "speedup": round(theirs["median_ms"] / mine["median_ms"], 3),
+            }
+
     facet_sets = {"spin1": kdwitness.SPIN1.min_uncertainty_states}
     for n in FACET_SET_SIZES:
         rng = np.random.default_rng(3000 + n)
@@ -333,6 +493,7 @@ def main(argv=None) -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "layers": layers,
+        **({"against": args.against_label, "alternating": alternating} if alternating else {}),
     }
 
 
