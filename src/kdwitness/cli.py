@@ -88,11 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name, objective in (("roof-support", "support uncertainty"),
                             ("roof-nonpos", "total nonpositivity")):
         p = add(name, f"convex-roof bounds for the {objective}")
+        anneal = ("annealer setting; does not affect the support roof"
+                  if name == "roof-support" else "annealer setting")
         p.add_argument("--state", required=True)
         p.add_argument("--basis", required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--restarts", type=int, default=40)
-        p.add_argument("--steps", type=int, default=2000)
+        p.add_argument("--seed", type=int, default=0, help=anneal)
+        p.add_argument("--restarts", type=int, default=40, help=anneal)
+        p.add_argument("--steps", type=int, default=2000, help=anneal)
     # p is roof-nonpos's parser here.
     p.add_argument("--positive-pure", action="append", default=None,
                    help="pure-state file; repeat for each generator")
@@ -270,6 +272,8 @@ def _roof_report(estimate, report):
         f"upper bound: {estimate.upper_bound:.9g}",
         f"exact: {estimate.exact}",
     ]
+    if estimate.dual_bound is not None:
+        lines.insert(-2, f"dual lower bound: {estimate.dual_bound:.9g}")
     return lines
 
 
@@ -282,11 +286,12 @@ def _cmd_roof(args, report):
             load_matrix_file(path, expect_kind="pure_state")[1]
             for path in args.positive_pure
         ]
+    # Validated for both commands, so that both reject the same settings.
     cfg = AnnealConfig(seed=args.seed, restarts=args.restarts, steps=args.steps)
     # Looked up per call, so that a rebound module name is honoured.
-    bounds = (support_roof_bounds if args.command == "roof-support"
-              else nonpositivity_roof_bounds)
-    return EXIT_OK, _roof_report(bounds(state, basis, cfg=cfg, **extra), report)
+    estimate = (support_roof_bounds(state, basis) if args.command == "roof-support"
+                else nonpositivity_roof_bounds(state, basis, cfg=cfg, **extra))
+    return EXIT_OK, _roof_report(estimate, report)
 
 
 def _cmd_spin1(args, report):
@@ -349,7 +354,7 @@ _FACET_TOLERANCES = (
 _ECHOED_CONFIG = {
     "hull": _SIMPLEX_TOLERANCES,
     "facets": _FACET_TOLERANCES,
-    "roof-support": _ROOF_TOLERANCES,
+    "roof-support": (*_ROOF_TOLERANCES, "ROOF_DUAL_GAP_TOL"),
     "roof-nonpos": _ROOF_TOLERANCES,
 }
 

@@ -1,13 +1,13 @@
 """Convex-roof bounds over pure-state decompositions.
 
-Every decomposition of a rank-r state into n pure states arises from an
-n x r matrix with orthonormal columns applied to the eigen-ensemble, so
-roof upper bounds are found by annealing over such matrices. Lower bounds
-come from structure instead of search: convexity for the total
-nonpositivity, the d+1 floor of complete incompatibility for the support
-uncertainty, and hull-membership certificates for strictness. Bounds are
-only ever reported as bounds; the exact flag is set when the certificates
-close the gap.
+The support roof is solved by column generation over the support subspaces
+V_{S,T} (amplitudes only on S and T in the two bases), whose duals W give the
+lower bound Tr(W rho) + min (|S| + |T| - lambda_max(W on V_{S,T})); the
+nonpositivity roof anneals over isometries applied to the eigen-ensemble.
+Lower bounds also come from convexity for the total nonpositivity, the d+1
+floor of complete incompatibility for the support uncertainty, and hull
+certificates for strictness. Bounds are only ever reported as bounds; the
+exact flag is set when the certificates close the gap.
 """
 
 import math
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
+from .basis import per_basis
 from .errors import (
     CertificateError,
     DimensionTooLarge,
@@ -33,6 +34,7 @@ from .geometry import (
     hermitian_certificate,
     hermitian_to_real,
     membership_lp_points,
+    real_to_hermitian,
 )
 from .incompatibility import support_counts_mixed
 from .kd import kd_table, total_nonpositivity
@@ -45,6 +47,7 @@ from .linalg import (
     random_isometry,
 )
 from .pure_positive import enumerate_min_uncertainty_states, filter_kd_positive_pure
+from .simplex import OPTIMAL, solve_equality_lp
 
 SUPPORT_OBJECTIVE = "support_uncertainty"
 NONPOSITIVITY_OBJECTIVE = "total_nonpositivity"
@@ -104,16 +107,18 @@ class RoofSearchResult:
     value: float
     decomposition: Decomposition
     restart_values: tuple[float, ...]
+    dual_bound: float | None = None
+    dual_witness: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class RoofEstimate:
     """Two-sided estimate of a convex roof with its certificates.
 
-    ``lower_strict`` means the roof is certified strictly above
-    ``lower_bound`` (a hull-exclusion certificate); ``exact`` means the
-    bounds met within the exactness gap. ``base_value`` is the plain
-    (non-roof) witness evaluated on the state itself.
+    ``lower_strict`` means the roof is certified strictly above ``lower_bound``
+    (a hull-exclusion certificate); ``exact`` means the bounds met within the
+    exactness gap. ``base_value`` is the plain witness on the state itself; a
+    column-generation support roof has a ``dual_bound`` and its d x d W.
     """
 
     objective: str
@@ -127,12 +132,13 @@ class RoofEstimate:
     membership: MembershipCertificate | None = None
     generator_provenance: str | None = None
     restart_values: tuple[float, ...] = field(default_factory=tuple)
+    dual_bound: float | None = None
+    dual_witness: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.lower_bound > self.upper_bound + config.ROOF_ORDER_SLACK:
-            raise CertificateError(
-                f"lower bound {self.lower_bound} exceeds upper bound {self.upper_bound}"
-            )
+        for low in (self.lower_bound, self.dual_bound):
+            if low is not None and low > self.upper_bound + config.ROOF_ORDER_SLACK:
+                raise CertificateError(f"lower bound {low} exceeds upper bound {self.upper_bound}")
 
 
 def decomposition_from_isometry(eig: EigenDecomposition, isometry) -> Decomposition:
@@ -373,6 +379,120 @@ def _recheck(result: RoofSearchResult, rho: np.ndarray, values) -> None:
         )
 
 
+# Column generation for the support roof solves at most this many master LPs,
+# and each round adds at most one column per master row, most negative first.
+MAX_COLUMN_ROUNDS = 64
+
+# Rounding allowed per dimension in the dual bound, relative to the norms involved.
+_ROUNDING = 64 * np.finfo(float).eps
+
+
+@per_basis
+def _support_subspaces(u, eps: float):
+    """Support pairs (S, T) a state can have at ``eps``: (|S| + |T|, constraint rows) groups.
+
+    V_{S,T} is the null space of the k rows e_i, i not in S, and conj(u_j), j
+    not in T (a zero row for k = 0), which a unit state supported on S, T at
+    eps meets within eps sqrt(k). Only pairs whose smallest singular value
+    proves no such state exists are left out: of a completely incompatible
+    basis, the tight pairs |S| + |T| > d stay, dim V_{S,T} = |S| + |T| - d.
+    """
+    d = u.shape[0]
+    lines = np.vstack([np.eye(d), dagger(u)])
+    outside = ((np.arange(4**d)[:, None] >> np.arange(2 * d)) & 1) == 0
+    family = []
+    for k in range(2 * d, 0, -1):
+        pairs = outside[outside.sum(axis=1) == k]
+        rows = lines[np.nonzero(pairs)[1].reshape(len(pairs), k)]
+        if k >= d:
+            smallest = np.linalg.svd(rows, compute_uv=False)[:, -1]
+            rows = rows[smallest <= eps * math.sqrt(k) + _ROUNDING * d]
+        if len(rows):
+            rows.flags.writeable = False
+            family.append((2 * d - k, rows))
+    # The pair of full supports, as one zero row; broadcast_to makes it read-only.
+    return (*family, (2 * d, np.broadcast_to(np.zeros(1, dtype=complex), (1, 1, d))))
+
+
+def _compressed_subspaces(family, e: np.ndarray, eps: float):
+    """Orthonormal bases of V_{S,T} in range(e), as (costs, (g, r, m) bases, distances) groups.
+
+    One group per |S| + |T| and dimension m. A state of range(e) supported on
+    (S, T) at ``eps`` is within eps sqrt(k), plus rounding, over the smallest
+    kept singular value of V_{S,T}; at 1 or more the whole range is used.
+    """
+    r = e.shape[1]
+    groups = []
+    for count, rows in family:
+        _, sing, vh = np.linalg.svd(rows @ e)
+        kept = sing > np.maximum(config.NULL_SPACE_ABS_CUTOFF,
+                                 config.NULL_SPACE_REL_CUTOFF * sing[:, :1])
+        rank = kept.sum(axis=1)
+        slack = eps * math.sqrt(rows.shape[1]) + _ROUNDING * r
+        distance = slack / np.where(kept, sing, np.inf).min(axis=1)
+        rank[distance >= 1.0] = 0
+        distance[rank == 0] = 0.0
+        for q in np.unique(rank[rank < r]):
+            sel = rank == q
+            groups.append((np.full(sel.sum(), count), dagger(vh[sel])[:, :, q:], distance[sel]))
+    return groups
+
+
+def _price(w: np.ndarray, groups):
+    """Per group, |S| + |T| - lambda_max of ``w`` on each subspace, and the unit top vectors."""
+    priced = []
+    for cost, basis, _ in groups:
+        lam, vecs = np.linalg.eigh(dagger(basis) @ w @ basis)
+        priced.append((cost - lam[:, -1], (basis @ vecs[:, :, -1:])[:, :, 0]))
+    return priced
+
+
+def _support_columns(eig: EigenDecomposition, rank: int, u: np.ndarray, eps: float,
+                     values) -> RoofSearchResult:
+    """Support-roof bounds by column generation over the support subspaces.
+
+    The master LP splits diag(mu) into projectors of unit columns c, from the
+    eigen-ensemble on, each costing the support count of E c at ``eps``; the
+    top eigenvector of its dual W on a subspace prices in below -LP_DUAL_TOL.
+    The dual bound, from a fresh pass over every subspace, loses a margin for
+    states near theirs: for unit c = p + q, p in the subspace, |q| <= delta,
+    and any t, c^H W c - lambda_max <= |W - t|_2 (2 delta + 2 delta^2).
+    """
+    e, mu = eig.eigenvectors[:, :rank], eig.eigenvalues[:rank]
+    groups = _compressed_subspaces(_support_subspaces(u, eps), e, eps)
+    target = hermitian_to_real(np.diag(mu))
+    coords = np.eye(rank, dtype=complex)
+    for _ in range(MAX_COLUMN_ROUNDS):
+        states = coords @ e.T
+        lp = solve_equality_lp(_projector_points(coords).T, target, values(states))
+        if lp.status != OPTIMAL:
+            raise CertificateError(f"support-roof master LP is {lp.status}")
+        w = real_to_hermitian(lp.duals, rank)
+        trace = float(mu @ np.diagonal(w).real)
+        priced = _price(w, groups)
+        reduced = np.concatenate([p[0] for p in priced])
+        lower = trace + float(reduced.min())
+        best = [i for i in np.argsort(reduced, kind="stable")[:rank * rank]
+                if reduced[i] < -config.LP_DUAL_TOL]
+        if lp.objective - lower <= config.ROOF_DUAL_GAP_TOL or not best:
+            break
+        coords = np.vstack([coords, np.concatenate([p[1] for p in priced])[best]])
+
+    fresh = trace + min(float((cost - np.linalg.eigvalsh(dagger(z) @ w @ z)[:, -1]).min())
+                        for cost, z, _ in groups)
+    if not abs(fresh - lower) <= config.ROOF_RECHECK_TOL:
+        raise CertificateError(f"dual bound {lower} from pricing is {fresh} in a fresh pass")
+    spectrum = np.linalg.eigvalsh(w)  # t at its middle makes |W - t|_2 half its spread
+    delta = max(float(g[2].max()) for g in groups)
+    margin = float((spectrum[-1] - spectrum[0]) / 2.0 * (2.0 * delta + 2.0 * delta**2)
+                   + _ROUNDING * rank * np.abs(spectrum).max())
+    keep = lp.x > config.WEIGHT_CUTOFF
+    return RoofSearchResult(
+        lp.objective, Decomposition(lp.x[keep], states[keep]), (),
+        dual_bound=fresh - margin, dual_witness=e @ w @ dagger(e),
+    )
+
+
 def _roof_bounds(
     objective: str,
     rho_m: np.ndarray,
@@ -383,8 +503,12 @@ def _roof_bounds(
     inside_certificate: str,
     strict: bool,
     cfg: AnnealConfig | None,
+    columns=None,
 ) -> RoofEstimate:
     """Bounds shared by both roofs, given what differs between them.
+
+    ``columns(eig, rank)``, when given, replaces the annealer for states of
+    rank two or more that the hull does not decide.
 
     ``anchor_source`` is called only for states of rank two or more and
     returns the pure states whose hull decides the roof, the real points of
@@ -416,7 +540,8 @@ def _roof_bounds(
         result = RoofSearchResult(floor, dec, ())
         lower, certificate = floor, inside_certificate
     else:
-        result = roof_upper_bound(rho_m, values, cfg, anchors=anchors)
+        result = (columns(eig, rank) if columns is not None and rank > 1
+                  else roof_upper_bound(rho_m, values, cfg, anchors=anchors))
         _recheck(result, rho_m, values)
         if rank == 1:
             lower, certificate = result.value, CERT_RANK_ONE
@@ -437,6 +562,8 @@ def _roof_bounds(
         membership=cert,
         generator_provenance=provenance,
         restart_values=result.restart_values,
+        dual_bound=result.dual_bound,
+        dual_witness=result.dual_witness,
     )
 
 
@@ -446,27 +573,29 @@ def _projector_points(states: np.ndarray) -> np.ndarray:
     return hermitian_to_real(psi[..., :, np.newaxis] * psi[..., np.newaxis, :].conj())
 
 
-def support_roof_bounds(rho, transition, cfg: AnnealConfig | None = None) -> RoofEstimate:
+def support_roof_bounds(rho, transition) -> RoofEstimate:
     """Bounds on the convex roof of the support uncertainty.
 
     Requires a completely incompatible basis pair (dimension at most six),
     which pins the roof at or above d+1 for every state. Membership of the
     state in the hull of the minimal-uncertainty states decides the rest:
     inside gives the exact value d+1, exclusion certifies the roof strictly
-    above d+1, and the annealed upper bound quantifies the excess.
+    above d+1, and column generation brackets the excess from both sides.
     """
     eps = config.default_tol()
     u = as_complex(transition, "transition matrix")
     rho_m = as_complex(rho, "state")
     base = float(support_counts_mixed(rho_m, u, eps=eps).n_ab)
+    values = support_values_fn(u)
 
     def anchor_source():
         states = enumerate_min_uncertainty_states(u).states
         return states, _projector_points(states), "derived"
 
     return _roof_bounds(
-        SUPPORT_OBJECTIVE, rho_m, support_values_fn(u), base, anchor_source,
-        floor=float(u.shape[0] + 1), inside_certificate=CERT_FLOOR, strict=True, cfg=cfg,
+        SUPPORT_OBJECTIVE, rho_m, values, base, anchor_source,
+        floor=float(u.shape[0] + 1), inside_certificate=CERT_FLOOR, strict=True, cfg=None,
+        columns=lambda eig, rank: _support_columns(eig, rank, u, eps, values),
     )
 
 

@@ -10,9 +10,9 @@ cycling after a run of degenerate pivots; long phases recompute the tableau
 from the original columns now and then, so rounding cannot pile up.
 
 Apart from the pivots, every optimal result is re-checked against the
-original ``A``, ``b`` and ``c`` (residual, sign, and reduced costs of duals
-solved on its final basis), and an infeasible one carries a Farkas
-certificate ``y`` with ``y @ A <= 0`` componentwise (within
+original ``A``, ``b`` and ``c`` (residual, sign, and reduced costs of the
+duals it carries, solved on its final basis), and an infeasible one carries
+a Farkas certificate ``y`` with ``y @ A <= 0`` componentwise (within
 ``config.FARKAS_SLACK_TOL``) and ``y @ b > 0``; a failed check raises
 CertificateError, and a basis the pivots left singular raises NoConvergence.
 """
@@ -49,6 +49,8 @@ class LPResult:
     farkas: np.ndarray | None
     phase1_gap: float
     iterations: int
+    # With costs, an optimum's duals in the original row order and sign (0 on dropped rows).
+    duals: np.ndarray | None = None
 
 
 def _enter(cost_row: np.ndarray, bland: bool) -> int:
@@ -125,16 +127,20 @@ def _iterate(tableau: np.ndarray, cost_row: np.ndarray, basis: list[int],
     raise SolverStall(f"simplex did not terminate within {MAX_ITERATIONS} iterations")
 
 
-def _recheck(a, b, c, x, basis: list[int], rows: list[int], feas_tol: float) -> None:
-    """Raise CertificateError unless x is feasible and, with costs c, optimal on its basis."""
+def _recheck(a, b, c, x, basis: list[int], rows: list[int], feas_tol: float):
+    """Raise CertificateError unless x is feasible and, with costs c, optimal; return its duals."""
     residual = float(np.abs(a @ x - b).max(initial=0.0))
     if residual > feas_tol + LP_PRIMAL_TOL or x.min(initial=0.0) < -LP_PRIMAL_TOL:
         raise CertificateError(f"optimal x misses A @ x = b by {residual:.3e} or has "
                                f"entry {x.min(initial=0.0):.3e} < 0")
-    if c is not None:
-        reduced = c - np.linalg.solve(a[rows][:, basis].T, c[basis]) @ a[rows]
-        if reduced.min() < -LP_DUAL_TOL:
-            raise CertificateError(f"optimal basis has reduced cost {reduced.min():.3e} < 0")
+    if c is None:
+        return None
+    y = np.zeros(len(b))
+    y[rows] = np.linalg.solve(a[rows][:, basis].T, c[basis])
+    reduced = c - y @ a
+    if reduced.min() < -LP_DUAL_TOL:
+        raise CertificateError(f"optimal basis has reduced cost {reduced.min():.3e} < 0")
+    return y
 
 
 def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL) -> LPResult:
@@ -203,6 +209,6 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL) -> LPResu
 
     x = np.zeros(n)
     x[basis] = x_basic
-    _recheck(a_orig, b_orig, costs, x, basis, rows, feas_tol)
+    duals = _recheck(a_orig, b_orig, costs, x, basis, rows, feas_tol)
     objective = 0.0 if costs is None else float(costs @ x)
-    return LPResult(OPTIMAL, x, objective, None, float(artificial_mass), iters)
+    return LPResult(OPTIMAL, x, objective, None, float(artificial_mass), iters, duals)

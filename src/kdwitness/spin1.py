@@ -84,8 +84,6 @@ SPIN1 = _build_fixture()
 
 COUNTEREXAMPLE_LAMBDAS = (0.1, 0.25, 0.5, 4.0 / 7.0)
 PSD_LAMBDA_MAX = 4.0 / 7.0
-# The scorecard reads only the support roof's hull bound, never its annealed upper one.
-_SUPPORT_SEARCH = AnnealConfig(restarts=1, steps=0)
 
 
 def rho_lambda(lam: float) -> np.ndarray:
@@ -158,7 +156,7 @@ def run_spin1_checks() -> Spin1Report:
 
     Failures become report entries rather than exceptions. Only the
     nonpositivity roof anneals, at 6 restarts x 400 steps to keep the run
-    fast; the support roof is scored on its hull bound alone.
+    fast; the support roof is bracketed by column generation.
     """
     start = time.perf_counter()
     anneal = AnnealConfig(restarts=6, steps=400, seed=0)
@@ -263,6 +261,7 @@ def run_spin1_checks() -> Spin1Report:
            "PSD exactly on [0, 4/7]", (boundary, beyond), 1e-9,
            "the interpolated state is a state exactly up to mixing 4/7")
 
+    supports = {}
     for lam in COUNTEREXAMPLE_LAMBDAS:
         rho = rho_lambda(lam)
         table = kd_table(rho, u)
@@ -270,7 +269,7 @@ def run_spin1_checks() -> Spin1Report:
         n_value = total_nonpositivity(table)
         cert = membership_lp(rho, generators)
         excluded = cert.verdict == OUTSIDE and cert.margin > 1e-6
-        support = support_roof_bounds(rho, u, cfg=_SUPPORT_SEARCH)
+        support = supports[lam] = support_roof_bounds(rho, u)
         nonpos = nonpositivity_roof_bounds(rho, u, cfg=anneal)
         ok = (
             positive_state
@@ -278,6 +277,7 @@ def run_spin1_checks() -> Spin1Report:
             and excluded
             and support.lower_strict
             and support.lower_bound == 4.0
+            and support.dual_bound > 4.0
             and nonpos.lower_strict
             and nonpos.upper_bound > 1.0 + 1e-4
         )
@@ -289,12 +289,18 @@ def run_spin1_checks() -> Spin1Report:
                 "total_nonpositivity": n_value,
                 "margin": cert.margin if cert.verdict == OUTSIDE else None,
                 "support_roof_strict_above": support.lower_bound,
+                "support_roof_dual": support.dual_bound,
                 "nonpositivity_roof_upper": nonpos.upper_bound,
             },
             1e-6,
             "a KD-positive state outside the hull of the pure KD-positive "
             "states, with both convex roofs certifying the exclusion",
         )
+
+    half, exact = supports[0.5], Fraction(113, 24)
+    worst = max(abs(half.dual_bound - float(exact)), abs(half.upper_bound - float(exact)))
+    record("support_roof_half", worst <= 1e-7, str(exact), (half.dual_bound, half.upper_bound),
+           1e-7, "at mixing 1/2 both support-roof bounds are within 1e-7 of 113/24")
 
     runtime = time.perf_counter() - start
     return Spin1Report(

@@ -139,7 +139,7 @@ def test_criterion_4_counterexample_certification():
         table = kd_table(rho, SPIN1.transition)
         ok &= is_kd_positive(table)
         ok &= abs(total_nonpositivity(table) - 1.0) <= 2e-9
-        support = support_roof_bounds(rho, SPIN1.transition, cfg=ANNEAL)
+        support = support_roof_bounds(rho, SPIN1.transition)
         ok &= support.lower_strict and support.lower_bound == 4.0
         nonpos = nonpositivity_roof_bounds(rho, SPIN1.transition, cfg=ANNEAL)
         ok &= nonpos.lower_strict
@@ -158,7 +158,7 @@ def test_criterion_5_roofs_on_positive_mixtures():
     for _ in range(200):
         w = rng.dirichlet(np.ones(9))
         rho = sum(wi * projector(s) for wi, s in zip(w, SPIN1.positive_states))
-        support = support_roof_bounds(rho, SPIN1.transition, cfg=ANNEAL)
+        support = support_roof_bounds(rho, SPIN1.transition)
         ok &= support.exact and support.lower_bound == support.upper_bound == 4.0
         nonpos = nonpositivity_roof_bounds(rho, SPIN1.transition, cfg=ANNEAL)
         ok &= nonpos.exact and nonpos.upper_bound == 1.0

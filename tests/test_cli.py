@@ -247,9 +247,9 @@ _MEMBERSHIP_KEYS = {"membership"} | {
     ("functional", "margin", "normalization", "threshold", "tolerance", "verdict", "weights")
 }
 _ROOF_KEYS = {
-    "base_value", "decomposition", "decomposition.states", "decomposition.weights", "exact",
-    "generator_provenance", "lower_bound", "lower_certificate", "lower_strict", "objective",
-    "restart_values", "upper_bound",
+    "base_value", "decomposition", "decomposition.states", "decomposition.weights",
+    "dual_bound", "dual_witness", "exact", "generator_provenance", "lower_bound",
+    "lower_certificate", "lower_strict", "objective", "restart_values", "upper_bound",
 }
 _ANNEAL = ["--restarts", "2", "--steps", "100"]
 # Per command: argv, with fixture names for files, and the expected key paths
@@ -278,7 +278,8 @@ _REPORT_KEYS = [
     (["spin1"], {
         "checks", "checks[].claim", "checks[].computed", "checks[].computed.kd_positive",
         "checks[].computed.margin", "checks[].computed.nonpositivity_roof_upper",
-        "checks[].computed.support_roof_strict_above", "checks[].computed.total_nonpositivity",
+        "checks[].computed.support_roof_dual", "checks[].computed.support_roof_strict_above",
+        "checks[].computed.total_nonpositivity",
         "checks[].expected", "checks[].name", "checks[].passed", "checks[].tolerance",
         "facet_count", "passed", "witness_expectations"}, set()),
     (["haar-study", "--dim", "3", "--samples", "5", "--seed", "7"], {

@@ -66,7 +66,7 @@ def test_support_roof_exact_on_haar_basis_mixture():
     w = rng.dirichlet(np.ones(4))
     rho = w[0] * projector(np.eye(3)[0]) + w[1] * projector(np.eye(3)[1])
     rho += w[2] * projector(u[:, 0]) + w[3] * projector(u[:, 2])
-    est = support_roof_bounds(rho, u, cfg=LIGHT)
+    est = support_roof_bounds(rho, u)
     assert est.exact and est.upper_bound == 4.0
     nonpos = nonpositivity_roof_bounds(rho, u, cfg=LIGHT)
     assert nonpos.exact and nonpos.upper_bound == 1.0
@@ -75,13 +75,13 @@ def test_support_roof_exact_on_haar_basis_mixture():
 def test_support_roof_exact_on_haar_d4_mixture():
     u = haar_unitary(4, seed=3)
     rho = 0.5 * projector(np.eye(4)[1]) + 0.5 * projector(u[:, 2])
-    est = support_roof_bounds(rho, u, cfg=LIGHT)
+    est = support_roof_bounds(rho, u)
     assert est.exact and est.upper_bound == 5.0
 
 
 def test_support_roof_requires_complete_incompatibility():
     with pytest.raises(NotCompletelyIncompatible):
-        support_roof_bounds(np.eye(4) / 4.0, dft_matrix(4), cfg=LIGHT)
+        support_roof_bounds(np.eye(4) / 4.0, dft_matrix(4))
 
 
 def test_nonpositivity_roof_without_hull_route():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,20 +9,23 @@ from kdwitness import (
     CertificateError,
     NotIsometry,
     SPIN1,
+    SolverStall,
     ValidationError,
     decomposition_from_isometry,
+    enumerate_min_uncertainty_states,
     haar_unitary,
     hermitian_eig,
     kd_table,
+    membership_lp,
     nonpositivity_roof_bounds,
     rho_lambda,
     roof_upper_bound,
     support_roof_bounds,
     total_nonpositivity,
 )
-from kdwitness import roof
+from kdwitness import basis, config, roof
 from kdwitness.linalg import complex_gaussian, projector, random_density, random_isometry
-from kdwitness.roof import RoofSearchResult, nonpositivity_values_fn, support_values_fn
+from kdwitness.roof import nonpositivity_values_fn, support_values_fn
 
 LIGHT = AnnealConfig(restarts=6, steps=400, seed=0)
 
@@ -191,22 +195,25 @@ def test_anneal_config_accepts_boundary_values():
     assert res.restart_values == (res.value,)
 
 
-@pytest.mark.parametrize("tamper", ["value", "weights"])
-def test_annealed_upper_bound_is_rechecked(monkeypatch, tamper):
-    search = roof.roof_upper_bound
-
-    def tampered(*args, **kwargs):
+def _tampered(search, tamper):
+    def wrapped(*args, **kwargs):
         res = search(*args, **kwargs)
         if tamper == "value":
-            return RoofSearchResult(res.value + 1e-3, res.decomposition, res.restart_values)
+            return replace(res, value=res.value + 1e-3)
         dec = roof.Decomposition(res.decomposition.weights * 1.01, res.decomposition.states)
-        return RoofSearchResult(res.value, dec, res.restart_values)
+        return replace(res, decomposition=dec)
 
-    monkeypatch.setattr(roof, "roof_upper_bound", tampered)
+    return wrapped
+
+
+@pytest.mark.parametrize("tamper", ["value", "weights"])
+def test_annealed_upper_bound_is_rechecked(monkeypatch, tamper):
+    monkeypatch.setattr(roof, "roof_upper_bound", _tampered(roof.roof_upper_bound, tamper))
     with pytest.raises(CertificateError):
         nonpositivity_roof_bounds(rho_lambda(0.5), SPIN1.transition, cfg=LIGHT)
+    monkeypatch.setattr(roof, "_support_columns", _tampered(roof._support_columns, tamper))
     with pytest.raises(CertificateError):
-        support_roof_bounds(rho_lambda(0.5), SPIN1.transition, cfg=LIGHT)
+        support_roof_bounds(rho_lambda(0.5), SPIN1.transition)
 
 
 def test_decomposition_identity_isometry_recovers_eigensystem():
@@ -291,7 +298,7 @@ def test_support_roof_exact_on_basis_hull_mixture():
     rho = sum(
         wi * projector(s) for wi, s in zip(w, SPIN1.min_uncertainty_states[:6])
     )
-    est = support_roof_bounds(rho, SPIN1.transition, cfg=LIGHT)
+    est = support_roof_bounds(rho, SPIN1.transition)
     assert est.exact
     assert est.lower_bound == est.upper_bound == 4.0
     assert not est.lower_strict
@@ -301,7 +308,7 @@ def test_support_roof_exact_on_basis_hull_mixture():
 
 @pytest.mark.parametrize("lam", [0.1, 0.3, 4.0 / 7.0])
 def test_support_roof_certifies_counterexample(lam):
-    est = support_roof_bounds(rho_lambda(lam), SPIN1.transition, cfg=LIGHT)
+    est = support_roof_bounds(rho_lambda(lam), SPIN1.transition)
     assert est.lower_strict
     assert est.lower_bound == 4.0
     assert est.lower_certificate == "hull_membership"
@@ -312,8 +319,7 @@ def test_support_roof_certifies_counterexample(lam):
 
 def test_support_roof_pure_minimal_state():
     est = support_roof_bounds(
-        projector(SPIN1.min_uncertainty_states[9]), SPIN1.transition, cfg=LIGHT
-    )
+        projector(SPIN1.min_uncertainty_states[9]), SPIN1.transition)
     assert est.exact
     assert est.lower_bound == est.upper_bound == 4.0
     assert est.lower_certificate == "rank_one"
@@ -379,8 +385,150 @@ def test_witness_consistency_on_counterexamples():
     # positive must also get the nonpositivity-roof certificate.
     for lam in (0.1, 0.5):
         rho = rho_lambda(lam)
-        support = support_roof_bounds(rho, SPIN1.transition, cfg=LIGHT)
+        support = support_roof_bounds(rho, SPIN1.transition)
         nonpos = nonpositivity_roof_bounds(rho, SPIN1.transition, cfg=LIGHT)
         assert support.lower_strict
         assert nonpos.lower_strict
         assert nonpos.upper_bound > 1.0
+
+
+# -- the support roof by column generation ------------------------------------
+
+# The support roofs of rho_lambda, as other solvers give them to 6 digits.
+SPIN1_SUPPORT_ROOFS = {0.1: 4.120711, 0.25: 4.301777, 0.5: 113 / 24, 4.0 / 7.0: 5.0}
+
+
+def _excluded_haar4(rank):
+    u = haar_unitary(4, 3)
+    gens = [projector(s) for s in enumerate_min_uncertainty_states(u).states]
+    rng = np.random.default_rng(40 + rank)
+    while True:
+        g = complex_gaussian((4, rank), rng)
+        rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        if membership_lp(rho, gens).verdict == "outside":
+            return rho, u
+
+
+def _support_groups(rho, u):
+    eig = hermitian_eig(rho)
+    rank = int(np.count_nonzero(eig.eigenvalues > config.RANK_CUTOFF))
+    eps = config.default_tol()
+    family = roof._support_subspaces(np.asarray(u, dtype=complex), eps)
+    return roof._compressed_subspaces(family, eig.eigenvectors[:, :rank], eps), rank
+
+
+def _legendre_bound(w, rho, u):
+    """Tr(W rho) + min (|S| + |T| - lambda_max of W on V_{S,T} in range(rho)), pair by pair."""
+    d = u.shape[0]
+    vals, vecs = np.linalg.eigh(rho)
+    rows_off_range = list(vecs[:, vals <= 1e-10].conj().T)
+    best = math.inf
+    for a in range(1, 2**d):
+        for b in range(1, 2**d):
+            s = [i for i in range(d) if a >> i & 1]
+            t = [j for j in range(d) if b >> j & 1]
+            rows = ([np.eye(d)[i] for i in range(d) if i not in s]
+                    + [u[:, j].conj() for j in range(d) if j not in t] + rows_off_range)
+            null = np.eye(d)
+            if rows:
+                sing, vh = np.linalg.svd(np.array(rows))[1:]
+                null = vh[int(np.count_nonzero(sing > 1e-9)):].conj().T
+            if null.shape[1]:
+                lam = np.linalg.eigvalsh(null.conj().T @ w @ null)[-1]
+                best = min(best, len(s) + len(t) - lam)
+    return float(np.trace(w @ rho).real) + best
+
+
+@pytest.mark.parametrize("lam", sorted(SPIN1_SUPPORT_ROOFS))
+def test_support_roof_bounds_meet_on_spin1(lam):
+    rho = rho_lambda(lam)
+    est = support_roof_bounds(rho, SPIN1.transition)
+    assert est.lower_bound == 4.0 and est.lower_strict and not est.exact
+    assert 4.0 < est.dual_bound <= est.upper_bound <= est.dual_bound + 2e-7
+    assert est.upper_bound == pytest.approx(SPIN1_SUPPORT_ROOFS[lam], abs=1e-6)
+    assert len(est.upper_decomposition.weights) <= 6
+    w = est.dual_witness
+    assert w.shape == (3, 3) and np.abs(w - w.conj().T).max() <= 1e-12
+    # The reported W gives the dual bound by a pair-by-pair recomputation,
+    # within the margin for states only near their subspace.
+    legendre = _legendre_bound(w, rho, SPIN1.transition)
+    assert est.dual_bound <= legendre <= est.dual_bound + 1e-6
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_support_roof_bounds_on_excluded_haar_states(rank):
+    rho, u = _excluded_haar4(rank)
+    est = support_roof_bounds(rho, u)
+    assert est.lower_strict and est.lower_bound == 5.0
+    assert 5.0 < est.dual_bound <= est.upper_bound <= est.dual_bound + 1e-6
+    est.upper_decomposition.validate(rho)
+    legendre = _legendre_bound(est.dual_witness, rho, u)
+    assert est.dual_bound <= legendre <= est.dual_bound + 1e-6
+
+
+def test_inside_mixtures_never_build_the_support_subspaces():
+    basis.clear_cache()
+    est = support_roof_bounds(np.eye(3) / 3.0, SPIN1.transition)
+    assert est.exact and est.dual_bound is None and est.dual_witness is None
+    assert roof._support_subspaces.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("u", [SPIN1.transition, haar_unitary(4, 3), haar_unitary(5, 5)],
+                         ids=["spin1", "haar4", "haar5"])
+def test_support_subspaces_of_an_incompatible_basis_are_the_pairs_above_d(u):
+    d = u.shape[0]
+    family = roof._support_subspaces(np.asarray(u, dtype=complex), config.default_tol())
+    counts = {count: len(rows) for count, rows in family}
+    assert counts == {n: math.comb(2 * d, n) for n in range(d + 1, 2 * d + 1)}
+
+
+@pytest.mark.parametrize("case", [lambda: (rho_lambda(0.3), SPIN1.transition),
+                                  lambda: (rho_lambda(4.0 / 7.0), SPIN1.transition),
+                                  lambda: _excluded_haar4(3)],
+                         ids=["spin1", "spin1_rank2", "haar4_rank3"])
+def test_stacked_pricing_matches_a_per_subspace_loop(case):
+    rho, u = case()
+    groups, rank = _support_groups(rho, u)
+    g = complex_gaussian((rank, rank), np.random.default_rng(3))
+    w = g + g.conj().T
+    for (cost, bases, _), (reduced, tops) in zip(groups, roof._price(w, groups)):
+        for i, z in enumerate(bases):
+            lam, vecs = np.linalg.eigh(z.conj().T @ w @ z)
+            assert reduced[i] == pytest.approx(cost[i] - lam[-1], abs=1e-12)
+            assert abs(np.vdot(z @ vecs[:, -1], tops[i])) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_support_dual_bound_rejects_a_perturbed_w(monkeypatch):
+    price = roof._price
+
+    def perturbed(w, groups):
+        return price(w + np.diag([1e-3] + [0.0] * (len(w) - 1)), groups)
+
+    monkeypatch.setattr(roof, "_price", perturbed)
+    with pytest.raises(CertificateError, match="fresh pass"):
+        support_roof_bounds(rho_lambda(0.3), SPIN1.transition)
+
+
+def test_support_dual_bound_rejects_pricing_that_skips_subspaces(monkeypatch):
+    price = roof._price
+    # Pricing without the one-dimensional subspaces, the minimal states.
+    monkeypatch.setattr(roof, "_price", lambda w, groups: price(w, groups[1:]))
+    with pytest.raises(CertificateError, match="fresh pass"):
+        support_roof_bounds(rho_lambda(0.3), SPIN1.transition)
+
+
+def test_support_master_lp_errors_propagate(monkeypatch):
+    def stalled(*args, **kwargs):
+        raise SolverStall("stalled")
+
+    monkeypatch.setattr(roof, "solve_equality_lp", stalled)
+    with pytest.raises(SolverStall):
+        support_roof_bounds(rho_lambda(0.3), SPIN1.transition)
+
+
+def test_support_bracket_at_the_round_cap_holds_the_roof(monkeypatch):
+    monkeypatch.setattr(roof, "MAX_COLUMN_ROUNDS", 1)
+    est = support_roof_bounds(rho_lambda(0.1), SPIN1.transition)
+    assert est.dual_bound < SPIN1_SUPPORT_ROOFS[0.1] - 1e-3
+    assert est.upper_bound > SPIN1_SUPPORT_ROOFS[0.1] + 1e-3
+    est.upper_decomposition.validate(rho_lambda(0.1))

@@ -3,6 +3,7 @@ import pytest
 
 from kdwitness import simplex
 from kdwitness.errors import CertificateError, SolverStall
+from kdwitness.config import LP_DUAL_TOL
 from kdwitness.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_equality_lp
 
 
@@ -455,3 +456,52 @@ def test_clustered_columns_pass_the_recheck_and_agree_with_highs():
     assert res.status == OPTIMAL and ref.status == 0
     assert res.objective == pytest.approx(ref.fun, abs=1e-9)
     assert np.abs(a @ res.x - b).max() <= 1e-12
+
+
+# -- duals ---------------------------------------------------------------------
+
+
+def _seeded_lps():
+    yield from _reference_lps()
+    for seed in range(6, 18):
+        yield _hull_lp(seed=seed, dim=2 + seed % 5, n=10 + 3 * seed)
+
+
+def test_optimal_results_carry_duals_that_certify_them():
+    optimal = with_dropped_rows = 0
+    for k, (a, b, c) in enumerate(_seeded_lps()):
+        assert solve_equality_lp(a, b).duals is None, k
+        res = solve_equality_lp(a, b, c=c)
+        if res.status != OPTIMAL:
+            assert res.duals is None, k
+            continue
+        optimal += 1
+        y = res.duals
+        assert y.shape == b.shape, k
+        reduced = c - y @ a
+        assert reduced.min() >= -LP_DUAL_TOL, k
+        # Complementary slackness, and strong duality b @ y = c @ x.
+        assert np.abs(res.x * reduced).max() <= 1e-9, k
+        assert y @ b == pytest.approx(res.objective, abs=1e-9 * max(1.0, abs(res.objective))), k
+        redundant = a.shape[0] - np.linalg.matrix_rank(a)
+        if redundant:
+            with_dropped_rows += 1
+            assert np.count_nonzero(y == 0.0) >= redundant, k
+    assert optimal >= 30 and with_dropped_rows >= 5
+
+
+def test_duals_agree_with_highs_on_nondegenerate_optima():
+    optimize = pytest.importorskip("scipy.optimize")
+    compared = 0
+    for a, b, c in _seeded_lps():
+        if np.linalg.matrix_rank(a) < a.shape[0]:
+            continue
+        res = solve_equality_lp(a, b, c=c)
+        # A primal-nondegenerate optimum has one dual solution.
+        if res.status != OPTIMAL or np.count_nonzero(res.x > 1e-9) < a.shape[0]:
+            continue
+        ref = optimize.linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+        assert ref.status == 0
+        assert np.abs(res.duals - ref.eqlin.marginals).max() <= 1e-7
+        compared += 1
+    assert compared >= 10
