@@ -354,7 +354,7 @@ _FACET_TOLERANCES = (
 _ECHOED_CONFIG = {
     "hull": _SIMPLEX_TOLERANCES,
     "facets": _FACET_TOLERANCES,
-    "roof-support": (*_ROOF_TOLERANCES, "ROOF_DUAL_GAP_TOL"),
+    "roof-support": _ROOF_TOLERANCES,
     "roof-nonpos": _ROOF_TOLERANCES,
 }
 

@@ -121,10 +121,6 @@ WEIGHT_CUTOFF = 1e-12
 # Upper and lower roof bounds closing within this gap are reported exact.
 EXACT_GAP_TOL = 1e-6
 
-# Column generation for the support roof stops once its upper bound is within
-# this of the Legendre bound of the master LP's duals.
-ROOF_DUAL_GAP_TOL = 1e-9
-
 # A decomposition's weights sum to one within this, and its density matrix
 # reproduces the state within this Frobenius distance.
 WEIGHT_SUM_TOL = 1e-10

@@ -454,9 +454,12 @@ def _support_columns(eig: EigenDecomposition, rank: int, u: np.ndarray, eps: flo
     The master LP splits diag(mu) into projectors of unit columns c, from the
     eigen-ensemble on, each costing the support count of E c at ``eps``; the
     top eigenvector of its dual W on a subspace prices in below -LP_DUAL_TOL.
-    The dual bound, from a fresh pass over every subspace, loses a margin for
-    states near theirs: for unit c = p + q, p in the subspace, |q| <= delta,
-    and any t, c^H W c - lambda_max <= |W - t|_2 (2 delta + 2 delta^2).
+    At the optimum the gap to Tr(W diag mu) + min (|S| + |T| - lambda_max) is
+    minus the most negative reduced cost, so once none prices in it is at most
+    LP_DUAL_TOL; the dual bound then loses a margin for states near their
+    subspace: for unit c = p + q, p in the subspace, |q| <= delta, and any t,
+    c^H W c - lambda_max <= |W - t|_2 (2 delta + 2 delta^2). At the round cap
+    the bracket reached is returned.
     """
     e, mu = eig.eigenvectors[:, :rank], eig.eigenvalues[:rank]
     groups = _compressed_subspaces(_support_subspaces(u, eps), e, eps)
@@ -474,7 +477,7 @@ def _support_columns(eig: EigenDecomposition, rank: int, u: np.ndarray, eps: flo
         lower = trace + float(reduced.min())
         best = [i for i in np.argsort(reduced, kind="stable")[:rank * rank]
                 if reduced[i] < -config.LP_DUAL_TOL]
-        if lp.objective - lower <= config.ROOF_DUAL_GAP_TOL or not best:
+        if not best:
             break
         coords = np.vstack([coords, np.concatenate([p[1] for p in priced])[best]])
 
@@ -502,13 +505,12 @@ def _roof_bounds(
     floor: float,
     inside_certificate: str,
     strict: bool,
-    cfg: AnnealConfig | None,
-    columns=None,
+    search,
 ) -> RoofEstimate:
     """Bounds shared by both roofs, given what differs between them.
 
-    ``columns(eig, rank)``, when given, replaces the annealer for states of
-    rank two or more that the hull does not decide.
+    ``search(eig, rank, anchors)`` gives the upper bound of a state the hull
+    does not decide.
 
     ``anchor_source`` is called only for states of rank two or more and
     returns the pure states whose hull decides the roof, the real points of
@@ -540,8 +542,7 @@ def _roof_bounds(
         result = RoofSearchResult(floor, dec, ())
         lower, certificate = floor, inside_certificate
     else:
-        result = (columns(eig, rank) if columns is not None and rank > 1
-                  else roof_upper_bound(rho_m, values, cfg, anchors=anchors))
+        result = search(eig, rank, anchors)
         _recheck(result, rho_m, values)
         if rank == 1:
             lower, certificate = result.value, CERT_RANK_ONE
@@ -592,10 +593,15 @@ def support_roof_bounds(rho, transition) -> RoofEstimate:
         states = enumerate_min_uncertainty_states(u).states
         return states, _projector_points(states), "derived"
 
+    def search(eig, rank, anchors):
+        if rank == 1:
+            return roof_upper_bound(rho_m, values)
+        return _support_columns(eig, rank, u, eps, values)
+
     return _roof_bounds(
         SUPPORT_OBJECTIVE, rho_m, values, base, anchor_source,
-        floor=float(u.shape[0] + 1), inside_certificate=CERT_FLOOR, strict=True, cfg=None,
-        columns=lambda eig, rank: _support_columns(eig, rank, u, eps, values),
+        floor=float(u.shape[0] + 1), inside_certificate=CERT_FLOOR, strict=True,
+        search=search,
     )
 
 
@@ -635,8 +641,10 @@ def nonpositivity_roof_bounds(
         states = filter_kd_positive_pure(minimal, np.ascontiguousarray(u)).states
         return states, _projector_points(states), "derived"
 
+    values = nonpositivity_values_fn(u)
     return _roof_bounds(
-        NONPOSITIVITY_OBJECTIVE, rho_m, nonpositivity_values_fn(u), base, anchor_source,
+        NONPOSITIVITY_OBJECTIVE, rho_m, values, base, anchor_source,
         floor=1.0, inside_certificate=CERT_HULL,
-        strict=base <= 1.0 + config.NONPOSITIVITY_STRICT_SLACK, cfg=cfg,
+        strict=base <= 1.0 + config.NONPOSITIVITY_STRICT_SLACK,
+        search=lambda eig, rank, anchors: roof_upper_bound(rho_m, values, cfg, anchors=anchors),
     )
