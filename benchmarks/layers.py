@@ -49,7 +49,7 @@ functionals shows next to the points function.
 
 It times ``support_roof_bounds`` (the "support_roof" layer) on the spin-1
 states ``rho_lambda`` at ``COUNTEREXAMPLE_LAMBDAS`` and on hull-excluded
-states of ``haar_unitary(d, 1000 + d)`` at d = 4, 5 and ranks 2 and 3 (the
+states of ``haar_unitary(d, 1000 + d)`` at d = 4, 5 and ranks 2, 3 and d (the
 first state ``G G^H / Tr`` with ``G`` a d x r complex Gaussian from
 ``default_rng(5000 + 10 d + r)`` that ``membership_lp`` puts outside the
 hull of the minimal states), with the upper bound, the dual bound where the
@@ -110,7 +110,7 @@ MINOR_DIMS = range(3, 9)
 MEMBERSHIP_DIMS = range(4, 7)
 AGAIN_DIMS = range(4, 7)
 SUPPORT_DIMS = (4, 5)
-SUPPORT_RANKS = (2, 3)
+SUPPORT_RANKS = (2, 3)  # and full rank, where column generation takes the most rounds
 MEMBERSHIP_INSIDE = "uniform mixture of the minimal states"
 MEMBERSHIP_OUTSIDE = "random_pure_state(d, default_rng(4000 + d))"
 
@@ -236,7 +236,7 @@ def support_states(kdwitness):
     for d in SUPPORT_DIMS:
         u = kdwitness.haar_unitary(d, 1000 + d)
         gens = [projector(s) for s in kdwitness.enumerate_min_uncertainty_states(u).states]
-        for r in SUPPORT_RANKS:
+        for r in (*SUPPORT_RANKS, d):
             rng = np.random.default_rng(5000 + 10 * d + r)
             while True:
                 g = complex_gaussian((d, r), rng)
