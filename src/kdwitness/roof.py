@@ -453,13 +453,12 @@ def _support_columns(eig: EigenDecomposition, rank: int, u: np.ndarray, eps: flo
 
     The master LP splits diag(mu) into projectors of unit columns c, from the
     eigen-ensemble on, each costing the support count of E c at ``eps``; the
-    top eigenvector of its dual W on a subspace prices in below -LP_DUAL_TOL.
-    At the optimum the gap to Tr(W diag mu) + min (|S| + |T| - lambda_max) is
-    minus the most negative reduced cost, so once none prices in it is at most
-    LP_DUAL_TOL; the dual bound then loses a margin for states near their
-    subspace: for unit c = p + q, p in the subspace, |q| <= delta, and any t,
-    c^H W c - lambda_max <= |W - t|_2 (2 delta + 2 delta^2). At the round cap
-    the bracket reached is returned.
+    top eigenvector of its dual W on a subspace prices in below -LP_DUAL_TOL,
+    and the gap, minus the most negative reduced cost, is at most LP_DUAL_TOL
+    once none does (at the round cap the bracket reached is returned). The dual
+    bound, from a fresh pass over every subspace, loses a margin for states
+    near theirs: for unit c = p + q, p in the subspace, |q| <= delta, and any t,
+    c^H W c - lambda_max <= |W - t|_2 (2 delta + 2 delta^2).
     """
     e, mu = eig.eigenvectors[:, :rank], eig.eigenvalues[:rank]
     groups = _compressed_subspaces(_support_subspaces(u, eps), e, eps)
@@ -593,15 +592,11 @@ def support_roof_bounds(rho, transition) -> RoofEstimate:
         states = enumerate_min_uncertainty_states(u).states
         return states, _projector_points(states), "derived"
 
-    def search(eig, rank, anchors):
-        if rank == 1:
-            return roof_upper_bound(rho_m, values)
-        return _support_columns(eig, rank, u, eps, values)
-
     return _roof_bounds(
         SUPPORT_OBJECTIVE, rho_m, values, base, anchor_source,
         floor=float(u.shape[0] + 1), inside_certificate=CERT_FLOOR, strict=True,
-        search=search,
+        search=lambda eig, rank, _: (_support_columns(eig, rank, u, eps, values) if rank > 1
+                                     else roof_upper_bound(rho_m, values)),
     )
 
 
