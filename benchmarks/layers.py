@@ -1,4 +1,4 @@
-"""Layer timings: minimal-state enumeration, the KD-positive filter, the annealer, minors, hull LPs, finite roofs, facets, repeat calls, the support roof.
+"""Layer timings: minimal-state enumeration, the KD-positive filter, the annealer, minors, hull LPs, finite roofs, facets, repeat calls, both convex roofs.
 
 Packages that keep per-basis work for reuse (``kdwitness.basis``) get their
 cache cleared before every timed call of a cached layer, so each layer is
@@ -54,9 +54,19 @@ first state ``G G^H / Tr`` with ``G`` a d x r complex Gaussian from
 ``default_rng(5000 + 10 d + r)`` that ``membership_lp`` puts outside the
 hull of the minimal states), with the upper bound, the dual bound where the
 package reports one, and, counted on one more untimed call by wrapping the
-roof module's ``solve_equality_lp``, the master LPs solved (rounds) and the
-columns of the last one. Packages whose ``support_roof_bounds`` takes
-``cfg`` anneal at ``ROOF_CONFIG``.
+roof module's ``solve_equality_lp``, the master LPs solved (rounds), the
+columns of the last one and the simplex pivots of all of them (master
+pivots). Packages whose ``support_roof_bounds`` takes ``cfg`` anneal at
+``ROOF_CONFIG``.
+
+It times ``nonpositivity_roof_bounds`` (the "nonpos_roof" layer) at
+``ROOF_CONFIG`` on the same spin-1 states and on states of
+``haar_unitary(d, 1000 + d)`` at d = 4..6 (``NONPOS_DIMS``) and ranks 2, 3
+and d, ``NONPOS_SEEDS`` of each: the first ``G G^H / Tr``, ``G`` from
+``default_rng(6000 + 100 s + 10 d + r)`` for seed s, that ``membership_lp``
+puts outside the hull of the KD-positive minimal states. Its rows carry the
+upper bound and the same master-LP counts. Being slow at full rank, its
+calls are timed ``NONPOS_RUNS`` times each.
 
 It prints one JSON record: per layer and dimension or set the median and
 quartiles of ``RUNS`` timed calls (after one untimed warm-up call), the
@@ -84,7 +94,8 @@ annealer rows (``roof_upper_bound`` at d = 3..6, which serve as controls):
 it imports the other checkout's package under a second name and times the
 two packages in one process, one call each per block, the order turning
 every block, and adds an "alternating" entry with both medians and their
-ratio:
+ratio; the nonpositivity-roof rows are timed the same way, in
+``NONPOS_RUNS`` blocks:
 
     PYTHONPATH=src python benchmarks/layers.py --label change \
         --against ../parent --against-label parent > change.json
@@ -111,6 +122,9 @@ MEMBERSHIP_DIMS = range(4, 7)
 AGAIN_DIMS = range(4, 7)
 SUPPORT_DIMS = (4, 5)
 SUPPORT_RANKS = (2, 3)  # and full rank, where column generation takes the most rounds
+NONPOS_DIMS = (4, 5, 6)
+NONPOS_SEEDS = 3
+NONPOS_RUNS = 5
 MEMBERSHIP_INSIDE = "uniform mixture of the minimal states"
 MEMBERSHIP_OUTSIDE = "random_pure_state(d, default_rng(4000 + d))"
 
@@ -140,8 +154,8 @@ def _cache_clear(package="kdwitness"):
         return lambda: None
 
 
-def timed(fn, *args, fresh=True, **kwargs):
-    """Result of one untimed warm-up call and the times of ``RUNS`` more.
+def timed(fn, *args, fresh=True, runs=RUNS, **kwargs):
+    """Result of one untimed warm-up call and the times of ``runs`` more.
 
     With ``fresh`` the per-basis cache is cleared, untimed, before each call.
     """
@@ -149,7 +163,7 @@ def timed(fn, *args, fresh=True, **kwargs):
     clear()
     result = fn(*args, **kwargs)
     times = []
-    for _ in range(RUNS):
+    for _ in range(runs):
         clear()
         start = time.perf_counter()
         fn(*args, **kwargs)
@@ -172,8 +186,8 @@ def load_checkout(path: str, name: str):
     return module
 
 
-def alternated(calls, clears):
-    """Times of ``RUNS`` blocks, each running every call once, after one untimed warm-up each.
+def alternated(calls, clears, runs=RUNS):
+    """Times of ``runs`` blocks, each running every call once, after one untimed warm-up each.
 
     The order of the calls turns by one every block; each call's cache is
     cleared, untimed, before it runs.
@@ -182,7 +196,7 @@ def alternated(calls, clears):
         clear()
         call()
     times = [[] for _ in calls]
-    for block in range(RUNS):
+    for block in range(runs):
         for k in range(len(calls)):
             i = (block + k) % len(calls)
             clears[i]()
@@ -201,27 +215,36 @@ def support_call(package, rho, u):
     return lambda: bounds(rho, u, **kwargs)
 
 
-def master_lps(package, call):
-    """Master LPs one call of ``call`` solves in the roof module, and the columns of the last.
+def nonpos_call(package, rho, u):
+    """A call of the package's ``nonpositivity_roof_bounds`` at ``ROOF_CONFIG``."""
+    cfg = package.AnnealConfig(**ROOF_CONFIG)
+    return lambda: package.nonpositivity_roof_bounds(rho, u, cfg=cfg)
 
-    ``(None, None)`` for a package whose roof module solves none.
+
+def master_lps(package, call) -> dict:
+    """Master LPs one call of ``call`` solves in the roof module: rounds, last columns, pivots.
+
+    Every count is None for a package whose roof module solves none.
     """
     roof = sys.modules[f"{package.__name__}.roof"]
     solve = getattr(roof, "solve_equality_lp", None)
-    if solve is None:
-        return None, None
-    columns = []
+    columns, pivots = [], []
 
     def counted(a, *args, **kwargs):
+        result = solve(a, *args, **kwargs)
         columns.append(int(a.shape[1]))
-        return solve(a, *args, **kwargs)
+        pivots.append(result.iterations)
+        return result
 
-    roof.solve_equality_lp = counted
-    try:
-        call()
-    finally:
-        roof.solve_equality_lp = solve
-    return len(columns), (columns[-1] if columns else None)
+    if solve is not None:
+        roof.solve_equality_lp = counted
+        try:
+            call()
+        finally:
+            roof.solve_equality_lp = solve
+    if not columns:
+        return {"rounds": None, "columns": None, "master_pivots": None}
+    return {"rounds": len(columns), "columns": columns[-1], "master_pivots": sum(pivots)}
 
 
 def support_states(kdwitness):
@@ -244,6 +267,32 @@ def support_states(kdwitness):
                 if kdwitness.membership_lp(rho, gens).verdict == "outside":
                     break
             states[f"d{d}_rank{r}"] = (rho, u)
+    return states
+
+
+def nonpos_states(kdwitness):
+    """The nonpositivity-roof layer's states: name -> (rho, u)."""
+    import numpy as np
+
+    from kdwitness.linalg import complex_gaussian, projector
+
+    u3 = kdwitness.SPIN1.transition
+    states = {f"spin1_{lam:.4f}": (kdwitness.rho_lambda(lam), u3)
+              for lam in kdwitness.spin1.COUNTEREXAMPLE_LAMBDAS}
+    for d in NONPOS_DIMS:
+        u = kdwitness.haar_unitary(d, 1000 + d)
+        positive = kdwitness.filter_kd_positive_pure(
+            kdwitness.enumerate_min_uncertainty_states(u), u).states
+        gens = [projector(s) for s in positive]
+        for r in (2, 3, d):
+            for seed in range(NONPOS_SEEDS):
+                rng = np.random.default_rng(6000 + 100 * seed + 10 * d + r)
+                while True:
+                    g = complex_gaussian((d, r), rng)
+                    rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+                    if kdwitness.membership_lp(rho, gens).verdict == "outside":
+                        break
+                states[f"d{d}_rank{r}_s{seed}"] = (rho, u)
     return states
 
 
@@ -421,13 +470,22 @@ def main(argv=None) -> dict:
     for name, (rho, u) in support.items():
         call = support_call(kdwitness, rho, u)
         estimate, support_times = timed(call)
-        rounds, columns = master_lps(kdwitness, call)
         layers["support_roof"][name] = {
             **summary_ms(support_times),
             "upper_bound": estimate.upper_bound,
             "dual_bound": getattr(estimate, "dual_bound", None),
-            "rounds": rounds,
-            "columns": columns,
+            **master_lps(kdwitness, call),
+        }
+
+    layers["nonpos_roof"] = {}
+    nonpos = nonpos_states(kdwitness)
+    for name, (rho, u) in nonpos.items():
+        call = nonpos_call(kdwitness, rho, u)
+        estimate, nonpos_times = timed(call, runs=NONPOS_RUNS)
+        layers["nonpos_roof"][name] = {
+            **summary_ms(nonpos_times),
+            "upper_bound": estimate.upper_bound,
+            **master_lps(kdwitness, call),
         }
 
     alternating = None
@@ -445,10 +503,13 @@ def main(argv=None) -> dict:
                     rho, k.roof.nonpositivity_values_fn(u), k.AnnealConfig(**ROOF_CONFIG),
                     anchors=a))
                 for k in (kdwitness, other)]
+        for name, (rho, u) in nonpos.items():
+            pairs[f"nonpos_roof.{name}"] = [nonpos_call(k, rho, u) for k in (kdwitness, other)]
         clears = [_cache_clear(), _cache_clear(other.__name__)]
         alternating = {}
         for name, calls in pairs.items():
-            mine, theirs = (summary_ms(t) for t in alternated(calls, clears))
+            runs = NONPOS_RUNS if name.startswith("nonpos_roof.") else RUNS
+            mine, theirs = (summary_ms(t) for t in alternated(calls, clears, runs))
             alternating[name] = {
                 args.label or "this": mine,
                 args.against_label: theirs,
@@ -483,6 +544,8 @@ def main(argv=None) -> dict:
         "minor_dims": list(MINOR_DIMS),
         "membership_dims": list(MEMBERSHIP_DIMS),
         "again_dims": list(AGAIN_DIMS),
+        "nonpos_dims": list(NONPOS_DIMS),
+        "nonpos_runs": NONPOS_RUNS,
         "membership_targets": {"inside": MEMBERSHIP_INSIDE, "outside": MEMBERSHIP_OUTSIDE},
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "machine": {
