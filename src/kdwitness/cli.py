@@ -89,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
                             ("roof-nonpos", "total nonpositivity")):
         p = add(name, f"convex-roof bounds for the {objective}")
         anneal = ("annealer setting; does not affect the support roof"
-                  if name == "roof-support" else "annealer setting")
+                  if name == "roof-support" else
+                  "annealer setting; applies only to states without a hull route")
         p.add_argument("--state", required=True)
         p.add_argument("--basis", required=True)
         p.add_argument("--seed", type=int, default=0, help=anneal)

@@ -1,9 +1,10 @@
 """Convex-roof bounds over pure-state decompositions.
 
-The support roof is solved by column generation over the support subspaces
-V_{S,T} (amplitudes only on S and T in the two bases), whose duals W give the
-lower bound Tr(W rho) + min (|S| + |T| - lambda_max(W on V_{S,T})); the
-nonpositivity roof anneals over isometries applied to the eigen-ensemble.
+Both roofs of a hull-excluded state come from one column generation priced
+over the support subspaces V_{S,T} (amplitudes only on S and T in the two
+bases) for the support roof, whose duals W give the lower bound Tr(W rho) +
+min (|S| + |T| - lambda_max(W on V_{S,T})), and by a heuristic search for the
+nonpositivity roof; other states anneal over isometries of the eigen-ensemble.
 Lower bounds also come from convexity for the total nonpositivity, the d+1
 floor of complete incompatibility for the support uncertainty, and hull
 certificates for strictness. Bounds are only ever reported as bounds; the
@@ -11,7 +12,7 @@ exact flag is set when the certificates close the gap.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .kd import kd_table, total_nonpositivity
 from .linalg import (
     EigenDecomposition,
     as_complex,
+    complex_gaussian,
     dagger,
     frobenius,
     hermitian_eig,
@@ -439,60 +441,116 @@ def _compressed_subspaces(family, e: np.ndarray, eps: float):
 
 
 def _price(w: np.ndarray, groups):
-    """Per group, |S| + |T| - lambda_max of ``w`` on each subspace, and the unit top vectors."""
+    """|S| + |T| - lambda_max of ``w`` on every subspace, group by group, and the top vectors."""
     priced = []
     for cost, basis, _ in groups:
         lam, vecs = np.linalg.eigh(dagger(basis) @ w @ basis)
         priced.append((cost - lam[:, -1], (basis @ vecs[:, :, -1:])[:, :, 0]))
-    return priced
+    return np.concatenate([p[0] for p in priced]), np.concatenate([p[1] for p in priced])
 
 
-def _support_columns(eig: EigenDecomposition, rank: int, u: np.ndarray, eps: float,
-                     values) -> RoofSearchResult:
-    """Support-roof bounds by column generation over the support subspaces.
+def _columns(eig: EigenDecomposition, rank: int, values, price):
+    """Column generation on the master LP that splits diag(mu) into projectors of unit columns c.
 
-    The master LP splits diag(mu) into projectors of unit columns c, from the
-    eigen-ensemble on, each costing the support count of E c at ``eps``; the
-    top eigenvector of its dual W on a subspace prices in below -LP_DUAL_TOL,
-    and the gap, minus the most negative reduced cost, is at most LP_DUAL_TOL
-    once none does (at the round cap the bracket reached is returned). The dual
-    bound, from a fresh pass over every subspace, loses a margin for states
-    near theirs: for unit c = p + q, p in the subspace, |q| <= delta, and any t,
-    c^H W c - lambda_max <= |W - t|_2 (2 delta + 2 delta^2).
+    Columns are in range(rho) coordinates, from the eigen-ensemble on, and cost
+    ``values`` of E c. ``price(W)`` gives candidates and their reduced costs under
+    the master's duals W; each round the up to r^2 most negative below -LP_DUAL_TOL
+    join, and the master goes on from its last basis, until none does or for
+    MAX_COLUMN_ROUNDS. Returns the upper bound, W and the last lowest reduced cost.
     """
     e, mu = eig.eigenvectors[:, :rank], eig.eigenvalues[:rank]
-    groups = _compressed_subspaces(_support_subspaces(u, eps), e, eps)
     target = hermitian_to_real(np.diag(mu))
     coords = np.eye(rank, dtype=complex)
+    basis = None
     for _ in range(MAX_COLUMN_ROUNDS):
         states = coords @ e.T
-        lp = solve_equality_lp(_projector_points(coords).T, target, values(states))
+        lp = solve_equality_lp(_projector_points(coords).T, target, values(states), basis=basis)
         if lp.status != OPTIMAL:
-            raise CertificateError(f"support-roof master LP is {lp.status}")
+            raise CertificateError(f"roof master LP is {lp.status}")
         w = real_to_hermitian(lp.duals, rank)
-        trace = float(mu @ np.diagonal(w).real)
-        priced = _price(w, groups)
-        reduced = np.concatenate([p[0] for p in priced])
-        lower = trace + float(reduced.min())
+        reduced, candidates = price(w)
         best = [i for i in np.argsort(reduced, kind="stable")[:rank * rank]
                 if reduced[i] < -config.LP_DUAL_TOL]
         if not best:
             break
-        coords = np.vstack([coords, np.concatenate([p[1] for p in priced])[best]])
+        coords, basis = np.vstack([coords, candidates[best]]), lp.basis
+    keep = lp.x > config.WEIGHT_CUTOFF
+    return (RoofSearchResult(lp.objective, Decomposition(lp.x[keep], states[keep]), ()), w,
+            float(reduced.min()))
 
+
+def _support_columns(eig: EigenDecomposition, rank: int, u: np.ndarray, eps: float,
+                     values) -> RoofSearchResult:
+    """Support-roof bounds by column generation (``_columns``) over the support subspaces.
+
+    Each column costs the support count of E c at ``eps``, and the top
+    eigenvector of W on a subspace prices it, so once none prices in the
+    gap is at most LP_DUAL_TOL. The dual bound, from a fresh pass over every
+    subspace, loses a margin for states near theirs: for unit c = p + q, p in
+    the subspace, |q| <= delta, and any t,
+    c^H W c - lambda_max <= |W - t|_2 (2 delta + 2 delta^2).
+    """
+    e, mu = eig.eigenvectors[:, :rank], eig.eigenvalues[:rank]
+    groups = _compressed_subspaces(_support_subspaces(u, eps), e, eps)
+    result, w, lowest = _columns(eig, rank, values, lambda w: _price(w, groups))
+    trace = float(mu @ np.diagonal(w).real)
     fresh = trace + min(float((cost - np.linalg.eigvalsh(dagger(z) @ w @ z)[:, -1]).min())
                         for cost, z, _ in groups)
-    if not abs(fresh - lower) <= config.ROOF_RECHECK_TOL:
-        raise CertificateError(f"dual bound {lower} from pricing is {fresh} in a fresh pass")
+    if not abs(fresh - trace - lowest) <= config.ROOF_RECHECK_TOL:
+        raise CertificateError(f"dual bound {trace + lowest} is {fresh} in a fresh pass")
     spectrum = np.linalg.eigvalsh(w)  # t at its middle makes |W - t|_2 half its spread
     delta = max(float(g[2].max()) for g in groups)
     margin = float((spectrum[-1] - spectrum[0]) / 2.0 * (2.0 * delta + 2.0 * delta**2)
                    + _ROUNDING * rank * np.abs(spectrum).max())
-    keep = lp.x > config.WEIGHT_CUTOFF
-    return RoofSearchResult(
-        lp.objective, Decomposition(lp.x[keep], states[keep]), (),
-        dual_bound=fresh - margin, dual_witness=e @ w @ dagger(e),
-    )
+    return replace(result, dual_bound=fresh - margin, dual_witness=e @ w @ dagger(e))
+
+
+PRICING_DRAWS, PRICING_STARTS, PRICING_STEPS, PRICING_STEP = 2048, 16, 20, 0.05
+
+
+def _nonpositivity_pricer(eig: EigenDecomposition, rank: int, u, values, anchors):
+    """Heuristic pricing for the nonpositivity roof: (reduced costs, columns) under W.
+
+    It searches unit columns drawn once per call from default_rng(0): the
+    anchors in range(rho), PRICING_DRAWS uniform ones and PRICING_DRAWS
+    weighted by sqrt(mu); each round the PRICING_STARTS best take
+    PRICING_STEPS projected-gradient steps of PRICING_STEP / max(1, |W|_2).
+    For psi = E c and phi = U^H psi, N = |psi|^T |U| |phi|, and the derivative of
+    N - c^H W c in conj(c) is E^H (sgn psi |U| |phi| + U (sgn phi |U|^T |psi|)) / 2 - W c,
+    with sgn z = z / |z| and sgn 0 = 0.
+    """
+    e, mu = eig.eigenvectors[:, :rank], eig.eigenvalues[:rank]
+    u_abs = np.abs(u)
+    draws = complex_gaussian((2, PRICING_DRAWS, rank), np.random.default_rng(0))
+    pool = np.vstack([np.asarray(anchors) @ e.conj(), draws[0], draws[1] * np.sqrt(mu)])
+    norms = np.linalg.norm(pool, axis=1)
+    in_range = norms**2 > config.ANCHOR_RANGE_CUTOFF
+    pool = pool[in_range] / norms[in_range, None]
+    pool_values = values(pool @ e.T)
+
+    def quadratic(c, w):
+        return ((c.conj() @ w) * c).sum(axis=1).real
+
+    def gradient(c, w):
+        psi = c @ e.T
+        phi = psi @ u.conj()
+        amps_a, amps_b = np.abs(psi), np.abs(phi)
+        sgn_a, sgn_b = psi / np.maximum(amps_a, 1e-300), phi / np.maximum(amps_b, 1e-300)
+        return ((sgn_a * (amps_b @ u_abs.T) + (sgn_b * (amps_a @ u_abs)) @ u.T) @ e.conj()
+                - 2.0 * c @ w.T)
+
+    def price(w):
+        pooled = pool_values - quadratic(pool, w)
+        c = pool[np.argpartition(pooled, PRICING_STARTS)[:PRICING_STARTS]]
+        step = PRICING_STEP / max(1.0, float(np.linalg.norm(w, 2)))
+        for _ in range(PRICING_STEPS):
+            c = c - step * gradient(c, w)
+            c /= np.linalg.norm(c, axis=1, keepdims=True)
+        negative = pooled < -config.LP_DUAL_TOL
+        return (np.concatenate([values(c @ e.T) - quadratic(c, w), pooled[negative]]),
+                np.vstack([c, pool[negative]]))
+
+    return price
 
 
 def _roof_bounds(
@@ -616,9 +674,9 @@ def nonpositivity_roof_bounds(
 
     ``positive_pure`` supplies the pure KD-positive states and is assumed
     complete; when omitted it is derived by enumeration, which is complete
-    for completely incompatible bases in dimension at most six. Without
-    either route only the convexity bound and the annealed upper bound are
-    reported.
+    for completely incompatible bases in dimension at most six. An excluded
+    state's upper bound comes from column generation; without either route
+    only the convexity bound and an annealed upper bound at ``cfg`` are reported.
     """
     u = as_complex(transition, "transition matrix")
     rho_m = as_complex(rho, "state")
@@ -637,9 +695,14 @@ def nonpositivity_roof_bounds(
         return states, _projector_points(states), "derived"
 
     values = nonpositivity_values_fn(u)
+
+    def search(eig, rank, anchors):
+        if anchors is None:  # rank one, or no hull route
+            return roof_upper_bound(rho_m, values, cfg)
+        return _columns(eig, rank, values, _nonpositivity_pricer(eig, rank, u, values, anchors))[0]
+
     return _roof_bounds(
         NONPOSITIVITY_OBJECTIVE, rho_m, values, base, anchor_source,
         floor=1.0, inside_certificate=CERT_HULL,
-        strict=base <= 1.0 + config.NONPOSITIVITY_STRICT_SLACK,
-        search=lambda eig, rank, anchors: roof_upper_bound(rho_m, values, cfg, anchors=anchors),
+        strict=base <= 1.0 + config.NONPOSITIVITY_STRICT_SLACK, search=search,
     )

@@ -15,6 +15,8 @@ duals it carries, solved on its final basis), and an infeasible one carries
 a Farkas certificate ``y`` with ``y @ A <= 0`` componentwise (within
 ``config.FARKAS_SLACK_TOL``) and ``y @ b > 0``; a failed check raises
 CertificateError, and a basis the pivots left singular raises NoConvergence.
+An optimum carries its final basis; passed back after columns are appended, it
+starts phase two at once if square, nonsingular and feasible, else the LP starts cold.
 """
 
 from dataclasses import dataclass
@@ -51,6 +53,7 @@ class LPResult:
     iterations: int
     # With costs, an optimum's duals in the original row order and sign (0 on dropped rows).
     duals: np.ndarray | None = None
+    basis: tuple[int, ...] | None = None  # an optimum's basic columns, one per kept row
 
 
 def _enter(cost_row: np.ndarray, bland: bool) -> int:
@@ -61,10 +64,12 @@ def _enter(cost_row: np.ndarray, bland: bool) -> int:
     return col if cost_row[col] < -PIVOT_TOL else -1
 
 
-def _leave(tableau: np.ndarray, col: int, basis: list[int]) -> int:
+def _leave(tableau: np.ndarray, col: int, basis: list[int], clip: bool) -> int:
+    """Row by the ratio test, ties to the lowest basic index; ``clip`` reads values < 0 as 0."""
     column = tableau[:, col]
     rows = (column > PIVOT_TOL).nonzero()[0]
-    ratios = tableau[rows, -1] / column[rows]
+    rhs = tableau[rows, -1]
+    ratios = (np.maximum(rhs, 0.0) if clip else rhs) / column[rows]
     best_ratio = np.inf
     best_row = -1
     for i, ratio in zip(rows.tolist(), ratios.tolist()):
@@ -106,7 +111,7 @@ def _reinvert(basis: list[int], system: np.ndarray, costs: np.ndarray, pivots: i
 
 
 def _iterate(tableau: np.ndarray, cost_row: np.ndarray, basis: list[int],
-             system: np.ndarray, costs: np.ndarray, n: int) -> tuple[str, int]:
+             system: np.ndarray, costs: np.ndarray, n: int, clip: bool = False) -> tuple[str, int]:
     """Pivot until no column j < n prices in; in phase one, artificials never re-enter."""
     degenerate = since_reinversion = 0
     for iteration in range(MAX_ITERATIONS):
@@ -118,7 +123,7 @@ def _iterate(tableau: np.ndarray, cost_row: np.ndarray, basis: list[int],
             col = _enter(cost_row[:n], degenerate >= BLAND_AFTER)
         if col < 0:
             return OPTIMAL, iteration
-        row = _leave(tableau, col, basis)
+        row = _leave(tableau, col, basis, clip)
         if row < 0:
             return UNBOUNDED, iteration
         degenerate = degenerate + 1 if tableau[row, -1] / tableau[row, col] <= PIVOT_TOL else 0
@@ -143,13 +148,27 @@ def _recheck(a, b, c, x, basis: list[int], rows: list[int], feas_tol: float):
     return y
 
 
-def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL) -> LPResult:
+def _warm_start(basis, system: np.ndarray, costs: np.ndarray | None):
+    """Tableau and cost row on ``basis``, or None unless it is a feasible basis of ``system``."""
+    if basis is None or costs is None or len(basis) != system.shape[0] or not all(
+            0 <= j < system.shape[1] - 1 for j in basis):
+        return None
+    try:
+        tableau, cost_row = _reinvert(list(basis), system, costs, 0)
+    except NoConvergence:
+        return None
+    return (tableau, cost_row) if tableau[:, -1].min(initial=0.0) >= -LP_PRIMAL_TOL else None
+
+
+def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL,
+                      basis=None) -> LPResult:
     """Two-phase simplex on ``min c@x : A@x = b, x >= 0``.
 
     With ``c=None`` only feasibility is decided (phase one). On
     infeasibility the result carries a validated Farkas certificate in the
     original row order and sign convention; an optimal result has passed
-    the re-check of the module docstring.
+    the re-check of the module docstring. With costs, a feasible starting
+    ``basis`` (one column index per row) skips phase one.
     """
     a_orig = np.asarray(A, dtype=float)
     b_orig = np.asarray(b, dtype=float)
@@ -158,50 +177,57 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL) -> LPResu
     a_mod = a_orig * signs[:, None]
     b_mod = b_orig * signs
 
-    system = np.hstack([a_mod, np.eye(m), b_mod[:, None]])
-    tableau = system.copy()
-    basis = list(range(n, n + m))
-    # Phase one: artificial costs 1, starting from the artificial basis.
-    costs_phase1 = np.repeat([0.0, 1.0], [n, m])
-    cost_row = costs_phase1 - tableau[:, :-1].sum(axis=0)
-
-    status, iters = _iterate(tableau, cost_row, basis, system, costs_phase1, n)
-    if status == UNBOUNDED:
-        raise CertificateError("phase one of the simplex reported unbounded")
-    artificial_mass = sum(tableau[i, -1] for i, j in enumerate(basis) if j >= n)
-    if artificial_mass > feas_tol:
-        y_orig = np.linalg.solve(system[:, basis].T, costs_phase1[basis]) * signs
-        slack = a_orig.T @ y_orig
-        if slack.size and slack.max() > FARKAS_SLACK_TOL:
-            raise CertificateError(f"Farkas certificate violates y@A <= 0 by {slack.max():.3e}")
-        if y_orig @ b_orig <= 0.0:
-            raise CertificateError("Farkas certificate has nonpositive objective")
-        return LPResult(INFEASIBLE, None, None, y_orig, float(artificial_mass), iters)
-
-    # Drive artificial variables out of the basis. An artificial that cannot
-    # leave marks its constraint row as redundant, and that row is dropped.
-    nonbasic = np.ones(n, dtype=bool)
-    nonbasic[[j for j in basis if j < n]] = False
-    for i in range(m):
-        if basis[i] < n:
-            continue
-        candidates = (nonbasic & (np.abs(tableau[i, :n]) > PIVOT_TOL)).nonzero()[0]
-        if candidates.size:
-            pivot_col = int(candidates[0])
-            _pivot(tableau, cost_row, i, pivot_col, basis)
-            nonbasic[pivot_col] = False
-    kept = [i for i, j in enumerate(basis) if j < n]
-    rows = [k for k in range(m) if n + k not in basis]
-    basis = [basis[i] for i in kept]
-
     costs = None if c is None else np.asarray(c, dtype=float)
+    start = _warm_start(basis, np.hstack([a_mod, b_mod[:, None]]), costs)
+    warm = start is not None
+    if warm:
+        basis, rows, iters, artificial_mass = list(basis), list(range(m)), 0, 0.0
+    else:
+        system = np.hstack([a_mod, np.eye(m), b_mod[:, None]])
+        tableau = system.copy()
+        basis = list(range(n, n + m))
+        # Phase one: artificial costs 1, starting from the artificial basis.
+        costs_phase1 = np.repeat([0.0, 1.0], [n, m])
+        cost_row = costs_phase1 - tableau[:, :-1].sum(axis=0)
+
+        status, iters = _iterate(tableau, cost_row, basis, system, costs_phase1, n)
+        if status == UNBOUNDED:
+            raise CertificateError("phase one of the simplex reported unbounded")
+        artificial_mass = sum(tableau[i, -1] for i, j in enumerate(basis) if j >= n)
+        if artificial_mass > feas_tol:
+            y_orig = np.linalg.solve(system[:, basis].T, costs_phase1[basis]) * signs
+            slack = a_orig.T @ y_orig
+            if slack.size and slack.max() > FARKAS_SLACK_TOL:
+                raise CertificateError(
+                    f"Farkas certificate violates y@A <= 0 by {slack.max():.3e}")
+            if y_orig @ b_orig <= 0.0:
+                raise CertificateError("Farkas certificate has nonpositive objective")
+            return LPResult(INFEASIBLE, None, None, y_orig, float(artificial_mass), iters)
+
+        # Drive artificial variables out of the basis. An artificial that cannot
+        # leave marks its constraint row as redundant, and that row is dropped.
+        nonbasic = np.ones(n, dtype=bool)
+        nonbasic[[j for j in basis if j < n]] = False
+        for i in range(m):
+            if basis[i] < n:
+                continue
+            candidates = (nonbasic & (np.abs(tableau[i, :n]) > PIVOT_TOL)).nonzero()[0]
+            if candidates.size:
+                pivot_col = int(candidates[0])
+                _pivot(tableau, cost_row, i, pivot_col, basis)
+                nonbasic[pivot_col] = False
+        kept = [i for i, j in enumerate(basis) if j < n]
+        rows = [k for k in range(m) if n + k not in basis]
+        basis = [basis[i] for i in kept]
+
     if costs is None:
         x_basic = tableau[kept, -1]
     else:
-        # Phase two starts from the original columns on the final phase-one basis.
+        # Phase two starts from the original columns on the final phase-one basis, or the
+        # warm one, whose ratio test reads rounding below 0 as 0 lest it decide Bland's ties.
         system = np.hstack([a_mod, b_mod[:, None]])[rows]
-        tableau, cost_row = _reinvert(basis, system, costs, iters)
-        status, iters2 = _iterate(tableau, cost_row, basis, system, costs, n)
+        tableau, cost_row = start if warm else _reinvert(basis, system, costs, iters)
+        status, iters2 = _iterate(tableau, cost_row, basis, system, costs, n, clip=warm)
         iters += iters2
         if status == UNBOUNDED:
             return LPResult(UNBOUNDED, None, None, None, 0.0, iters)
@@ -211,4 +237,5 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL) -> LPResu
     x[basis] = x_basic
     duals = _recheck(a_orig, b_orig, costs, x, basis, rows, feas_tol)
     objective = 0.0 if costs is None else float(costs @ x)
-    return LPResult(OPTIMAL, x, objective, None, float(artificial_mass), iters, duals)
+    return LPResult(OPTIMAL, x, objective, None, float(artificial_mass), iters, duals,
+                    tuple(basis))

@@ -24,7 +24,7 @@ from .pure_positive import (
     filter_kd_positive_pure,
     phase_invariant_distance,
 )
-from .roof import AnnealConfig, nonpositivity_roof_bounds, support_roof_bounds
+from .roof import nonpositivity_roof_bounds, support_roof_bounds
 
 
 def _rational_matrix(numerators, denominator: int) -> np.ndarray:
@@ -154,12 +154,11 @@ def _match_sets(found: np.ndarray, reference: np.ndarray, tol: float) -> float:
 def run_spin1_checks() -> Spin1Report:
     """Execute and score every quantitative claim about the spin-1 system.
 
-    Failures become report entries rather than exceptions. Only the
-    nonpositivity roof anneals, at 6 restarts x 400 steps to keep the run
-    fast; the support roof is bracketed by column generation.
+    Failures become report entries rather than exceptions. Both roofs of the
+    hull-excluded counterexamples come from column generation, the support
+    roof's with a dual lower bound, the nonpositivity roof's upper bound only.
     """
     start = time.perf_counter()
-    anneal = AnnealConfig(restarts=6, steps=400, seed=0)
     u = SPIN1.transition
     w = SPIN1.witness
     checks: list[CheckResult] = []
@@ -270,7 +269,7 @@ def run_spin1_checks() -> Spin1Report:
         cert = membership_lp(rho, generators)
         excluded = cert.verdict == OUTSIDE and cert.margin > 1e-6
         support = supports[lam] = support_roof_bounds(rho, u)
-        nonpos = nonpositivity_roof_bounds(rho, u, cfg=anneal)
+        nonpos = nonpositivity_roof_bounds(rho, u)
         ok = (
             positive_state
             and abs(n_value - 1.0) <= 2e-9

@@ -196,24 +196,34 @@ def test_anneal_config_accepts_boundary_values():
 
 
 def _tampered(search, tamper):
-    def wrapped(*args, **kwargs):
-        res = search(*args, **kwargs)
+    def changed(res):
         if tamper == "value":
             return replace(res, value=res.value + 1e-3)
         dec = roof.Decomposition(res.decomposition.weights * 1.01, res.decomposition.states)
         return replace(res, decomposition=dec)
+
+    def wrapped(*args, **kwargs):
+        res = search(*args, **kwargs)
+        # _columns returns the search result first, then W and the last pricing.
+        return (changed(res[0]), *res[1:]) if isinstance(res, tuple) else changed(res)
 
     return wrapped
 
 
 @pytest.mark.parametrize("tamper", ["value", "weights"])
 def test_annealed_upper_bound_is_rechecked(monkeypatch, tamper):
+    # The identity basis pair is not completely incompatible: no hull route, so it anneals.
+    rho = random_density(3, np.random.default_rng(8))
     monkeypatch.setattr(roof, "roof_upper_bound", _tampered(roof.roof_upper_bound, tamper))
     with pytest.raises(CertificateError):
-        nonpositivity_roof_bounds(rho_lambda(0.5), SPIN1.transition, cfg=LIGHT)
+        nonpositivity_roof_bounds(rho, np.eye(3), cfg=LIGHT)
     monkeypatch.setattr(roof, "_support_columns", _tampered(roof._support_columns, tamper))
     with pytest.raises(CertificateError):
         support_roof_bounds(rho_lambda(0.5), SPIN1.transition)
+    # The nonpositivity roof of a hull-excluded state by column generation.
+    monkeypatch.setattr(roof, "_columns", _tampered(roof._columns, tamper))
+    with pytest.raises(CertificateError):
+        nonpositivity_roof_bounds(rho_lambda(0.5), SPIN1.transition)
 
 
 def test_decomposition_identity_isometry_recovers_eigensystem():
@@ -392,6 +402,18 @@ def test_witness_consistency_on_counterexamples():
         assert nonpos.upper_bound > 1.0
 
 
+# The annealed upper bounds of rho_lambda at 4 restarts x 300 steps, seed 0.
+SPIN1_ANNEALED_NONPOSITIVITY = {0.1: 1.038986, 0.25: 1.098748, 0.5: 1.158528, 4.0 / 7.0: 1.173201}
+
+
+@pytest.mark.parametrize("lam", sorted(SPIN1_ANNEALED_NONPOSITIVITY))
+def test_nonpositivity_roof_by_columns_is_below_the_annealed_bound(lam):
+    est = nonpositivity_roof_bounds(rho_lambda(lam), SPIN1.transition)
+    assert est.lower_strict and est.lower_certificate == "hull_membership"
+    assert est.restart_values == () and est.dual_bound is None
+    assert 1.0 < est.upper_bound <= SPIN1_ANNEALED_NONPOSITIVITY[lam]
+
+
 # -- the support roof by column generation ------------------------------------
 
 # The support roofs of rho_lambda, as other solvers give them to 6 digits.
@@ -491,11 +513,13 @@ def test_stacked_pricing_matches_a_per_subspace_loop(case):
     groups, rank = _support_groups(rho, u)
     g = complex_gaussian((rank, rank), np.random.default_rng(3))
     w = g + g.conj().T
-    for (cost, bases, _), (reduced, tops) in zip(groups, roof._price(w, groups)):
-        for i, z in enumerate(bases):
-            lam, vecs = np.linalg.eigh(z.conj().T @ w @ z)
-            assert reduced[i] == pytest.approx(cost[i] - lam[-1], abs=1e-12)
-            assert abs(np.vdot(z @ vecs[:, -1], tops[i])) == pytest.approx(1.0, abs=1e-9)
+    reduced, tops = roof._price(w, groups)
+    subspaces = [(cost, z) for costs, bases, _ in groups for cost, z in zip(costs, bases)]
+    assert len(reduced) == len(tops) == len(subspaces)
+    for i, (cost, z) in enumerate(subspaces):
+        lam, vecs = np.linalg.eigh(z.conj().T @ w @ z)
+        assert reduced[i] == pytest.approx(cost - lam[-1], abs=1e-12)
+        assert abs(np.vdot(z @ vecs[:, -1], tops[i])) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_support_dual_bound_rejects_a_perturbed_w(monkeypatch):

@@ -1,8 +1,9 @@
-"""Properties of the support roof's column-generation bounds on seeded excluded states.
+"""Properties of both roofs' column-generation bounds on seeded excluded states.
 
 The states are drawn as G G^H / Tr with G a d x r complex Gaussian, in the
 spin-1 basis pair and in a Haar basis at d = 4, at ranks 2 and 3; states the
-hull of the minimal states contains are discarded.
+hull of the minimal states (support roof) or of the KD-positive ones
+(nonpositivity roof) contains are discarded.
 """
 
 import numpy as np
@@ -13,14 +14,18 @@ from kdwitness import (
     AnnealConfig,
     decomposition_from_isometry,
     enumerate_min_uncertainty_states,
+    filter_kd_positive_pure,
     haar_unitary,
     hermitian_eig,
+    kd_table,
     membership_lp,
+    nonpositivity_roof_bounds,
     roof_upper_bound,
     support_roof_bounds,
+    total_nonpositivity,
 )
 from kdwitness.linalg import complex_gaussian, projector, random_isometry
-from kdwitness.roof import support_values_fn
+from kdwitness.roof import nonpositivity_values_fn, support_values_fn
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -33,15 +38,19 @@ def _minimal(u):
     return enumerate_min_uncertainty_states(u).states
 
 
+def _positive(u):
+    return filter_kd_positive_pure(enumerate_min_uncertainty_states(u), u).states
+
+
 @st.composite
-def excluded_states(draw):
+def excluded_states(draw, generators=_minimal):
     name = draw(st.sampled_from(sorted(BASES)))
     u = BASES[name]
     rank = draw(st.integers(2, 3))
     seed = draw(st.integers(0, 2**32 - 1))
     g = complex_gaussian((u.shape[0], rank), np.random.default_rng(seed))
     rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
-    gens = [projector(s) for s in _minimal(u)]
+    gens = [projector(s) for s in generators(u)]
     hypothesis.assume(membership_lp(rho, gens).verdict == "outside")
     return rho, u, seed
 
@@ -81,3 +90,19 @@ def test_column_generation_is_no_worse_than_annealing(case):
                                 AnnealConfig(restarts=2, steps=100, seed=seed),
                                 anchors=_minimal(u))
     assert est.upper_bound <= annealed.value
+
+
+@SETTINGS
+@hypothesis.given(excluded_states(_positive))
+def test_nonpositivity_columns_lie_between_the_state_and_annealing(case):
+    rho, u, seed = case
+    est = nonpositivity_roof_bounds(rho, u)
+    values = nonpositivity_values_fn(u)
+    assert est.membership.verdict == "outside" and est.dual_bound is None
+    assert est.upper_bound >= total_nonpositivity(kd_table(rho, u)) - 1e-9
+    annealed = roof_upper_bound(rho, values, AnnealConfig(restarts=2, steps=100, seed=seed),
+                                anchors=_positive(u))
+    assert est.upper_bound <= annealed.value
+    dec = est.upper_decomposition
+    dec.validate(rho)
+    assert dec.weights @ values(dec.states) == pytest.approx(est.upper_bound, abs=1e-9)

@@ -505,3 +505,102 @@ def test_duals_agree_with_highs_on_nondegenerate_optima():
         assert np.abs(res.duals - ref.eqlin.marginals).max() <= 1e-7
         compared += 1
     assert compared >= 10
+
+
+# -- warm starts ---------------------------------------------------------------
+
+
+def _master_lps():
+    """Master LPs of the roofs' column generation, with the basis each started from."""
+    from kdwitness import SPIN1, haar_unitary, nonpositivity_roof_bounds, rho_lambda
+    from kdwitness import roof, support_roof_bounds
+    from kdwitness.linalg import random_density
+
+    recorded = []
+    solve = roof.solve_equality_lp
+
+    def recording(a, b, c, basis=None):
+        recorded.append((a, b, c, basis))
+        return solve(a, b, c, basis=basis)
+
+    roof.solve_equality_lp = recording
+    try:
+        support_roof_bounds(rho_lambda(0.5), SPIN1.transition)
+        nonpositivity_roof_bounds(rho_lambda(0.25), SPIN1.transition)
+        nonpositivity_roof_bounds(random_density(4, np.random.default_rng(11)), haar_unitary(4, 3))
+    finally:
+        roof.solve_equality_lp = solve
+    return recorded
+
+
+def _count_warm_starts(monkeypatch):
+    warm = []
+    start = simplex._warm_start
+
+    def counted(basis, *args):
+        result = start(basis, *args)
+        if basis is not None:
+            warm.append(result is not None)
+        return result
+
+    monkeypatch.setattr(simplex, "_warm_start", counted)
+    return warm
+
+
+def _assert_warm_matches_cold(a, b, c, basis, k):
+    cold = solve_equality_lp(a, b, c=c)
+    res = solve_equality_lp(a, b, c=c, basis=basis)
+    assert res.status == cold.status == OPTIMAL, k
+    assert res.objective == pytest.approx(cold.objective, abs=1e-9 * max(1.0, abs(cold.objective)))
+    assert np.abs(a @ res.x - b).max() <= 1e-9 and res.x.min() >= -1e-9, k
+    y = simplex._recheck(a, b, c, res.x, list(res.basis), list(range(len(b))), 1e-8)
+    assert np.array_equal(y, res.duals), k
+    assert (c - y @ a).min() >= -LP_DUAL_TOL, k
+
+
+def test_a_warm_start_after_appending_columns_reaches_the_cold_optimum(monkeypatch):
+    warm = _count_warm_starts(monkeypatch)
+    for k, (a, b, c) in enumerate(_seeded_lps()):
+        half = solve_equality_lp(a[:, : a.shape[1] // 2 + 1], b, c=c[: a.shape[1] // 2 + 1])
+        if half.status == OPTIMAL and len(half.basis) == len(b):
+            _assert_warm_matches_cold(a, b, c, half.basis, k)
+    assert sum(warm) >= 10 and all(warm)
+
+
+def test_master_lps_warm_started_reach_the_cold_optimum(monkeypatch):
+    # A round whose master dropped rows hands on a short basis, which starts cold.
+    lps = [lp for lp in _master_lps() if lp[3] is not None and len(lp[3]) == len(lp[1])]
+    warm = _count_warm_starts(monkeypatch)
+    for k, (a, b, c, basis) in enumerate(lps):
+        _assert_warm_matches_cold(a, b, c, basis, k)
+    assert len(lps) >= 20 and len(warm) == len(lps) and all(warm)
+
+
+def _results_equal(res, ref):
+    return (res.status == ref.status and res.iterations == ref.iterations
+            and res.phase1_gap == ref.phase1_gap and res.basis == ref.basis
+            and _bytes(res.x) == _bytes(ref.x) and _bytes(res.duals) == _bytes(ref.duals))
+
+
+def test_an_infeasible_or_singular_basis_falls_back_to_the_cold_start(monkeypatch):
+    warm = _count_warm_starts(monkeypatch)
+    rng = np.random.default_rng(3)
+    cases = 0
+    for k, (a, b, c) in enumerate(_seeded_lps()):
+        m, n = a.shape
+        cold = solve_equality_lp(a, b, c=c)
+        if cold.status != OPTIMAL or len(cold.basis) != m or n <= m:
+            continue
+        singular = [cold.basis[0]] * m
+        short = cold.basis[:-1]
+        for _ in range(50):
+            basis = tuple(int(j) for j in rng.choice(n, m, replace=False))
+            if abs(np.linalg.det(a[:, basis])) > 1e-6 and np.linalg.solve(
+                    a[:, basis], b).min() < -1e-6:
+                break
+        else:
+            continue
+        for start in (basis, singular, short, (n,) * m):
+            assert _results_equal(solve_equality_lp(a, b, c=c, basis=start), cold), k
+        cases += 1
+    assert cases >= 10 and not any(warm)
