@@ -148,13 +148,13 @@ def _recheck(a, b, c, x, basis: list[int], rows: list[int], feas_tol: float):
     return y
 
 
-def _warm_start(basis, system: np.ndarray, costs: np.ndarray | None):
-    """Tableau and cost row on ``basis``, or None unless it is a feasible basis of ``system``."""
-    if basis is None or costs is None or len(basis) != system.shape[0] or not all(
-            0 <= j < system.shape[1] - 1 for j in basis):
+def _warm_start(basis, a: np.ndarray, b: np.ndarray, costs: np.ndarray | None):
+    """Tableau and cost row on ``basis``, or None unless it is a feasible basis of a x = b."""
+    if basis is None or costs is None or len(basis) != len(b) or not all(
+            0 <= j < a.shape[1] for j in basis):
         return None
     try:
-        tableau, cost_row = _reinvert(list(basis), system, costs, 0)
+        tableau, cost_row = _reinvert(list(basis), np.hstack([a, b[:, None]]), costs, 0)
     except NoConvergence:
         return None
     return (tableau, cost_row) if tableau[:, -1].min(initial=0.0) >= -LP_PRIMAL_TOL else None
@@ -178,7 +178,7 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL,
     b_mod = b_orig * signs
 
     costs = None if c is None else np.asarray(c, dtype=float)
-    start = _warm_start(basis, np.hstack([a_mod, b_mod[:, None]]), costs)
+    start = _warm_start(basis, a_mod, b_mod, costs)
     warm = start is not None
     if warm:
         basis, rows, iters, artificial_mass = list(basis), list(range(m)), 0, 0.0
