@@ -65,8 +65,10 @@ It times ``nonpositivity_roof_bounds`` (the "nonpos_roof" layer) at
 and d, ``NONPOS_SEEDS`` of each: the first ``G G^H / Tr``, ``G`` from
 ``default_rng(6000 + 100 s + 10 d + r)`` for seed s, that ``membership_lp``
 puts outside the hull of the KD-positive minimal states. Its rows carry the
-upper bound and the same master-LP counts. Being slow at full rank, its
-calls are timed ``NONPOS_RUNS`` times each.
+upper bound, the same master-LP counts and, on one more untimed call, the
+time spent inside the roof module's nonpositivity pricer (``pricing_ms``,
+None for a package without ``_nonpositivity_pricer``). Being slow at full
+rank, its calls are timed ``NONPOS_RUNS`` times each.
 
 It prints one JSON record: per layer and dimension or set the median and
 quartiles of ``RUNS`` timed calls (after one untimed warm-up call), the
@@ -245,6 +247,36 @@ def master_lps(package, call) -> dict:
     if not columns:
         return {"rounds": None, "columns": None, "master_pivots": None}
     return {"rounds": len(columns), "columns": columns[-1], "master_pivots": sum(pivots)}
+
+
+def pricing_ms(package, call) -> dict:
+    """Milliseconds one call of ``call`` spends inside the nonpositivity pricer's ``price``.
+
+    None for a package whose roof module has no ``_nonpositivity_pricer``.
+    """
+    roof = sys.modules[f"{package.__name__}.roof"]
+    pricer = getattr(roof, "_nonpositivity_pricer", None)
+    if pricer is None:
+        return {"pricing_ms": None}
+    spent = []
+
+    def timed_pricer(*args, **kwargs):
+        price = pricer(*args, **kwargs)
+
+        def timed_price(w):
+            start = time.perf_counter()
+            result = price(w)
+            spent.append(time.perf_counter() - start)
+            return result
+
+        return timed_price
+
+    roof._nonpositivity_pricer = timed_pricer
+    try:
+        call()
+    finally:
+        roof._nonpositivity_pricer = pricer
+    return {"pricing_ms": round(sum(spent) * 1e3, 3)}
 
 
 def support_states(kdwitness):
@@ -486,6 +518,7 @@ def main(argv=None) -> dict:
             **summary_ms(nonpos_times),
             "upper_bound": estimate.upper_bound,
             **master_lps(kdwitness, call),
+            **pricing_ms(kdwitness, call),
         }
 
     alternating = None
