@@ -511,43 +511,44 @@ PRICING_DRAWS, PRICING_STARTS, PRICING_STEPS, PRICING_STEP = 2048, 16, 20, 0.05
 def _nonpositivity_pricer(eig: EigenDecomposition, rank: int, u, values, anchors):
     """Heuristic pricing for the nonpositivity roof: (reduced costs, columns) under W.
 
-    It searches unit columns drawn once per call from default_rng(0): the
+    Its dictionary is unit columns drawn once per call from default_rng(0): the
     anchors in range(rho), PRICING_DRAWS uniform ones and PRICING_DRAWS
-    weighted by sqrt(mu); each round the PRICING_STARTS best take
-    PRICING_STEPS projected-gradient steps of PRICING_STEP / max(1, |W|_2).
+    weighted by sqrt(mu). Since hermitian_to_real is isometric, c^H W c is the
+    dot product of the points of c's projector and of W, so one product prices
+    the dictionary. Each round its PRICING_STARTS best take PRICING_STEPS
+    projected-gradient steps of PRICING_STEP / max(1, |W|_2).
     For psi = E c and phi = U^H psi, N = |psi|^T |U| |phi|, and the derivative of
     N - c^H W c in conj(c) is E^H (sgn psi |U| |phi| + U (sgn phi |U|^T |psi|)) / 2 - W c,
-    with sgn z = z / |z| and sgn 0 = 0.
+    with sgn z = z / |z| and sgn 0 = 0. On rows c, z = c A = (psi, phi) for
+    A = [E^T | E^T conj(U)], and with B = [[0, |U|], [|U|^T, 0]] twice that derivative
+    is (sgn z * |z| B) A^H - 2 c W^T, so a step of size s is
+    c (I + 2 s W^T) - s (sgn z * |z| B) A^H.
     """
     e, mu = eig.eigenvectors[:, :rank], eig.eigenvalues[:rank]
-    u_abs = np.abs(u)
+    a = np.hstack([e.T, e.T @ u.conj()])
+    a_h, u_abs = dagger(a), np.abs(u)
+    b = np.block([[np.zeros_like(u_abs), u_abs], [u_abs.T, np.zeros_like(u_abs)]])
     draws = complex_gaussian((2, PRICING_DRAWS, rank), np.random.default_rng(0))
     pool = np.vstack([np.asarray(anchors) @ e.conj(), draws[0], draws[1] * np.sqrt(mu)])
     norms = np.linalg.norm(pool, axis=1)
     in_range = norms**2 > config.ANCHOR_RANGE_CUTOFF
     pool = pool[in_range] / norms[in_range, None]
-    pool_values = values(pool @ e.T)
-
-    def quadratic(c, w):
-        return ((c.conj() @ w) * c).sum(axis=1).real
-
-    def gradient(c, w):
-        psi = c @ e.T
-        phi = psi @ u.conj()
-        amps_a, amps_b = np.abs(psi), np.abs(phi)
-        sgn_a, sgn_b = psi / np.maximum(amps_a, 1e-300), phi / np.maximum(amps_b, 1e-300)
-        return ((sgn_a * (amps_b @ u_abs.T) + (sgn_b * (amps_a @ u_abs)) @ u.T) @ e.conj()
-                - 2.0 * c @ w.T)
+    pool_values, pool_points = values(pool @ e.T), _projector_points(pool)
 
     def price(w):
-        pooled = pool_values - quadratic(pool, w)
-        c = pool[np.argpartition(pooled, PRICING_STARTS)[:PRICING_STARTS]]
-        step = PRICING_STEP / max(1.0, float(np.linalg.norm(w, 2)))
-        for _ in range(PRICING_STEPS):
-            c = c - step * gradient(c, w)
-            c /= np.linalg.norm(c, axis=1, keepdims=True)
+        w_point = hermitian_to_real(w)
+        pooled = pool_values - pool_points @ w_point
         negative = pooled < -config.LP_DUAL_TOL
-        return (np.concatenate([values(c @ e.T) - quadratic(c, w), pooled[negative]]),
+        c = pool[np.argpartition(pooled, PRICING_STARTS)[:PRICING_STARTS]]
+        step = PRICING_STEP / max(1.0, float(np.abs(np.linalg.eigvalsh(w)).max()))
+        grow = np.eye(rank) + 2.0 * step * w.T
+        for _ in range(PRICING_STEPS):
+            z = c @ a
+            amps = np.abs(z)
+            c = c @ grow - step * ((z / np.maximum(amps, 1e-300)) * (amps @ b)) @ a_h
+            c /= np.sqrt(np.einsum("ij,ij->i", c, c.conj()).real)[:, None]
+        return (np.concatenate([values(c @ e.T) - _projector_points(c) @ w_point,
+                                pooled[negative]]),
                 np.vstack([c, pool[negative]]))
 
     return price

@@ -13,6 +13,7 @@ from kdwitness import (
     ValidationError,
     decomposition_from_isometry,
     enumerate_min_uncertainty_states,
+    filter_kd_positive_pure,
     haar_unitary,
     hermitian_eig,
     kd_table,
@@ -412,6 +413,138 @@ def test_nonpositivity_roof_by_columns_is_below_the_annealed_bound(lam):
     assert est.lower_strict and est.lower_certificate == "hull_membership"
     assert est.restart_values == () and est.dual_bound is None
     assert 1.0 < est.upper_bound <= SPIN1_ANNEALED_NONPOSITIVITY[lam]
+
+
+# -- the nonpositivity pricer ----------------------------------------------------
+
+
+def _reference_gradient(c, w, e, u):
+    """Twice the derivative of N - c^H W c in conj(c), on rows c, one step's products at a time."""
+    psi = c @ e.T
+    phi = psi @ u.conj()
+    u_abs = np.abs(u)
+    amps_a, amps_b = np.abs(psi), np.abs(phi)
+    sgn_a, sgn_b = psi / np.maximum(amps_a, 1e-300), phi / np.maximum(amps_b, 1e-300)
+    return ((sgn_a * (amps_b @ u_abs.T) + (sgn_b * (amps_a @ u_abs)) @ u.T) @ e.conj()
+            - 2.0 * c @ w.T)
+
+
+def _reference_dictionary(eig, rank, anchors):
+    e, mu = eig.eigenvectors[:, :rank], eig.eigenvalues[:rank]
+    draws = complex_gaussian((2, roof.PRICING_DRAWS, rank), np.random.default_rng(0))
+    pool = np.vstack([np.asarray(anchors) @ e.conj(), draws[0], draws[1] * np.sqrt(mu)])
+    norms = np.linalg.norm(pool, axis=1)
+    in_range = norms**2 > config.ANCHOR_RANGE_CUTOFF
+    return pool[in_range] / norms[in_range, None]
+
+
+def _reference_pricer(eig, rank, u, values, anchors):
+    """The pricer with a gradient call per step and complex quadratic forms, refining every round."""
+    e = eig.eigenvectors[:, :rank]
+    pool = _reference_dictionary(eig, rank, anchors)
+    pool_values = values(pool @ e.T)
+
+    def quadratic(c, w):
+        return ((c.conj() @ w) * c).sum(axis=1).real
+
+    def price(w):
+        pooled = pool_values - quadratic(pool, w)
+        c = pool[np.argpartition(pooled, roof.PRICING_STARTS)[:roof.PRICING_STARTS]]
+        step = roof.PRICING_STEP / max(1.0, float(np.linalg.norm(w, 2)))
+        for _ in range(roof.PRICING_STEPS):
+            c = c - step * _reference_gradient(c, w, e, u)
+            c /= np.linalg.norm(c, axis=1, keepdims=True)
+        negative = pooled < -config.LP_DUAL_TOL
+        return (np.concatenate([values(c @ e.T) - quadratic(c, w), pooled[negative]]),
+                np.vstack([c, pool[negative]]))
+
+    return price
+
+
+def _priced_rounds(rho, u, **kwargs):
+    """The pricer's arguments and the W of every round of one nonpositivity roof of ``rho``."""
+    calls = []
+    pricer = roof._nonpositivity_pricer
+
+    def recording(*args):
+        price = pricer(*args)
+        rounds = []
+        calls.append((args, rounds))
+
+        def recorded(w):
+            rounds.append(w)
+            return price(w)
+
+        return recorded
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roof, "_nonpositivity_pricer", recording)
+        nonpositivity_roof_bounds(rho, u, **kwargs)
+    (args, rounds), = calls
+    return args, rounds
+
+
+def _excluded_full_rank_haar5():
+    """A full-rank state of haar_unitary(5, 1005) outside the hull of its KD-positive states."""
+    u = haar_unitary(5, 1005)
+    positive = filter_kd_positive_pure(enumerate_min_uncertainty_states(u), u).states
+    gens = [projector(s) for s in positive]
+    rng = np.random.default_rng(6005)
+    while True:
+        g = complex_gaussian((5, 5), rng)
+        rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        if membership_lp(rho, gens).verdict == "outside":
+            return rho, u, positive
+
+
+def _assert_same_columns(priced, reference, tol):
+    """Equal reduced costs and columns within ``tol``, in any order."""
+    (reduced, columns), (ref_reduced, ref_columns) = priced, reference
+    assert columns.shape == ref_columns.shape
+    distance = np.abs(columns[:, None, :] - ref_columns[None, :, :]).max(axis=2)
+    match = distance.argmin(axis=1)
+    assert sorted(match.tolist()) == list(range(len(columns)))
+    assert distance.min(axis=1).max() <= tol
+    assert np.abs(reduced - ref_reduced[match]).max() <= tol
+
+
+@pytest.mark.parametrize("case", ["spin1_half", "haar5_full_rank"])
+def test_fused_pricing_steps_match_the_per_step_reference(monkeypatch, case):
+    if case == "spin1_half":
+        args, rounds = _priced_rounds(rho_lambda(0.5), SPIN1.transition)
+    else:
+        rho, u, positive = _excluded_full_rank_haar5()
+        args, rounds = _priced_rounds(rho, u, positive_pure=positive)
+        # At full rank an anchor start's zero amplitudes come back as rounding noise, whose
+        # phase, read by sgn, differs between the two orders of products; draws only here.
+        args = (*args[:4], np.zeros((0, 5)))
+    # No column prices in, so every round refines and returns its refined columns alone.
+    monkeypatch.setattr(config, "LP_DUAL_TOL", math.inf)
+    priced = roof._nonpositivity_pricer(*args)(rounds[0])
+    assert len(priced[1]) == roof.PRICING_STARTS
+    _assert_same_columns(priced, _reference_pricer(*args)(rounds[0]), 1e-12)
+
+
+def test_pricing_gradient_matches_finite_differences():
+    rng = np.random.default_rng(21)
+    u = haar_unitary(4, 3)
+    e = random_isometry(4, 3, rng)
+    w = complex_gaussian((3, 3), rng)
+    w = w + w.conj().T
+    values = nonpositivity_values_fn(u)
+    c = complex_gaussian((3,), rng)
+    c /= np.linalg.norm(c)
+
+    def reduced(x):
+        return float(values((x @ e.T)[None, :])[0] - (x.conj() @ w @ x).real)
+
+    gradient = _reference_gradient(c[None, :], w, e, u)[0]
+    h = 1e-6
+    for k in range(3):
+        for direction, part in ((1.0, gradient.real), (1j, gradient.imag)):
+            step = h * direction * np.eye(3)[k]
+            slope = (reduced(c + step) - reduced(c - step)) / (2.0 * h)
+            assert slope == pytest.approx(part[k], abs=1e-6)
 
 
 # -- the support roof by column generation ------------------------------------
