@@ -515,8 +515,9 @@ def _nonpositivity_pricer(eig: EigenDecomposition, rank: int, u, values, anchors
     anchors in range(rho), PRICING_DRAWS uniform ones and PRICING_DRAWS
     weighted by sqrt(mu). Since hermitian_to_real is isometric, c^H W c is the
     dot product of the points of c's projector and of W, so one product prices
-    the dictionary. Each round its PRICING_STARTS best take PRICING_STEPS
-    projected-gradient steps of PRICING_STEP / max(1, |W|_2).
+    the dictionary. A round in which r^2 or more of its columns price below
+    -LP_DUAL_TOL returns those; otherwise the PRICING_STARTS best also take
+    PRICING_STEPS projected-gradient steps of PRICING_STEP / max(1, |W|_2).
     For psi = E c and phi = U^H psi, N = |psi|^T |U| |phi|, and the derivative of
     N - c^H W c in conj(c) is E^H (sgn psi |U| |phi| + U (sgn phi |U|^T |psi|)) / 2 - W c,
     with sgn z = z / |z| and sgn 0 = 0. On rows c, z = c A = (psi, phi) for
@@ -539,6 +540,8 @@ def _nonpositivity_pricer(eig: EigenDecomposition, rank: int, u, values, anchors
         w_point = hermitian_to_real(w)
         pooled = pool_values - pool_points @ w_point
         negative = pooled < -config.LP_DUAL_TOL
+        if np.count_nonzero(negative) >= rank * rank:
+            return pooled[negative], pool[negative]
         c = pool[np.argpartition(pooled, PRICING_STARTS)[:PRICING_STARTS]]
         step = PRICING_STEP / max(1.0, float(np.abs(np.linalg.eigvalsh(w)).max()))
         grow = np.eye(rank) + 2.0 * step * w.T

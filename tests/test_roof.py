@@ -547,6 +547,33 @@ def test_pricing_gradient_matches_finite_differences():
             assert slope == pytest.approx(part[k], abs=1e-6)
 
 
+def _dictionary_distance(columns, args):
+    """Distance from each column to the nearest column of the pricer's dictionary."""
+    eig, rank, _, _, anchors = args
+    pool = _reference_dictionary(eig, rank, anchors)
+    return np.abs(columns[:, None, :] - pool[None, :, :]).max(axis=2).min(axis=1)
+
+
+def test_a_round_with_enough_dictionary_columns_skips_refinement():
+    args, rounds = _priced_rounds(rho_lambda(0.5), SPIN1.transition)
+    rank = args[1]
+    reduced, columns = roof._nonpositivity_pricer(*args)(rounds[0])
+    assert len(columns) >= rank * rank
+    assert (reduced < -config.LP_DUAL_TOL).all()
+    assert _dictionary_distance(columns, args).max() <= 1e-15
+
+
+def test_a_round_short_of_dictionary_columns_still_refines():
+    args, rounds = _priced_rounds(rho_lambda(0.5), SPIN1.transition)
+    rank = args[1]
+    # Column generation stopped after its last round: nothing priced below -LP_DUAL_TOL.
+    reference = _reference_pricer(*args)(rounds[-1])
+    assert np.count_nonzero(reference[0] < -config.LP_DUAL_TOL) < rank * rank
+    _, columns = roof._nonpositivity_pricer(*args)(rounds[-1])
+    off_dictionary = _dictionary_distance(columns, args) > 1e-9
+    assert np.count_nonzero(off_dictionary) == roof.PRICING_STARTS
+
+
 # -- the support roof by column generation ------------------------------------
 
 # The support roofs of rho_lambda, as other solvers give them to 6 digits.
