@@ -570,8 +570,9 @@ def _roof_bounds(
 ) -> RoofEstimate:
     """Bounds shared by both roofs, given what differs between them.
 
-    ``search(eig, rank, anchors)`` gives the upper bound of a state the hull
-    does not decide.
+    ``search(eig, rank, anchors)`` gives the upper bound of a state of rank two
+    or more that the hull does not decide; a rank-one state is its own
+    decomposition.
 
     ``anchor_source`` is called only for states of rank two or more and
     returns the pure states whose hull decides the roof, the real points of
@@ -602,15 +603,16 @@ def _roof_bounds(
         dec = Decomposition(weights / weights.sum(), anchors[keep])
         result = RoofSearchResult(floor, dec, ())
         lower, certificate = floor, inside_certificate
+    elif rank == 1:
+        psi = eig.eigenvectors[:, 0]
+        value = float(values(psi[None, :])[0])
+        result = RoofSearchResult(value, Decomposition(np.array([1.0]), psi[None, :]), (value,))
+        lower, certificate = value, CERT_RANK_ONE
     else:
         result = search(eig, rank, anchors)
+        lower, certificate = (floor, CERT_HULL) if strict else (base, CERT_CONVEXITY)
+    if verdict != INSIDE:
         _recheck(result, rho_m, values)
-        if rank == 1:
-            lower, certificate = result.value, CERT_RANK_ONE
-        elif strict:
-            lower, certificate = floor, CERT_HULL
-        else:
-            lower, certificate = base, CERT_CONVEXITY
     return RoofEstimate(
         objective=objective,
         lower_bound=lower,
@@ -657,8 +659,7 @@ def support_roof_bounds(rho, transition) -> RoofEstimate:
     return _roof_bounds(
         SUPPORT_OBJECTIVE, rho_m, values, base, anchor_source,
         floor=float(u.shape[0] + 1), inside_certificate=CERT_FLOOR, strict=True,
-        search=lambda eig, rank, _: (_support_columns(eig, rank, u, eps, values) if rank > 1
-                                     else roof_upper_bound(rho_m, values)),
+        search=lambda eig, rank, _: _support_columns(eig, rank, u, eps, values),
     )
 
 
@@ -701,7 +702,7 @@ def nonpositivity_roof_bounds(
     values = nonpositivity_values_fn(u)
 
     def search(eig, rank, anchors):
-        if anchors is None:  # rank one, or no hull route
+        if anchors is None:  # no hull route
             return roof_upper_bound(rho_m, values, cfg)
         return _columns(eig, rank, values, _nonpositivity_pricer(eig, rank, u, values, anchors))[0]
 
