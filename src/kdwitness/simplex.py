@@ -16,7 +16,8 @@ a Farkas certificate ``y`` with ``y @ A <= 0`` componentwise (within
 ``config.FARKAS_SLACK_TOL``) and ``y @ b > 0``; a failed check raises
 CertificateError, and a basis the pivots left singular raises NoConvergence.
 An optimum carries its final basis; passed back after columns are appended, it
-starts phase two at once if square, nonsingular and feasible, else the LP starts cold.
+starts phase two at once if it has one column per row not zero in A and b, and is
+nonsingular and feasible on those rows, else the LP starts cold.
 """
 
 from dataclasses import dataclass
@@ -149,15 +150,21 @@ def _recheck(a, b, c, x, basis: list[int], rows: list[int], feas_tol: float):
 
 
 def _warm_start(basis, a: np.ndarray, b: np.ndarray, costs: np.ndarray | None):
-    """Tableau and cost row on ``basis``, or None unless it is a feasible basis of a x = b."""
-    if basis is None or costs is None or len(basis) != len(b) or not all(
-            0 <= j < a.shape[1] for j in basis):
+    """Tableau, cost row and rows on ``basis``, or None unless it is a feasible basis of a x = b.
+
+    The rows are those not zero in both a and b; the others hold for every x and are dropped.
+    """
+    if basis is None or costs is None:
+        return None
+    system = np.hstack([a, b[:, None]])
+    rows = np.flatnonzero(system.any(axis=1)).tolist()
+    if len(basis) != len(rows) or not all(0 <= j < a.shape[1] for j in basis):
         return None
     try:
-        tableau, cost_row = _reinvert(list(basis), np.hstack([a, b[:, None]]), costs, 0)
+        tableau, cost_row = _reinvert(list(basis), system[rows], costs, 0)
     except NoConvergence:
         return None
-    return (tableau, cost_row) if tableau[:, -1].min(initial=0.0) >= -LP_PRIMAL_TOL else None
+    return (tableau, cost_row, rows) if tableau[:, -1].min(initial=0.0) >= -LP_PRIMAL_TOL else None
 
 
 def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL,
@@ -168,7 +175,7 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL,
     infeasibility the result carries a validated Farkas certificate in the
     original row order and sign convention; an optimal result has passed
     the re-check of the module docstring. With costs, a feasible starting
-    ``basis`` (one column index per row) skips phase one.
+    ``basis`` (one column index per row not zero in A and b) skips phase one.
     """
     a_orig = np.asarray(A, dtype=float)
     b_orig = np.asarray(b, dtype=float)
@@ -181,7 +188,7 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL,
     start = _warm_start(basis, a_mod, b_mod, costs)
     warm = start is not None
     if warm:
-        basis, rows, iters, artificial_mass = list(basis), list(range(m)), 0, 0.0
+        basis, rows, iters, artificial_mass = list(basis), start[2], 0, 0.0
     else:
         system = np.hstack([a_mod, np.eye(m), b_mod[:, None]])
         tableau = system.copy()
@@ -226,7 +233,7 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL,
         # Phase two starts from the original columns on the final phase-one basis, or the
         # warm one, whose ratio test reads rounding below 0 as 0 lest it decide Bland's ties.
         system = np.hstack([a_mod, b_mod[:, None]])[rows]
-        tableau, cost_row = start if warm else _reinvert(basis, system, costs, iters)
+        tableau, cost_row = start[:2] if warm else _reinvert(basis, system, costs, iters)
         status, iters2 = _iterate(tableau, cost_row, basis, system, costs, n, clip=warm)
         iters += iters2
         if status == UNBOUNDED:

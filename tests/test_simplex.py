@@ -553,7 +553,8 @@ def _assert_warm_matches_cold(a, b, c, basis, k):
     assert res.status == cold.status == OPTIMAL, k
     assert res.objective == pytest.approx(cold.objective, abs=1e-9 * max(1.0, abs(cold.objective)))
     assert np.abs(a @ res.x - b).max() <= 1e-9 and res.x.min() >= -1e-9, k
-    y = simplex._recheck(a, b, c, res.x, list(res.basis), list(range(len(b))), 1e-8)
+    rows = np.flatnonzero(np.hstack([a, b[:, None]]).any(axis=1)).tolist()
+    y = simplex._recheck(a, b, c, res.x, list(res.basis), rows, 1e-8)
     assert np.array_equal(y, res.duals), k
     assert (c - y @ a).min() >= -LP_DUAL_TOL, k
 
@@ -568,12 +569,30 @@ def test_a_warm_start_after_appending_columns_reaches_the_cold_optimum(monkeypat
 
 
 def test_master_lps_warm_started_reach_the_cold_optimum(monkeypatch):
-    # A round whose master dropped rows hands on a short basis, which starts cold.
+    # Masters that kept every row; those that dropped empty rows follow.
     lps = [lp for lp in _master_lps() if lp[3] is not None and len(lp[3]) == len(lp[1])]
     warm = _count_warm_starts(monkeypatch)
     for k, (a, b, c, basis) in enumerate(lps):
         _assert_warm_matches_cold(a, b, c, basis, k)
     assert len(lps) >= 20 and len(warm) == len(lps) and all(warm)
+
+
+def test_short_bases_warm_start_while_the_dropped_rows_stay_empty(monkeypatch):
+    # Spin-1 support masters have real columns, so their imaginary rows are empty and dropped.
+    # The first master's columns are diagonal; the next one's fill rows that it dropped.
+    lps = [lp for lp in _master_lps() if lp[3] is not None and len(lp[3]) < len(lp[1])]
+    warm = _count_warm_starts(monkeypatch)
+    filled = 0
+    for k, (a, b, c, basis) in enumerate(lps):
+        if len(basis) == np.count_nonzero(np.hstack([a, b[:, None]]).any(axis=1)):
+            _assert_warm_matches_cold(a, b, c, basis, k)
+            assert warm[-1], k
+        else:
+            assert _results_equal(solve_equality_lp(a, b, c=c, basis=basis),
+                                  solve_equality_lp(a, b, c=c)), k
+            assert not warm[-1], k
+            filled += 1
+    assert len(lps) - filled >= 10 and filled >= 1
 
 
 def _results_equal(res, ref):
