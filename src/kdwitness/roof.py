@@ -4,7 +4,8 @@ Both roofs of a hull-excluded state come from one column generation priced
 over the support subspaces V_{S,T} (amplitudes only on S and T in the two
 bases) for the support roof, whose duals W give the lower bound Tr(W rho) +
 min (|S| + |T| - lambda_max(W on V_{S,T})), and by a heuristic search for the
-nonpositivity roof; other states anneal over isometries of the eigen-ensemble.
+nonpositivity roof; a rank-one state scores its one member, and other states
+anneal over isometries of the eigen-ensemble.
 Lower bounds also come from convexity for the total nonpositivity, the d+1
 floor of complete incompatibility for the support uncertainty, and hull
 certificates for strictness. Bounds are only ever reported as bounds; the

@@ -188,7 +188,8 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL,
     start = _warm_start(basis, a_mod, b_mod, costs)
     warm = start is not None
     if warm:
-        basis, rows, iters, artificial_mass = list(basis), start[2], 0, 0.0
+        tableau, cost_row, rows = start
+        basis, iters, artificial_mass = list(basis), 0, 0.0
     else:
         system = np.hstack([a_mod, np.eye(m), b_mod[:, None]])
         tableau = system.copy()
@@ -233,7 +234,8 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL,
         # Phase two starts from the original columns on the final phase-one basis, or the
         # warm one, whose ratio test reads rounding below 0 as 0 lest it decide Bland's ties.
         system = np.hstack([a_mod, b_mod[:, None]])[rows]
-        tableau, cost_row = start[:2] if warm else _reinvert(basis, system, costs, iters)
+        if not warm:
+            tableau, cost_row = _reinvert(basis, system, costs, iters)
         status, iters2 = _iterate(tableau, cost_row, basis, system, costs, n, clip=warm)
         iters += iters2
         if status == UNBOUNDED:
