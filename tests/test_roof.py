@@ -419,7 +419,7 @@ def test_nonpositivity_roof_by_columns_is_below_the_annealed_bound(lam):
 
 
 def _reference_gradient(c, w, e, u):
-    """Twice the derivative of N - c^H W c in conj(c), on rows c, one step's products at a time."""
+    """Twice the derivative of N - c^H W c in conj(c) on rows c, term by term."""
     psi = c @ e.T
     phi = psi @ u.conj()
     u_abs = np.abs(u)
@@ -439,7 +439,7 @@ def _reference_dictionary(eig, rank, anchors):
 
 
 def _reference_pricer(eig, rank, u, values, anchors):
-    """The pricer with a gradient call per step and complex quadratic forms, refining every round."""
+    """The pricer with a gradient call per step and complex quadratics, refining every round."""
     e = eig.eigenvectors[:, :rank]
     pool = _reference_dictionary(eig, rank, anchors)
     pool_values = values(pool @ e.T)
