@@ -1,4 +1,4 @@
-"""Layer timings: minimal-state enumeration, the KD-positive filter, the annealer, minors, hull LPs, finite roofs, facets, repeat calls, both convex roofs.
+"""Layer timings: minimal-state enumeration, the KD-positive filter, the annealer, minors, hull LPs, finite roofs, facets, repeat calls, both convex roofs, the command line.
 
 Packages that keep per-basis work for reuse (``kdwitness.basis``) get their
 cache cleared before every timed call of a cached layer, so each layer is
@@ -70,6 +70,17 @@ time spent inside the roof module's nonpositivity pricer (``pricing_ms``,
 None for a package without ``_nonpositivity_pricer``). Being slow at full
 rank, its calls are timed ``NONPOS_RUNS`` times each.
 
+It times the command line (the "cli" layer) as kdbench's ``spin1-session``
+runs it: ``cli.main([..., "--json"])`` in process, with stdout and stderr
+captured, on spin-1 files written once per run (the basis, the 15 minimal
+states as pure-state files, the excluded state ``rho_lambda(CLI_LAMBDA)`` and
+the inside mixture of the 9 KD-positive states with weights
+``default_rng(0).dirichlet``): ``table``, ``hull``, ``roof-support`` and
+``roof-nonpos`` on both states (the roofs at ``CLI_ROOF_ARGS``, kdbench's
+settings), ``facets`` over the 15 minimal states, and ``spin1``, each with its
+exit code; and ``cli.build_parser()`` alone. The per-basis
+cache is kept between these calls, as in a session of commands on one basis.
+
 It prints one JSON record: per layer and dimension or set the median and
 quartiles of ``RUNS`` timed calls (after one untimed warm-up call), the
 state counts, the annealed bound, the minor counts, the hull verdicts, finite
@@ -97,22 +108,27 @@ it imports the other checkout's package under a second name and times the
 two packages in one process, one call each per block, the order turning
 every block, and adds an "alternating" entry with both medians and their
 ratio; the nonpositivity-roof rows are timed the same way, in
-``NONPOS_RUNS`` blocks:
+``NONPOS_RUNS`` blocks, and so are the cli rows, whose entries also say
+whether both packages wrote the same report apart from ``timing_seconds``
+(``same_report``):
 
     PYTHONPATH=src python benchmarks/layers.py --label change \
         --against ../parent --against-label parent > change.json
 """
 
 import argparse
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
 import json
 import math
 import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -127,6 +143,8 @@ SUPPORT_RANKS = (2, 3)  # and full rank, where column generation takes the most 
 NONPOS_DIMS = (4, 5, 6)
 NONPOS_SEEDS = 3
 NONPOS_RUNS = 5
+CLI_LAMBDA = 0.25
+CLI_ROOF_ARGS = ("--seed=0", "--restarts=4", "--steps=300")
 MEMBERSHIP_INSIDE = "uniform mixture of the minimal states"
 MEMBERSHIP_OUTSIDE = "random_pure_state(d, default_rng(4000 + d))"
 
@@ -145,7 +163,9 @@ def cpu_model() -> str:
 def summary_ms(times) -> dict:
     ms = sorted(t * 1e3 for t in times)
     q1, median, q3 = statistics.quantiles(ms, n=4, method="inclusive")
-    return {"median_ms": round(median, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4)}
+    # Significant digits, not decimals, so that sub-microsecond calls keep theirs.
+    return {"median_ms": float(f"{median:.5g}"), "q1_ms": float(f"{q1:.5g}"),
+            "q3_ms": float(f"{q3:.5g}")}
 
 
 def _cache_clear(package="kdwitness"):
@@ -328,6 +348,58 @@ def nonpos_states(kdwitness):
     return states
 
 
+def cli_commands(kdwitness, root) -> dict:
+    """The cli layer's commands on spin-1 files written under ``root``: name -> argv."""
+    import numpy as np
+
+    from kdwitness.io_json import save_matrix_file
+    from kdwitness.linalg import projector
+
+    def saved(name, array, kind):
+        path = os.path.join(root, f"{name}.json")
+        save_matrix_file(path, array, kind)
+        return path
+
+    spin1 = kdwitness.SPIN1
+    basis = saved("basis", spin1.transition, "unitary")
+    gens = [saved(f"g{k:02d}", s, "pure_state")
+            for k, s in enumerate(spin1.min_uncertainty_states)]
+    weights = np.random.default_rng(0).dirichlet(np.ones(len(spin1.positive_states)))
+    inside = sum(w * projector(s) for w, s in zip(weights, spin1.positive_states))
+    states = {"excluded": saved("excluded", kdwitness.rho_lambda(CLI_LAMBDA), "density"),
+              "inside": saved("inside", inside, "density")}
+    commands = {}
+    for where, path in states.items():
+        state = ["--state", path, "--basis", basis]
+        commands[f"table.{where}"] = ["table", *state]
+        commands[f"hull.{where}"] = ["hull", "--state", path, "--generators", *gens]
+        for roof in ("roof-support", "roof-nonpos"):
+            commands[f"{roof}.{where}"] = [roof, *state, *CLI_ROOF_ARGS]
+    commands["facets"] = ["facets", "--generators", *gens]
+    commands["spin1"] = ["spin1"]
+    return {name: [*argv, "--json"] for name, argv in commands.items()}
+
+
+def cli_call(package, argv):
+    """A call of the package's ``cli.main(argv)`` with stdout and stderr captured: (exit code, stdout)."""
+    main = importlib.import_module(f"{package.__name__}.cli").main
+
+    def call():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        return code, out.getvalue()
+
+    return call
+
+
+def report_without_timing(output) -> str:
+    """A cli call's report with ``timing_seconds`` left out, as canonical JSON."""
+    report = json.loads(output[1])
+    report.pop("timing_seconds", None)
+    return json.dumps(report, sort_keys=True)
+
+
 def svd_subsets(fn, *args):
     """Result of one call of ``fn`` and the number of matrices it passed, stacked, to ``svd``."""
     import numpy as np
@@ -391,11 +463,16 @@ def main(argv=None) -> dict:
     args = parser.parse_args(argv)
     if args.combine:
         return combine(args.combine)
+    with tempfile.TemporaryDirectory() as cli_root:
+        return record(args, cli_root)
 
+
+def record(args, cli_root) -> dict:
+    """The record of one timing run; the cli layer's files are written under ``cli_root``."""
     import numpy as np
 
     import kdwitness
-    from kdwitness import config, pure_positive
+    from kdwitness import cli, config, pure_positive
     from kdwitness.geometry import _hull_lp, facet_enumeration, facet_enumeration_points
     from kdwitness.linalg import projector, random_density, random_pure_state
     from kdwitness.roof import nonpositivity_values_fn
@@ -521,6 +598,14 @@ def main(argv=None) -> dict:
             **pricing_ms(kdwitness, call),
         }
 
+    # The per-basis cache is kept, as in a session of commands on one basis.
+    commands = cli_commands(kdwitness, cli_root)
+    _, parser_times = timed(cli.build_parser, fresh=False)
+    layers["cli"] = {"build_parser": summary_ms(parser_times)}
+    for name, argv in commands.items():
+        (code, _), cli_times = timed(cli_call(kdwitness, argv), fresh=False)
+        layers["cli"][name] = {**summary_ms(cli_times), "exit_code": code}
+
     alternating = None
     if args.against:
         other = load_checkout(args.against, "kdwitness_against")
@@ -538,16 +623,26 @@ def main(argv=None) -> dict:
                 for k in (kdwitness, other)]
         for name, (rho, u) in nonpos.items():
             pairs[f"nonpos_roof.{name}"] = [nonpos_call(k, rho, u) for k in (kdwitness, other)]
+        pairs["cli.build_parser"] = [importlib.import_module(f"{k.__name__}.cli").build_parser
+                                     for k in (kdwitness, other)]
+        for name, argv in commands.items():
+            pairs[f"cli.{name}"] = [cli_call(k, argv) for k in (kdwitness, other)]
         clears = [_cache_clear(), _cache_clear(other.__name__)]
+        keep = [lambda: None] * 2
         alternating = {}
         for name, calls in pairs.items():
             runs = NONPOS_RUNS if name.startswith("nonpos_roof.") else RUNS
-            mine, theirs = (summary_ms(t) for t in alternated(calls, clears, runs))
+            cli_row = name.startswith("cli.")
+            times = alternated(calls, keep if cli_row else clears, runs)
+            mine, theirs = (summary_ms(t) for t in times)
             alternating[name] = {
                 args.label or "this": mine,
                 args.against_label: theirs,
                 "speedup": round(theirs["median_ms"] / mine["median_ms"], 3),
             }
+            if cli_row and name != "cli.build_parser":
+                reports = [report_without_timing(call()) for call in calls]
+                alternating[name]["same_report"] = reports[0] == reports[1]
 
     facet_sets = {"spin1": kdwitness.SPIN1.min_uncertainty_states}
     for n in FACET_SET_SIZES:
