@@ -11,6 +11,7 @@ timing field.
 
 import argparse
 import dataclasses
+import functools
 import sys
 import time
 
@@ -52,7 +53,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one: do not modify it."""
     parser = _Parser(prog="kdwitness", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -385,10 +388,9 @@ def _config_echo(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     json_wanted = False
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         json_wanted = getattr(args, "json", False)
         report = {
             "command": args.command,

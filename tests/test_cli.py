@@ -13,7 +13,7 @@ from kdwitness import (
     kd_table,
     rho_lambda,
 )
-from kdwitness import cli
+from kdwitness import cli, config
 from kdwitness.cli import main
 from kdwitness.io_json import load_matrix_file, save_matrix_file
 from kdwitness.linalg import projector
@@ -317,6 +317,77 @@ def test_default_tol_env_override(files, capsys, monkeypatch):
     monkeypatch.setenv("KD_DEFAULT_TOL", "1e-7")
     code, doc, _ = run_json(capsys, ["table", "--state", files["rho05"],
                                      "--basis", files["basis"]])
+    assert code == 0
+    assert doc["config"]["default_tol"] == 1e-7
+    assert doc["results"]["kd_positive"]["tolerance"] == 1e-7
+
+
+def run_report(capsys, argv):
+    """Exit code and ``--json`` output of ``argv``, without its timing_seconds line."""
+    code, out, _ = run(capsys, argv + ["--json"])
+    lines = out.splitlines(keepends=True)
+    return code, "".join(line for line in lines if '"timing_seconds"' not in line)
+
+
+def fresh_parser_report(capsys, monkeypatch, argv):
+    """``run_report`` of ``argv`` from a parser built for this call alone."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        return run_report(capsys, argv)
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_reused_parser_forgets_supplied_generators(files, capsys, monkeypatch, tmp_path):
+    supplied = []
+    for k, s in enumerate(SPIN1.positive_states):
+        p = tmp_path / f"pos{k}.json"
+        save_matrix_file(p, s, "pure_state")
+        supplied += ["--positive-pure", str(p)]
+    argv = ["roof-nonpos", "--state", files["rho05"], "--basis", files["basis"], *_ANNEAL]
+    code, doc, _ = run_json(capsys, argv + supplied)
+    assert code == 0
+    assert doc["results"]["generator_provenance"] == "supplied"
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 0
+    assert doc["results"]["generator_provenance"] == "derived"
+    assert run_report(capsys, argv) == fresh_parser_report(capsys, monkeypatch, argv)
+
+
+def test_a_reused_parser_forgets_an_earlier_eps(files, capsys, monkeypatch):
+    argv = ["support", "--state", files["mixed"], "--basis", files["basis"]]
+    code, doc, _ = run_json(capsys, argv + ["--eps", "1e-7"])
+    assert code == 0
+    assert doc["config"]["eps"] == doc["results"]["eps"] == 1e-7
+    monkeypatch.delenv("KD_DEFAULT_TOL", raising=False)
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 0
+    assert doc["config"]["eps"] is None
+    assert doc["results"]["eps"] == config.BASE_TOL
+    assert run_report(capsys, argv) == fresh_parser_report(capsys, monkeypatch, argv)
+
+
+def test_a_usage_error_leaves_the_parser_usable(files, capsys, monkeypatch):
+    code, _, err = run(capsys, ["table", "--state", files["rho05"], "--json"])
+    assert code == 1
+    assert "usage error" in err
+    argv = ["table", "--state", files["rho05"], "--basis", files["basis"]]
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 0
+    assert doc["results"]["kd_positive"]["value"] is True
+    assert run_report(capsys, argv) == fresh_parser_report(capsys, monkeypatch, argv)
+
+
+def test_default_tol_set_after_a_call_is_honoured(files, capsys, monkeypatch):
+    argv = ["table", "--state", files["rho05"], "--basis", files["basis"]]
+    monkeypatch.delenv("KD_DEFAULT_TOL", raising=False)
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 0
+    assert doc["config"]["default_tol"] == config.BASE_TOL
+    monkeypatch.setenv("KD_DEFAULT_TOL", "1e-7")
+    code, doc, _ = run_json(capsys, argv)
     assert code == 0
     assert doc["config"]["default_tol"] == 1e-7
     assert doc["results"]["kd_positive"]["tolerance"] == 1e-7
