@@ -14,6 +14,7 @@ exact flag is set when the certificates close the gap.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -509,14 +510,21 @@ def _support_columns(eig: EigenDecomposition, rank: int, u: np.ndarray, eps: flo
 PRICING_DRAWS, PRICING_STARTS, PRICING_STEPS, PRICING_STEP = 2048, 16, 20, 0.05
 
 
+@lru_cache(maxsize=16)
+def _pricing_draws(rank: int) -> np.ndarray:
+    draws = complex_gaussian((2, PRICING_DRAWS, rank), np.random.default_rng(0))
+    draws.flags.writeable = False
+    return draws
+
+
 def _nonpositivity_pricer(eig: EigenDecomposition, rank: int, u, values, anchors):
     """Heuristic pricing for the nonpositivity roof: (reduced costs, columns) under W.
 
-    Its dictionary is unit columns drawn once per call from default_rng(0): the
-    anchors in range(rho), PRICING_DRAWS uniform ones and PRICING_DRAWS
-    weighted by sqrt(mu). Since hermitian_to_real is isometric, c^H W c is the
-    dot product of the points of c's projector and of W, so one product prices
-    the dictionary. A round in which r^2 or more of its columns price below
+    Its dictionary is unit columns: the anchors in range(rho), PRICING_DRAWS
+    uniform ones and PRICING_DRAWS weighted by sqrt(mu), drawn from
+    default_rng(0) once per rank and shared read-only. As hermitian_to_real is
+    isometric, c^H W c is the dot product of the points of c's projector and
+    of W, so one product prices the dictionary. A round in which r^2 or more of its columns price below
     -LP_DUAL_TOL returns those; otherwise the PRICING_STARTS best also take
     PRICING_STEPS projected-gradient steps of PRICING_STEP / max(1, |W|_2).
     For psi = E c and phi = U^H psi, N = |psi|^T |U| |phi|, and the derivative of
@@ -530,7 +538,7 @@ def _nonpositivity_pricer(eig: EigenDecomposition, rank: int, u, values, anchors
     a = np.hstack([e.T, e.T @ u.conj()])
     a_h, u_abs = dagger(a), np.abs(u)
     b = np.block([[np.zeros_like(u_abs), u_abs], [u_abs.T, np.zeros_like(u_abs)]])
-    draws = complex_gaussian((2, PRICING_DRAWS, rank), np.random.default_rng(0))
+    draws = _pricing_draws(rank)
     pool = np.vstack([np.asarray(anchors) @ e.conj(), draws[0], draws[1] * np.sqrt(mu)])
     norms = np.linalg.norm(pool, axis=1)
     in_range = norms**2 > config.ANCHOR_RANGE_CUTOFF
