@@ -381,7 +381,7 @@ def cli_commands(kdwitness, root) -> dict:
 
 
 def cli_call(package, argv):
-    """A call of the package's ``cli.main(argv)`` with stdout and stderr captured: (exit code, stdout)."""
+    """The package's ``cli.main(argv)``, capturing stdout and stderr: (exit code, stdout)."""
     main = importlib.import_module(f"{package.__name__}.cli").main
 
     def call():

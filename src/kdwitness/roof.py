@@ -521,10 +521,10 @@ def _nonpositivity_pricer(eig: EigenDecomposition, rank: int, u, values, anchors
     """Heuristic pricing for the nonpositivity roof: (reduced costs, columns) under W.
 
     Its dictionary is unit columns: the anchors in range(rho), PRICING_DRAWS
-    uniform ones and PRICING_DRAWS weighted by sqrt(mu), drawn from
-    default_rng(0) once per rank and shared read-only. As hermitian_to_real is
-    isometric, c^H W c is the dot product of the points of c's projector and
-    of W, so one product prices the dictionary. A round in which r^2 or more of its columns price below
+    uniform ones and PRICING_DRAWS weighted by sqrt(mu), drawn once per rank
+    from default_rng(0). Since hermitian_to_real is isometric, c^H W c is the
+    dot product of the points of c's projector and of W, so one product prices
+    the dictionary. A round in which r^2 or more of its columns price below
     -LP_DUAL_TOL returns those; otherwise the PRICING_STARTS best also take
     PRICING_STEPS projected-gradient steps of PRICING_STEP / max(1, |W|_2).
     For psi = E c and phi = U^H psi, N = |psi|^T |U| |phi|, and the derivative of

@@ -59,6 +59,20 @@ def run_json(capsys, argv):
     return code, json.loads(out), err
 
 
+def run_report(capsys, argv):
+    """Exit code and ``--json`` output of ``argv``, without its timing_seconds line."""
+    code, out, _ = run(capsys, argv + ["--json"])
+    lines = out.splitlines(keepends=True)
+    return code, "".join(line for line in lines if '"timing_seconds"' not in line)
+
+
+def fresh_parser_report(capsys, monkeypatch, argv):
+    """``run_report`` of ``argv`` from a parser built for this call alone."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        return run_report(capsys, argv)
+
+
 def test_table_human(files, capsys):
     code, out, _ = run(capsys, ["table", "--state", files["rho05"],
                                 "--basis", files["basis"]])
@@ -76,12 +90,18 @@ def test_table_dimension_mismatch_is_a_validation_error(files, capsys):
         assert "validation error" in err
 
 
-def test_usage_error(files, capsys):
+def test_usage_error(files, capsys, monkeypatch):
     code, _, err = run(capsys, ["table", "--state", files["rho05"]])
     assert code == 1
     assert "usage error" in err
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+    # The shared parser serves the next valid command as a fresh one would.
+    argv = ["table", "--state", files["rho05"], "--basis", files["basis"]]
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 0
+    assert doc["results"]["kd_positive"]["value"] is True
+    assert run_report(capsys, argv) == fresh_parser_report(capsys, monkeypatch, argv)
 
 
 def test_support_dispatches_on_kind(files, capsys):
@@ -314,26 +334,17 @@ def test_golden_table_report(capsys, monkeypatch):
 
 
 def test_default_tol_env_override(files, capsys, monkeypatch):
+    # Set after an earlier call, which has built the shared parser.
+    argv = ["table", "--state", files["rho05"], "--basis", files["basis"]]
+    monkeypatch.delenv("KD_DEFAULT_TOL", raising=False)
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 0
+    assert doc["config"]["default_tol"] == config.BASE_TOL
     monkeypatch.setenv("KD_DEFAULT_TOL", "1e-7")
-    code, doc, _ = run_json(capsys, ["table", "--state", files["rho05"],
-                                     "--basis", files["basis"]])
+    code, doc, _ = run_json(capsys, argv)
     assert code == 0
     assert doc["config"]["default_tol"] == 1e-7
     assert doc["results"]["kd_positive"]["tolerance"] == 1e-7
-
-
-def run_report(capsys, argv):
-    """Exit code and ``--json`` output of ``argv``, without its timing_seconds line."""
-    code, out, _ = run(capsys, argv + ["--json"])
-    lines = out.splitlines(keepends=True)
-    return code, "".join(line for line in lines if '"timing_seconds"' not in line)
-
-
-def fresh_parser_report(capsys, monkeypatch, argv):
-    """``run_report`` of ``argv`` from a parser built for this call alone."""
-    with monkeypatch.context() as m:
-        m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
-        return run_report(capsys, argv)
 
 
 def test_the_parser_is_built_once():
@@ -367,30 +378,6 @@ def test_a_reused_parser_forgets_an_earlier_eps(files, capsys, monkeypatch):
     assert doc["config"]["eps"] is None
     assert doc["results"]["eps"] == config.BASE_TOL
     assert run_report(capsys, argv) == fresh_parser_report(capsys, monkeypatch, argv)
-
-
-def test_a_usage_error_leaves_the_parser_usable(files, capsys, monkeypatch):
-    code, _, err = run(capsys, ["table", "--state", files["rho05"], "--json"])
-    assert code == 1
-    assert "usage error" in err
-    argv = ["table", "--state", files["rho05"], "--basis", files["basis"]]
-    code, doc, _ = run_json(capsys, argv)
-    assert code == 0
-    assert doc["results"]["kd_positive"]["value"] is True
-    assert run_report(capsys, argv) == fresh_parser_report(capsys, monkeypatch, argv)
-
-
-def test_default_tol_set_after_a_call_is_honoured(files, capsys, monkeypatch):
-    argv = ["table", "--state", files["rho05"], "--basis", files["basis"]]
-    monkeypatch.delenv("KD_DEFAULT_TOL", raising=False)
-    code, doc, _ = run_json(capsys, argv)
-    assert code == 0
-    assert doc["config"]["default_tol"] == config.BASE_TOL
-    monkeypatch.setenv("KD_DEFAULT_TOL", "1e-7")
-    code, doc, _ = run_json(capsys, argv)
-    assert code == 0
-    assert doc["config"]["default_tol"] == 1e-7
-    assert doc["results"]["kd_positive"]["tolerance"] == 1e-7
 
 
 def test_json_error_reporting(files, capsys, tmp_path):
