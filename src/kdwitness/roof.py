@@ -1,11 +1,12 @@
 """Convex-roof bounds over pure-state decompositions.
 
-Both roofs of a hull-excluded state come from one column generation priced
+Both roofs of a hull-excluded state come from one column generation, priced
 over the support subspaces V_{S,T} (amplitudes only on S and T in the two
 bases) for the support roof, whose duals W give the lower bound Tr(W rho) +
-min (|S| + |T| - lambda_max(W on V_{S,T})), and by a heuristic search for the
-nonpositivity roof; a rank-one state scores its one member, and other states
-anneal over isometries of the eigen-ensemble.
+min (|S| + |T| - lambda_max(W on V_{S,T})), and heuristically for the
+nonpositivity roof; a rank-one state scores its one member, and only a
+nonpositivity roof without a hull route anneals over isometries of the
+eigen-ensemble.
 Lower bounds also come from convexity for the total nonpositivity, the d+1
 floor of complete incompatibility for the support uncertainty, and hull
 certificates for strictness. Bounds are only ever reported as bounds; the
@@ -34,6 +35,7 @@ from .geometry import (
     INSIDE,
     OUTSIDE,
     MembershipCertificate,
+    _upper_pairs,
     hermitian_certificate,
     hermitian_to_real,
     membership_lp_points,
@@ -383,9 +385,10 @@ def _recheck(result: RoofSearchResult, rho: np.ndarray, values) -> None:
         )
 
 
-# Column generation for the support roof solves at most this many master LPs,
-# and each round adds at most one column per master row, most negative first.
+# Column generation for either roof solves at most this many master LPs, and each
+# round admits at most COLUMNS_PER_ROW columns per master row, most negative first.
 MAX_COLUMN_ROUNDS = 64
+COLUMNS_PER_ROW = 4
 
 # Rounding allowed per dimension in the dual bound, relative to the norms involved.
 _ROUNDING = 64 * np.finfo(float).eps
@@ -456,26 +459,30 @@ def _columns(eig: EigenDecomposition, rank: int, values, price):
 
     Columns are in range(rho) coordinates, from the eigen-ensemble on, and cost
     ``values`` of E c. ``price(W)`` gives candidates and their reduced costs under
-    the master's duals W; each round the up to r^2 most negative below -LP_DUAL_TOL
-    join, and the master goes on from its last basis, until none does or for
-    MAX_COLUMN_ROUNDS. Returns the upper bound, W and the last lowest reduced cost.
+    the master's duals W; each round the up to COLUMNS_PER_ROW r^2 most negative below
+    -LP_DUAL_TOL join, their projector points and costs computed once, and the master
+    goes on from its last basis, until none does or for MAX_COLUMN_ROUNDS. Returns the
+    upper bound, W and the last lowest reduced cost.
     """
     e, mu = eig.eigenvectors[:, :rank], eig.eigenvalues[:rank]
     target = hermitian_to_real(np.diag(mu))
-    coords = np.eye(rank, dtype=complex)
+    states = e.T.copy()  # E c for the eigen-ensemble's columns c = e_k
+    points, costs = _projector_points(np.eye(rank)), values(states)
     basis = None
-    for _ in range(MAX_COLUMN_ROUNDS):
-        states = coords @ e.T
-        lp = solve_equality_lp(_projector_points(coords).T, target, values(states), basis=basis)
+    for round_ in range(1, MAX_COLUMN_ROUNDS + 1):
+        lp = solve_equality_lp(points.T, target, costs, basis=basis)
         if lp.status != OPTIMAL:
             raise CertificateError(f"roof master LP is {lp.status}")
         w = real_to_hermitian(lp.duals, rank)
         reduced, candidates = price(w)
-        best = [i for i in np.argsort(reduced, kind="stable")[:rank * rank]
+        best = [i for i in np.argsort(reduced, kind="stable")[:COLUMNS_PER_ROW * rank * rank]
                 if reduced[i] < -config.LP_DUAL_TOL]
-        if not best:
+        if not best or round_ == MAX_COLUMN_ROUNDS:
             break
-        coords, basis = np.vstack([coords, candidates[best]]), lp.basis
+        joining, basis = candidates[best], lp.basis
+        states = np.vstack([states, joining @ e.T])
+        points = np.vstack([points, _projector_points(joining)])
+        costs = np.concatenate([costs, values(states[-len(best):])])
     keep = lp.x > config.WEIGHT_CUTOFF
     return (RoofSearchResult(lp.objective, Decomposition(lp.x[keep], states[keep]), ()), w,
             float(reduced.min()))
@@ -641,9 +648,12 @@ def _roof_bounds(
 
 
 def _projector_points(states: np.ndarray) -> np.ndarray:
-    """Real coordinates of the projectors of state rows (see hermitian_to_real)."""
+    """hermitian_to_real(c c^H) of state rows c, from the products c_i conj(c_j) alone."""
     psi = as_complex(states, "state")
-    return hermitian_to_real(psi[..., :, np.newaxis] * psi[..., np.newaxis, :].conj())
+    iu, ju = _upper_pairs(psi.shape[-1])
+    upper = psi[..., iu] * psi[..., ju].conj()
+    return np.concatenate([(psi * psi.conj()).real, np.sqrt(2.0) * upper.real,
+                           np.sqrt(2.0) * upper.imag], axis=-1)
 
 
 def support_roof_bounds(rho, transition) -> RoofEstimate:

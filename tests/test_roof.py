@@ -25,6 +25,7 @@ from kdwitness import (
     total_nonpositivity,
 )
 from kdwitness import basis, config, roof
+from kdwitness.geometry import hermitian_to_real
 from kdwitness.linalg import complex_gaussian, projector, random_density, random_isometry
 from kdwitness.roof import nonpositivity_values_fn, support_values_fn
 
@@ -572,6 +573,61 @@ def test_a_round_short_of_dictionary_columns_still_refines():
     _, columns = roof._nonpositivity_pricer(*args)(rounds[-1])
     off_dictionary = _dictionary_distance(columns, args) > 1e-9
     assert np.count_nonzero(off_dictionary) == roof.PRICING_STARTS
+
+
+# -- the rounds of column generation ------------------------------------------
+
+
+def _master_columns(monkeypatch, rho, u, **kwargs):
+    """The columns of every master LP of one nonpositivity roof of ``rho``, and the roof."""
+    columns = []
+    solve = roof.solve_equality_lp
+
+    def recording(a, *args, **kw):
+        columns.append(a.shape[1])
+        return solve(a, *args, **kw)
+
+    monkeypatch.setattr(roof, "solve_equality_lp", recording)
+    return columns, nonpositivity_roof_bounds(rho, u, **kwargs)
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_nonpositivity_roof_at_the_round_cap_returns_its_last_master(monkeypatch, cap):
+    monkeypatch.setattr(roof, "MAX_COLUMN_ROUNDS", cap)
+    rho = rho_lambda(0.5)
+    columns, est = _master_columns(monkeypatch, rho, SPIN1.transition)
+    assert len(columns) == cap
+    dec = est.upper_decomposition
+    dec.validate(rho)
+    values = nonpositivity_values_fn(SPIN1.transition)(dec.states)
+    assert dec.weights @ values == pytest.approx(est.upper_bound, rel=0.0, abs=1e-12)
+    # Uncapped, column generation goes on to about 1.1154.
+    assert est.upper_bound > 1.116
+
+
+@pytest.mark.parametrize("case", ["spin1_half", "haar5_full_rank"])
+def test_each_round_admits_at_most_the_column_budget(monkeypatch, case):
+    if case == "spin1_half":
+        rho, u, kwargs = rho_lambda(0.5), SPIN1.transition, {}
+    else:
+        rho, u, positive = _excluded_full_rank_haar5()
+        kwargs = {"positive_pure": positive}
+    rank = int(np.count_nonzero(hermitian_eig(rho).eigenvalues > config.RANK_CUTOFF))
+    columns, _ = _master_columns(monkeypatch, rho, u, **kwargs)
+    growth = np.diff(columns)
+    assert len(growth) and growth.min() >= 1
+    assert growth.max() == roof.COLUMNS_PER_ROW * rank * rank
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_projector_points_are_the_bits_of_the_outer_products(d):
+    rng = np.random.default_rng(d)
+    for shape in [(d,), (1, d), (64, d), (2, 3, d), (0, d)]:
+        states = complex_gaussian(shape, rng)
+        expected = hermitian_to_real(states[..., :, None] * states[..., None, :].conj())
+        points = roof._projector_points(states)
+        assert points.shape == expected.shape == shape[:-1] + (d * d,)
+        assert points.tobytes() == expected.tobytes()
 
 
 # -- the support roof by column generation ------------------------------------
