@@ -12,6 +12,7 @@ timing field.
 import argparse
 import dataclasses
 import functools
+import hashlib
 import sys
 import time
 
@@ -34,7 +35,7 @@ from .incompatibility import (
     support_counts_mixed,
     support_counts_pure,
 )
-from .io_json import dumps_report, file_digest, load_matrix_file
+from .io_json import dumps_report, load_matrix_file, read_file
 from .kd import is_kd_positive, kd_table, min_overlap, total_nonpositivity, worst_entry
 from .pure_positive import enumerate_min_uncertainty_states, filter_kd_positive_pure
 from .roof import AnnealConfig, nonpositivity_roof_bounds, support_roof_bounds
@@ -113,22 +114,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_state(path: str):
-    kind, array = load_matrix_file(path)
+def _load(inputs: dict, path: str, expect_kind: str | None = None):
+    """A matrix file from the bytes read for the ``inputs`` digest."""
+    return load_matrix_file(path, expect_kind, data=inputs[path])
+
+
+def _load_state(inputs: dict, path: str):
+    kind, array = _load(inputs, path)
     if kind not in ("density", "pure_state", "hermitian"):
         raise MatrixFileError(path, f"kind {kind!r} is not usable as a state")
     return kind, array
 
 
-def _load_density(path: str):
+def _load_density(inputs: dict, path: str):
     """A state file as a matrix; a pure state becomes its projector."""
-    _, array = _load_state(path)
+    _, array = _load_state(inputs, path)
     return np.outer(array, array.conj()) if array.ndim == 1 else array
 
 
-def _cmd_table(args, report):
-    _, state = _load_state(args.state)
-    _, basis = load_matrix_file(args.basis, expect_kind="unitary")
+def _cmd_table(args, report, inputs):
+    _, state = _load_state(inputs, args.state)
+    _, basis = _load(inputs, args.basis, expect_kind="unitary")
     tol = config.default_tol()
     table = kd_table(state, basis)
     i, j, value, offence = worst_entry(table)
@@ -158,9 +164,9 @@ def _cmd_table(args, report):
     return EXIT_OK, lines
 
 
-def _cmd_support(args, report):
-    kind, state = _load_state(args.state)
-    _, basis = load_matrix_file(args.basis, expect_kind="unitary")
+def _cmd_support(args, report, inputs):
+    kind, state = _load_state(inputs, args.state)
+    _, basis = _load(inputs, args.basis, expect_kind="unitary")
     eps = config.default_tol() if args.eps is None else args.eps
     if kind == "pure_state":
         counts = support_counts_pure(state, basis, eps=eps)
@@ -175,8 +181,8 @@ def _cmd_support(args, report):
     ]
 
 
-def _cmd_incompat(args, report):
-    _, basis = load_matrix_file(args.basis, expect_kind="unitary")
+def _cmd_incompat(args, report, inputs):
+    _, basis = _load(inputs, args.basis, expect_kind="unitary")
     rep = complete_incompatibility(basis, eps=args.eps)
     report["results"] = {
         "completely_incompatible": rep.completely_incompatible,
@@ -197,8 +203,8 @@ def _cmd_incompat(args, report):
     ]
 
 
-def _cmd_enumerate(args, report):
-    _, basis = load_matrix_file(args.basis, expect_kind="unitary")
+def _cmd_enumerate(args, report, inputs):
+    _, basis = _load(inputs, args.basis, expect_kind="unitary")
     minimal = enumerate_min_uncertainty_states(basis)
     positive = filter_kd_positive_pure(minimal, basis)
     # Each pattern yields at most one state, so patterns identify states.
@@ -232,9 +238,9 @@ def _certificate_dict(cert):
     return _fields_dict(cert, {"tol": "tolerance"})
 
 
-def _cmd_hull(args, report):
-    state = _load_density(args.state)
-    generators = [_load_density(path) for path in args.generators]
+def _cmd_hull(args, report, inputs):
+    state = _load_density(inputs, args.state)
+    generators = [_load_density(inputs, path) for path in args.generators]
     cert = membership_lp(state, generators, tol=args.tol)
     report["certificates"] = {"membership": _certificate_dict(cert)}
     report["results"] = {"verdict": cert.verdict}
@@ -250,8 +256,8 @@ def _cmd_hull(args, report):
     return code, lines
 
 
-def _cmd_facets(args, report):
-    facets = facet_enumeration([_load_density(path) for path in args.generators])
+def _cmd_facets(args, report, inputs):
+    facets = facet_enumeration([_load_density(inputs, path) for path in args.generators])
     report["results"] = {"count": len(facets), "facets": facets}
     lines = [f"{len(facets)} facets"]
     for k, f in enumerate(facets):
@@ -281,13 +287,13 @@ def _roof_report(estimate, report):
     return lines
 
 
-def _cmd_roof(args, report):
-    state = _load_density(args.state)
-    _, basis = load_matrix_file(args.basis, expect_kind="unitary")
+def _cmd_roof(args, report, inputs):
+    state = _load_density(inputs, args.state)
+    _, basis = _load(inputs, args.basis, expect_kind="unitary")
     extra = {}
     if args.command == "roof-nonpos" and args.positive_pure:
         extra["positive_pure"] = [
-            load_matrix_file(path, expect_kind="pure_state")[1]
+            _load(inputs, path, expect_kind="pure_state")[1]
             for path in args.positive_pure
         ]
     # Validated for both commands, so that both reject the same settings.
@@ -298,7 +304,7 @@ def _cmd_roof(args, report):
     return EXIT_OK, _roof_report(estimate, report)
 
 
-def _cmd_spin1(args, report):
+def _cmd_spin1(args, report, inputs):
     result = run_spin1_checks()
     report["results"] = {
         "passed": result.passed,
@@ -318,7 +324,7 @@ def _cmd_spin1(args, report):
     return (EXIT_OK if result.passed else EXIT_INTERNAL), lines
 
 
-def _cmd_haar_study(args, report):
+def _cmd_haar_study(args, report, inputs):
     study = haar_genericity_study(args.dim, args.samples, args.seed)
     report["results"] = study
     return EXIT_OK, [
@@ -363,16 +369,14 @@ _ECHOED_CONFIG = {
 }
 
 
-def _input_digests(args) -> dict:
-    digests = {}
+def _read_inputs(args) -> dict:
+    """The bytes of each input file by path, each file read once."""
+    paths = []
     for name in _INPUT_ARGS:
         value = getattr(args, name, None)
-        if value is None:
-            continue
-        paths = value if isinstance(value, list) else [value]
-        for path in paths:
-            digests[path] = file_digest(path)
-    return digests
+        if value is not None:
+            paths += value if isinstance(value, list) else [value]
+    return {path: read_file(path) for path in dict.fromkeys(paths)}
 
 
 def _config_echo(args) -> dict:
@@ -392,15 +396,16 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         json_wanted = getattr(args, "json", False)
+        inputs = _read_inputs(args)
         report = {
             "command": args.command,
-            "inputs": _input_digests(args),
+            "inputs": {path: hashlib.sha256(data).hexdigest() for path, data in inputs.items()},
             "config": _config_echo(args),
             "results": {},
             "certificates": {},
         }
         start = time.perf_counter()
-        code, lines = _HANDLERS[args.command](args, report)
+        code, lines = _HANDLERS[args.command](args, report, inputs)
         report["timing_seconds"] = time.perf_counter() - start
         if json_wanted:
             sys.stdout.write(dumps_report(report))

@@ -11,7 +11,7 @@ excluded).
 """
 
 import dataclasses
-import hashlib
+import io
 import json
 
 import numpy as np
@@ -47,13 +47,21 @@ def _entry_to_complex(entry, path: str, where: str) -> complex:
         raise MatrixFileError(path, f"{where}: {exc}") from exc
 
 
-def load_matrix_file(path: str, expect_kind: str | None = None) -> tuple[str, np.ndarray]:
-    """Load and validate a matrix file, returning ``(kind, array)``."""
+def read_file(path: str) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+        with open(path, "rb") as handle:
+            return handle.read()
     except OSError as exc:
         raise MatrixFileError(path, f"cannot read file: {exc}") from exc
+
+
+def load_matrix_file(path: str, expect_kind: str | None = None,
+                     data: bytes | None = None) -> tuple[str, np.ndarray]:
+    """Load and validate a matrix file, or its bytes ``data`` read before, as ``(kind, array)``."""
+    data = read_file(path) if data is None else data
+    try:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
+            doc = json.load(text)
     except ValueError as exc:
         # Malformed JSON, text that is not UTF-8, or an integer too long to parse.
         raise MatrixFileError(path, f"invalid JSON: {exc}") from exc
@@ -121,14 +129,6 @@ def save_matrix_file(path: str, array, kind: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def file_digest(path: str) -> str:
-    try:
-        with open(path, "rb") as handle:
-            return hashlib.sha256(handle.read()).hexdigest()
-    except OSError as exc:
-        raise MatrixFileError(path, f"cannot read file: {exc}") from exc
 
 
 def _f(x: float) -> float:

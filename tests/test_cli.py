@@ -409,6 +409,29 @@ def test_unreadable_input_is_a_matrix_file_error(
     assert doc["error"]["message"].startswith(f"{path}: {message}")
 
 
+@pytest.mark.parametrize("command", ["table", "hull", "roof-nonpos"])
+def test_each_input_file_is_opened_once(files, capsys, monkeypatch, command):
+    argv = {
+        "table": ["table", "--state", files["rho05"], "--basis", files["basis"]],
+        "hull": ["hull", "--state", files["mixed"], "--generators", *files["gens"]],
+        "roof-nonpos": ["roof-nonpos", "--state", files["rho05"], "--basis", files["basis"],
+                        "--positive-pure", files["psi1"], "--positive-pure", files["psi1"]],
+    }[command]
+    inputs = set(argv[1:]) - {"--state", "--basis", "--generators", "--positive-pure"}
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 0
+    assert sorted(path for path in opened if path in inputs) == sorted(inputs)
+    assert sorted(doc["inputs"]) == sorted(inputs)
+
+
 def test_input_faults_are_validation_errors(files, capsys, tmp_path):
     # A basis pair that is not completely incompatible, and a hull of one point.
     dft = tmp_path / "dft6.json"
