@@ -27,7 +27,15 @@ iterations of the simplex behind it. At the same d it times the phase-two LP
 ``finite_convex_roof`` over those projectors, with the total nonpositivity
 (``nonpositivity_values_fn``) of each minimal state as its value, on the
 inside target, with the roof value and the iterations of the simplex behind
-it (phase one and phase two together).
+it (phase one and phase two together). The same layer runs ``finite_convex_roof``
+once per record on six d = 6 inside mixtures whose exact roof is 1
+(``POSITIVE_MIXTURE_SEEDS``): for seed s, the total nonpositivity over the
+projectors of the minimal states of ``haar_unitary(6, 300 + s)``, at the
+mixture of its KD-positive minimal states with weights
+``default_rng(s).dirichlet``. Such a call can take seconds to fail, so each row
+is one timed call, with its value or the type of the package error it raised,
+and the simplex pivots it made (calls of the simplex module's ``_pivot``, the
+pivots that drive artificials out after phase one included).
 
 At d = 4..6 (``AGAIN_DIMS``) it times the dedup of the enumeration alone
 (``pure_positive._drop_near_repeats`` on all realized candidates, which
@@ -143,6 +151,7 @@ SUPPORT_RANKS = (2, 3)  # and full rank, where column generation takes the most 
 NONPOS_DIMS = (4, 5, 6)
 NONPOS_SEEDS = 3
 NONPOS_RUNS = 5
+POSITIVE_MIXTURE_SEEDS = range(6)
 CLI_LAMBDA = 0.25
 CLI_ROOF_ARGS = ("--seed=0", "--restarts=4", "--steps=300")
 MEMBERSHIP_INSIDE = "uniform mixture of the minimal states"
@@ -393,6 +402,32 @@ def cli_call(package, argv):
     return call
 
 
+def once_with_pivots(package, call) -> dict:
+    """One timed call of ``call``: its value or package error type, and its simplex pivots."""
+    simplex = sys.modules[f"{package.__name__}.simplex"]
+    errors = sys.modules[f"{package.__name__}.errors"]
+    pivot = simplex._pivot
+    pivots = 0
+
+    def counted(*args, **kwargs):
+        nonlocal pivots
+        pivots += 1
+        return pivot(*args, **kwargs)
+
+    value = error = None
+    simplex._pivot = counted
+    start = time.perf_counter()
+    try:
+        value = call()
+    except errors.KDError as exc:
+        error = type(exc).__name__
+    finally:
+        elapsed = time.perf_counter() - start
+        simplex._pivot = pivot
+    return {"once_ms": round(elapsed * 1e3, 3), "roof": value, "error": error,
+            "simplex_pivots": pivots}
+
+
 def report_without_timing(output) -> str:
     """A cli call's report with ``timing_seconds`` left out, as canonical JSON."""
     report = json.loads(output[1])
@@ -547,6 +582,19 @@ def record(args, cli_root) -> dict:
             "roof": roof,
             "simplex_iterations": lp.iterations,
         }
+    for s in POSITIVE_MIXTURE_SEEDS:
+        u = kdwitness.haar_unitary(6, 300 + s)
+        minimal = kdwitness.enumerate_min_uncertainty_states(u)
+        positive = kdwitness.filter_kd_positive_pure(minimal, u)
+        weights = np.random.default_rng(s).dirichlet(np.ones(len(positive)))
+        mixture = sum(w * projector(state) for w, state in zip(weights, positive.states))
+        values = nonpositivity_values_fn(u)(minimal.states)
+        gens = [projector(state) for state in minimal.states]
+        layers["finite_convex_roof"][f"d6_haar{300 + s}_positive_mixture"] = {
+            "generators": len(gens),
+            **once_with_pivots(kdwitness, lambda: kdwitness.finite_convex_roof(
+                values, mixture, gens)),
+        }
 
     layers["same_basis_again"] = {}
     for d in AGAIN_DIMS:
@@ -674,6 +722,7 @@ def record(args, cli_root) -> dict:
         "again_dims": list(AGAIN_DIMS),
         "nonpos_dims": list(NONPOS_DIMS),
         "nonpos_runs": NONPOS_RUNS,
+        "positive_mixture_seeds": list(POSITIVE_MIXTURE_SEEDS),
         "membership_targets": {"inside": MEMBERSHIP_INSIDE, "outside": MEMBERSHIP_OUTSIDE},
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "machine": {
