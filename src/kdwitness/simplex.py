@@ -7,7 +7,9 @@ ratio test and pivot is a handful of whole-array operations, and only the
 ratio test's tie rule walks the candidate rows one by one. Pricing takes the
 most negative reduced cost (Dantzig's rule), with Bland's rule against
 cycling after a run of degenerate pivots; long phases recompute the tableau
-from the original columns now and then, so rounding cannot pile up.
+from the original columns now and then, so rounding cannot pile up. The ratio
+test of every phase, cold or warm, reads a right-hand side below 0 (rounding) as
+0, so that rounding noise never decides the ties of a degenerate vertex.
 
 Apart from the pivots, every optimal result is re-checked against the
 original ``A``, ``b`` and ``c`` (residual, sign, and reduced costs of the
@@ -65,14 +67,12 @@ def _enter(cost_row: np.ndarray, bland: bool) -> int:
     return col if cost_row[col] < -PIVOT_TOL else -1
 
 
-def _leave(tableau: np.ndarray, col: int, basis: list[int], clip: bool) -> int:
-    """Row by the ratio test, ties to the lowest basic index; ``clip`` reads values < 0 as 0."""
+def _leave(tableau: np.ndarray, col: int, basis: list[int]) -> int:
+    """Row by the ratio test on rhs read as 0 where below 0, ties to the lowest basic index."""
     column = tableau[:, col]
     rows = (column > PIVOT_TOL).nonzero()[0]
-    rhs = tableau[rows, -1]
-    ratios = (np.maximum(rhs, 0.0) if clip else rhs) / column[rows]
-    best_ratio = np.inf
-    best_row = -1
+    ratios = np.maximum(tableau[rows, -1], 0.0) / column[rows]
+    best_ratio, best_row = np.inf, -1
     for i, ratio in zip(rows.tolist(), ratios.tolist()):
         if ratio < best_ratio - BLAND_TIE_TOL or (
             abs(ratio - best_ratio) <= BLAND_TIE_TOL
@@ -112,7 +112,7 @@ def _reinvert(basis: list[int], system: np.ndarray, costs: np.ndarray, pivots: i
 
 
 def _iterate(tableau: np.ndarray, cost_row: np.ndarray, basis: list[int],
-             system: np.ndarray, costs: np.ndarray, n: int, clip: bool = False) -> tuple[str, int]:
+             system: np.ndarray, costs: np.ndarray, n: int) -> tuple[str, int]:
     """Pivot until no column j < n prices in; in phase one, artificials never re-enter."""
     degenerate = since_reinversion = 0
     for iteration in range(MAX_ITERATIONS):
@@ -124,7 +124,7 @@ def _iterate(tableau: np.ndarray, cost_row: np.ndarray, basis: list[int],
             col = _enter(cost_row[:n], degenerate >= BLAND_AFTER)
         if col < 0:
             return OPTIMAL, iteration
-        row = _leave(tableau, col, basis, clip)
+        row = _leave(tableau, col, basis)
         if row < 0:
             return UNBOUNDED, iteration
         degenerate = degenerate + 1 if tableau[row, -1] / tableau[row, col] <= PIVOT_TOL else 0
@@ -186,8 +186,7 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL,
 
     costs = None if c is None else np.asarray(c, dtype=float)
     start = _warm_start(basis, a_mod, b_mod, costs)
-    warm = start is not None
-    if warm:
+    if start is not None:
         tableau, cost_row, rows = start
         basis, iters, artificial_mass = list(basis), 0, 0.0
     else:
@@ -231,12 +230,11 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL,
     if costs is None:
         x_basic = tableau[kept, -1]
     else:
-        # Phase two starts from the original columns on the final phase-one basis, or the
-        # warm one, whose ratio test reads rounding below 0 as 0 lest it decide Bland's ties.
+        # Phase two starts from the original columns on the final phase-one basis, or the warm one.
         system = np.hstack([a_mod, b_mod[:, None]])[rows]
-        if not warm:
+        if start is None:
             tableau, cost_row = _reinvert(basis, system, costs, iters)
-        status, iters2 = _iterate(tableau, cost_row, basis, system, costs, n, clip=warm)
+        status, iters2 = _iterate(tableau, cost_row, basis, system, costs, n)
         iters += iters2
         if status == UNBOUNDED:
             return LPResult(UNBOUNDED, None, None, None, 0.0, iters)

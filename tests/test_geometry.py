@@ -507,6 +507,21 @@ def test_finite_convex_roof_at_d6_returns_one_or_a_typed_error():
     assert value == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_finite_convex_roof_of_a_d6_positive_mixture_is_one(seed):
+    # As above, at six bases; the roof is exactly 1 on each. A ratio test that let
+    # rounding below 0 decide ties on this LP's degenerate vertices reached a
+    # singular basis or stalled on five of them.
+    u = haar_unitary(6, 300 + seed)
+    minimal = enumerate_min_uncertainty_states(u)
+    positive = filter_kd_positive_pure(minimal, u)
+    weights = np.random.default_rng(seed).dirichlet(np.ones(len(positive.states)))
+    rho = sum(w * projector(s) for w, s in zip(weights, positive.states))
+    values = nonpositivity_values_fn(u)(minimal.states)
+    value = finite_convex_roof(values, rho, [projector(s) for s in minimal.states])
+    assert value == pytest.approx(1.0, abs=1e-9)
+
+
 # Each tampering of the optimal weights [0.5, 0, 0, 0.5] of the square's centre
 # fails one inside-certificate check: the first moves the reconstruction, the
 # second keeps it and the sum but goes negative (the four corners have one

@@ -29,7 +29,7 @@ def _reference_leave_bland(tableau, col, basis):
     for i in range(tableau.shape[0]):
         coeff = tableau[i, col]
         if coeff > 1e-10:
-            ratio = tableau[i, -1] / coeff
+            ratio = max(tableau[i, -1], 0.0) / coeff
             if ratio < best_ratio - 1e-14 or (
                 abs(ratio - best_ratio) <= 1e-14
                 and (best_row == -1 or basis[i] < basis[best_row])
