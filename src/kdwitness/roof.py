@@ -536,10 +536,10 @@ def _nonpositivity_pricer(eig: EigenDecomposition, rank: int, u, values, anchors
     PRICING_STEPS projected-gradient steps of PRICING_STEP / max(1, |W|_2).
     For psi = E c and phi = U^H psi, N = |psi|^T |U| |phi|, and the derivative of
     N - c^H W c in conj(c) is E^H (sgn psi |U| |phi| + U (sgn phi |U|^T |psi|)) / 2 - W c,
-    with sgn z = z / |z| and sgn 0 = 0. On rows c, z = c A = (psi, phi) for
-    A = [E^T | E^T conj(U)], and with B = [[0, |U|], [|U|^T, 0]] twice that derivative
-    is (sgn z * |z| B) A^H - 2 c W^T, so a step of size s is
-    c (I + 2 s W^T) - s (sgn z * |z| B) A^H.
+    with sgn z = z / |z|, or 0 where |z| <= _ROUNDING * r, the rounding of a length-r
+    dot product of unit rows. On rows c, z = c A = (psi, phi) for A = [E^T | E^T conj(U)],
+    and with B = [[0, |U|], [|U|^T, 0]] twice that derivative is (sgn z * |z| B) A^H
+    - 2 c W^T, so a step of size s is c (I + 2 s W^T) - s (sgn z * |z| B) A^H.
     """
     e, mu = eig.eigenvectors[:, :rank], eig.eigenvalues[:rank]
     a = np.hstack([e.T, e.T @ u.conj()])
@@ -564,7 +564,8 @@ def _nonpositivity_pricer(eig: EigenDecomposition, rank: int, u, values, anchors
         for _ in range(PRICING_STEPS):
             z = c @ a
             amps = np.abs(z)
-            c = c @ grow - step * ((z / np.maximum(amps, 1e-300)) * (amps @ b)) @ a_h
+            sgn = np.divide(z, amps, out=np.zeros_like(z), where=amps > _ROUNDING * rank)
+            c = c @ grow - step * (sgn * (amps @ b)) @ a_h
             c /= np.sqrt(np.einsum("ij,ij->i", c, c.conj()).real)[:, None]
         return (np.concatenate([values(c @ e.T) - _projector_points(c) @ w_point,
                                 pooled[negative]]),

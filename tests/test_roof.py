@@ -425,7 +425,10 @@ def _reference_gradient(c, w, e, u):
     phi = psi @ u.conj()
     u_abs = np.abs(u)
     amps_a, amps_b = np.abs(psi), np.abs(phi)
-    sgn_a, sgn_b = psi / np.maximum(amps_a, 1e-300), phi / np.maximum(amps_b, 1e-300)
+    # Amplitudes within rounding of 0 have sign 0.
+    noise = roof._ROUNDING * c.shape[1]
+    sgn_a = np.divide(psi, amps_a, out=np.zeros_like(psi), where=amps_a > noise)
+    sgn_b = np.divide(phi, amps_b, out=np.zeros_like(phi), where=amps_b > noise)
     return ((sgn_a * (amps_b @ u_abs.T) + (sgn_b * (amps_a @ u_abs)) @ u.T) @ e.conj()
             - 2.0 * c @ w.T)
 
@@ -516,9 +519,6 @@ def test_fused_pricing_steps_match_the_per_step_reference(monkeypatch, case):
     else:
         rho, u, positive = _excluded_full_rank_haar5()
         args, rounds = _priced_rounds(rho, u, positive_pure=positive)
-        # At full rank an anchor start's zero amplitudes come back as rounding noise, whose
-        # phase, read by sgn, differs between the two orders of products; draws only here.
-        args = (*args[:4], np.zeros((0, 5)))
     # No column prices in, so every round refines and returns its refined columns alone.
     monkeypatch.setattr(config, "LP_DUAL_TOL", math.inf)
     priced = roof._nonpositivity_pricer(*args)(rounds[0])
