@@ -129,15 +129,15 @@ RECONSTRUCTION_TOL = 1e-8
 # A roof estimate's lower bound may exceed its upper bound by at most this.
 ROOF_ORDER_SLACK = 1e-8
 
-# An annealed upper bound must equal its decomposition's recomputed objective
-# within this.
+# A searched roof upper bound must equal its decomposition's recomputed objective
+# within this, and a dual bound the value of its fresh pass over every subspace.
 ROOF_RECHECK_TOL = 1e-9
 
 # An isometry's columns are orthonormal within this Frobenius distance.
 ISOMETRY_TOL = 1e-9
 
-# Anchor states with less weight than this in the range of the state are
-# not used by the annealer's anchor moves.
+# Anchor states (and pricing draws) with less weight than this in the range of the
+# state are left out of the annealer's anchor moves and the pricer's dictionary.
 ANCHOR_RANGE_CUTOFF = 1e-12
 
 # A state whose total nonpositivity is at most 1 + this can get a strict

@@ -374,7 +374,7 @@ def roof_upper_bound(
 
 
 def _recheck(result: RoofSearchResult, rho: np.ndarray, values) -> None:
-    """Re-validate an annealed upper bound on its own decomposition."""
+    """Re-validate a searched or rank-one upper bound on its own decomposition."""
     dec = result.decomposition
     dec.validate(rho)
     recomputed = float(dec.weights @ values(dec.states))
@@ -390,7 +390,7 @@ def _recheck(result: RoofSearchResult, rho: np.ndarray, values) -> None:
 MAX_COLUMN_ROUNDS = 64
 COLUMNS_PER_ROW = 4
 
-# Rounding allowed per dimension in the dual bound, relative to the norms involved.
+# Rounding allowed per dimension, relative to the norms involved (dual bound, pricer).
 _ROUNDING = 64 * np.finfo(float).eps
 
 

@@ -509,9 +509,8 @@ def test_finite_convex_roof_at_d6_returns_one_or_a_typed_error():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_finite_convex_roof_of_a_d6_positive_mixture_is_one(seed):
-    # As above, at six bases; the roof is exactly 1 on each. A ratio test that let
-    # rounding below 0 decide ties on this LP's degenerate vertices reached a
-    # singular basis or stalled on five of them.
+    # As above, at six bases; the roof is exactly 1 on each. The LP has degenerate
+    # vertices, where rounding below 0 must not decide the ratio test's ties.
     u = haar_unitary(6, 300 + seed)
     minimal = enumerate_min_uncertainty_states(u)
     positive = filter_kd_positive_pure(minimal, u)

@@ -601,7 +601,7 @@ def test_nonpositivity_roof_at_the_round_cap_returns_its_last_master(monkeypatch
     dec.validate(rho)
     values = nonpositivity_values_fn(SPIN1.transition)(dec.states)
     assert dec.weights @ values == pytest.approx(est.upper_bound, rel=0.0, abs=1e-12)
-    # Uncapped, column generation goes on to about 1.1154.
+    # Uncapped, column generation goes on to about 1.1157.
     assert est.upper_bound > 1.116
 
 
