@@ -46,14 +46,18 @@ mixture (the uniform mixture of the KD-positive minimal states), once on a
 fresh cache ("first") and once more on the same basis ("repeat").
 
 It also times ``facet_enumeration_points`` on the real-embedded projectors
-of the 15 spin-1 minimal states and of ``FACET_SET_SIZES`` generic d = 3
-pure states ``random_pure_state(3, default_rng(3000 + n))``, with the facet
-count, the number C(n, affine rank) of subsets tested, and how many of them
-reach the stacked SVD (counted on one more untimed call, by wrapping
-``numpy.linalg.svd`` and adding up the matrices of its stacked calls). It
-times the Hermitian wrapper ``facet_enumeration`` on the projectors
-themselves, so the cost of embedding the generators and converting the
-functionals shows next to the points function.
+of the 15 spin-1 minimal states, of ``FACET_SET_SIZES`` generic d = 3
+pure states ``random_pure_state(3, default_rng(3000 + n))``, and of the
+near-degenerate set ``generic_14_near_facet``: those of ``generic_14`` plus
+the mixture of the members of its first facet (in the package's canonical
+order), moved ``NEAR_FACET_DEPTH`` inside that facet along its functional,
+so that one generator lies within the active tolerance of a facet it does
+not span. Each row has the facet count, the number C(n, affine rank) of
+subsets, and how many matrices reach a stacked SVD (counted on one more
+untimed call, by wrapping ``numpy.linalg.svd`` and adding up the matrices
+of its stacked calls). It times the Hermitian wrapper ``facet_enumeration``
+on the generators themselves, so the cost of embedding the generators and
+converting the functionals shows next to the points function.
 
 It times ``support_roof_bounds`` (the "support_roof" layer) on the spin-1
 states ``rho_lambda`` at ``COUNTEREXAMPLE_LAMBDAS`` and on hull-excluded
@@ -118,7 +122,9 @@ every block, and adds an "alternating" entry with both medians and their
 ratio; the nonpositivity-roof rows are timed the same way, in
 ``NONPOS_RUNS`` blocks, and so are the cli rows, whose entries also say
 whether both packages wrote the same report apart from ``timing_seconds``
-(``same_report``):
+(``same_report``), and the ``facet_enumeration_points`` rows, whose entries
+say whether both packages gave the same facets: the same active sets in the
+same order, and functionals and offsets with the same bytes (``same_facets``):
 
     PYTHONPATH=src python benchmarks/layers.py --label change \
         --against ../parent --against-label parent > change.json
@@ -142,7 +148,8 @@ import time
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 RUNS = 15
 ROOF_CONFIG = {"restarts": 4, "steps": 300, "seed": 0}
-FACET_SET_SIZES = (12, 14, 16)
+FACET_SET_SIZES = (11, 12, 13, 14, 15, 16, 18)
+NEAR_FACET_DEPTH = 1e-8
 MINOR_DIMS = range(3, 9)
 MEMBERSHIP_DIMS = range(4, 7)
 AGAIN_DIMS = range(4, 7)
@@ -400,6 +407,36 @@ def cli_call(package, argv):
         return code, out.getvalue()
 
     return call
+
+
+def facet_generators(kdwitness) -> dict:
+    """The facet layers' generator sets, Hermitian matrices: name -> list."""
+    import numpy as np
+
+    from kdwitness.linalg import projector, random_pure_state
+
+    sets = {"spin1": [projector(s) for s in kdwitness.SPIN1.min_uncertainty_states]}
+    for n in FACET_SET_SIZES:
+        rng = np.random.default_rng(3000 + n)
+        sets[f"generic_{n}"] = [projector(random_pure_state(3, rng)) for _ in range(n)]
+    base = sets["generic_14"]
+    first = kdwitness.facet_enumeration(base)[0]
+    inside = sum(base[k] for k in first.active) / len(first.active)
+    sets["generic_14_near_facet"] = [*base, inside - NEAR_FACET_DEPTH * first.functional]
+    return sets
+
+
+def facet_call(package, points):
+    """A call of the package's ``facet_enumeration_points`` on ``points``."""
+    geometry = importlib.import_module(f"{package.__name__}.geometry")
+    return lambda: geometry.facet_enumeration_points(points)
+
+
+def same_facets(ours, theirs) -> bool:
+    """Whether two facet lists hold the same active sets in the same order, and the same bytes."""
+    return len(ours) == len(theirs) and all(
+        f.active == g.active and f.functional.tobytes() == g.functional.tobytes()
+        and float(f.offset).hex() == float(g.offset).hex() for f, g in zip(ours, theirs))
 
 
 def once_with_pivots(package, call) -> dict:
@@ -692,14 +729,10 @@ def record(args, cli_root) -> dict:
                 reports = [report_without_timing(call()) for call in calls]
                 alternating[name]["same_report"] = reports[0] == reports[1]
 
-    facet_sets = {"spin1": kdwitness.SPIN1.min_uncertainty_states}
-    for n in FACET_SET_SIZES:
-        rng = np.random.default_rng(3000 + n)
-        facet_sets[f"generic_{n}"] = [random_pure_state(3, rng) for _ in range(n)]
+    facet_sets = facet_generators(kdwitness)
     layers["facet_enumeration_points"] = {}
     layers["facet_enumeration"] = {}
-    for name, states in facet_sets.items():
-        generators = [projector(s) for s in states]
+    for name, generators in facet_sets.items():
         points = np.array([kdwitness.hermitian_to_real(g) for g in generators])
         rank = int(np.linalg.matrix_rank(points - points.mean(axis=0)))
         facets, facet_times = timed(facet_enumeration_points, points)
@@ -707,16 +740,28 @@ def record(args, cli_root) -> dict:
         layers["facet_enumeration_points"][name] = {
             **summary_ms(facet_times),
             "facets": len(facets),
-            "subsets": math.comb(len(states), rank),
+            "subsets": math.comb(len(generators), rank),
             "subsets_to_svd": to_svd,
         }
         hermitian, wrapper_times = timed(facet_enumeration, generators)
         layers["facet_enumeration"][name] = {**summary_ms(wrapper_times), "facets": len(hermitian)}
+    if args.against:
+        for name, generators in facet_sets.items():
+            points = np.array([kdwitness.hermitian_to_real(g) for g in generators])
+            calls = [facet_call(k, points) for k in (kdwitness, other)]
+            mine, theirs = (summary_ms(t) for t in alternated(calls, keep))
+            alternating[f"facet_enumeration_points.{name}"] = {
+                args.label or "this": mine,
+                args.against_label: theirs,
+                "speedup": round(theirs["median_ms"] / mine["median_ms"], 3),
+                "same_facets": same_facets(*(call() for call in calls)),
+            }
     return {
         "label": args.label,
         "runs": RUNS,
         "roof_config": ROOF_CONFIG,
         "facet_set_sizes": FACET_SET_SIZES,
+        "near_facet_depth": NEAR_FACET_DEPTH,
         "minor_dims": list(MINOR_DIMS),
         "membership_dims": list(MEMBERSHIP_DIMS),
         "again_dims": list(AGAIN_DIMS),
