@@ -7,7 +7,8 @@ enumeration's dedup tolerance; ``KD_DEFAULT_TOL`` overrides the base one
 globally. Everything else is fixed: the facet active and match tolerances,
 the margin factor, the rank, null-space, phase, weight and exactness
 cutoffs, the minor floor and count limit, the roof tolerances, the facet
-rank cutoffs, subset limit and side-test entry limit, the simplex pivot
+rank cutoffs, subset limit, side-test entry limit and gift-wrapping
+crossover, the simplex pivot
 tolerance, Bland ratio-tie window, Farkas slack and re-check slacks, the
 hull certificates' weight and functional thresholds, the eigendecomposition
 checks, and the basis cache size ``BASIS_CACHE_SIZE``.
@@ -57,12 +58,23 @@ FACET_MATCH_TOL = 1e-7
 FACET_RANK_ABS_CUTOFF = 1e-12
 FACET_RANK_REL_CUTOFF = 1e-9
 
-# Facet enumeration tests C(n, affine rank) subsets of n generators and
-# refuses more than this many; a subset of generic d = 3 projectors costs
-# 4-8 us on a 2-vCPU Xeon VM with BLAS on one thread, most of them stopping
-# at the cheap prefilter (the 125 970 subsets of 20 take 0.54 s), so the
-# limit is about 1 s there.
+# Facet enumeration refuses sets of more than this many subsets C(n, affine
+# rank), before it tries either path. Its subset search, the fallback of the
+# gift wrapping, tests every one of them: a subset of generic d = 3
+# projectors costs 4-8 us on a 2-vCPU Xeon VM with BLAS on one thread, most
+# of them stopping at the cheap prefilter (the 125 970 subsets of 20 take
+# 0.54 s), so the limit is about 1 s there. Gift wrapping costs about 40 us
+# per facet on such sets, but a set it gives up on pays for both.
 MAX_FACET_SUBSETS = 200_000
+
+# Facet enumeration tries gift wrapping first on sets of affine rank >= 3
+# with at least this many subsets C(n, rank), and fewer than 64 points. The
+# crossover, measured with the two paths alternated on one 2-vCPU Xeon VM
+# with BLAS on one thread, lies between 165 (x0.79) and 495 (x1.10)
+# subsets on generic d = 3 projectors (rank 8, n = 11 and 12), between 364
+# (x0.62) and 1140 (x1.10) on points of the unit sphere in rank 3, and
+# between 252 (x0.73) and 792 (x1.04) in rank 5.
+FACET_WRAP_MIN_SUBSETS = 400
 
 # Each tested subset's side test reads every one of the n points, so facet
 # enumeration also refuses more than this many side-test entries,

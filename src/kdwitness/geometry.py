@@ -9,6 +9,11 @@ work on raw real vectors; thin wrappers translate Hermitian matrices.
 Membership certificates are self-validating: the stated weight or
 separating-functional inequalities are re-checked after every solve and a
 violation is a hard error, never a silent downgrade.
+
+Facets come from gift wrapping, walking from facet to neighbouring facet,
+on sets where it pays and where its own numbers prove its list equal to the
+bit to that of the search over all rank-subsets; every other set takes that
+subset search.
 """
 
 import math
@@ -245,22 +250,19 @@ def facet_enumeration_points(points) -> list[Facet]:
     form. Facets come back in a canonical order independent of the input
     ordering.
 
-    The subsets are walked in ``combinations`` order, ``FACET_BLOCK`` at a
-    time (fewer for thousands of points). A drop test removes each block's
-    subsets with points strictly on both sides of their hyperplane by more
-    than a margin: the active tolerance plus rounding slack and, at rank 2
-    and above, where one stacked solve gives cheap normals, a bound on how
-    far their side values can lie from the SVD normal's (see
-    ``_prefilter``). One stacked SVD of the rest gives their rank tests and
-    normals. Stacked products that round as the per-subset ones do give all
-    their side values at once, and the one-sided hyperplanes are then
-    deduplicated in subset order (see ``_unmatched``), so the first found
-    for a facet, and for an active set, stands for it. Raises
-    DimensionTooLarge before any work when the number of subsets exceeds
+    Two paths give the same facets to the bit. At affine rank r >= 3, with
+    fewer than 64 points and at least ``config.FACET_WRAP_MIN_SUBSETS``
+    rank-subsets C(n, r), gift wrapping (``_wrap``) walks from facet to
+    neighbouring facet. It returns its facets only when its own numbers
+    prove that the subset search would return the same list, and gives up
+    at the first facet visited that fails that proof: on the spin-1 set,
+    whose facets hold more than r points, the first. Every other set, and
+    every set it gives up on, goes to the subset search
+    (``_subset_search``), which tests all C(n, r) rank-subsets. Raises
+    DimensionTooLarge before either path when the number of subsets exceeds
     ``config.MAX_FACET_SUBSETS``, or when the side-test entries, n per
     subset, exceed ``config.MAX_FACET_SIDE_ENTRIES``.
     """
-    active_tol = config.FACET_ACTIVE_TOL
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
     centroid = pts.mean(axis=0)
@@ -282,11 +284,57 @@ def facet_enumeration_points(points) -> list[Facet]:
         )
     basis = vt[:rank].T
     hull_pts = deltas @ basis
-    # The drop test's side values may round differently from the per-subset
-    # ones below by at most this much, so it keeps every hyperplane the
-    # per-subset test keeps.
+    # The side values of the hyperplanes below may round differently from
+    # exact ones by at most this much.
     slack = 8 * rank * np.finfo(float).eps * float(np.abs(hull_pts).sum(axis=1).max())
+    # Below 64 points a simplex, of rank + 1 subsets, never reaches the crossover.
+    wrap = rank >= 3 and n < 64 and n_subsets >= config.FACET_WRAP_MIN_SUBSETS
+    found = _wrap(hull_pts, slack) if wrap else None
+    planes, firsts, actives = found or _subset_search(hull_pts, slack)
+    ambient = np.matmul(basis, planes[firsts, :-1, None])[..., 0]
+    offsets = (planes[firsts, -1] + np.matmul(ambient[:, None], centroid)[:, 0]).tolist()
+    # Canonical order: offsets rounded by Python's round, functionals by numpy's.
+    keys = [(round(o, 9), *row) for o, row in zip(offsets, np.round(ambient, 9).tolist())]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [Facet(ambient[k], offsets[k], actives[k]) for k in order]
 
+
+def _spanned_planes(hull_pts, anchors, normals, active_tol):
+    """Oriented hyperplanes of subsets and their side values, rounded as the per-subset ones.
+
+    Each hyperplane is its unit normal and then its offset, negated when all
+    points lie within ``active_tol`` above it but not below. Also returns
+    which hyperplanes have all points within ``active_tol`` on one side.
+    """
+    # These stacked products round as the per-subset ones do; einsum need not.
+    offsets = np.matmul(normals[:, None, :], anchors[:, :, None])[:, 0]
+    side = np.matmul(hull_pts, normals[:, :, None])[..., 0] - offsets
+    below = side.max(axis=1) <= active_tol
+    flip = ~below & (side.min(axis=1) >= -active_tol)
+    planes = np.hstack([normals, offsets])
+    planes[flip] = -planes[flip]
+    side[flip] = -side[flip]
+    return planes, side, below | flip
+
+
+def _subset_search(hull_pts, slack):
+    """Kept hyperplanes, the first per active set in subset order, and those active sets.
+
+    The subsets are walked in ``combinations`` order, ``FACET_BLOCK`` at a
+    time (fewer for thousands of points). A drop test removes each block's
+    subsets with points strictly on both sides of their hyperplane by more
+    than a margin: the active tolerance plus ``slack`` and, at rank 2 and
+    above, where one stacked solve gives cheap normals, a bound on how far
+    their side values can lie from the SVD normal's (see ``_prefilter``).
+    One stacked SVD of the rest gives their rank tests and normals. Stacked
+    products that round as the per-subset ones do give all their side values
+    at once, and the one-sided hyperplanes are then deduplicated in subset
+    order (see ``_unmatched``), so the first found for a facet, and for an
+    active set, stands for it.
+    """
+    active_tol = config.FACET_ACTIVE_TOL
+    n, rank = hull_pts.shape
+    n_subsets = math.comb(n, rank)
     # Each kept hyperplane is its unit normal and then its offset.
     kept_planes = np.empty((n_subsets, rank + 1))
     kept = 0
@@ -311,14 +359,8 @@ def facet_enumeration_points(points) -> list[Facet]:
             _, sv, svt = np.linalg.svd(rows[unproven])
             spanning = np.count_nonzero(sv > _rank_cutoff(sv)[:, None], axis=1) == rank - 1
             normals, anchors = svt[spanning, -1], anchors[spanning]
-        # These stacked products round as the per-subset ones do; einsum need not.
-        offsets = np.matmul(normals[:, None, :], anchors[:, :, None])[:, 0]
-        side = np.matmul(hull_pts, normals[:, :, None])[..., 0] - offsets
-        below = side.max(axis=1) <= active_tol
-        flip = ~below & (side.min(axis=1) >= -active_tol)
-        planes = np.hstack([normals, offsets])
-        planes[flip] = -planes[flip]
-        one_sided = np.flatnonzero(below | flip)
+        planes, side, one_sided = _spanned_planes(hull_pts, anchors, normals, active_tol)
+        one_sided = np.flatnonzero(one_sided)
         found = one_sided[_unmatched(planes[one_sided], kept_planes[:kept])]
         kept_planes[kept : kept + len(found)] = planes[found]
         # Near a degenerate configuration, hyperplanes through different
@@ -327,13 +369,125 @@ def facet_enumeration_points(points) -> list[Facet]:
         for k, on in enumerate(np.abs(side[found]) <= active_tol, start=kept):
             listed.setdefault(tuple(np.flatnonzero(on).tolist()), k)
         kept += len(found)
-    firsts, actives = list(listed.values()), list(listed)
-    ambient = np.matmul(basis, kept_planes[firsts, :-1, None])[..., 0]
-    offsets = (kept_planes[firsts, -1] + np.matmul(ambient[:, None], centroid)[:, 0]).tolist()
-    # Canonical order: offsets rounded by Python's round, functionals by numpy's.
-    keys = [(round(o, 9), *row) for o, row in zip(offsets, np.round(ambient, 9).tolist())]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return [Facet(ambient[k], offsets[k], actives[k]) for k in order]
+    return kept_planes, list(listed.values()), list(listed)
+
+
+def _wrap(hull_pts, slack):
+    """The subset search's result by gift wrapping, or None where it cannot prove it equal.
+
+    The first facet comes from the point of least first hull coordinate and
+    the supporting hyperplane of normal -e_0, rotated rank - 1 times, each
+    time about the flat of the points found so far, onto the point it meets
+    first. Then each breadth-first level takes the frontier's facets, as
+    member subsets in increasing order, through one stacked SVD of their
+    spanning rows A, with the subset search's expressions, so that each
+    hyperplane and side value has the bits the subset search gives that
+    subset. The same SVD gives the pseudo-inverse of A, whose column j is
+    orthogonal to the ridge without member j + 1 and has unit product with
+    that member's row: the coordinates of the points along the columns are
+    barycentric, v = 1 on the member left out of the ridge and 0 on the
+    ridge. Pivoting the hyperplane about that ridge, with u the side value,
+    meets first the point of least atan2(-u, -v), and the neighbouring facet
+    holds the ridge and that point.
+
+    With r the rank, gamma = 64 r eps as in ``_prefilter``, reach the
+    largest norm of a point and err = 2 gamma sqrt(r - 1) reach, which
+    bounds the SVD's backward error gamma ||A||_F on any rows of r - 1
+    point differences, every facet visited must pass three checks, or the
+    walk gives up:
+
+    - its rows are spanning under the subset search's SVD rule, and their
+      sigma_min exceeds 2 err;
+    - its r members have |side| <= FACET_ACTIVE_TOL;
+    - every other point has side <= -(G + t), where
+      G = 2 r (FACET_ACTIVE_TOL + 2 slack + err) + FACET_MATCH_TOL (1 + reach)
+      and t = 4 sqrt(2) reach err / sigma_min bounds how far the side values
+      lie from those of the exact hyperplane through the members (as in
+      ``_prefilter``, the two normals are within sqrt(2) err over the exact
+      sigma_min, at least sigma_min / 2, of each other; t is below 1e-10 on
+      generic sets).
+
+    Why the checks prove the subset search's list:
+
+    1. Each facet that passes is a facet of the exact hull, with exactly its
+       r members on it. Its neighbour across a ridge is the one other facet
+       holding that ridge, so a pivot that lands on a passing facet lands on
+       the neighbour. A walk that closes with every facet passing has
+       visited a union of components of the facet graph, which is
+       connected: all the facets.
+    2. The subset search keeps no other subset T. If T's hyperplane were
+       one-sided, the centroid c of T would lie within
+       tau = FACET_ACTIVE_TOL + 2 slack + gamma ||A_T||_F of the hull's
+       boundary, so within tau inside some facet. Then the r points of T,
+       whose distances inside that facet average at most tau, would include
+       one off the facet within r tau + (r - 1)(FACET_ACTIVE_TOL + slack)
+       < G inside it, which the checks rule out.
+    3. Two passing hyperplanes whose offsets and normals matched within
+       FACET_MATCH_TOL would give a member of one a side value above
+       -FACET_ACTIVE_TOL - FACET_MATCH_TOL (1 + reach) > -G on the other, so
+       the subset search's dedup merges none of them, and their active sets
+       are their members. It keeps exactly these hyperplanes, each first
+       found at its members, in the order ``combinations`` lists them.
+    """
+    active_tol = config.FACET_ACTIVE_TOL
+    n, rank = hull_pts.shape
+    reach = float(np.linalg.norm(hull_pts, axis=1).max())
+    err = 2 * 64 * rank * np.finfo(float).eps * math.sqrt(rank - 1) * reach
+    gap = 2 * rank * (active_tol + 2 * slack + err) + config.FACET_MATCH_TOL * (1 + reach)
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+
+    start = int(np.argmin(hull_pts[:, 0]))
+    toward = hull_pts - hull_pts[start]
+    members, normal = [start], -np.eye(rank)[0]
+    flat = np.zeros((0, rank))  # orthonormal directions of the members' flat
+    for _ in range(rank - 1):
+        # The unit projection, off the normal and the flat, of the axis it shortens least.
+        rest = np.eye(rank) - np.outer(normal, normal) - flat.T @ flat
+        turn = rest[np.argmax(np.einsum("ij,ij->i", rest, rest))]
+        turn = turn / np.linalg.norm(turn)
+        u, v = toward @ normal, toward @ turn
+        angle = np.arctan2(-u, -v)
+        angle[members] = np.inf
+        k = int(np.argmin(angle))
+        step = toward[k] - flat.T @ (flat @ toward[k])
+        size, length = math.hypot(u[k], v[k]), float(np.linalg.norm(step))
+        if not (size > 0 and length > 0):  # k repeats a point of the flat
+            return None
+        normal = (u[k] * turn - v[k] * normal) / size
+        flat = np.vstack([flat, step / length])
+        members.append(k)
+
+    frontier = seen = np.array([bits[members].sum()])
+    levels = []
+    while frontier.size:
+        on = (frontier[:, None] & bits) != 0
+        index = np.nonzero(on)[1].reshape(-1, rank)
+        anchors = hull_pts[index[:, 0]]
+        rows = hull_pts[index[:, 1:]] - anchors[:, None, :]
+        left, sv, svt = np.linalg.svd(rows)
+        spanning = sv[:, -1] > np.maximum(_rank_cutoff(sv), 2 * err)
+        if not spanning.all():
+            return None
+        planes, side, _ = _spanned_planes(hull_pts, anchors[spanning], svt[spanning, -1], active_tol)
+        tilt = 4 * math.sqrt(2.0) * reach * err / sv[:, -1]
+        if not ((side <= np.where(on, active_tol, -gap - tilt[:, None])).all()
+                and (side[on] >= -active_tol).all()):
+            return None
+        levels.append((planes, index))
+        # Barycentric coordinates: 1 on the member left out of the ridge, 0 on the ridge.
+        inverse = np.matmul(svt[:, :-1].transpose(0, 2, 1) / sv[:, None, :], left.transpose(0, 2, 1))
+        along = np.matmul(hull_pts, inverse) - np.matmul(anchors[:, None, :], inverse)
+        v = np.concatenate([1.0 - along.sum(axis=2, keepdims=True), along], axis=2)
+        angle = np.arctan2(-side[..., None], -v)
+        angle[on] = np.inf
+        pivots = np.sort(frontier[:, None] - bits[index] + bits[np.argmin(angle, axis=1)], axis=None)
+        pivots = pivots[np.append(True, pivots[1:] != pivots[:-1])]
+        known = seen[np.minimum(np.searchsorted(seen, pivots), len(seen) - 1)] == pivots
+        frontier = pivots[~known]
+        seen = np.sort(np.concatenate([seen, frontier]))
+    planes, index = (np.concatenate(parts) for parts in zip(*levels))
+    firsts = np.lexsort(index.T[::-1])
+    return planes, firsts, [tuple(row) for row in index[firsts].tolist()]
 
 
 def _unmatched(planes, kept_planes) -> np.ndarray:

@@ -23,7 +23,7 @@ from kdwitness import (
     real_to_hermitian,
     rho_lambda,
 )
-from kdwitness import geometry
+from kdwitness import config, geometry
 from kdwitness.geometry import (
     FACET_BLOCK,
     FACET_PROBE_ANGLE,
@@ -158,6 +158,34 @@ def _assert_same_facets(points, name=""):
         assert np.float64(g.offset).tobytes() == np.float64(w.offset).tobytes(), name
 
 
+@pytest.fixture
+def subset_search(monkeypatch):
+    """Facet enumeration without its gift wrapping, so that every set takes the subset search."""
+    monkeypatch.setattr(geometry, "_wrap", lambda hull_pts, slack: None)
+
+
+def _hull_coordinates(points):
+    """Hull coordinates and rounding slack of a point set, as facet_enumeration_points makes them."""
+    deltas = points - points.mean(axis=0)
+    _, sing, vt = np.linalg.svd(deltas, full_matrices=False)
+    rank = int(np.count_nonzero(sing > max(1e-12, sing[0] * 1e-9)))
+    hull_pts = deltas @ vt[:rank].T
+    slack = 8 * rank * np.finfo(float).eps * float(np.abs(hull_pts).sum(axis=1).max())
+    return hull_pts, slack
+
+
+def _wraps_as_the_subset_search(points, name=""):
+    """Whether gift wrapping gave a result; when it does, the subset search's to the bit."""
+    hull_pts, slack = _hull_coordinates(points)
+    wrapped = geometry._wrap(hull_pts, slack)
+    if wrapped is None:
+        return False
+    searched = geometry._subset_search(hull_pts, slack)
+    assert wrapped[2] == searched[2], name
+    assert wrapped[0][wrapped[1]].tobytes() == searched[0][searched[1]].tobytes(), name
+    return True
+
+
 def _prefilter_on(points, subset):
     """The prefilter's margin m for one subset of a full-rank set, and whether it drops it."""
     deltas = points - points.mean(axis=0)
@@ -173,7 +201,7 @@ def _prefilter_on(points, subset):
 
 @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_points_at_the_prefilter_margin_give_the_reference_facets(sign, factor):
+def test_points_at_the_prefilter_margin_give_the_reference_facets(subset_search, sign, factor):
     # The base triangle 0, 1, 2 spans a facet of the tetrahedron; a fifth point
     # sits factor * m inside (sign +1) or outside (sign -1) its plane.
     tetrahedron = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 1.0]])
@@ -247,7 +275,9 @@ def _record_stacked_svd(monkeypatch):
     return received
 
 
-def test_blocks_without_cheap_normals_reach_the_svd_and_match_the_reference(monkeypatch):
+def test_blocks_without_cheap_normals_reach_the_svd_and_match_the_reference(
+    monkeypatch, subset_search
+):
     cases = _reference_cases()
     received = _record_stacked_svd(monkeypatch)
 
@@ -265,7 +295,7 @@ def test_blocks_without_cheap_normals_reach_the_svd_and_match_the_reference(monk
             assert len(received) == count, name
 
 
-def test_exactly_singular_probe_systems_reach_the_svd(monkeypatch):
+def test_exactly_singular_probe_systems_reach_the_svd(monkeypatch, subset_search):
     # On spin-1 some subsets' probe systems are exactly singular, so every
     # block's stacked solve raises; those systems get no cheap normal, and
     # the stacked SVD judges them.
@@ -284,6 +314,66 @@ def test_exactly_singular_probe_systems_reach_the_svd(monkeypatch):
     _assert_same_facets(points)
     assert len(received) < len(subsets)
     assert {a.tobytes() for a in singular} <= {a.tobytes() for a in received}
+
+
+def test_gift_wrapping_gives_the_subset_search_on_generic_sets():
+    # Rank 8, from a simplex (n = 9) to 18 points.
+    for n in range(9, 19):
+        for seed in range(2 if n <= 15 else 1):
+            name = f"generic_{n} seed {seed}"
+            assert _wraps_as_the_subset_search(_generic_projectors(n, 900 + 10 * n + seed), name)
+    rng = np.random.default_rng(40)
+    for rank in (3, 5):
+        assert _wraps_as_the_subset_search(rng.standard_normal((rank + 1, rank)), "simplex")
+
+
+def _near_facet(points, depth, which=0):
+    """``points`` and the centroid of a facet's members moved ``depth`` inside (outside if < 0)."""
+    facet = facet_enumeration_points(points)[which]
+    centroid = points[list(facet.active)].mean(axis=0)
+    return np.vstack([points, centroid - depth * facet.functional])
+
+
+def test_gift_wrapping_near_degenerate_sets_gives_the_subset_search_or_gives_up():
+    base = _generic_projectors(14, 314)
+    outcomes = {}
+    for k in range(3, 10):
+        for sign in (1.0, -1.0):
+            name = f"{sign * 10.0**-k:g} inside a facet"
+            outcomes[sign, k] = _wraps_as_the_subset_search(_near_facet(base, sign * 10.0**-k), name)
+    # Within the active tolerance the point lies on the facet, which then
+    # has nine members; far off it the set is generic again.
+    assert not any(outcomes[sign, k] for sign in (1.0, -1.0) for k in (7, 8, 9))
+    assert all(outcomes[sign, 3] for sign in (1.0, -1.0))
+    for k in (4, 8, 12):
+        near_copy = np.vstack([base, base[5] + 10.0**-k * np.sin(np.arange(base.shape[1]))])
+        wrapped = _wraps_as_the_subset_search(near_copy, f"a copy 1e-{k} off a point")
+        assert k == 4 or not wrapped
+    spin1 = _real_projectors(SPIN1.min_uncertainty_states)
+    rng = np.random.default_rng(41)
+    for k in range(6, 10):
+        perturbed = spin1 + 10.0**-k * rng.standard_normal(spin1.shape)
+        assert not _wraps_as_the_subset_search(perturbed, f"spin-1 moved by 1e-{k}")
+
+
+def test_facet_enumeration_falls_back_to_the_subset_search_only_where_wrapping_gives_up(
+    monkeypatch,
+):
+    searched = []
+    search = geometry._subset_search
+
+    def recorded(hull_pts, slack):
+        searched.append(len(hull_pts))
+        return search(hull_pts, slack)
+
+    monkeypatch.setattr(geometry, "_subset_search", recorded)
+    assert comb(16, 8) >= config.FACET_WRAP_MIN_SUBSETS
+    facet_enumeration_points(_generic_projectors(16, 316))
+    assert searched == []
+    assert len(facet_enumeration_points(_real_projectors(SPIN1.min_uncertainty_states))) == 28
+    assert searched == [15]
+    facet_enumeration_points(_near_facet(_generic_projectors(14, 314), 1e-8))
+    assert searched == [15, 15]
 
 
 def test_rank_one_and_rank_two_sets_match_the_reference():
