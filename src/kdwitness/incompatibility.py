@@ -20,6 +20,14 @@ from .linalg import as_complex, dagger
 
 _EPS = np.finfo(float).eps
 
+# The recurrence gathers at most this many entries per operand at a time. At
+# d = 8 one gather of a whole order is up to 19 600 complex entries, 313 KB;
+# glibc serves so large a block by mmap or by growing the heap, and whether a
+# call then faults in fresh pages (about 200 per call, 0.5 ms) depends on what
+# the process allocated before. Blocks of 2**13 entries, 128 KB, stay in
+# memory the process already holds.
+_GATHER_ENTRIES = 1 << 13
+
 
 @dataclass(frozen=True)
 class SupportCount:
@@ -163,8 +171,8 @@ def _laplace_tables(d: int) -> tuple:
     return tuple(tables)
 
 
-def _minors_by_recurrence(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every minor M of ``u``, flat by order, rows outer, and a bound b >= |M - LU|.
+def _minors_by_recurrence(u: np.ndarray) -> tuple[list, np.ndarray]:
+    """Every minor M of ``u``, one flat array per order, rows outer, and a bound b >= |M - LU|.
 
     M_k[R, C] = sum_j (-1)^(k-1+j) u[max R, c_j] M_{k-1}[R - max R, C - c_j],
     one gathered multiply-add per order; LU is ``np.linalg.det`` of the minor.
@@ -186,12 +194,17 @@ def _minors_by_recurrence(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v = np.linalg.norm(u, axis=0).max(initial=0.0)
     minors, bounds = [u.ravel()], []
     for s, gather, factor, growth in tables:
+        k = s.shape[1]
         if gather:
             u_at, below_at = gather
-            minors.append(np.einsum("rcj,rcj->rc", signed[u_at], minors[-1][below_at]).ravel())
-        k = s.shape[1]
+            step = max(1, _GATHER_ENTRIES // (len(s) * k))
+            minors.append(np.concatenate([
+                np.einsum("rcj,rcj->rc", signed[u_at[r:r + step]],
+                          minors[-1][below_at[r:r + step]]).ravel()
+                for r in range(0, len(s), step)
+            ]))
         bounds.append(factor * v**k + (growth * max(1.0, v)) ** k * 2.0**-1074)
-    return np.concatenate(minors), np.repeat(bounds, [len(s) ** 2 for s, *_ in tables])
+    return minors, np.repeat(bounds, [len(s) ** 2 for s, *_ in tables])
 
 
 @per_basis
@@ -203,7 +216,7 @@ def _smallest_minor(u: np.ndarray) -> tuple[float, int, tuple[int, ...], tuple[i
     best_abs, best, start = np.inf, (0, (), ()), 0
     with np.errstate(over="ignore", invalid="ignore"):
         minors, bound = _minors_by_recurrence(u)
-        moduli = np.abs(minors)
+        moduli = np.concatenate([np.abs(m) for m in minors])
         near = ~(moduli - bound > np.min(moduli + bound, initial=np.inf))
     for subsets, *_ in _laplace_tables(u.shape[0]):
         n = len(subsets)
