@@ -434,7 +434,7 @@ def _wrap(hull_pts, slack):
     reach = float(np.linalg.norm(hull_pts, axis=1).max())
     err = 2 * 64 * rank * np.finfo(float).eps * math.sqrt(rank - 1) * reach
     gap = 2 * rank * (active_tol + 2 * slack + err) + config.FACET_MATCH_TOL * (1 + reach)
-    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+    bits = 1 << np.arange(n, dtype=np.int64)
 
     start = int(np.argmin(hull_pts[:, 0]))
     toward = hull_pts - hull_pts[start]
@@ -468,6 +468,7 @@ def _wrap(hull_pts, slack):
         spanning = sv[:, -1] > np.maximum(_rank_cutoff(sv), 2 * err)
         if not spanning.all():
             return None
+        # Copies made as the subset search makes them, so that the products round alike.
         planes, side, _ = _spanned_planes(hull_pts, anchors[spanning], svt[spanning, -1], active_tol)
         tilt = 4 * math.sqrt(2.0) * reach * err / sv[:, -1]
         if not ((side <= np.where(on, active_tol, -gap - tilt[:, None])).all()
