@@ -20,13 +20,12 @@ from .linalg import as_complex, dagger
 
 _EPS = np.finfo(float).eps
 
-# The recurrence gathers at most this many entries per operand at a time. At
-# d = 8 one gather of a whole order is up to 19 600 complex entries, 313 KB;
-# glibc serves so large a block by mmap or by growing the heap, and whether a
-# call then faults in fresh pages (about 200 per call, 0.5 ms) depends on what
-# the process allocated before. Blocks of 2**13 entries, 128 KB, stay in
-# memory the process already holds.
-_GATHER_ENTRIES = 1 << 13
+# The recurrence gathers at most this many entries per operand at a time,
+# 125 KB of complex numbers, under the 128 KB from which glibc may serve a
+# block by mmap. At d = 8 one gather of a whole order is up to 19 600 entries,
+# 313 KB, and whether a call then faulted in fresh pages (about 200 a call,
+# 0.4 ms) depended on what the process had allocated before.
+_GATHER_ENTRIES = 8000
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,8 @@ def _minors_by_recurrence(u: np.ndarray) -> tuple[list, np.ndarray]:
     """Every minor M of ``u``, one flat array per order, rows outer, and a bound b >= |M - LU|.
 
     M_k[R, C] = sum_j (-1)^(k-1+j) u[max R, c_j] M_{k-1}[R - max R, C - c_j],
-    one gathered multiply-add per order; LU is ``np.linalg.det`` of the minor.
+    one gathered multiply-add per block of rows (see ``_GATHER_ENTRIES``); LU
+    is ``np.linalg.det`` of the minor.
     Bound, for any square finite u, with v its largest column norm: every
     order-k minor is at most v^k (Hadamard). The recurrence adds g_k = (2k +
     2) eps relative to each of the k terms of a level, each at most v^k, so
@@ -198,11 +198,12 @@ def _minors_by_recurrence(u: np.ndarray) -> tuple[list, np.ndarray]:
         if gather:
             u_at, below_at = gather
             step = max(1, _GATHER_ENTRIES // (len(s) * k))
-            minors.append(np.concatenate([
+            blocks = [
                 np.einsum("rcj,rcj->rc", signed[u_at[r:r + step]],
                           minors[-1][below_at[r:r + step]]).ravel()
                 for r in range(0, len(s), step)
-            ]))
+            ]
+            minors.append(blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
         bounds.append(factor * v**k + (growth * max(1.0, v)) ** k * 2.0**-1074)
     return minors, np.repeat(bounds, [len(s) ** 2 for s, *_ in tables])
 
