@@ -327,9 +327,9 @@ def test_gift_wrapping_gives_the_subset_search_on_generic_sets():
         assert _wraps_as_the_subset_search(rng.standard_normal((rank + 1, rank)), "simplex")
 
 
-def _near_facet(points, depth, which=0):
-    """``points`` and the centroid of a facet's members moved ``depth`` inside (outside if < 0)."""
-    facet = facet_enumeration_points(points)[which]
+def _near_facet(points, depth):
+    """``points`` and the centroid of their first facet's members moved ``depth`` inside it."""
+    facet = facet_enumeration_points(points)[0]
     centroid = points[list(facet.active)].mean(axis=0)
     return np.vstack([points, centroid - depth * facet.functional])
 
