@@ -73,7 +73,9 @@ MAX_FACET_SUBSETS = 200_000
 # with BLAS on one thread, lies between 165 (x0.79) and 495 (x1.10)
 # subsets on generic d = 3 projectors (rank 8, n = 11 and 12), between 364
 # (x0.62) and 1140 (x1.10) on points of the unit sphere in rank 3, and
-# between 252 (x0.73) and 792 (x1.04) in rank 5.
+# between 252 (x0.73) and 792 (x1.04) in rank 5. `benchmarks/layers.py
+# --against` reads x1.01 on generic_12 (495 subsets) and x1.36 on
+# generic_13 (1287).
 FACET_WRAP_MIN_SUBSETS = 400
 
 # Each tested subset's side test reads every one of the n points, so facet
