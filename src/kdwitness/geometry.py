@@ -255,8 +255,8 @@ def facet_enumeration_points(points) -> list[Facet]:
     rank-subsets C(n, r), gift wrapping (``_wrap``) walks from facet to
     neighbouring facet. It returns its facets only when its own numbers
     prove that the subset search would return the same list, and gives up
-    at the first facet visited that fails that proof: on the spin-1 set,
-    whose facets hold more than r points, the first. Every other set, and
+    at the first facet visited that fails that proof, which on the spin-1
+    set is the first facet. Every other set, and
     every set it gives up on, goes to the subset search
     (``_subset_search``), which tests all C(n, r) rank-subsets. Raises
     DimensionTooLarge before either path when the number of subsets exceeds
