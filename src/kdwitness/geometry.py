@@ -11,9 +11,10 @@ separating-functional inequalities are re-checked after every solve and a
 violation is a hard error, never a silent downgrade.
 
 Facets come from gift wrapping, walking from facet to neighbouring facet,
-on sets where it pays and where its own numbers prove its list equal to the
-bit to that of the search over all rank-subsets; every other set takes that
-subset search.
+through facets with more points on them than the affine rank as well as
+simplicial ones, wherever its own numbers prove its list equal to the bit
+to that of the search over all rank-subsets. The rare sets it gives up on,
+and sets of affine rank below 3, take that subset search.
 """
 
 import math
@@ -41,12 +42,6 @@ from .validation import require_hermitian
 # can for sets of low affine rank and many points.
 FACET_BLOCK = 1024
 FACET_SIDE_ENTRIES = 1 << 21
-
-# The prefilter's cheap normals solve each subset's spanning rows with the
-# fixed probe row cos(k * FACET_PROBE_ANGLE), k = 1..rank, appended. Any
-# fixed row does; a subset whose normal the row is nearly orthogonal to
-# gets a loose bound and goes on to the SVD.
-FACET_PROBE_ANGLE = 1.0
 
 INSIDE = "inside"
 OUTSIDE = "outside"
@@ -250,18 +245,16 @@ def facet_enumeration_points(points) -> list[Facet]:
     form. Facets come back in a canonical order independent of the input
     ordering.
 
-    Two paths give the same facets to the bit. At affine rank r >= 3, with
-    fewer than 64 points and at least ``config.FACET_WRAP_MIN_SUBSETS``
-    rank-subsets C(n, r), gift wrapping (``_wrap``) walks from facet to
-    neighbouring facet. It returns its facets only when its own numbers
-    prove that the subset search would return the same list, and gives up
-    at the first facet visited that fails that proof, which on the spin-1
-    set is the first facet. Every other set, and
-    every set it gives up on, goes to the subset search
-    (``_subset_search``), which tests all C(n, r) rank-subsets. Raises
-    DimensionTooLarge before either path when the number of subsets exceeds
-    ``config.MAX_FACET_SUBSETS``, or when the side-test entries, n per
-    subset, exceed ``config.MAX_FACET_SIDE_ENTRIES``.
+    At affine rank r >= 3 and with fewer than 64 points, gift wrapping
+    (``_wrap``) walks from facet to neighbouring facet, through facets with
+    r points on them and facets with more. It returns its facets only when
+    its own numbers prove that the subset search would return the same list
+    to the bit, and gives up at the first facet visited that fails that
+    proof. Sets of lower rank or more points, and the sets it gives up on,
+    go to the subset search (``_subset_search``), which tests all C(n, r)
+    rank-subsets. Raises DimensionTooLarge before either path when the
+    number of subsets exceeds ``config.MAX_FACET_SUBSETS``, or when the
+    side-test entries, n per subset, exceed ``config.MAX_FACET_SIDE_ENTRIES``.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
@@ -284,29 +277,38 @@ def facet_enumeration_points(points) -> list[Facet]:
         )
     basis = vt[:rank].T
     hull_pts = deltas @ basis
-    # The side values of the hyperplanes below may round differently from
-    # exact ones by at most this much.
-    slack = 8 * rank * np.finfo(float).eps * float(np.abs(hull_pts).sum(axis=1).max())
-    # Below 64 points a simplex, of rank + 1 subsets, never reaches the crossover.
-    wrap = rank >= 3 and n < 64 and n_subsets >= config.FACET_WRAP_MIN_SUBSETS
-    found = _wrap(hull_pts, slack) if wrap else None
-    planes, firsts, actives = found or _subset_search(hull_pts, slack)
-    ambient = np.matmul(basis, planes[firsts, :-1, None])[..., 0]
-    offsets = (planes[firsts, -1] + np.matmul(ambient[:, None], centroid)[:, 0]).tolist()
+    # Seeds and members of the walk are bitmasks of 64 bits.
+    found = _wrap(hull_pts) if rank >= 3 and n < 64 else None
+    planes, _, actives = found or _subset_search(hull_pts)
+    ambient = np.matmul(basis, planes[:, :-1, None])[..., 0]
+    offsets = (planes[:, -1] + np.matmul(ambient[:, None], centroid)[:, 0]).tolist()
     # Canonical order: offsets rounded by Python's round, functionals by numpy's.
     keys = [(round(o, 9), *row) for o, row in zip(offsets, np.round(ambient, 9).tolist())]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     return [Facet(ambient[k], offsets[k], actives[k]) for k in order]
 
 
-def _spanned_planes(hull_pts, anchors, normals, active_tol):
-    """Oriented hyperplanes of subsets and their side values, rounded as the per-subset ones.
+def _spanned(hull_pts, subsets):
+    """Which rank-subsets span, the SVD of their rows, and the spanning ones' hyperplanes.
 
-    Each hyperplane is its unit normal and then its offset, negated when all
-    points lie within ``active_tol`` above it but not below. Also returns
-    which hyperplanes have all points within ``active_tol`` on one side.
+    Row i of ``subsets`` holds point indices, and its rows are its points
+    less its first, the anchor; at rank 1 every subset spans, with normal 1,
+    and the SVD is None. Each hyperplane is its unit normal and then its
+    offset, negated when all points lie within FACET_ACTIVE_TOL above it but
+    not below, with the side values of all points; the last array says which
+    hyperplanes have all points within that tolerance on one side.
     """
-    # These stacked products round as the per-subset ones do; einsum need not.
+    active_tol = config.FACET_ACTIVE_TOL
+    anchors = hull_pts[subsets[:, 0]]
+    if hull_pts.shape[1] == 1:
+        spanning, svd = np.ones(len(subsets), dtype=bool), None
+        normals = np.ones((len(subsets), 1))
+    else:
+        svd = np.linalg.svd(hull_pts[subsets[:, 1:]] - anchors[:, None, :])
+        spanning = svd[1][:, -1] > _rank_cutoff(svd[1])
+        normals = svd[2][spanning, -1]
+    # These stacked products of masked copies round as the per-subset ones do; einsum need not.
+    anchors = anchors[spanning]
     offsets = np.matmul(normals[:, None, :], anchors[:, :, None])[:, 0]
     side = np.matmul(hull_pts, normals[:, :, None])[..., 0] - offsets
     below = side.max(axis=1) <= active_tol
@@ -314,181 +316,249 @@ def _spanned_planes(hull_pts, anchors, normals, active_tol):
     planes = np.hstack([normals, offsets])
     planes[flip] = -planes[flip]
     side[flip] = -side[flip]
-    return planes, side, below | flip
+    return spanning, svd, planes, side, below | flip
 
 
-def _subset_search(hull_pts, slack):
-    """Kept hyperplanes, the first per active set in subset order, and those active sets.
+def _subset_search(hull_pts):
+    """Listed hyperplanes in subset order, the subsets that first give them, and their active sets.
 
     The subsets are walked in ``combinations`` order, ``FACET_BLOCK`` at a
-    time (fewer for thousands of points). A drop test removes each block's
-    subsets with points strictly on both sides of their hyperplane by more
-    than a margin: the active tolerance plus ``slack`` and, at rank 2 and
-    above, where one stacked solve gives cheap normals, a bound on how far
-    their side values can lie from the SVD normal's (see ``_prefilter``).
-    One stacked SVD of the rest gives their rank tests and normals. Stacked
-    products that round as the per-subset ones do give all their side values
-    at once, and the one-sided hyperplanes are then deduplicated in subset
-    order (see ``_unmatched``), so the first found for a facet, and for an
-    active set, stands for it.
+    time (fewer for thousands of points). One stacked SVD per block gives
+    their rank tests and normals. Stacked products that round as the
+    per-subset ones do give all their side values at once, and the
+    one-sided hyperplanes are then deduplicated in subset order (see
+    ``_unmatched``), so the first found for a facet, and for an active set,
+    stands for it.
     """
-    active_tol = config.FACET_ACTIVE_TOL
     n, rank = hull_pts.shape
-    n_subsets = math.comb(n, rank)
-    # Each kept hyperplane is its unit normal and then its offset.
-    kept_planes = np.empty((n_subsets, rank + 1))
-    kept = 0
+    kept_planes = np.empty((0, rank + 1))
+    kept_subsets = []
     listed: dict[tuple[int, ...], int] = {}  # active set -> its first kept hyperplane
     block_size = max(1, min(FACET_BLOCK, FACET_SIDE_ENTRIES // n))
     subsets = combinations(range(n), rank)
-    for _ in range(0, n_subsets, block_size):
+    for _ in range(0, math.comb(n, rank), block_size):
         block = np.fromiter(
             chain.from_iterable(islice(subsets, block_size)), dtype=np.intp
         ).reshape(-1, rank)
-        anchors = hull_pts[block[:, 0]]
-        if rank == 1:
-            normals, margin = np.ones((len(block), 1)), active_tol + slack
-        else:
-            rows = hull_pts[block[:, 1:]] - anchors[:, None, :]
-            normals, margin = _prefilter(rows, anchors, hull_pts, active_tol + slack)
-        side = hull_pts @ normals.T - np.einsum("ij,ij->i", normals, anchors)
-        # NaN side values or margins (no cheap normal, or no spanning rows) prove nothing.
-        unproven = ~((side.max(axis=0) > margin) & (side.min(axis=0) < -margin))
-        normals, anchors = normals[unproven], anchors[unproven]
-        if rank > 1:
-            _, sv, svt = np.linalg.svd(rows[unproven])
-            spanning = np.count_nonzero(sv > _rank_cutoff(sv)[:, None], axis=1) == rank - 1
-            normals, anchors = svt[spanning, -1], anchors[spanning]
-        planes, side, one_sided = _spanned_planes(hull_pts, anchors, normals, active_tol)
+        spanning, _, planes, side, one_sided = _spanned(hull_pts, block)
         one_sided = np.flatnonzero(one_sided)
-        found = one_sided[_unmatched(planes[one_sided], kept_planes[:kept])]
-        kept_planes[kept : kept + len(found)] = planes[found]
+        found = one_sided[_unmatched(planes[one_sided], kept_planes)]
         # Near a degenerate configuration, hyperplanes through different
         # subsets can hold the same active set yet differ by more than
         # FACET_MATCH_TOL; the first one found stands for that face.
-        for k, on in enumerate(np.abs(side[found]) <= active_tol, start=kept):
+        for k, on in enumerate(np.abs(side[found]) <= config.FACET_ACTIVE_TOL, len(kept_planes)):
             listed.setdefault(tuple(np.flatnonzero(on).tolist()), k)
-        kept += len(found)
-    return kept_planes, list(listed.values()), list(listed)
+        kept_planes = np.concatenate([kept_planes, planes[found]])
+        kept_subsets.append(block[spanning][found])
+    firsts = list(listed.values())
+    return kept_planes[firsts], np.concatenate(kept_subsets)[firsts], list(listed)
 
 
-def _wrap(hull_pts, slack):
+def _wrap(hull_pts):
     """The subset search's result by gift wrapping, or None where it cannot prove it equal.
 
     The first facet comes from the point of least first hull coordinate and
     the supporting hyperplane of normal -e_0, rotated rank - 1 times, each
-    time about the flat of the points found so far, onto the point it meets
-    first. Then each breadth-first level takes the frontier's facets, as
-    member subsets in increasing order, through one stacked SVD of their
-    spanning rows A, with the subset search's expressions, so that each
-    hyperplane and side value has the bits the subset search gives that
-    subset. The same SVD gives the pseudo-inverse of A, whose column j is
-    orthogonal to the ridge without member j + 1 and has unit product with
-    that member's row: the coordinates of the points along the columns are
-    barycentric, v = 1 on the member left out of the ridge and 0 on the
-    ridge. Pivoting the hyperplane about that ridge, with u the side value,
-    meets first the point of least atan2(-u, -v), and the neighbouring facet
-    holds the ridge and that point.
+    time about the flat of the points found so far, onto the point off that
+    flat it meets first. Then each breadth-first level takes the frontier's
+    seeds, r points each with r the rank, through one stacked SVD with the
+    subset search's expressions (``_spanned``), so that each hyperplane and
+    side value has the bits the subset search gives that subset. A seed's
+    facet has as members the points within FACET_ACTIVE_TOL of its
+    hyperplane. A facet with r members is its seed, with the seed less one
+    member as its ridges. One with more, taken once by ``_wide_facet``,
+    runs those expressions on all its member r-subsets in ``combinations``
+    order: its hyperplane is the first that spans and is one-sided, and its
+    ridges those of these subsets' simplices with every member within
+    FACET_ACTIVE_TOL inside. ``_pivots`` turns a hyperplane about each ridge.
 
-    With r the rank, gamma = 64 r eps as in ``_prefilter``, reach the
-    largest norm of a point and err = 2 gamma sqrt(r - 1) reach, which
-    bounds the SVD's backward error gamma ||A||_F on any rows of r - 1
-    point differences, every facet visited must pass three checks, or the
-    walk gives up:
+    With gamma = 64 r eps, generous for the SVD's backward error, reach the
+    largest norm of a point, err = 2 gamma sqrt(r - 1) reach, which bounds
+    gamma ||A||_F on any rows A of r - 1 point differences, and slack the
+    most by which a side value may round off the exact one, the walk gives
+    up unless:
 
-    - its rows are spanning under the subset search's SVD rule, and their
-      sigma_min exceeds 2 err;
-    - its r members have |side| <= FACET_ACTIVE_TOL;
-    - every other point has side <= -(G + t), where
-      G = 2 r (FACET_ACTIVE_TOL + 2 slack + err) + FACET_MATCH_TOL (1 + reach)
+    - every seed spans under the subset search's SVD rule with
+      sigma_min > 2 err, and its points are members of its facet;
+    - every one-sided hyperplane of a facet's member r-subsets, of which
+      there is one at least, has sigma_min > 2 err, |side| <=
+      FACET_ACTIVE_TOL on the members and side <= -(G + t) elsewhere, where
+      G = 3 r (FACET_ACTIVE_TOL + 2 slack + err) + FACET_MATCH_TOL (1 + reach)
       and t = 4 sqrt(2) reach err / sigma_min bounds how far the side values
-      lie from those of the exact hyperplane through the members (as in
-      ``_prefilter``, the two normals are within sqrt(2) err over the exact
-      sigma_min, at least sigma_min / 2, of each other; t is below 1e-10 on
-      generic sets).
+      lie from those of the exact hyperplane through the subset (the SVD
+      normal is within sqrt(2) err over the exact sigma_min, at least
+      sigma_min / 2, of its normal; t is below 1e-10 on generic sets);
+    - a pivot about a ridge of a facet with more than r members lands on a
+      facet holding that ridge's members and the point it met.
 
-    Why the checks prove the subset search's list:
+    Why the checks prove the subset search's list, with a point at least G
+    below a facet's hyperplane called off that facet:
 
-    1. Each facet that passes is a facet of the exact hull, with exactly its
-       r members on it. Its neighbour across a ridge is the one other facet
-       holding that ridge, so a pivot that lands on a passing facet lands on
-       the neighbour. A walk that closes with every facet passing has
-       visited a union of components of the facet graph, which is
-       connected: all the facets.
-    2. The subset search keeps no other subset T. If T's hyperplane were
-       one-sided, the centroid c of T would lie within
-       tau = FACET_ACTIVE_TOL + 2 slack + gamma ||A_T||_F of the hull's
-       boundary, so within tau inside some facet. Then the r points of T,
-       whose distances inside that facet average at most tau, would include
-       one off the facet within r tau + (r - 1)(FACET_ACTIVE_TOL + slack)
-       < G inside it, which the checks rule out.
-    3. Two passing hyperplanes whose offsets and normals matched within
-       FACET_MATCH_TOL would give a member of one a side value above
-       -FACET_ACTIVE_TOL - FACET_MATCH_TOL (1 + reach) > -G on the other, so
-       the subset search's dedup merges none of them, and their active sets
-       are their members. It keeps exactly these hyperplanes, each first
-       found at its members, in the order ``combinations`` lists them.
+    1. A passing facet with r members is a facet of the exact hull with
+       exactly those points on it. One with more, F, holds its members
+       within FACET_ACTIVE_TOL + slack of its hyperplane and every other
+       point off it, so the exact hull's facets with all vertices in F, its
+       pieces, make up the boundary near that hyperplane. A facet E of the
+       exact hull sharing a ridge with a piece, and holding a point q off F,
+       has every member below its hyperplane while q lies G below F's: the
+       ridge lies on a ridge of the members' hull inside F's hyperplane,
+       about which the pivot meets q, or another point of E, first. So a
+       pivot that lands on a passing facet holding the ridge lands on the
+       neighbour, and a walk that closes with every facet passing has
+       visited the facets and pieces of a union of components of the exact
+       hull's facet graph, which is connected: all of them.
+    2. The subset search keeps no subset T outside every facet's members.
+       If T's hyperplane were one-sided, T's centroid would lie within
+       tau = FACET_ACTIVE_TOL + 2 slack + gamma ||A_T||_F inside a facet or
+       piece, so within tau + FACET_ACTIVE_TOL + slack inside the
+       hyperplane of a visited facet. The r points of T lie at most
+       FACET_ACTIVE_TOL + slack above it, so each lies within
+       r (tau + FACET_ACTIVE_TOL + slack) + (r - 1)(FACET_ACTIVE_TOL + slack) < G
+       below it: T holds members only.
+    3. One-sided hyperplanes of two facets' member subsets that matched
+       within FACET_MATCH_TOL would give a member of one facet off the other
+       side values within FACET_MATCH_TOL (1 + reach) + 2 slack of each
+       other, above -FACET_ACTIVE_TOL and at most -G; so the dedup merges no
+       two facets. Within a facet every one-sided member hyperplane has the
+       members as active set, so the first is the one listed. The subset
+       search lists exactly the facets' hyperplanes, each at the subset the
+       walk gives for it, in the order ``combinations`` lists those subsets.
     """
     active_tol = config.FACET_ACTIVE_TOL
     n, rank = hull_pts.shape
     reach = float(np.linalg.norm(hull_pts, axis=1).max())
+    slack = 8 * rank * np.finfo(float).eps * float(np.abs(hull_pts).sum(axis=1).max())
     err = 2 * 64 * rank * np.finfo(float).eps * math.sqrt(rank - 1) * reach
-    gap = 2 * rank * (active_tol + 2 * slack + err) + config.FACET_MATCH_TOL * (1 + reach)
+    gap = 3 * rank * (active_tol + 2 * slack + err) + config.FACET_MATCH_TOL * (1 + reach)
     bits = 1 << np.arange(n, dtype=np.int64)
 
     start = int(np.argmin(hull_pts[:, 0]))
     toward = hull_pts - hull_pts[start]
     members, normal = [start], -np.eye(rank)[0]
     flat = np.zeros((0, rank))  # orthonormal directions of the members' flat
+    cutoff = _rank_cutoff(np.array([reach]))
     for _ in range(rank - 1):
         # The unit projection, off the normal and the flat, of the axis it shortens least.
         rest = np.eye(rank) - np.outer(normal, normal) - flat.T @ flat
         turn = rest[np.argmax(np.einsum("ij,ij->i", rest, rest))]
         turn = turn / np.linalg.norm(turn)
         u, v = toward @ normal, toward @ turn
+        steps = toward - (toward @ flat.T) @ flat
+        lengths = np.linalg.norm(steps, axis=1)
         angle = np.arctan2(-u, -v)
         angle[members] = np.inf
+        angle[lengths <= cutoff] = np.inf  # points of the flat
         k = int(np.argmin(angle))
-        step = toward[k] - flat.T @ (flat @ toward[k])
-        size, length = math.hypot(u[k], v[k]), float(np.linalg.norm(step))
-        if not (size > 0 and length > 0):  # k repeats a point of the flat
+        if angle[k] == np.inf:
             return None
-        normal = (u[k] * turn - v[k] * normal) / size
-        flat = np.vstack([flat, step / length])
+        if size := math.hypot(u[k], v[k]):  # else k lies on the hyperplane already
+            normal = (u[k] * turn - v[k] * normal) / size
+        flat = np.vstack([flat, steps[k] / lengths[k]])
         members.append(k)
 
+    def passes(side, on, sigma_min):
+        tilt = 4 * math.sqrt(2.0) * reach * err / sigma_min
+        high = np.where(on, active_tol, -gap - tilt[:, None])
+        return bool((sigma_min > 2 * err).all() and (side <= high).all() and (side[on] >= -active_tol).all())
+
     frontier = seen = np.array([bits[members].sum()])
-    levels = []
+    wide = np.empty(0, dtype=np.int64)  # members of the facets with more than r, as bitmasks
+    held = []  # those facets' ridges with the point each pivot met, where more than its seed
+    facets, actives = [], []  # hyperplanes and the subsets giving them, per level; active sets
     while frontier.size:
-        on = (frontier[:, None] & bits) != 0
-        index = np.nonzero(on)[1].reshape(-1, rank)
-        anchors = hull_pts[index[:, 0]]
-        rows = hull_pts[index[:, 1:]] - anchors[:, None, :]
-        left, sv, svt = np.linalg.svd(rows)
-        spanning = sv[:, -1] > np.maximum(_rank_cutoff(sv), 2 * err)
-        if not spanning.all():
+        index = np.nonzero((frontier[:, None] & bits) != 0)[1].reshape(-1, rank)
+        spanning, svd, planes, side, _ = _spanned(hull_pts, index)
+        on = np.abs(side) <= active_tol
+        if not (spanning.all() and (svd[1][:, -1] > 2 * err).all()) or (frontier & ~(on @ bits)).any():
             return None
-        # Copies made as the subset search makes them, so that the products round alike.
-        planes, side, _ = _spanned_planes(hull_pts, anchors[spanning], svt[spanning, -1], active_tol)
-        tilt = 4 * math.sqrt(2.0) * reach * err / sv[:, -1]
-        if not ((side <= np.where(on, active_tol, -gap - tilt[:, None])).all()
-                and (side[on] >= -active_tol).all()):
+        # A seed with r members is a new facet; one with more may repeat one.
+        counts = on.sum(axis=1)
+        more = np.flatnonzero(counts > rank)
+        simple = counts == rank if more.size else slice(None)
+        if not passes(side[simple], on[simple], svd[1][simple, -1]):
             return None
-        levels.append((planes, index))
-        # Barycentric coordinates: 1 on the member left out of the ridge, 0 on the ridge.
-        inverse = np.matmul(svt[:, :-1].transpose(0, 2, 1) / sv[:, None, :], left.transpose(0, 2, 1))
-        along = np.matmul(hull_pts, inverse) - np.matmul(anchors[:, None, :], inverse)
-        v = np.concatenate([1.0 - along.sum(axis=2, keepdims=True), along], axis=2)
-        angle = np.arctan2(-side[..., None], -v)
-        angle[on] = np.inf
-        pivots = np.sort(frontier[:, None] - bits[index] + bits[np.argmin(angle, axis=1)], axis=None)
-        pivots = pivots[np.append(True, pivots[1:] != pivots[:-1])]
-        known = seen[np.minimum(np.searchsorted(seen, pivots), len(seen) - 1)] == pivots
-        frontier = pivots[~known]
+        facets.append((planes[simple], index[simple]))
+        actives += map(tuple, index[simple].tolist())
+        steps = _pivots(hull_pts, index[simple], [p[simple] for p in svd], side[simple], on[simple])[0].ravel()
+        steps, lands = [steps], [steps]
+        for k in more:
+            if (mask := on[k] @ bits) in wide:
+                continue
+            found = _wide_facet(hull_pts, np.flatnonzero(on[k]), passes)
+            if found is None:
+                return None
+            wide = np.append(wide, mask)
+            facets.append((found[0][None], found[1][None]))
+            actives.append(tuple(np.flatnonzero(on[k]).tolist()))
+            steps.append(found[2])
+            lands.append(found[3])
+            held.append(found[3][found[3] != found[2]])
+        # A pivot whose ridge and point a facet with more members holds lands there, with no SVD.
+        pivots, lands = np.concatenate(steps), np.concatenate(lands)
+        pivots = np.sort(pivots[((lands[:, None] & ~wide) != 0).all(axis=1)])
+        pivots = pivots[np.concatenate([pivots[:1] >= 0, pivots[1:] != pivots[:-1]])]
+        frontier = pivots[seen[np.minimum(np.searchsorted(seen, pivots), len(seen) - 1)] != pivots]
         seen = np.sort(np.concatenate([seen, frontier]))
-    planes, index = (np.concatenate(parts) for parts in zip(*levels))
-    firsts = np.lexsort(index.T[::-1])
-    return planes, firsts, [tuple(row) for row in index[firsts].tolist()]
+    # Pivots about the others' ridges land on their seeds' facets, which hold the seeds.
+    if held and ((np.concatenate(held)[:, None] & ~wide) != 0).all(axis=1).any():
+        return None
+    planes, subsets = (np.concatenate(parts) for parts in zip(*facets))
+    order = np.lexsort(subsets.T[::-1]).tolist()
+    return planes[order], subsets[order], [actives[k] for k in order]
+
+
+def _wide_facet(hull_pts, members, passes):
+    """A facet with more members than the rank, as the walk checks it, or None where it fails.
+
+    Returns its hyperplane, its first one-sided member subset, and per ridge
+    the next seed and the ridge's members with the point met, as bitmasks.
+    """
+    n, rank = hull_pts.shape
+    subsets = np.fromiter(chain.from_iterable(combinations(members.tolist(), rank)), dtype=np.intp)
+    subsets = subsets.reshape(-1, rank)
+    spanning, svd, planes, side, one_sided = _spanned(hull_pts, subsets)
+    on = np.zeros_like(side, dtype=bool)
+    on[:, members] = True
+    keep = np.flatnonzero(spanning)[one_sided]
+    svd, side, on = [part[keep] for part in svd], side[one_sided], on[one_sided]
+    if not (len(keep) and passes(side, on, svd[1][:, -1])):
+        return None
+    seeds, far, v, inverse = _pivots(hull_pts, subsets[keep], svd, side, on)
+    # Distances inside each ridge along the subset's hyperplane, v over the
+    # norm of its gradient; the facet's ridges are those with every member
+    # within FACET_ACTIVE_TOL inside.
+    grads = np.concatenate([-inverse.sum(axis=2, keepdims=True), inverse], axis=2)
+    inside = v / np.linalg.norm(grads, axis=1)[:, None, :]
+    ridge = on[..., None] & (np.abs(inside) <= config.FACET_ACTIVE_TOL)
+    inner = ((inside >= -config.FACET_ACTIVE_TOL) | ~on[..., None]).all(axis=1)
+    lands = np.einsum("mnr,n->mr", ridge, 1 << np.arange(n, dtype=np.int64)) + far
+    lands, first = np.unique(lands[inner], return_index=True)
+    return planes[one_sided][0], subsets[keep[0]], seeds[inner][first], lands
+
+
+def _pivots(hull_pts, subsets, svd, side, on):
+    """Per ridge of the subsets' simplices, each less one point: the next seed and the point met.
+
+    ``svd`` is that of each subset's rows A, ``side`` the side values of its
+    hyperplane and ``on`` its facet's members. Column j of the pseudo-inverse
+    of A is orthogonal to the ridge without point j + 1 and has unit product
+    with that point's row, so the coordinates v of the points along the
+    columns, with 1 less their sum first, are barycentric: 1 on the point
+    left out and 0 on the ridge. The pivot about a ridge meets first the
+    point off the facet of least atan2(-u, -v), with u the side value. Seeds
+    and points come as bitmasks, then v and the pseudo-inverses.
+    """
+    bits = 1 << np.arange(len(hull_pts), dtype=np.int64)
+    left, sv, svt = svd
+    inverse = np.matmul(svt[:, :-1].transpose(0, 2, 1) / sv[:, None, :], left.transpose(0, 2, 1))
+    anchors = hull_pts[subsets[:, 0]]
+    along = np.matmul(hull_pts, inverse) - np.matmul(anchors[:, None, :], inverse)
+    v = np.concatenate([1.0 - along.sum(axis=2, keepdims=True), along], axis=2)
+    angle = np.arctan2(-side[..., None], -v)
+    angle[on] = np.inf
+    far = bits[np.argmin(angle, axis=1)]
+    members = bits[subsets]
+    return members.sum(axis=1, keepdims=True) - members + far, far, v, inverse
 
 
 def _unmatched(planes, kept_planes) -> np.ndarray:
@@ -516,63 +586,6 @@ def _rank_cutoff(sing):
     return np.maximum(
         config.FACET_RANK_ABS_CUTOFF, sing[..., 0] * config.FACET_RANK_REL_CUTOFF
     )
-
-
-def _prefilter(rows, anchors, hull_pts, limit):
-    """Cheap unit normals of a block of subsets, and per subset the margin that proves it two-sided.
-
-    ``rows`` stacks each subset's spanning rows A, (rank - 1) x rank, and
-    ``anchors`` their anchor points a. Each A with the probe row appended is
-    solved for e_rank in one stacked call, and the unit solution n is a
-    cheap normal. If that call raises, a second one leaves out the systems
-    whose determinant, from the same LU, is zero; a subset left without a
-    finite n proves nothing and goes to the SVD. A subset with some point
-    above ``limit + delta`` and some below ``-limit - delta`` under n cannot
-    be a facet, where delta bounds how far its side values can lie from the
-    SVD normal v's for any A the SVD would call spanning:
-
-    - with gamma = 64 * rank * eps, generous for the SVD's backward error,
-      the SVD's singular values are within gamma ||A||_F of the exact ones,
-      and sigma_max >= ||A||_F / sqrt(rank - 1); so a kept A, whose
-      computed sigma_min exceeds FACET_RANK_REL_CUTOFF * sigma_max, has
-      sigma_min >= s = ||A||_F (REL / sqrt(rank - 1) - 2 gamma);
-    - a unit x whose part w orthogonal to the null vector u of A has
-      ||A x|| >= s ||w||, so x is within sqrt(2) ||w|| <= sqrt(2) ||A x|| / s
-      of +u or -u;
-    - v is a null vector of A + E with ||E|| <= gamma ||A||_F, so
-      ||A v|| <= gamma ||A||_F, and the computed ||A n|| is within another
-      gamma ||A||_F of the exact one: up to sign, n and v are within
-      sqrt(2) (||A n|| + 2 gamma ||A||_F) / s, plus 8 * rank * eps for
-      their norms being one only to rounding;
-    - a side value (q - a) . x then moves by at most
-      (max ||q|| + ||a||) times that distance.
-
-    ``limit`` carries the active tolerance and the rounding slack of the
-    side values themselves.
-    """
-    count, rank = anchors.shape
-    eps = np.finfo(float).eps
-    square = np.empty((count, rank, rank))
-    square[:, :-1] = rows
-    square[:, -1] = np.cos(FACET_PROBE_ANGLE * np.arange(1, rank + 1))
-    unit = np.zeros(rank)
-    unit[-1] = 1.0
-    with np.errstate(all="ignore"):
-        try:
-            normals = np.linalg.solve(square, unit)
-        except np.linalg.LinAlgError:
-            normals = np.full((count, rank), np.nan)
-            regular = np.linalg.det(square) != 0
-            with suppress(np.linalg.LinAlgError):
-                normals[regular] = np.linalg.solve(square[regular], unit)
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        size = np.linalg.norm(rows, axis=(1, 2))
-        residual = np.linalg.norm(np.einsum("ijk,ik->ij", rows, normals), axis=1)
-        gamma = 64 * rank * eps
-        floor = size * max(0.0, config.FACET_RANK_REL_CUTOFF / math.sqrt(rank - 1) - 2 * gamma)
-        apart = math.sqrt(2.0) * (residual + 2 * gamma * size) / floor + 8 * rank * eps
-        reach = float(np.linalg.norm(hull_pts, axis=1).max()) + np.linalg.norm(anchors, axis=1)
-    return normals, limit + reach * apart
 
 
 def facet_enumeration(generators) -> list[Facet]:

@@ -1,5 +1,5 @@
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -23,12 +23,10 @@ from kdwitness import (
     real_to_hermitian,
     rho_lambda,
 )
-from kdwitness import config, geometry
+from kdwitness import geometry
 from kdwitness.geometry import (
     FACET_BLOCK,
-    FACET_PROBE_ANGLE,
     Facet,
-    _prefilter,
     facet_enumeration_points,
     finite_convex_roof_points,
     membership_lp_points,
@@ -161,61 +159,39 @@ def _assert_same_facets(points, name=""):
 @pytest.fixture
 def subset_search(monkeypatch):
     """Facet enumeration without its gift wrapping, so that every set takes the subset search."""
-    monkeypatch.setattr(geometry, "_wrap", lambda hull_pts, slack: None)
+    monkeypatch.setattr(geometry, "_wrap", lambda hull_pts: None)
 
 
 def _hull_coordinates(points):
-    """Hull coordinates and rounding slack of a point set, as facet_enumeration_points makes them."""
+    """Hull coordinates of a point set, as facet_enumeration_points makes them."""
     deltas = points - points.mean(axis=0)
     _, sing, vt = np.linalg.svd(deltas, full_matrices=False)
     rank = int(np.count_nonzero(sing > max(1e-12, sing[0] * 1e-9)))
-    hull_pts = deltas @ vt[:rank].T
-    slack = 8 * rank * np.finfo(float).eps * float(np.abs(hull_pts).sum(axis=1).max())
-    return hull_pts, slack
+    return deltas @ vt[:rank].T
 
 
 def _wraps_as_the_subset_search(points, name=""):
     """Whether gift wrapping gave a result; when it does, the subset search's to the bit."""
-    hull_pts, slack = _hull_coordinates(points)
-    wrapped = geometry._wrap(hull_pts, slack)
+    hull_pts = _hull_coordinates(points)
+    wrapped = geometry._wrap(hull_pts)
     if wrapped is None:
         return False
-    searched = geometry._subset_search(hull_pts, slack)
+    searched = geometry._subset_search(hull_pts)
     assert wrapped[2] == searched[2], name
-    assert wrapped[0][wrapped[1]].tobytes() == searched[0][searched[1]].tobytes(), name
+    assert (wrapped[1] == searched[1]).all(), name
+    assert wrapped[0].tobytes() == searched[0].tobytes(), name
     return True
 
 
-def _prefilter_on(points, subset):
-    """The prefilter's margin m for one subset of a full-rank set, and whether it drops it."""
-    deltas = points - points.mean(axis=0)
-    _, _, vt = np.linalg.svd(deltas, full_matrices=False)
-    hull_pts = deltas @ vt.T
-    slack = 8 * len(subset) * np.finfo(float).eps * float(np.abs(hull_pts).sum(axis=1).max())
-    anchors = hull_pts[list(subset[:1])]
-    rows = hull_pts[list(subset[1:])][None] - anchors[:, None, :]
-    normals, margin = _prefilter(rows, anchors, hull_pts, 1e-7 + slack)
-    side = hull_pts @ normals[0] - normals[0] @ anchors[0]
-    return float(margin[0]), bool(side.max() > margin[0] and side.min() < -margin[0])
-
-
-@pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_points_at_the_prefilter_margin_give_the_reference_facets(subset_search, sign, factor):
+def test_a_point_near_a_tetrahedron_facet_gives_the_reference_facets(sign):
     # The base triangle 0, 1, 2 spans a facet of the tetrahedron; a fifth point
-    # sits factor * m inside (sign +1) or outside (sign -1) its plane.
+    # sits inside (sign +1) or outside (sign -1) its plane, at heights on both
+    # sides of the active tolerance. Within it, that facet has four members.
     tetrahedron = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 1.0]])
-
-    def with_point(height):
-        return np.vstack([tetrahedron, [[0.3, 0.3, height]]])
-
-    margin, _ = _prefilter_on(with_point(sign * 1e-4), (0, 1, 2))
-    assert 1e-6 < margin < 1e-2
-    points = with_point(sign * factor * margin)
-    _, dropped = _prefilter_on(points, (0, 1, 2))
-    if factor != 1.0:
-        assert dropped == (sign < 0 and factor > 1.0)
-    _assert_same_facets(points)
+    for height in (1e-4, 1e-5, 1e-6, 2e-7, 1e-7, 5e-8, 1e-8, 1e-9):
+        points = np.vstack([tetrahedron, [[0.3, 0.3, sign * height]]])
+        _assert_same_facets(points, f"height {sign * height:g}")
 
 
 @pytest.mark.parametrize("ratio", [0.5, 2.0, 5.0, 10.0])
@@ -236,29 +212,18 @@ def test_facets_spanned_near_the_rank_cutoff_match_the_reference(ratio):
         _assert_same_facets(points @ rotation.T, f"ratio {ratio}")
 
 
-def test_prefilter_margin_covers_the_gap_to_the_svd_normal():
-    # Sliver subsets within 10x the rank cutoff, where the cheap and the SVD
-    # normals differ most: every side value under one lies within the
-    # derived delta (the margin less its limit) of the other's, up to sign.
+def test_sliver_subsets_give_the_reference_facets():
+    # Sliver subsets within 10x the rank cutoff, whose SVD normals are the
+    # least determined, among five far points.
     rng = np.random.default_rng(17)
-    limit = 1e-7
-    worst = 0.0
     for ratio in np.linspace(1.1, 10.0, 60):
         e = 5.0 * ratio * 1e-9
         rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         sliver = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, e, 0.0]])
         points = np.vstack([sliver, rng.uniform(-30.0, 30.0, (5, 3))]) @ rotation.T
-        rows = (points[1:3] - points[0])[None]
-        _, sv, svt = np.linalg.svd(rows)
-        assert sv[0, -1] > 1e-9 * sv[0, 0]
-        cheap, margin = _prefilter(rows, points[:1], points, limit)
-        delta = float(margin[0]) - limit
-        sides = [(points - points[0]) @ normal for normal in (cheap[0], svt[0, -1])]
-        gap = min(np.abs(sides[0] - sides[1]).max(), np.abs(sides[0] + sides[1]).max())
-        assert gap <= delta, ratio
-        assert delta < 0.1
-        worst = max(worst, gap)
-    assert worst > 1e-9
+        sv = np.linalg.svd(points[1:3] - points[0], compute_uv=False)
+        assert sv[-1] > 1e-9 * sv[0]
+        _assert_same_facets(points, f"ratio {ratio}")
 
 
 def _record_stacked_svd(monkeypatch):
@@ -275,45 +240,16 @@ def _record_stacked_svd(monkeypatch):
     return received
 
 
-def test_blocks_without_cheap_normals_reach_the_svd_and_match_the_reference(
-    monkeypatch, subset_search
-):
+def test_the_subset_search_sends_every_subset_to_the_svd(monkeypatch, subset_search):
     cases = _reference_cases()
     received = _record_stacked_svd(monkeypatch)
-
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
-
     # Every subset: C(15, 5) on spin-1, C(3, 2) on the triangle and
     # C(14, 8) in 3 blocks on generic_14.
     subsets = {"spin1": 3003, "triangle": 3, "generic_14": 3003}
-    for solve in (singular, lambda a, b: np.full(a.shape[:-1], np.nan)):
-        monkeypatch.setattr(np.linalg, "solve", solve)
-        for name, count in subsets.items():
-            received.clear()
-            _assert_same_facets(cases[name], name)
-            assert len(received) == count, name
-
-
-def test_exactly_singular_probe_systems_reach_the_svd(monkeypatch, subset_search):
-    # On spin-1 some subsets' probe systems are exactly singular, so every
-    # block's stacked solve raises; those systems get no cheap normal, and
-    # the stacked SVD judges them.
-    points = _reference_cases()["spin1"]
-    deltas = points - points.mean(axis=0)
-    _, sing, vt = np.linalg.svd(deltas, full_matrices=False)
-    rank = int(np.count_nonzero(sing > 1e-9 * sing[0]))
-    hull_pts = deltas @ vt[:rank].T
-    subsets = np.array(list(combinations(range(len(points)), rank)))
-    square = np.empty((len(subsets), rank, rank))
-    square[:, :-1] = hull_pts[subsets[:, 1:]] - hull_pts[subsets[:, :1]]
-    square[:, -1] = np.cos(FACET_PROBE_ANGLE * np.arange(1, rank + 1))
-    singular = square[np.linalg.det(square) == 0, :-1]
-    assert 0 < len(singular) < len(subsets)
-    received = _record_stacked_svd(monkeypatch)
-    _assert_same_facets(points)
-    assert len(received) < len(subsets)
-    assert {a.tobytes() for a in singular} <= {a.tobytes() for a in received}
+    for name, count in subsets.items():
+        received.clear()
+        _assert_same_facets(cases[name], name)
+        assert len(received) == count, name
 
 
 def test_gift_wrapping_gives_the_subset_search_on_generic_sets():
@@ -325,6 +261,27 @@ def test_gift_wrapping_gives_the_subset_search_on_generic_sets():
     rng = np.random.default_rng(40)
     for rank in (3, 5):
         assert _wraps_as_the_subset_search(rng.standard_normal((rank + 1, rank)), "simplex")
+
+
+def test_gift_wrapping_gives_the_subset_search_on_non_simplicial_sets():
+    spin1 = _real_projectors(SPIN1.min_uncertainty_states)
+    cases = {
+        # Rank 5; 16 of its 28 facets hold 6, 7 or 9 of the 15 points.
+        "spin1": spin1,
+        # Copies lie on every facet of their originals, and subsets holding
+        # both do not span.
+        "spin1_three_repeated": np.vstack([spin1, spin1[[0, 4, 9]]]),
+        "cube": np.array(list(product([0.0, 1.0], repeat=3))),
+        # Axis-aligned, so the first facet's rotations meet points on their axis.
+        "4-cube": np.array(list(product([0.0, 1.0], repeat=4))),
+        # Generators inside facets and on edges.
+        "3 x 3 x 2 grid": np.array(list(product([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0.0, 1.0]))),
+        "triangular prism": np.array(
+            [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+        ),
+    }
+    for name, points in cases.items():
+        assert _wraps_as_the_subset_search(points, name), name
 
 
 def _near_facet(points, depth):
@@ -342,13 +299,15 @@ def test_gift_wrapping_near_degenerate_sets_gives_the_subset_search_or_gives_up(
             name = f"{sign * 10.0**-k:g} inside a facet"
             outcomes[sign, k] = _wraps_as_the_subset_search(_near_facet(base, sign * 10.0**-k), name)
     # Within the active tolerance the point lies on the facet, which then
-    # has nine members; far off it the set is generic again.
-    assert not any(outcomes[sign, k] for sign in (1.0, -1.0) for k in (7, 8, 9))
-    assert all(outcomes[sign, 3] for sign in (1.0, -1.0))
+    # has nine members, and the walk passes through it; at the tolerance it
+    # gives up; far off it the set is generic again.
+    assert all(outcomes[sign, k] for sign in (1.0, -1.0) for k in (3, 8, 9))
+    assert not any(outcomes[sign, 7] for sign in (1.0, -1.0))
     for k in (4, 8, 12):
         near_copy = np.vstack([base, base[5] + 10.0**-k * np.sin(np.arange(base.shape[1]))])
         wrapped = _wraps_as_the_subset_search(near_copy, f"a copy 1e-{k} off a point")
-        assert k == 4 or not wrapped
+        # Below the rank cutoff the copy lies on every facet of its original.
+        assert k == 4 or wrapped == (k == 12)
     spin1 = _real_projectors(SPIN1.min_uncertainty_states)
     rng = np.random.default_rng(41)
     for k in range(6, 10):
@@ -362,18 +321,18 @@ def test_facet_enumeration_falls_back_to_the_subset_search_only_where_wrapping_g
     searched = []
     search = geometry._subset_search
 
-    def recorded(hull_pts, slack):
+    def recorded(hull_pts):
         searched.append(len(hull_pts))
-        return search(hull_pts, slack)
+        return search(hull_pts)
 
     monkeypatch.setattr(geometry, "_subset_search", recorded)
-    assert comb(16, 8) >= config.FACET_WRAP_MIN_SUBSETS
     facet_enumeration_points(_generic_projectors(16, 316))
-    assert searched == []
+    facet_enumeration_points(_generic_projectors(11, 311))
     assert len(facet_enumeration_points(_real_projectors(SPIN1.min_uncertainty_states))) == 28
+    assert searched == []
+    # A point at the active tolerance of a facet.
+    facet_enumeration_points(_near_facet(_generic_projectors(14, 314), 1e-7))
     assert searched == [15]
-    facet_enumeration_points(_near_facet(_generic_projectors(14, 314), 1e-8))
-    assert searched == [15, 15]
 
 
 def test_rank_one_and_rank_two_sets_match_the_reference():
