@@ -358,19 +358,19 @@ def _wrap(hull_pts):
     """The subset search's result by gift wrapping, or None where it cannot prove it equal.
 
     The first facet comes from the point of least first hull coordinate and
-    the supporting hyperplane of normal -e_0, rotated rank - 1 times, each
-    time about the flat of the points found so far, onto the point off that
-    flat it meets first. Then each breadth-first level takes the frontier's
-    seeds, r points each with r the rank, through one stacked SVD with the
-    subset search's expressions (``_spanned``), so that each hyperplane and
-    side value has the bits the subset search gives that subset. A seed's
-    facet has as members the points within FACET_ACTIVE_TOL of its
-    hyperplane. A facet with r members is its seed, with the seed less one
-    member as its ridges. One with more, taken once by ``_wide_facet``,
-    runs those expressions on all its member r-subsets in ``combinations``
-    order: its hyperplane is the first that spans and is one-sided, and its
-    ridges those of these subsets' simplices with every member within
-    FACET_ACTIVE_TOL inside. ``_pivots`` turns a hyperplane about each ridge.
+    the supporting hyperplane of normal -e_0, rotated rank - 1 times about
+    the flat of the points found so far onto the point off that flat it
+    meets first, or kept if that point lies on it. Then each breadth-first
+    level takes the frontier's seeds, r points each with r the rank, through
+    one stacked SVD with the subset search's expressions (``_spanned``), so
+    that each hyperplane and side value has the bits the subset search gives
+    that subset. A seed's facet has as members the points within
+    FACET_ACTIVE_TOL of its hyperplane. A facet with r members is its seed,
+    its ridges the seed less one member. One with more, taken once by
+    ``_wide_facet``, runs those expressions on all its member r-subsets in
+    ``combinations`` order: its hyperplane is the first that spans and is
+    one-sided, and its ridges those of these subsets' simplices with every
+    member within FACET_ACTIVE_TOL inside. ``_pivots`` pivots about ridges.
 
     With gamma = 64 r eps, generous for the SVD's backward error, reach the
     largest norm of a point, err = 2 gamma sqrt(r - 1) reach, which bounds
