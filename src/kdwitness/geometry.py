@@ -381,13 +381,13 @@ def _wrap(hull_pts):
     - every seed spans under the subset search's SVD rule with
       sigma_min > 2 err, and its points are members of its facet;
     - every one-sided hyperplane of a facet's member r-subsets, of which
-      there is one at least, has sigma_min > 2 err, |side| <=
-      FACET_ACTIVE_TOL on the members and side <= -(G + t) elsewhere, where
-      G = 3 r (FACET_ACTIVE_TOL + 2 slack + err) + FACET_MATCH_TOL (1 + reach)
-      and t = 4 sqrt(2) reach err / sigma_min bounds how far the side values
-      lie from those of the exact hyperplane through the subset (the SVD
-      normal is within sqrt(2) err over the exact sigma_min, at least
-      sigma_min / 2, of its normal; t is below 1e-10 on generic sets);
+      there is one at least, has sigma_min > 2 err, |side| <= e <=
+      FACET_ACTIVE_TOL on the members and side <= -(G + t) elsewhere, with
+      G = r (FACET_ACTIVE_TOL + 4 slack + err) + (2 r - 1) e
+      + FACET_MATCH_TOL (1 + reach); t = 4 sqrt(2) reach err / sigma_min
+      bounds the side values' distance from those of the exact hyperplane
+      through the subset, whose normal the SVD's is within 2 sqrt(2) err /
+      sigma_min of (t is below 1e-10 on generic sets);
     - a pivot about a ridge of a facet with more than r members lands on a
       facet holding that ridge's members and the point it met.
 
@@ -410,11 +410,10 @@ def _wrap(hull_pts):
     2. The subset search keeps no subset T outside every facet's members.
        If T's hyperplane were one-sided, T's centroid would lie within
        tau = FACET_ACTIVE_TOL + 2 slack + gamma ||A_T||_F inside a facet or
-       piece, so within tau + FACET_ACTIVE_TOL + slack inside the
-       hyperplane of a visited facet. The r points of T lie at most
-       FACET_ACTIVE_TOL + slack above it, so each lies within
-       r (tau + FACET_ACTIVE_TOL + slack) + (r - 1)(FACET_ACTIVE_TOL + slack) < G
-       below it: T holds members only.
+       piece, so within tau + e + slack inside the hyperplane of a visited
+       facet. The r points of T lie at most e + slack above it, so each lies
+       within r (tau + e + slack) + (r - 1)(e + slack) < G - slack below
+       it: T holds members only.
     3. One-sided hyperplanes of two facets' member subsets that matched
        within FACET_MATCH_TOL would give a member of one facet off the other
        side values within FACET_MATCH_TOL (1 + reach) + 2 slack of each
@@ -429,7 +428,7 @@ def _wrap(hull_pts):
     reach = float(np.linalg.norm(hull_pts, axis=1).max())
     slack = 8 * rank * np.finfo(float).eps * float(np.abs(hull_pts).sum(axis=1).max())
     err = 2 * 64 * rank * np.finfo(float).eps * math.sqrt(rank - 1) * reach
-    gap = 3 * rank * (active_tol + 2 * slack + err) + config.FACET_MATCH_TOL * (1 + reach)
+    gap = rank * (active_tol + 4 * slack + err) + config.FACET_MATCH_TOL * (1 + reach)
     bits = 1 << np.arange(n, dtype=np.int64)
 
     start = int(np.argmin(hull_pts[:, 0]))
@@ -457,8 +456,9 @@ def _wrap(hull_pts):
         members.append(k)
 
     def passes(side, on, sigma_min):
+        spread = np.abs(np.where(on, side, 0.0)).max(axis=1)
         tilt = 4 * math.sqrt(2.0) * reach * err / sigma_min
-        high = np.where(on, active_tol, -gap - tilt[:, None])
+        high = np.where(on, active_tol, -(gap + (2 * rank - 1) * spread + tilt)[:, None])
         return bool((sigma_min > 2 * err).all() and (side <= high).all() and (side[on] >= -active_tol).all())
 
     frontier = seen = np.array([bits[members].sum()])
