@@ -183,15 +183,18 @@ def _wraps_as_the_subset_search(points, name=""):
     return True
 
 
+@pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_a_point_near_a_tetrahedron_facet_gives_the_reference_facets(sign):
+def test_points_at_the_prefilter_margin_give_the_reference_facets(sign, factor):
     # The base triangle 0, 1, 2 spans a facet of the tetrahedron; a fifth point
-    # sits inside (sign +1) or outside (sign -1) its plane, at heights on both
-    # sides of the active tolerance. Within it, that facet has four members.
+    # sits inside (sign +1) or outside (sign -1) its plane, at factor times
+    # heights on both sides of the active tolerance, from 1e-4 (about where the
+    # subset search's former prefilter set its margin) down to 1e-9. Within the
+    # tolerance, that facet has four members.
     tetrahedron = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 1.0]])
     for height in (1e-4, 1e-5, 1e-6, 2e-7, 1e-7, 5e-8, 1e-8, 1e-9):
-        points = np.vstack([tetrahedron, [[0.3, 0.3, sign * height]]])
-        _assert_same_facets(points, f"height {sign * height:g}")
+        points = np.vstack([tetrahedron, [[0.3, 0.3, sign * factor * height]]])
+        _assert_same_facets(points, f"height {sign * factor * height:g}")
 
 
 @pytest.mark.parametrize("ratio", [0.5, 2.0, 5.0, 10.0])
@@ -240,16 +243,40 @@ def _record_stacked_svd(monkeypatch):
     return received
 
 
-def test_the_subset_search_sends_every_subset_to_the_svd(monkeypatch, subset_search):
+def test_blocks_without_cheap_normals_reach_the_svd_and_match_the_reference(
+    monkeypatch, subset_search
+):
     cases = _reference_cases()
     received = _record_stacked_svd(monkeypatch)
-    # Every subset: C(15, 5) on spin-1, C(3, 2) on the triangle and
-    # C(14, 8) in 3 blocks on generic_14.
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    # Every subset, also where linear solves fail: C(15, 5) on spin-1,
+    # C(3, 2) on the triangle and C(14, 8) in 3 blocks on generic_14.
     subsets = {"spin1": 3003, "triangle": 3, "generic_14": 3003}
-    for name, count in subsets.items():
-        received.clear()
-        _assert_same_facets(cases[name], name)
-        assert len(received) == count, name
+    for solve in (singular, lambda a, b: np.full(a.shape[:-1], np.nan)):
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        for name, count in subsets.items():
+            received.clear()
+            _assert_same_facets(cases[name], name)
+            assert len(received) == count, name
+
+
+def test_exactly_singular_probe_systems_reach_the_svd(monkeypatch, subset_search):
+    # On spin-1 some subsets' rows are singular, so those subsets span no
+    # hyperplane; the stacked SVD judges them with all the others.
+    points = _reference_cases()["spin1"]
+    hull_pts = _hull_coordinates(points)
+    subsets = np.array(list(combinations(range(len(points)), hull_pts.shape[1])))
+    rows = hull_pts[subsets[:, 1:]] - hull_pts[subsets[:, :1]]
+    sing = np.linalg.svd(rows, compute_uv=False)
+    singular = rows[sing[:, -1] <= 1e-12 * sing[:, 0]]
+    assert 0 < len(singular) < len(subsets)
+    received = _record_stacked_svd(monkeypatch)
+    _assert_same_facets(points)
+    assert len(received) == len(subsets)
+    assert {a.tobytes() for a in singular} <= {a.tobytes() for a in received}
 
 
 def test_gift_wrapping_gives_the_subset_search_on_generic_sets():
