@@ -1,4 +1,4 @@
-"""Layer timings: minimal-state enumeration, the KD-positive filter, the annealer, minors, hull LPs, finite roofs, facets, repeat calls, both convex roofs, the command line.
+"""Layer timings: minimal-state enumeration, the pattern solve at d = 7 and 8, the KD-positive filter, the annealer, minors, hull LPs, finite roofs, facets, repeat calls, both convex roofs, the command line.
 
 Packages that keep per-basis work for reuse (``kdwitness.basis``) get their
 cache cleared before every timed call of a cached layer, so each layer is
@@ -14,6 +14,11 @@ pinned to one thread, times
   KD-positive minimal states (as ``nonpositivity_roof_bounds`` anchors it),
   at ``ROOF_CONFIG`` (4 restarts x 300 steps); its time is also given in µs
   per step, one step being one restart's proposal, score and accept test.
+
+At d = 7 and 8 (``PATTERN_SOLVE_DIMS``), past the enumeration's dimension
+guard, it times the guarded solve itself, ``pure_positive._solve_patterns``
+at the default tolerances, on ``haar_unitary(d, 1000 + d)``, with the number
+of patterns, C(2d, d + 1), and of states.
 
 It times ``complete_incompatibility`` on ``haar_unitary(d, 1000 + d)`` at
 d = 3..8 and on the DFT matrix ``dft_matrix(8)`` ("dft8", whose many
@@ -119,7 +124,10 @@ annealer rows (``roof_upper_bound`` at d = 3..6, which serve as controls):
 it imports the other checkout's package under a second name and times the
 two packages in one process, one call each per block, the order turning
 every block, and adds an "alternating" entry with both medians and their
-ratio; the nonpositivity-roof rows are timed the same way, in
+ratio. The enumeration rows at d = 3..6 and the pattern-solve rows at d = 7
+and 8 are timed the same way, and their entries say whether both packages
+gave the same states bytes, patterns and degenerate patterns
+(``same_states``); the nonpositivity-roof rows are timed the same way, in
 ``NONPOS_RUNS`` blocks, and so are the cli rows, whose entries also say
 whether both packages wrote the same report apart from ``timing_seconds``
 (``same_report``), and the ``facet_enumeration_points`` rows, whose entries
@@ -153,6 +161,7 @@ NEAR_FACET_DEPTH = 1e-8
 MINOR_DIMS = range(3, 9)
 MEMBERSHIP_DIMS = range(4, 7)
 AGAIN_DIMS = range(4, 7)
+PATTERN_SOLVE_DIMS = (7, 8)
 SUPPORT_DIMS = (4, 5)
 SUPPORT_RANKS = (2, 3)  # and full rank, where column generation takes the most rounds
 NONPOS_DIMS = (4, 5, 6)
@@ -439,6 +448,22 @@ def same_facets(ours, theirs) -> bool:
         and float(f.offset).hex() == float(g.offset).hex() for f, g in zip(ours, theirs))
 
 
+def solve_call(package, u):
+    """A call of the package's guarded pattern solve at the default tolerances."""
+    pure = importlib.import_module(f"{package.__name__}.pure_positive")
+    config = importlib.import_module(f"{package.__name__}.config")
+    return lambda: pure._solve_patterns(u, config.default_tol(), config.STATE_DEDUP_TOL)
+
+
+def same_states(ours, theirs) -> bool:
+    """Whether two state lists hold the same states bytes, patterns and degenerate patterns."""
+    def key(result):
+        return (result.states.tobytes(),
+                [(p.a_support, p.b_support) for p in result.patterns],
+                [(p.a_support, p.b_support, n) for p, n in result.degenerate_patterns])
+    return key(ours) == key(theirs)
+
+
 def once_with_pivots(package, call) -> dict:
     """One timed call of ``call``: its value or package error type, and its simplex pivots."""
     simplex = sys.modules[f"{package.__name__}.simplex"]
@@ -575,6 +600,16 @@ def record(args, cli_root) -> dict:
             },
         }
 
+    layers["pattern_solve"] = {}
+    for d in PATTERN_SOLVE_DIMS:
+        u = kdwitness.haar_unitary(d, 1000 + d)
+        solved, solve_times = timed(solve_call(kdwitness, u))
+        layers["pattern_solve"][f"d{d}"] = {
+            **summary_ms(solve_times),
+            "patterns": math.comb(2 * d, d + 1),
+            "states": len(solved),
+        }
+
     layers["complete_incompatibility"] = {}
     minor_bases = {f"d{d}": kdwitness.haar_unitary(d, 1000 + d) for d in MINOR_DIMS}
     minor_bases["dft8"] = dft_matrix(8)
@@ -706,6 +741,15 @@ def record(args, cli_root) -> dict:
                     rho, k.roof.nonpositivity_values_fn(u), k.AnnealConfig(**ROOF_CONFIG),
                     anchors=a))
                 for k in (kdwitness, other)]
+        states_rows = {}
+        for d in range(3, 7):
+            u = kdwitness.haar_unitary(d, 1000 + d)
+            states_rows[f"enumerate_min_uncertainty_states.d{d}"] = [
+                (lambda k=k, u=u: k.enumerate_min_uncertainty_states(u)) for k in (kdwitness, other)]
+        for d in PATTERN_SOLVE_DIMS:
+            u = kdwitness.haar_unitary(d, 1000 + d)
+            states_rows[f"pattern_solve.d{d}"] = [solve_call(k, u) for k in (kdwitness, other)]
+        pairs.update(states_rows)
         for name, (rho, u) in nonpos.items():
             pairs[f"nonpos_roof.{name}"] = [nonpos_call(k, rho, u) for k in (kdwitness, other)]
         pairs["cli.build_parser"] = [importlib.import_module(f"{k.__name__}.cli").build_parser
@@ -728,6 +772,8 @@ def record(args, cli_root) -> dict:
             if cli_row and name != "cli.build_parser":
                 reports = [report_without_timing(call()) for call in calls]
                 alternating[name]["same_report"] = reports[0] == reports[1]
+            if name in states_rows:
+                alternating[name]["same_states"] = same_states(*(call() for call in calls))
 
     facet_sets = facet_generators(kdwitness)
     layers["facet_enumeration_points"] = {}
@@ -765,6 +811,7 @@ def record(args, cli_root) -> dict:
         "minor_dims": list(MINOR_DIMS),
         "membership_dims": list(MEMBERSHIP_DIMS),
         "again_dims": list(AGAIN_DIMS),
+        "pattern_solve_dims": list(PATTERN_SOLVE_DIMS),
         "nonpos_dims": list(NONPOS_DIMS),
         "nonpos_runs": NONPOS_RUNS,
         "positive_mixture_seeds": list(POSITIVE_MIXTURE_SEEDS),
