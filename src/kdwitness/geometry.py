@@ -593,7 +593,7 @@ def facet_enumeration(generators) -> list[Facet]:
     d, points, _ = _embed(generators)
     facets = facet_enumeration_points(points)
     functionals = real_to_hermitian(np.reshape([f.functional for f in facets], (-1, d * d)), d)
-    return [replace(f, functional=h) for f, h in zip(facets, functionals)]
+    return [Facet(h, f.offset, f.active) for f, h in zip(facets, functionals)]
 
 
 def finite_convex_roof_points(values, target, points) -> tuple[float, np.ndarray]:
