@@ -8,7 +8,10 @@ bytes (and the solve's tolerances), in a cache of the last
 ``config.BASIS_CACHE_SIZE`` entries. What callers derive from the
 enumeration, such as its KD-positive subset, is recomputed per call.
 Callers still validate, guard and warn on every call; only the computed
-results are shared, and their arrays are read-only.
+results are shared, and their arrays are read-only. Tables that depend on
+the dimension alone, such as the enumeration's support patterns and the
+minor search's index sets, are built once per d per process, apart from
+this cache.
 """
 
 from functools import lru_cache, wraps

@@ -11,7 +11,8 @@ by KD positivity yields the pure KD-positive states of such a basis pair.
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -101,11 +102,36 @@ def _null_vectors(constraints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vh[:, -1].conj(), null_dims
 
 
-def _support_masks(subsets: list[tuple[int, ...]], d: int) -> np.ndarray:
-    """Boolean rows marking each index subset of range(d)."""
-    masks = np.zeros((len(subsets), d), dtype=bool)
-    masks[np.arange(len(subsets))[:, np.newaxis], np.array(subsets)] = True
-    return masks
+@lru_cache(maxsize=16)
+def _pattern_tables(d: int) -> tuple:
+    """Per family a = 1..d its gather and scatter positions; all masks and patterns.
+
+    Pattern k of family a pairs S in ``combinations(range(d), a)`` with T of
+    size d + 1 - a, in lexicographic order. The overlap with second-basis
+    vector j is sum_i psi_i conj(U_ij), so its system is conj(U)[S, outside
+    T].T, of shape (a - 1, a): the gather holds those flat positions in U,
+    the scatter the flat positions of S in row k of all patterns' states.
+    Mask row k marks S and then T.
+    """
+    families, masks, patterns = [], [], []
+    for size_a in range(1, d + 1):
+        subs_a = list(combinations(range(d), size_a))
+        subs_b = list(combinations(range(d), d + 1 - size_a))
+        of_a, of_b = np.divmod(np.arange(len(subs_a) * len(subs_b)), len(subs_b))
+        index_a = np.array(subs_a)[of_a]
+        mask = np.zeros((len(of_a), 2, d), dtype=bool)
+        np.put_along_axis(mask[:, 0], index_a, True, axis=1)
+        np.put_along_axis(mask[:, 1], np.array(subs_b)[of_b], True, axis=1)
+        outside_b = np.nonzero(~mask[:, 1])[1].reshape(len(of_a), size_a - 1)
+        rows = len(patterns) + np.arange(len(of_a))[:, np.newaxis]
+        families.append((index_a[:, np.newaxis] * d + outside_b[..., np.newaxis],
+                         rows * d + index_a))
+        masks.append(mask.reshape(len(of_a), 2 * d))
+        patterns += [SupportPattern(s, t) for s, t in product(subs_a, subs_b)]
+    masks = np.concatenate(masks)
+    for a in (masks, *chain.from_iterable(families)):
+        a.flags.writeable = False
+    return tuple(families), masks, tuple(patterns)
 
 
 def _drop_near_repeats(candidates: np.ndarray, dedup_tol: float) -> np.ndarray:
@@ -152,13 +178,15 @@ def enumerate_min_uncertainty_states(
     d+1 floor does not hold and the pattern family is not exhaustive).
     States are deduplicated up to global phase and returned with patterns
     in lexicographic order. The patterns with |S| = a form one family,
-    solved as one stack of (a-1) x a systems.
+    solved as one stack of (a-1) x a systems; the states of all families
+    are then normalised, phased and checked together.
 
     The dimension guard and the incompatibility check run, and the
     NonGenericPatternWarnings of the solve are issued, on every call; the
     solve runs once per basis, base tolerance and ``dedup_tol``, and later
     calls get the same list, with read-only states (see
-    :mod:`kdwitness.basis`).
+    :mod:`kdwitness.basis`). The pattern tables, which depend on d alone,
+    are built once per d per process.
     """
     eps = config.default_tol()
     dedup_tol = config.STATE_DEDUP_TOL if dedup_tol is None else dedup_tol
@@ -188,47 +216,30 @@ def enumerate_min_uncertainty_states(
 def _solve_patterns(u: np.ndarray, eps: float, dedup_tol: float) -> PureStateList:
     """The enumeration proper, for a basis already checked."""
     d = u.shape[0]
-    found_states: list[np.ndarray] = []
-    found_patterns: list[SupportPattern] = []
-    degenerate: list[tuple[SupportPattern, int]] = []
+    families, masks, patterns = _pattern_tables(d)
     u_conj = np.conj(u)
-    for size_a in range(1, d + 1):
-        subs_a = list(combinations(range(d), size_a))
-        subs_b = list(combinations(range(d), d + 1 - size_a))
-        masks_a, masks_b = _support_masks(subs_a, d), _support_masks(subs_b, d)
-        # Pattern k pairs subs_a[of_a[k]] with subs_b[of_b[k]], in lexicographic order.
-        of_a, of_b = np.divmod(np.arange(len(subs_a) * len(subs_b)), len(subs_b))
-        index_a = np.array(subs_a)[of_a]
-        outside_b = np.nonzero(~masks_b)[1].reshape(len(subs_b), size_a - 1)[of_b]
-        # The overlap with second-basis vector j is sum_i psi_i conj(U_ij), so
-        # pattern k's system is conj(U)[S, outside T].T, of shape (a - 1, a).
-        constraints = u_conj[index_a[:, np.newaxis, :], outside_b[:, :, np.newaxis]]
-        vectors, null_dims = _null_vectors(constraints)
-        degenerate.extend(
-            (SupportPattern(subs_a[of_a[k]], subs_b[of_b[k]]), int(null_dims[k]))
-            for k in np.flatnonzero(null_dims != 1)
-        )
-        solved = np.flatnonzero(null_dims == 1)
-        psi = np.zeros((solved.size, d), dtype=complex)
-        np.put_along_axis(psi, index_a[solved], vectors[solved], axis=1)
-        psi = canonical_phase(psi / np.linalg.norm(psi, axis=1, keepdims=True))
-        realized_a = (np.abs(psi) > eps) == masks_a[of_a[solved]]
-        realized_b = (np.abs(psi @ u_conj) > eps) == masks_b[of_b[solved]]
-        realized = np.all(realized_a & realized_b, axis=1)
-        found_states.append(psi[realized])
-        found_patterns.extend(
-            SupportPattern(subs_a[of_a[k]], subs_b[of_b[k]]) for k in solved[realized]
-        )
-
-    candidates = np.concatenate(found_states)
+    psi = np.zeros((len(patterns), d), dtype=complex)
+    null_dims = []
+    for gather, scatter in families:
+        vectors, dims = _null_vectors(u_conj.ravel()[gather])
+        np.put(psi, scatter, vectors)
+        null_dims.append(dims)
+    null_dims = np.concatenate(null_dims)
+    solved = np.flatnonzero(null_dims == 1)
+    psi = canonical_phase(psi[solved] / np.linalg.norm(psi[solved], axis=1, keepdims=True))
+    realized = np.hstack([np.abs(psi) > eps, np.abs(psi @ u_conj) > eps]) == masks[solved]
+    realized = np.all(realized, axis=1)
+    candidates, found = psi[realized], solved[realized]
     keep = _drop_near_repeats(candidates, dedup_tol)
     states = candidates[keep]
     states.flags.writeable = False
     return PureStateList(
         states=states,
-        patterns=tuple(found_patterns[k] for k in keep),
+        patterns=tuple(patterns[k] for k in found[keep].tolist()),
         dedup_tol=dedup_tol,
-        degenerate_patterns=tuple(degenerate),
+        degenerate_patterns=tuple(
+            (patterns[k], int(null_dims[k])) for k in np.flatnonzero(null_dims != 1).tolist()
+        ),
     )
 
 

@@ -87,6 +87,28 @@ def test_warnings_are_replayed_on_every_hit(monkeypatch):
     assert all(w.category is NonGenericPatternWarning for w in second_warnings)
 
 
+def test_solves_on_the_kept_pattern_tables_give_the_same_answer(monkeypatch):
+    # The pattern tables depend on d alone and outlive the per-basis cache.
+    monkeypatch.setattr(
+        pure_positive,
+        "complete_incompatibility",
+        lambda u, eps: SimpleNamespace(completely_incompatible=True),
+    )
+    for u in (haar_unitary(5, 9), dft_matrix(6)):
+        seen = []
+        for clear in (True, False, True):
+            if clear:
+                basis.clear_cache()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = enumerate_min_uncertainty_states(u)
+            seen.append((result.states.tobytes(), result.patterns, result.degenerate_patterns,
+                         [(w.category, str(w.message)) for w in caught]))
+        assert seen[0] == seen[1] == seen[2]
+        assert len(seen[0][3]) == len(seen[0][2])
+    assert len(seen[0][2]) > 1
+
+
 def test_typed_errors_on_every_call():
     for _ in range(2):
         with pytest.raises(NotCompletelyIncompatible):

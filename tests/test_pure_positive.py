@@ -1,3 +1,4 @@
+import math
 import warnings
 from itertools import combinations
 from types import SimpleNamespace
@@ -71,7 +72,8 @@ def _reference_enumeration(u, eps=1e-9, dedup_tol=1e-8):
                 realized_b = tuple(np.flatnonzero(np.abs(psi @ u_conj) > eps).tolist())
                 if realized_a != sub_a or realized_b != sub_b:
                     continue
-                if any(phase_invariant_distance(psi, s) <= dedup_tol for s in states):
+                # One call against every state kept so far, each entry with its pair's bits.
+                if states and (phase_invariant_distance(psi, np.array(states)) <= dedup_tol).any():
                     continue
                 states.append(psi)
                 patterns.append(pattern)
@@ -111,6 +113,37 @@ def test_enumeration_matches_the_per_pattern_reference(u):
     keep = [k for k, psi in enumerate(result.states) if is_kd_positive(kd_table(psi, u))]
     assert positive.patterns == tuple(result.patterns[k] for k in keep)
     assert np.array_equal(positive.states, result.states[keep])
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_pattern_tables_list_every_pattern_in_combinations_order(d):
+    families, masks, patterns = pure_positive._pattern_tables(d)
+    assert pure_positive._pattern_tables(d) is pure_positive._pattern_tables(d)
+    want = [SupportPattern(s, t) for a in range(1, d + 1)
+            for s in combinations(range(d), a) for t in combinations(range(d), d + 1 - a)]
+    assert len(patterns) == math.comb(2 * d, d + 1) == len(want)
+    assert list(patterns) == want
+    assert masks.shape == (len(patterns), 2 * d)
+    assert all(masks[k, :d].nonzero()[0].tolist() == list(p.a_support)
+               and masks[k, d:].nonzero()[0].tolist() == list(p.b_support)
+               for k, p in enumerate(patterns))
+    assert len(families) == d
+    start = 0
+    for a, (gather, scatter) in enumerate(families, start=1):
+        family = patterns[start:start + len(scatter)]
+        assert all(len(p.a_support) == a for p in family)
+        # Pattern k's system row j holds conj(U)[S, j] for each j outside T; its
+        # solution goes to S in row k of the stacked states.
+        assert gather.tolist() == [[[i * d + j for i in p.a_support]
+                                    for j in range(d) if j not in p.b_support] for p in family]
+        assert scatter.tolist() == [[(start + k) * d + i for i in p.a_support]
+                                    for k, p in enumerate(family)]
+        start += len(family)
+    assert start == len(patterns)
+    for array in (masks, *(a for family in families for a in family)):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.flat[0] = 0
 
 
 def test_degenerate_patterns_follow_the_reference_order(monkeypatch):
