@@ -226,9 +226,10 @@ def _solve_patterns(u: np.ndarray, eps: float, dedup_tol: float) -> PureStateLis
         null_dims.append(dims)
     null_dims = np.concatenate(null_dims)
     solved = np.flatnonzero(null_dims == 1)
-    psi = canonical_phase(psi[solved] / np.linalg.norm(psi[solved], axis=1, keepdims=True))
+    psi = psi[solved]
+    psi = canonical_phase(psi / np.linalg.norm(psi, axis=1, keepdims=True))
     realized = np.hstack([np.abs(psi) > eps, np.abs(psi @ u_conj) > eps]) == masks[solved]
-    realized = np.all(realized, axis=1)
+    realized = realized.all(axis=1)
     candidates, found = psi[realized], solved[realized]
     keep = _drop_near_repeats(candidates, dedup_tol)
     states = candidates[keep]
