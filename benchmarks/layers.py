@@ -76,12 +76,19 @@ columns of the last one and the simplex pivots of all of them (master
 pivots). Packages whose ``support_roof_bounds`` takes ``cfg`` anneal at
 ``ROOF_CONFIG``.
 
-It times ``nonpositivity_roof_bounds`` (the "nonpos_roof" layer) at
-``ROOF_CONFIG`` on the same spin-1 states and on states of
-``haar_unitary(d, 1000 + d)`` at d = 4..6 (``NONPOS_DIMS``) and ranks 2, 3
-and d, ``NONPOS_SEEDS`` of each: the first ``G G^H / Tr``, ``G`` from
-``default_rng(6000 + 100 s + 10 d + r)`` for seed s, that ``membership_lp``
-puts outside the hull of the KD-positive minimal states. Its rows carry the
+It times ``nonpositivity_roof_bounds`` (the "nonpos_roof" layer) on the
+same spin-1 states and on states of ``haar_unitary(d, 1000 + d)`` at d = 4..6
+(``NONPOS_DIMS``) and ranks 2, 3 and d, ``NONPOS_SEEDS`` of each: the first
+``G G^H / Tr``, ``G`` from ``default_rng(6000 + 100 s + 10 d + r)`` for seed
+s, that ``membership_lp`` puts outside the hull of the KD-positive minimal
+states. Three more rows have no hull route (``no_hull_states``): "nohull_dft4",
+the state of ``test_nonpositivity_roof_without_hull_route`` on ``dft_matrix(4)``
+(not completely incompatible); "nohull_dft6_rank6", ``G G^H / Tr`` on
+``dft_matrix(6)`` with ``G`` a 6 x 6 complex Gaussian from ``default_rng(2006)``;
+and "nohull_haar9", ``random_density(9, default_rng(9))`` on
+``haar_unitary(9, 9)`` (past the minor and enumeration guards). Packages whose
+``nonpositivity_roof_bounds`` takes ``cfg`` anneal at ``ROOF_CONFIG`` where
+there is no hull route. Its rows carry the
 upper bound, the same master-LP counts and, on one more untimed call, the
 time spent inside the roof module's nonpositivity pricer (``pricing_ms``,
 None for a package without ``_nonpositivity_pricer``). Being slow at full
@@ -95,7 +102,9 @@ the inside mixture of the 9 KD-positive states with weights
 ``default_rng(0).dirichlet``): ``table``, ``hull``, ``roof-support`` and
 ``roof-nonpos`` on both states (the roofs at ``CLI_ROOF_ARGS``, kdbench's
 settings), ``facets`` over the 15 minimal states, and ``spin1``, each with its
-exit code; and ``cli.build_parser()`` alone. The per-basis
+exit code; ``roof-nonpos`` at the command's defaults (no annealer flags) on
+the "nohull_dft4" state and basis ("roof-nonpos.dft4_defaults"); and
+``cli.build_parser()`` alone. The per-basis
 cache is kept between these calls, as in a session of commands on one basis.
 
 It prints one JSON record: per layer and dimension or set the median and
@@ -263,9 +272,12 @@ def support_call(package, rho, u):
 
 
 def nonpos_call(package, rho, u):
-    """A call of the package's ``nonpositivity_roof_bounds`` at ``ROOF_CONFIG``."""
-    cfg = package.AnnealConfig(**ROOF_CONFIG)
-    return lambda: package.nonpositivity_roof_bounds(rho, u, cfg=cfg)
+    """A call of the package's ``nonpositivity_roof_bounds``, at ``ROOF_CONFIG`` where it anneals."""
+    bounds = package.nonpositivity_roof_bounds
+    kwargs = {}
+    if "cfg" in inspect.signature(bounds).parameters:
+        kwargs["cfg"] = package.AnnealConfig(**ROOF_CONFIG)
+    return lambda: bounds(rho, u, **kwargs)
 
 
 def master_lps(package, call) -> dict:
@@ -370,7 +382,26 @@ def nonpos_states(kdwitness):
                     if kdwitness.membership_lp(rho, gens).verdict == "outside":
                         break
                 states[f"d{d}_rank{r}_s{seed}"] = (rho, u)
-    return states
+    return {**states, **no_hull_states(kdwitness)}
+
+
+def no_hull_states(kdwitness):
+    """The nonpositivity-roof layer's states without a hull route: name -> (rho, u)."""
+    import numpy as np
+
+    from kdwitness.linalg import complex_gaussian, projector, random_density
+
+    rng = np.random.default_rng(2)
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi /= np.linalg.norm(psi)
+    g = complex_gaussian((6, 6), np.random.default_rng(2006))
+    return {
+        "nohull_dft4": (0.7 * projector(psi) + 0.3 * np.eye(4) / 4.0, kdwitness.dft_matrix(4)),
+        "nohull_dft6_rank6": (g @ g.conj().T / np.trace(g @ g.conj().T).real,
+                              kdwitness.dft_matrix(6)),
+        "nohull_haar9": (random_density(9, np.random.default_rng(9)),
+                         kdwitness.haar_unitary(9, 9)),
+    }
 
 
 def cli_commands(kdwitness, root) -> dict:
@@ -402,6 +433,10 @@ def cli_commands(kdwitness, root) -> dict:
             commands[f"{roof}.{where}"] = [roof, *state, *CLI_ROOF_ARGS]
     commands["facets"] = ["facets", "--generators", *gens]
     commands["spin1"] = ["spin1"]
+    dft4_state, dft4_basis = no_hull_states(kdwitness)["nohull_dft4"]
+    commands["roof-nonpos.dft4_defaults"] = [
+        "roof-nonpos", "--state", saved("dft4_state", dft4_state, "density"),
+        "--basis", saved("dft4_basis", dft4_basis, "unitary")]
     return {name: [*argv, "--json"] for name, argv in commands.items()}
 
 
