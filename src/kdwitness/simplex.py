@@ -212,7 +212,9 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL,
             return LPResult(INFEASIBLE, None, None, y_orig, float(artificial_mass), iters)
 
         # Drive artificial variables out of the basis. An artificial that cannot
-        # leave marks its constraint row as redundant, and that row is dropped.
+        # leave, or whose pivot would move a basic value by more than
+        # LP_PRIMAL_TOL (a tiny level over a tiny entry), marks its constraint
+        # row as redundant, and that row is dropped.
         nonbasic = np.ones(n, dtype=bool)
         nonbasic[[j for j in basis if j < n]] = False
         for i in range(m):
@@ -221,6 +223,11 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL,
             candidates = (nonbasic & (np.abs(tableau[i, :n]) > PIVOT_TOL)).nonzero()[0]
             if candidates.size:
                 pivot_col = int(candidates[0])
+                step = tableau[i, -1] / tableau[i, pivot_col]
+                moves = np.abs(tableau[:, pivot_col] * step)
+                moves[i] = abs(step)
+                if moves.max() > LP_PRIMAL_TOL:
+                    continue
                 _pivot(tableau, cost_row, i, pivot_col, basis)
                 nonbasic[pivot_col] = False
         kept = [i for i, j in enumerate(basis) if j < n]

@@ -108,7 +108,11 @@ def _reference_solve(a, b, c=None, feas_tol=1e-8, bland_after=32, reinvert_every
             continue
         for j in range(n):
             if j not in basis and abs(tableau[i, j]) > 1e-10:
-                _reference_pivot(tableau, cost_row, i, j, basis)
+                # Not if the pivot would move a basic value by more than 1e-9.
+                step = tableau[i, -1] / tableau[i, j]
+                moves = [abs(step)] + [abs(tableau[k, j] * step) for k in range(m) if k != i]
+                if max(moves) <= 1e-9:
+                    _reference_pivot(tableau, cost_row, i, j, basis)
                 break
     # An artificial still basic marks its constraint row as redundant.
     kept = [i for i in range(m) if basis[i] < n]
@@ -144,6 +148,84 @@ _BEALE_A = np.array(
 )
 _BEALE_B = np.array([0.0, 0.0, 1.0])
 _BEALE_C = np.array([-0.75, 150.0, -1 / 50, 6.0, 0.0, 0.0, 0.0])
+
+
+# A d = 5 hull-membership LP (feasibility only): the 25 real coordinates of the
+# projectors of 10 KD-positive states (kdbench haar-certify, seed 10, round 2, third
+# job) over a row of ones, and the coordinates of their mixture over 1. Phase one
+# ends with 17 artificials basic at levels up to 7e-11, and the artificial of row 9,
+# at 5.8e-12, has one candidate entry, -1.118e-10: a pivot on it would put -0.0518
+# into the basis.
+_DRIVE_OUT_POINTS = np.array(
+    [
+        [1.0, 0.0, 0.0, 0.0, 0.0, 0.3025476472475637, 0.0008476901133463559, 0.408717838139192,
+         0.26671470219132537, 0.021172122308572957],
+        [0.0, 1.0, 0.0, 0.0, 0.0, 0.5440823148476148, 0.03140467901250458, 0.0994762524251739,
+         0.11990013033760785, 0.205136623377099],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.03158215198333456, 0.4115340655352892, 0.010240177516735434,
+         0.04007280827150784, 0.5065707966931331],
+        [0.0, 0.0, 0.0, 1.0, 0.0, 0.0425891837936754, 0.4310788467394466, 0.07649085606290966,
+         0.2516070949723007, 0.19823401843166769],
+        [0.0, 0.0, 0.0, 0.0, 1.0, 0.07919870212781172, 0.1251347185994132, 0.40507487585598906,
+         0.32170526422725826, 0.06888643918952757],
+        [0.0, 0.0, 0.0, 0.0, 0.0, -0.5340461596131323, 0.004997437768072172, 0.2008004878146331,
+         0.24801934719333363, 0.08022888683709316],
+        [0.0, 0.0, 0.0, 0.0, 0.0, -0.08245422739810833, 0.02333298583330403, -0.026101351805528087,
+         0.024455574234459397, 0.06076701913587281],
+        [0.0, 0.0, 0.0, 0.0, 0.0, -0.03502449656283597, -0.013466386439392877, 0.24994869364896902,
+         -0.27452662331357125, 0.073068812666831],
+        [0.0, 0.0, 0.0, 0.0, 0.0, -0.21292396471525082, -0.012971162948716582, 0.26497609082831625,
+         -0.03210796907688694, -0.0069729940874618404],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.04850911873942677, 0.0423584918927913, -0.039783991840242686,
+         -0.0028144935242044667, -0.04826912526777083],
+        [0.0, 0.0, 0.0, 0.0, 0.0, -0.033102932171296104, 0.047827281778913475, 0.08935753415865336,
+         -0.21231227048737447, 0.10823038672110344],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.2408271391070223, -0.08345756022927177, -0.08687281152344448,
+         0.03302616317891075, -0.10352293053321697],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.04737685532588863, -0.5041886223219785, -0.012380950602998668,
+         0.07490760922376449, 0.3942851083753239],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.054220403646863674, -0.1840368115637419, 0.06552588049030314,
+         -0.15991496623890408, 0.22420549366547946],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.03604999859170967, 0.0161485455039101, 0.10820987641311522,
+         -0.2422565964035839, 0.0818481758948488],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.20980073387567785, -0.005316811786933753, -0.20247123689111166,
+         -0.049443488238442315, 0.047430803040810036],
+        [0.0, 0.0, 0.0, 0.0, 0.0, -0.11095725275675647, 0.012380569026576497, 0.08768925742374256,
+         0.14414554844695496, -0.13325812214051716],
+        [0.0, 0.0, 0.0, 0.0, 0.0, -0.15666460784255332, -0.023441394778734723,
+         -0.007211462963292269, 0.24258968630502825, -0.05527222072044788],
+        [0.0, 0.0, 0.0, 0.0, 0.0, -0.050854176206076955, 0.006625696894972182, 0.5107938198315116,
+         -0.41300862679279154, -0.05355671372761518],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.17892301729248786, 0.15509335455222412, 0.021320013140761252,
+         0.09798749152671342, -0.4533238765121872],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.21271633527665296, -0.15744312223627416, 0.08504868312295254,
+         0.12352710942375128, -0.2638490055870824],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.1678794670076718, -0.029907640870633554, 0.27026612037305897,
+         -0.2757794023634935, -0.132458544146604],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.021108048945032085, -0.3171767549032591, -0.03759350942847202,
+         0.12064019161760287, 0.21302202376909618],
+        [0.0, 0.0, 0.0, 0.0, 0.0, -0.04541672294802826, 0.2629160530646874, -0.06326481058724749,
+         -0.014507595232758278, -0.13972692429665357],
+        [0.0, 0.0, 0.0, 0.0, 0.0, -0.07379982224789962, -0.32806262335095193, 0.22418668714770124,
+         0.3212450706827808, -0.14356931223163055],
+    ]
+)
+_DRIVE_OUT_A = np.vstack([_DRIVE_OUT_POINTS, np.ones((1, 10))])
+_DRIVE_OUT_B = np.concatenate([
+    [0.11844707576170063, 0.28084547384893427, 0.24187549884145604, 0.16406872681161827,
+     0.1947632247362907, -0.024458979679093645, -0.0036052711313501813, 0.013386764748939918,
+     0.0015295516668220844, 0.009933945147207753, 0.014070028215891473, -0.005727369228004837,
+     -0.10732498889403855, -0.03136633988440591, 0.01414013206070484, -0.0010615236091717987,
+     0.0016667063385250199, -0.017211738763939714, 0.03728469627723409, 0.05079063671027317,
+     -0.009603505923846017, 0.027926793763244456, -0.07030095311533749, 0.04866642041397289,
+     -0.05780061524903016],
+    [1.0],
+])
+# Phase one ends with the artificial of row 1 basic at 5.8e-12, and that row's one
+# candidate entry is -1.118e-10, just above PIVOT_TOL: a pivot on it would put
+# x2 = -0.0519 into the basis.
+_TINY_PIVOT_A = np.array([[1.0, 1.0], [0.0, -1.118e-10]])
+_TINY_PIVOT_B = np.array([1.0, 5.8e-12])
 
 
 def _reference_lps():
@@ -194,6 +276,10 @@ def _reference_lps():
     )
     yield beale, np.array([0.0, 0.0, 1.0]), np.array([-0.75, 20.0, -0.5, 6.0, 0, 0, 0])
     yield _BEALE_A, _BEALE_B, _BEALE_C
+    # Artificials that must stay basic, their rows dropped, because driving them
+    # out would move a basic value by far more than LP_PRIMAL_TOL.
+    yield _TINY_PIVOT_A, _TINY_PIVOT_B, np.array([1.0, 2.0])
+    yield _DRIVE_OUT_A, _DRIVE_OUT_B, np.arange(10.0)
     # Hull LPs long enough that the default rule reinverts in mid-run.
     for dim, n in ((12, 150), (20, 400)):
         points = rng.standard_normal((n, dim))
@@ -233,6 +319,23 @@ def test_redundant_rows_are_dropped():
     res = solve_equality_lp(a, np.array([1.0, 2.0]), c=np.array([1.0, 3.0]))
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("with_costs", [False, True])
+def test_a_drive_out_pivot_never_moves_a_basic_value_beyond_the_primal_tolerance(with_costs):
+    res = solve_equality_lp(_TINY_PIVOT_A, _TINY_PIVOT_B,
+                            c=np.array([1.0, 2.0]) if with_costs else None)
+    assert res.status == OPTIMAL
+    assert res.x.tolist() == [1.0, 0.0]
+    assert res.basis == (0,)
+
+
+def test_a_hull_lp_with_tiny_artificial_levels_gives_a_nonnegative_mixture():
+    res = solve_equality_lp(_DRIVE_OUT_A, _DRIVE_OUT_B)
+    assert res.status == OPTIMAL
+    assert res.x.min() >= 0.0
+    assert np.abs(_DRIVE_OUT_A @ res.x - _DRIVE_OUT_B).max() <= 1e-10
+    assert res.x.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_infeasible_produces_validated_farkas_certificate():
