@@ -38,7 +38,7 @@ from .incompatibility import (
 from .io_json import dumps_report, load_matrix_file, read_file
 from .kd import is_kd_positive, kd_table, min_overlap, total_nonpositivity, worst_entry
 from .pure_positive import enumerate_min_uncertainty_states, filter_kd_positive_pure
-from .roof import AnnealConfig, nonpositivity_roof_bounds, support_roof_bounds
+from .roof import nonpositivity_roof_bounds, support_roof_bounds
 from .spin1 import run_spin1_checks
 from .studies import haar_genericity_study
 
@@ -92,14 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, objective in (("roof-support", "support uncertainty"),
                             ("roof-nonpos", "total nonpositivity")):
         p = add(name, f"convex-roof bounds for the {objective}")
-        anneal = ("annealer setting; does not affect the support roof"
-                  if name == "roof-support" else
-                  "annealer setting; applies only to states without a hull route")
         p.add_argument("--state", required=True)
         p.add_argument("--basis", required=True)
-        p.add_argument("--seed", type=int, default=0, help=anneal)
-        p.add_argument("--restarts", type=int, default=40, help=anneal)
-        p.add_argument("--steps", type=int, default=2000, help=anneal)
+        ignored = "ignored (no roof anneals); parsed and echoed so that older command lines run"
+        p.add_argument("--seed", type=int, default=0, help=ignored)
+        p.add_argument("--restarts", type=int, default=40, help=ignored)
+        p.add_argument("--steps", type=int, default=2000, help=ignored)
     # p is roof-nonpos's parser here.
     p.add_argument("--positive-pure", action="append", default=None,
                    help="pure-state file; repeat for each generator")
@@ -296,11 +294,9 @@ def _cmd_roof(args, report, inputs):
             _load(inputs, path, expect_kind="pure_state")[1]
             for path in args.positive_pure
         ]
-    # Validated for both commands, so that both reject the same settings.
-    cfg = AnnealConfig(seed=args.seed, restarts=args.restarts, steps=args.steps)
     # Looked up per call, so that a rebound module name is honoured.
     estimate = (support_roof_bounds(state, basis) if args.command == "roof-support"
-                else nonpositivity_roof_bounds(state, basis, cfg=cfg, **extra))
+                else nonpositivity_roof_bounds(state, basis, **extra))
     return EXIT_OK, _roof_report(estimate, report)
 
 

@@ -1,12 +1,14 @@
 """Convex-roof bounds over pure-state decompositions.
 
-Both roofs of a hull-excluded state come from one column generation, priced
-over the support subspaces V_{S,T} (amplitudes only on S and T in the two
-bases) for the support roof, whose duals W give the lower bound Tr(W rho) +
-min (|S| + |T| - lambda_max(W on V_{S,T})), and heuristically for the
-nonpositivity roof; a rank-one state scores its one member, and only a
-nonpositivity roof without a hull route anneals over isometries of the
-eigen-ensemble.
+Every upper bound on a roof of a state of rank two or more that the hull
+does not decide comes from one column generation: priced over the support
+subspaces V_{S,T} (amplitudes only on S and T in the two bases) for the
+support roof, whose duals W give the lower bound Tr(W rho) + min (|S| + |T| -
+lambda_max(W on V_{S,T})), and heuristically for the nonpositivity roof,
+whose pricing dictionary holds the KD-positive states of a hull route, if
+there is one, and fixed draws; a rank-one state scores its one member. The
+annealer over isometries of the eigen-ensemble (``roof_upper_bound``) is no
+roof's search; it stays as objective-agnostic API.
 Lower bounds also come from convexity for the total nonpositivity, the d+1
 floor of complete incompatibility for the support uncertainty, and hull
 certificates for strictness. Bounds are only ever reported as bounds; the
@@ -14,7 +16,7 @@ exact flag is set when the certificates close the gap.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -85,10 +87,10 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    """Size and seed of the decomposition search.
+    """Size and seed of the annealer, ``roof_upper_bound``.
 
-    These are the values the ``roof-*`` commands take from ``--restarts``,
-    ``--steps`` and ``--seed``; the schedule itself is fixed (``T_START``,
+    No roof bound anneals, and the ``roof-*`` commands ignore their
+    ``--restarts``, ``--steps`` and ``--seed``; the schedule is fixed (``T_START``,
     ``T_END``, ``PROPOSAL_SCALE``, ``SPARSIFY_PROB``), and a rank-r state is
     decomposed into r * r members, which suffices for roof-achieving
     decompositions of continuous objectives. Runs are deterministic given
@@ -112,7 +114,7 @@ class AnnealConfig:
 class RoofSearchResult:
     value: float
     decomposition: Decomposition
-    restart_values: tuple[float, ...]
+    restart_values: tuple[float, ...] = ()  # the annealer's, one per restart
     dual_bound: float | None = None
     dual_witness: np.ndarray | None = None
 
@@ -137,7 +139,6 @@ class RoofEstimate:
     base_value: float
     membership: MembershipCertificate | None = None
     generator_provenance: str | None = None
-    restart_values: tuple[float, ...] = field(default_factory=tuple)
     dual_bound: float | None = None
     dual_witness: np.ndarray | None = None
 
@@ -484,7 +485,7 @@ def _columns(eig: EigenDecomposition, rank: int, values, price):
         points = np.vstack([points, _projector_points(joining)])
         costs = np.concatenate([costs, values(states[-len(best):])])
     keep = lp.x > config.WEIGHT_CUTOFF
-    return (RoofSearchResult(lp.objective, Decomposition(lp.x[keep], states[keep]), ()), w,
+    return (RoofSearchResult(lp.objective, Decomposition(lp.x[keep], states[keep])), w,
             float(reduced.min()))
 
 
@@ -588,8 +589,8 @@ def _roof_bounds(
     """Bounds shared by both roofs, given what differs between them.
 
     ``search(eig, rank, anchors)`` gives the upper bound of a state of rank two
-    or more that the hull does not decide; a rank-one state is its own
-    decomposition.
+    or more that the hull does not decide, ``anchors`` being None without a
+    hull route; a rank-one state is its own decomposition.
 
     ``anchor_source`` is called only for states of rank two or more and
     returns the pure states whose hull decides the roof, the real points of
@@ -618,12 +619,12 @@ def _roof_bounds(
         keep = cert.weights > config.WEIGHT_CUTOFF
         weights = cert.weights[keep]
         dec = Decomposition(weights / weights.sum(), anchors[keep])
-        result = RoofSearchResult(floor, dec, ())
+        result = RoofSearchResult(floor, dec)
         lower, certificate = floor, inside_certificate
     elif rank == 1:
         psi = eig.eigenvectors[:, 0]
         value = float(values(psi[None, :])[0])
-        result = RoofSearchResult(value, Decomposition(np.array([1.0]), psi[None, :]), (value,))
+        result = RoofSearchResult(value, Decomposition(np.array([1.0]), psi[None, :]))
         lower, certificate = value, CERT_RANK_ONE
     else:
         result = search(eig, rank, anchors)
@@ -642,7 +643,6 @@ def _roof_bounds(
         base_value=base,
         membership=cert,
         generator_provenance=provenance,
-        restart_values=result.restart_values,
         dual_bound=result.dual_bound,
         dual_witness=result.dual_witness,
     )
@@ -683,12 +683,7 @@ def support_roof_bounds(rho, transition) -> RoofEstimate:
     )
 
 
-def nonpositivity_roof_bounds(
-    rho,
-    transition,
-    cfg: AnnealConfig | None = None,
-    positive_pure=None,
-) -> RoofEstimate:
+def nonpositivity_roof_bounds(rho, transition, positive_pure=None) -> RoofEstimate:
     """Bounds on the convex roof of the total nonpositivity.
 
     The plain total nonpositivity is a convex lower bound. When the state
@@ -699,9 +694,10 @@ def nonpositivity_roof_bounds(
 
     ``positive_pure`` supplies the pure KD-positive states and is assumed
     complete; when omitted it is derived by enumeration, which is complete
-    for completely incompatible bases in dimension at most six. An excluded
-    state's upper bound comes from column generation; without either route
-    only the convexity bound and an annealed upper bound at ``cfg`` are reported.
+    for completely incompatible bases in dimension at most six. Without
+    either route only the convexity bound is certified. The upper bound of a
+    state the hull does not decide comes from column generation, whose
+    dictionary without a hull route holds the pricer's fixed draws alone.
     """
     u = as_complex(transition, "transition matrix")
     rho_m = as_complex(rho, "state")
@@ -722,8 +718,7 @@ def nonpositivity_roof_bounds(
     values = nonpositivity_values_fn(u)
 
     def search(eig, rank, anchors):
-        if anchors is None:  # no hull route
-            return roof_upper_bound(rho_m, values, cfg)
+        anchors = np.empty((0, u.shape[0]), dtype=complex) if anchors is None else anchors
         return _columns(eig, rank, values, _nonpositivity_pricer(eig, rank, u, values, anchors))[0]
 
     return _roof_bounds(

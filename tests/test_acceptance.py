@@ -9,7 +9,6 @@ import time
 import numpy as np
 
 from kdwitness import (
-    AnnealConfig,
     SPIN1,
     complete_incompatibility,
     dft_matrix,
@@ -32,7 +31,6 @@ from kdwitness import (
 from kdwitness.geometry import finite_convex_roof_points
 from kdwitness.linalg import projector, random_density
 
-ANNEAL = AnnealConfig(restarts=8, steps=500, seed=1)
 COUNTEREXAMPLE_LAMBDAS = (0.1, 0.25, 0.5, 4.0 / 7.0)
 
 
@@ -141,7 +139,7 @@ def test_criterion_4_counterexample_certification():
         ok &= abs(total_nonpositivity(table) - 1.0) <= 2e-9
         support = support_roof_bounds(rho, SPIN1.transition)
         ok &= support.lower_strict and support.lower_bound == 4.0
-        nonpos = nonpositivity_roof_bounds(rho, SPIN1.transition, cfg=ANNEAL)
+        nonpos = nonpositivity_roof_bounds(rho, SPIN1.transition)
         ok &= nonpos.lower_strict
         ok &= nonpos.upper_bound > 1.0 + 1e-4
         uppers.append(nonpos.upper_bound)
@@ -160,7 +158,7 @@ def test_criterion_5_roofs_on_positive_mixtures():
         rho = sum(wi * projector(s) for wi, s in zip(w, SPIN1.positive_states))
         support = support_roof_bounds(rho, SPIN1.transition)
         ok &= support.exact and support.lower_bound == support.upper_bound == 4.0
-        nonpos = nonpositivity_roof_bounds(rho, SPIN1.transition, cfg=ANNEAL)
+        nonpos = nonpositivity_roof_bounds(rho, SPIN1.transition)
         ok &= nonpos.exact and nonpos.upper_bound == 1.0
         ok &= nonpos.membership is not None and nonpos.membership.verdict == "inside"
     elapsed = time.perf_counter() - start

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from kdwitness import (
-    AnnealConfig,
     DimensionMismatch,
     DimensionTooLarge,
     NotCompletelyIncompatible,
@@ -189,13 +188,10 @@ def _haar_inside():
 )
 def test_roofs_agree_on_a_cold_and_a_warm_cache(case, bounds):
     rho, u = case()
-    cfg = AnnealConfig(restarts=3, steps=150, seed=1)
-    # The support roof takes no annealer settings.
-    kwargs = {"cfg": cfg} if bounds is nonpositivity_roof_bounds else {}
     basis.clear_cache()
-    cold = bounds(rho, u, **kwargs)
+    cold = bounds(rho, u)
     assert all(cache.cache_info().currsize > 0 for cache in CACHES)
-    warm = bounds(rho, u, **kwargs)
+    warm = bounds(rho, u)
     assert to_jsonable(warm) == to_jsonable(cold)
     for part in ("weights", "states"):
         assert (getattr(warm.upper_decomposition, part).tobytes()

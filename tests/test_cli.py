@@ -203,12 +203,23 @@ def test_roof_nonpos_with_supplied_generators(files, capsys, tmp_path):
     assert doc["results"]["generator_provenance"] == "supplied"
 
 
-def test_roof_rejects_bad_anneal_config(files, capsys):
-    code, out, err = run(capsys, ["roof-nonpos", "--state", files["rho05"],
-                                  "--basis", files["basis"], "--restarts", "0", "--json"])
-    assert code == 2
-    assert json.loads(out)["error"]["category"] == "validation"
-    assert "restarts" in err
+def test_roof_ignores_the_anneal_flags(files, capsys, tmp_path):
+    # --seed, --restarts and --steps are parsed and echoed, never validated or used,
+    # also on the DFT 4 pair, which has no hull route.
+    save_matrix_file(tmp_path / "dft4.json", dft_matrix(4), "unitary")
+    save_matrix_file(tmp_path / "mixed4.json", np.diag([0.4, 0.3, 0.2, 0.1]), "density")
+    inputs = [("roof-support", files["rho05"], files["basis"]),
+              ("roof-nonpos", files["rho05"], files["basis"]),
+              ("roof-nonpos", str(tmp_path / "mixed4.json"), str(tmp_path / "dft4.json"))]
+    for command, state, basis in inputs:
+        argv = [command, "--state", state, "--basis", basis]
+        code, plain, _ = run_json(capsys, argv)
+        flagged_code, flagged, _ = run_json(
+            capsys, argv + ["--seed", "3", "--restarts", "0", "--steps", "-1"])
+        assert code == flagged_code == 0
+        assert (flagged["config"]["seed"], flagged["config"]["restarts"],
+                flagged["config"]["steps"]) == (3, 0, -1)
+        assert flagged["results"] == plain["results"]
 
 
 def test_spin1_passes_and_mentions_facets(capsys):
@@ -269,7 +280,7 @@ _MEMBERSHIP_KEYS = {"membership"} | {
 _ROOF_KEYS = {
     "base_value", "decomposition", "decomposition.states", "decomposition.weights",
     "dual_bound", "dual_witness", "exact", "generator_provenance", "lower_bound",
-    "lower_certificate", "lower_strict", "objective", "restart_values", "upper_bound",
+    "lower_certificate", "lower_strict", "objective", "upper_bound",
 }
 _ANNEAL = ["--restarts", "2", "--steps", "100"]
 # Per command: argv, with fixture names for files, and the expected key paths

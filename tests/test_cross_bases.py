@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from kdwitness import (
-    AnnealConfig,
     NotCompletelyIncompatible,
     dft_matrix,
     enumerate_min_uncertainty_states,
@@ -21,8 +20,6 @@ from kdwitness import (
     support_roof_bounds,
 )
 from kdwitness.linalg import projector, random_density
-
-LIGHT = AnnealConfig(restarts=4, steps=250, seed=0)
 
 
 def _basis_reference(u):
@@ -68,7 +65,7 @@ def test_support_roof_exact_on_haar_basis_mixture():
     rho += w[2] * projector(u[:, 0]) + w[3] * projector(u[:, 2])
     est = support_roof_bounds(rho, u)
     assert est.exact and est.upper_bound == 4.0
-    nonpos = nonpositivity_roof_bounds(rho, u, cfg=LIGHT)
+    nonpos = nonpositivity_roof_bounds(rho, u)
     assert nonpos.exact and nonpos.upper_bound == 1.0
 
 
@@ -87,13 +84,13 @@ def test_support_roof_requires_complete_incompatibility():
 def test_nonpositivity_roof_without_hull_route():
     # The Fourier pair at d = 4 is not completely incompatible, so no
     # generator list can be derived; only the convexity bound and the
-    # annealed upper bound are available.
+    # column-generation upper bound are available.
     u = dft_matrix(4)
     rng = np.random.default_rng(2)
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     psi /= np.linalg.norm(psi)
     rho = 0.7 * projector(psi) + 0.3 * np.eye(4) / 4.0
-    est = nonpositivity_roof_bounds(rho, u, cfg=LIGHT)
+    est = nonpositivity_roof_bounds(rho, u)
     assert est.membership is None
     assert est.generator_provenance is None
     assert est.lower_certificate == "convexity"
@@ -102,11 +99,9 @@ def test_nonpositivity_roof_without_hull_route():
 
 def test_nonpositivity_roof_beyond_the_minor_guard():
     # At d = 9 both enumeration and the minor check are out of reach; the
-    # roof still gets the convexity bound and an annealed upper bound.
+    # roof still gets the convexity bound and a column-generation upper bound.
     rng = np.random.default_rng(9)
     rho = random_density(9, rng)
-    est = nonpositivity_roof_bounds(
-        rho, haar_unitary(9, 9), cfg=AnnealConfig(restarts=1, steps=5)
-    )
+    est = nonpositivity_roof_bounds(rho, haar_unitary(9, 9))
     assert est.lower_certificate == "convexity"
     assert est.generator_provenance is None

@@ -12,6 +12,7 @@ from kdwitness import (
     SolverStall,
     ValidationError,
     decomposition_from_isometry,
+    dft_matrix,
     enumerate_min_uncertainty_states,
     filter_kd_positive_pure,
     haar_unitary,
@@ -214,18 +215,43 @@ def _tampered(search, tamper):
 
 @pytest.mark.parametrize("tamper", ["value", "weights"])
 def test_annealed_upper_bound_is_rechecked(monkeypatch, tamper):
-    # The identity basis pair is not completely incompatible: no hull route, so it anneals.
-    rho = random_density(3, np.random.default_rng(8))
-    monkeypatch.setattr(roof, "roof_upper_bound", _tampered(roof.roof_upper_bound, tamper))
-    with pytest.raises(CertificateError):
-        nonpositivity_roof_bounds(rho, np.eye(3), cfg=LIGHT)
     monkeypatch.setattr(roof, "_support_columns", _tampered(roof._support_columns, tamper))
     with pytest.raises(CertificateError):
         support_roof_bounds(rho_lambda(0.5), SPIN1.transition)
-    # The nonpositivity roof of a hull-excluded state by column generation.
+    # The nonpositivity roof by column generation, of a hull-excluded state and of
+    # a state of the identity basis pair, which is not completely incompatible.
     monkeypatch.setattr(roof, "_columns", _tampered(roof._columns, tamper))
     with pytest.raises(CertificateError):
         nonpositivity_roof_bounds(rho_lambda(0.5), SPIN1.transition)
+    with pytest.raises(CertificateError):
+        nonpositivity_roof_bounds(random_density(3, np.random.default_rng(8)), np.eye(3))
+
+
+def _no_hull_route_state(case):
+    """A state and a basis pair that is not completely incompatible: (rho, u)."""
+    if case == "dft4":
+        rng = np.random.default_rng(2)
+        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        psi /= np.linalg.norm(psi)
+        return 0.7 * projector(psi) + 0.3 * np.eye(4) / 4.0, dft_matrix(4)
+    if case == "dft6_rank6":
+        g = complex_gaussian((6, 6), np.random.default_rng(2006))
+        return g @ g.conj().T / np.trace(g @ g.conj().T).real, dft_matrix(6)
+    return random_density(3, np.random.default_rng(8)), np.eye(3)
+
+
+@pytest.mark.parametrize("case", ["dft4", "dft6_rank6", "identity3"])
+def test_nonpositivity_roof_without_hull_route_is_at_or_below_the_annealed_bound(case):
+    rho, u = _no_hull_route_state(case)
+    est = nonpositivity_roof_bounds(rho, u)
+    assert est.membership is None and est.lower_certificate == "convexity"
+    values = nonpositivity_values_fn(u)
+    annealed = roof_upper_bound(rho, values, AnnealConfig(restarts=4, steps=300, seed=0))
+    # On the identity pair every decomposition scores 1, up to rounding.
+    assert est.lower_bound <= est.upper_bound <= annealed.value + 1e-12
+    dec = est.upper_decomposition
+    dec.validate(rho)
+    assert float(dec.weights @ values(dec.states)) == pytest.approx(est.upper_bound, abs=1e-9)
 
 
 def test_decomposition_identity_isometry_recovers_eigensystem():
@@ -338,14 +364,14 @@ def test_support_roof_pure_minimal_state():
 
 
 def test_nonpositivity_roof_exact_on_maximally_mixed():
-    est = nonpositivity_roof_bounds(np.eye(3) / 3.0, SPIN1.transition, cfg=LIGHT)
+    est = nonpositivity_roof_bounds(np.eye(3) / 3.0, SPIN1.transition)
     assert est.exact
     assert est.lower_bound == est.upper_bound == 1.0
     assert est.membership.verdict == "inside"
 
 
 def test_nonpositivity_roof_counterexample():
-    est = nonpositivity_roof_bounds(rho_lambda(0.5), SPIN1.transition, cfg=LIGHT)
+    est = nonpositivity_roof_bounds(rho_lambda(0.5), SPIN1.transition)
     assert est.base_value == pytest.approx(1.0, abs=2e-9)
     assert est.lower_strict
     assert est.lower_bound == 1.0
@@ -355,18 +381,16 @@ def test_nonpositivity_roof_counterexample():
 
 def test_nonpositivity_roof_rank_one():
     est = nonpositivity_roof_bounds(
-        projector(SPIN1.min_uncertainty_states[9]), SPIN1.transition, cfg=LIGHT
+        projector(SPIN1.min_uncertainty_states[9]), SPIN1.transition
     )
     assert est.exact
     assert est.lower_bound == est.upper_bound == pytest.approx(17.0 / 15.0, abs=1e-12)
-    assert est.restart_values == (est.upper_bound,)
 
 
 def test_nonpositivity_roof_accepts_supplied_generators():
     est = nonpositivity_roof_bounds(
         rho_lambda(0.25),
         SPIN1.transition,
-        cfg=LIGHT,
         positive_pure=SPIN1.positive_states,
     )
     assert est.generator_provenance == "supplied"
@@ -377,7 +401,7 @@ def test_convexity_sandwich_on_random_states():
     rng = np.random.default_rng(6)
     for k in range(5):
         rho = random_density(3, rng)
-        est = nonpositivity_roof_bounds(rho, SPIN1.transition, cfg=LIGHT)
+        est = nonpositivity_roof_bounds(rho, SPIN1.transition)
         n_plain = total_nonpositivity(kd_table(rho, SPIN1.transition))
         assert n_plain - 1e-9 <= est.upper_bound
         assert est.lower_bound <= est.upper_bound + 1e-8
@@ -387,7 +411,7 @@ def test_hand_built_positive_mixture_is_exactly_one():
     rng = np.random.default_rng(7)
     w = rng.dirichlet(np.ones(9))
     rho = sum(wi * projector(s) for wi, s in zip(w, SPIN1.positive_states))
-    est = nonpositivity_roof_bounds(rho, SPIN1.transition, cfg=LIGHT)
+    est = nonpositivity_roof_bounds(rho, SPIN1.transition)
     assert est.exact
     assert abs(est.upper_bound - 1.0) <= 1e-6
 
@@ -398,7 +422,7 @@ def test_witness_consistency_on_counterexamples():
     for lam in (0.1, 0.5):
         rho = rho_lambda(lam)
         support = support_roof_bounds(rho, SPIN1.transition)
-        nonpos = nonpositivity_roof_bounds(rho, SPIN1.transition, cfg=LIGHT)
+        nonpos = nonpositivity_roof_bounds(rho, SPIN1.transition)
         assert support.lower_strict
         assert nonpos.lower_strict
         assert nonpos.upper_bound > 1.0
@@ -412,7 +436,7 @@ SPIN1_ANNEALED_NONPOSITIVITY = {0.1: 1.038986, 0.25: 1.098748, 0.5: 1.158528, 4.
 def test_nonpositivity_roof_by_columns_is_below_the_annealed_bound(lam):
     est = nonpositivity_roof_bounds(rho_lambda(lam), SPIN1.transition)
     assert est.lower_strict and est.lower_certificate == "hull_membership"
-    assert est.restart_values == () and est.dual_bound is None
+    assert est.dual_bound is None
     assert 1.0 < est.upper_bound <= SPIN1_ANNEALED_NONPOSITIVITY[lam]
 
 
