@@ -89,12 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("facets", "bounding hyperplanes of a generator hull")
     p.add_argument("--generators", required=True, nargs="+")
 
+    ignored = "ignored (no roof anneals); parsed and echoed so that older command lines run"
     for name, objective in (("roof-support", "support uncertainty"),
                             ("roof-nonpos", "total nonpositivity")):
         p = add(name, f"convex-roof bounds for the {objective}")
         p.add_argument("--state", required=True)
         p.add_argument("--basis", required=True)
-        ignored = "ignored (no roof anneals); parsed and echoed so that older command lines run"
         p.add_argument("--seed", type=int, default=0, help=ignored)
         p.add_argument("--restarts", type=int, default=40, help=ignored)
         p.add_argument("--steps", type=int, default=2000, help=ignored)
