@@ -28,7 +28,15 @@ minors near the minimum), with the number of minors checked. It times
 states, for the inside target ``MEMBERSHIP_INSIDE`` (their uniform mixture)
 and the outside target ``MEMBERSHIP_OUTSIDE`` (the pure state
 ``random_pure_state(d, default_rng(4000 + d))``), with the verdict and the
-iterations of the simplex behind it. At the same d it times the phase-two LP
+iterations of the simplex behind it. At d = 7 and 8 (``HULL_LP_DIMS``), past
+the enumeration's dimension guard, the "hull_lp" layer times
+``membership_lp_points`` over the projector points of the states that
+``pure_positive._solve_patterns`` gives on ``haar_unitary(d, 1000 + d)`` (as
+the pattern-solve rows call it), for the inside target ``HULL_LP_INSIDE`` (a
+``default_rng(d).dirichlet`` mixture of the KD-positive ones among them) and
+the outside target ``MEMBERSHIP_OUTSIDE``, with the verdict and the simplex
+pivots (calls of the simplex module's ``_pivot``, drive-out pivots included)
+of one more untimed call. At the same d as the membership rows it times the phase-two LP
 ``finite_convex_roof`` over those projectors, with the total nonpositivity
 (``nonpositivity_values_fn``) of each minimal state as its value, on the
 inside target, with the roof value and the iterations of the simplex behind
@@ -139,7 +147,9 @@ gave the same states bytes, patterns and degenerate patterns
 (``same_states``); the nonpositivity-roof rows are timed the same way, in
 ``NONPOS_RUNS`` blocks, and so are the cli rows, whose entries also say
 whether both packages wrote the same report apart from ``timing_seconds``
-(``same_report``), and the ``facet_enumeration_points`` rows, whose entries
+(``same_report``), and the ``membership_lp`` and ``hull_lp`` rows, whose
+entries say whether both packages gave the same verdict (``same_verdict``) and
+give each package's simplex pivots, and the ``facet_enumeration_points`` rows, whose entries
 say whether both packages gave the same facets: the same active sets in the
 same order, and functionals and offsets with the same bytes (``same_facets``):
 
@@ -171,6 +181,7 @@ MINOR_DIMS = range(3, 9)
 MEMBERSHIP_DIMS = range(4, 7)
 AGAIN_DIMS = range(4, 7)
 PATTERN_SOLVE_DIMS = (7, 8)
+HULL_LP_DIMS = (7, 8)
 SUPPORT_DIMS = (4, 5)
 SUPPORT_RANKS = (2, 3)  # and full rank, where column generation takes the most rounds
 NONPOS_DIMS = (4, 5, 6)
@@ -181,6 +192,7 @@ CLI_LAMBDA = 0.25
 CLI_ROOF_ARGS = ("--seed=0", "--restarts=4", "--steps=300")
 MEMBERSHIP_INSIDE = "uniform mixture of the minimal states"
 MEMBERSHIP_OUTSIDE = "random_pure_state(d, default_rng(4000 + d))"
+HULL_LP_INSIDE = "default_rng(d).dirichlet mixture of the KD-positive states"
 
 
 def cpu_model() -> str:
@@ -499,30 +511,81 @@ def same_states(ours, theirs) -> bool:
     return key(ours) == key(theirs)
 
 
-def once_with_pivots(package, call) -> dict:
-    """One timed call of ``call``: its value or package error type, and its simplex pivots."""
+@contextlib.contextmanager
+def counting_pivots(package):
+    """A one-item list that counts the calls of the package's ``simplex._pivot`` in the block."""
     simplex = sys.modules[f"{package.__name__}.simplex"]
-    errors = sys.modules[f"{package.__name__}.errors"]
     pivot = simplex._pivot
-    pivots = 0
+    pivots = [0]
 
     def counted(*args, **kwargs):
-        nonlocal pivots
-        pivots += 1
+        pivots[0] += 1
         return pivot(*args, **kwargs)
 
-    value = error = None
     simplex._pivot = counted
-    start = time.perf_counter()
     try:
-        value = call()
-    except errors.KDError as exc:
-        error = type(exc).__name__
+        yield pivots
     finally:
-        elapsed = time.perf_counter() - start
         simplex._pivot = pivot
+
+
+def once_with_pivots(package, call) -> dict:
+    """One timed call of ``call``: its value or package error type, and its simplex pivots."""
+    errors = sys.modules[f"{package.__name__}.errors"]
+    value = error = None
+    with counting_pivots(package) as pivots:
+        start = time.perf_counter()
+        try:
+            value = call()
+        except errors.KDError as exc:
+            error = type(exc).__name__
+        finally:
+            elapsed = time.perf_counter() - start
     return {"once_ms": round(elapsed * 1e3, 3), "roof": value, "error": error,
-            "simplex_pivots": pivots}
+            "simplex_pivots": pivots[0]}
+
+
+def verdict_and_pivots(package, call) -> tuple:
+    """The verdict of one call of the membership call ``call`` and the simplex pivots it made."""
+    with counting_pivots(package) as pivots:
+        verdict = call().verdict
+    return verdict, pivots[0]
+
+
+def membership_inputs(kdwitness, d):
+    """The membership layer's generators at d and its targets: (generators, side -> target)."""
+    import numpy as np
+
+    from kdwitness.linalg import projector, random_pure_state
+
+    u = kdwitness.haar_unitary(d, 1000 + d)
+    gens = [projector(s) for s in kdwitness.enumerate_min_uncertainty_states(u).states]
+    psi = random_pure_state(d, np.random.default_rng(4000 + d))
+    return gens, {"inside": sum(gens) / len(gens), "outside": projector(psi)}
+
+
+def hull_lp_inputs(kdwitness, d):
+    """The hull_lp layer's generator points at d and its target points: (points, side -> x)."""
+    import numpy as np
+
+    from kdwitness.linalg import projector, random_pure_state
+
+    u = kdwitness.haar_unitary(d, 1000 + d)
+    minimal = solve_call(kdwitness, u)()
+    positive = kdwitness.filter_kd_positive_pure(minimal, u).states
+    weights = np.random.default_rng(d).dirichlet(np.ones(len(positive)))
+    psi = random_pure_state(d, np.random.default_rng(4000 + d))
+    targets = {"inside": np.einsum("k,ki,kj->ij", weights, positive, positive.conj()),
+               "outside": projector(psi)}
+    points = kdwitness.hermitian_to_real(
+        np.einsum("ki,kj->kij", minimal.states, minimal.states.conj()))
+    return points, {side: kdwitness.hermitian_to_real(t) for side, t in targets.items()}
+
+
+def hull_lp_call(package, x, points):
+    """A call of the package's ``membership_lp_points`` on ``x`` over ``points``."""
+    geometry = importlib.import_module(f"{package.__name__}.geometry")
+    return lambda: geometry.membership_lp_points(x, points)
 
 
 def report_without_timing(output) -> str:
@@ -606,7 +669,7 @@ def record(args, cli_root) -> dict:
     import kdwitness
     from kdwitness import cli, config, pure_positive
     from kdwitness.geometry import _hull_lp, facet_enumeration, facet_enumeration_points
-    from kdwitness.linalg import projector, random_density, random_pure_state
+    from kdwitness.linalg import projector, random_density
     from kdwitness.roof import nonpositivity_values_fn
     from kdwitness.studies import dft_matrix
 
@@ -660,9 +723,7 @@ def record(args, cli_root) -> dict:
     for d in MEMBERSHIP_DIMS:
         u = kdwitness.haar_unitary(d, 1000 + d)
         minimal = kdwitness.enumerate_min_uncertainty_states(u).states
-        gens = [projector(s) for s in minimal]
-        psi = random_pure_state(d, np.random.default_rng(4000 + d))
-        targets = {"inside": sum(gens) / len(gens), "outside": projector(psi)}
+        gens, targets = membership_inputs(kdwitness, d)
         # Per matrix, so that the script also runs against packages whose
         # hermitian_to_real takes one matrix only.
         points = np.array([kdwitness.hermitian_to_real(g) for g in gens])
@@ -702,6 +763,20 @@ def record(args, cli_root) -> dict:
             **once_with_pivots(kdwitness, lambda: kdwitness.finite_convex_roof(
                 values, mixture, gens)),
         }
+
+    layers["hull_lp"] = {}
+    for d in HULL_LP_DIMS:
+        points, targets = hull_lp_inputs(kdwitness, d)
+        for side, x in targets.items():
+            call = hull_lp_call(kdwitness, x, points)
+            _, lp_times = timed(call)
+            verdict, pivots = verdict_and_pivots(kdwitness, call)
+            layers["hull_lp"][f"d{d}_{side}"] = {
+                **summary_ms(lp_times),
+                "generators": len(points),
+                "verdict": verdict,
+                "simplex_pivots": pivots,
+            }
 
     layers["same_basis_again"] = {}
     for d in AGAIN_DIMS:
@@ -785,6 +860,19 @@ def record(args, cli_root) -> dict:
             u = kdwitness.haar_unitary(d, 1000 + d)
             states_rows[f"pattern_solve.d{d}"] = [solve_call(k, u) for k in (kdwitness, other)]
         pairs.update(states_rows)
+        verdict_rows = {}
+        for d in MEMBERSHIP_DIMS:
+            gens, targets = membership_inputs(kdwitness, d)
+            for side, target in targets.items():
+                verdict_rows[f"membership_lp.d{d}_{side}"] = [
+                    (lambda k=k, t=target, g=gens: k.membership_lp(t, g))
+                    for k in (kdwitness, other)]
+        for d in HULL_LP_DIMS:
+            points, targets = hull_lp_inputs(kdwitness, d)
+            for side, x in targets.items():
+                verdict_rows[f"hull_lp.d{d}_{side}"] = [hull_lp_call(k, x, points)
+                                                        for k in (kdwitness, other)]
+        pairs.update(verdict_rows)
         for name, (rho, u) in nonpos.items():
             pairs[f"nonpos_roof.{name}"] = [nonpos_call(k, rho, u) for k in (kdwitness, other)]
         pairs["cli.build_parser"] = [importlib.import_module(f"{k.__name__}.cli").build_parser
@@ -809,6 +897,12 @@ def record(args, cli_root) -> dict:
                 alternating[name]["same_report"] = reports[0] == reports[1]
             if name in states_rows:
                 alternating[name]["same_states"] = same_states(*(call() for call in calls))
+            if name in verdict_rows:
+                (ours, our_pivots), (theirs, their_pivots) = (
+                    verdict_and_pivots(k, call) for k, call in zip((kdwitness, other), calls))
+                alternating[name]["same_verdict"] = ours == theirs
+                alternating[name]["simplex_pivots"] = {
+                    args.label or "this": our_pivots, args.against_label: their_pivots}
 
     facet_sets = facet_generators(kdwitness)
     layers["facet_enumeration_points"] = {}
@@ -847,10 +941,12 @@ def record(args, cli_root) -> dict:
         "membership_dims": list(MEMBERSHIP_DIMS),
         "again_dims": list(AGAIN_DIMS),
         "pattern_solve_dims": list(PATTERN_SOLVE_DIMS),
+        "hull_lp_dims": list(HULL_LP_DIMS),
         "nonpos_dims": list(NONPOS_DIMS),
         "nonpos_runs": NONPOS_RUNS,
         "positive_mixture_seeds": list(POSITIVE_MIXTURE_SEEDS),
         "membership_targets": {"inside": MEMBERSHIP_INSIDE, "outside": MEMBERSHIP_OUTSIDE},
+        "hull_lp_targets": {"inside": HULL_LP_INSIDE, "outside": MEMBERSHIP_OUTSIDE},
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "machine": {
             "cpu": cpu_model(),
