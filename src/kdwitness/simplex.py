@@ -1,15 +1,21 @@
-"""Dense two-phase simplex for small equality-form linear programs.
+"""Revised two-phase simplex for small equality-form linear programs.
 
 Solves ``min c @ x`` subject to ``A @ x = b`` and ``x >= 0``. Problems in
-this package have tens of rows and up to a few thousand columns (one per
-hull generator), so the classic dense tableau is used: each pricing step,
-ratio test and pivot is a handful of whole-array operations, and only the
-ratio test's tie rule walks the candidate rows one by one. Pricing takes the
-most negative reduced cost (Dantzig's rule), with Bland's rule against
-cycling after a run of degenerate pivots; long phases recompute the tableau
-from the original columns now and then, so rounding cannot pile up. The ratio
-test of every phase, cold or warm, reads a right-hand side below 0 (rounding) as
-0, so that rounding noise never decides the ties of a degenerate vertex.
+this package are short and wide: tens of rows and up to some ten thousand
+columns (one per hull generator). So the simplex keeps the inverse of the basis
+matrix and the basic values as one m x (m + 1) array [B^-1 | x_B], and the
+reduced costs of A's columns as one row. A pivot forms the entering column
+B^-1 a_q, runs the ratio test on x_B, updates [B^-1 | x_B] by a rank-one step,
+and updates the reduced costs by one product, (row of B^-1) @ A; basic columns
+price at exactly 0. Phase one's artificial columns are the identity and are not
+stored: they never re-enter, and only B^-1 needs them. Pricing takes the most
+negative reduced cost (Dantzig's rule, lowest index on ties), with Bland's rule
+against cycling after a run of degenerate pivots; long phases recompute
+[B^-1 | x_B] and the reduced costs from the original columns now and then, so
+rounding cannot pile up. The ratio test of every phase, cold or warm, reads a
+basic value below 0 (rounding) as 0, so that rounding noise never decides the
+ties of a degenerate vertex. The x of a result comes from one solve on its
+final basis, not from the x_B that the pivots carried.
 
 Apart from the pivots, every optimal result is re-checked against the
 original ``A``, ``b`` and ``c`` (residual, sign, and reduced costs of the
@@ -41,8 +47,8 @@ MAX_ITERATIONS = 50_000
 # step is at most PIVOT_TOL, and returns to Dantzig's after the next longer one.
 BLAND_AFTER = 32
 
-# The tableau and cost row are recomputed from the original columns after this
-# many pivots, and once more at the end of a phase that ran longer.
+# [B^-1 | x_B] and the reduced costs are recomputed from the original columns
+# after this many pivots, and once more at the end of a phase that ran longer.
 REINVERT_EVERY = 64
 
 
@@ -67,11 +73,13 @@ def _enter(cost_row: np.ndarray, bland: bool) -> int:
     return col if cost_row[col] < -PIVOT_TOL else -1
 
 
-def _leave(tableau: np.ndarray, col: int, basis: list[int]) -> int:
-    """Row by the ratio test on rhs read as 0 where below 0, ties to the lowest basic index."""
-    column = tableau[:, col]
+def _leave(column: np.ndarray, values: np.ndarray, basis: list[int]) -> tuple[int, float]:
+    """Row by the ratio test on basic values read as 0 where below 0, ties to the lowest basic index.
+
+    Returns the row and its ratio, or (-1, inf) when no entry of ``column`` is positive.
+    """
     rows = (column > PIVOT_TOL).nonzero()[0]
-    ratios = np.maximum(tableau[rows, -1], 0.0) / column[rows]
+    ratios = np.maximum(values[rows], 0.0) / column[rows]
     best_ratio, best_row = np.inf, -1
     for i, ratio in zip(rows.tolist(), ratios.tolist()):
         if ratio < best_ratio - BLAND_TIE_TOL or (
@@ -80,55 +88,81 @@ def _leave(tableau: np.ndarray, col: int, basis: list[int]) -> int:
         ):
             best_ratio = ratio
             best_row = i
-    return best_row
+    return best_row, best_ratio
 
 
-def _pivot(tableau: np.ndarray, cost_row: np.ndarray, row: int, col: int,
+def _pivot(inverse: np.ndarray, column: np.ndarray, row: int, col: int,
            basis: list[int]) -> None:
-    tableau[row] /= tableau[row, col]
-    # Rows whose pivot-column entry is exactly zero are left alone: subtracting
-    # a zero multiple could still flip a -0.0 entry to +0.0. The masked
-    # in-place update avoids the gather and scatter copies of fancy indexing,
-    # which at d = 6 cost about a hundred page faults per pivot.
-    factors = tableau[:, col]
-    update = np.abs(factors) > 0.0
-    update[row] = False
-    np.subtract(tableau, np.multiply.outer(factors, tableau[row]), out=tableau,
-                where=update[:, None])
-    cost_row -= cost_row[col] * tableau[row, :-1]
+    """Column ``col``, with B^-1 a_col = ``column``, enters [B^-1 | x_B] on ``row``."""
+    pivot_row = inverse[row] / column[row]
+    inverse -= column[:, None] * pivot_row
+    inverse[row] = pivot_row
     basis[row] = col
 
 
-def _reinvert(basis: list[int], system: np.ndarray, costs: np.ndarray, pivots: int):
-    """Tableau and cost row on ``basis``, from ``system = [columns | rhs]`` and ``costs``."""
+def _basis_matrix(a: np.ndarray, basis: list[int]) -> np.ndarray:
+    """Columns ``basis`` of [a | I]: an index j >= n stands for the unit column of row j - n."""
+    n = a.shape[1]
+    if not basis or max(basis) < n:
+        return a[:, basis]
+    index = np.array(basis, dtype=np.intp)
+    real = index < n
+    matrix = np.zeros((a.shape[0], len(basis)))
+    matrix[:, real] = a[:, index[real]]
+    matrix[index[~real] - n, (~real).nonzero()[0]] = 1.0
+    return matrix
+
+
+def _solve_basis(a: np.ndarray, basis: list[int], rhs: np.ndarray, pivots: int) -> np.ndarray:
+    """B^-1 rhs for B the columns ``basis`` of [a | I]; NoConvergence if B is singular."""
     try:
-        tableau = np.linalg.solve(system[:, basis], system)
+        return np.linalg.solve(_basis_matrix(a, basis), rhs)
     except np.linalg.LinAlgError:
         raise NoConvergence(f"simplex basis turned singular after {pivots} pivots") from None
-    tableau[:, basis] = np.eye(len(basis))
-    cost_row = costs - costs[basis] @ tableau[:, :-1]
-    cost_row[basis] = 0.0
-    return tableau, cost_row
 
 
-def _iterate(tableau: np.ndarray, cost_row: np.ndarray, basis: list[int],
-             system: np.ndarray, costs: np.ndarray, n: int) -> tuple[str, int]:
-    """Pivot until no column j < n prices in; in phase one, artificials never re-enter."""
+def _reinvert(basis: list[int], a: np.ndarray, b: np.ndarray, costs: np.ndarray, pivots: int):
+    """[B^-1 | x_B] and the reduced costs of a's columns on ``basis``, from the original columns.
+
+    ``costs`` holds the costs of [a | I], or of a alone when no artificial is basic.
+    """
+    n = a.shape[1]
+    identity_and_b = np.eye(len(basis), len(basis) + 1)
+    identity_and_b[:, -1] = b
+    inverse = _solve_basis(a, basis, identity_and_b, pivots)
+    cost_row = costs[:n] - (costs[basis] @ inverse[:, :-1]) @ a
+    cost_row[[j for j in basis if j < n]] = 0.0
+    return inverse, cost_row
+
+
+def _iterate(inverse: np.ndarray, cost_row: np.ndarray, basis: list[int],
+             a: np.ndarray, b: np.ndarray, costs: np.ndarray) -> tuple[str, int]:
+    """Pivot until no column of ``a`` prices in; in phase one, artificials never re-enter."""
+    n = a.shape[1]
+    binv, values = inverse[:, :-1], inverse[:, -1]  # views: reinversion writes into inverse
+    basic = np.zeros(n, dtype=bool)
+    basic[[j for j in basis if j < n]] = True
     degenerate = since_reinversion = 0
     for iteration in range(MAX_ITERATIONS):
-        col = _enter(cost_row[:n], degenerate >= BLAND_AFTER)
+        col = _enter(cost_row, degenerate >= BLAND_AFTER)
         if since_reinversion == REINVERT_EVERY or (
                 col < 0 and since_reinversion and iteration > REINVERT_EVERY):
-            tableau[:], cost_row[:] = _reinvert(basis, system, costs, iteration)
+            inverse[:], cost_row[:] = _reinvert(basis, a, b, costs, iteration)
             since_reinversion = 0
-            col = _enter(cost_row[:n], degenerate >= BLAND_AFTER)
+            col = _enter(cost_row, degenerate >= BLAND_AFTER)
         if col < 0:
             return OPTIMAL, iteration
-        row = _leave(tableau, col, basis)
+        column = binv @ a[:, col]
+        row, ratio = _leave(column, values, basis)
         if row < 0:
             return UNBOUNDED, iteration
-        degenerate = degenerate + 1 if tableau[row, -1] / tableau[row, col] <= PIVOT_TOL else 0
-        _pivot(tableau, cost_row, row, col, basis)
+        degenerate = degenerate + 1 if ratio <= PIVOT_TOL else 0
+        if basis[row] < n:
+            basic[basis[row]] = False
+        basic[col] = True
+        _pivot(inverse, column, row, col, basis)
+        cost_row -= cost_row[col] * (binv[row] @ a)
+        cost_row[basic] = 0.0
         since_reinversion += 1
     raise SolverStall(f"simplex did not terminate within {MAX_ITERATIONS} iterations")
 
@@ -143,28 +177,27 @@ def _recheck(a, b, c, x, basis: list[int], rows: list[int], feas_tol: float):
         return None
     y = np.zeros(len(b))
     y[rows] = np.linalg.solve(a[rows][:, basis].T, c[basis])
-    reduced = c - y @ a
-    if reduced.min() < -LP_DUAL_TOL:
-        raise CertificateError(f"optimal basis has reduced cost {reduced.min():.3e} < 0")
+    lowest = (c - y @ a).min(initial=0.0)
+    if lowest < -LP_DUAL_TOL:
+        raise CertificateError(f"optimal basis has reduced cost {lowest:.3e} < 0")
     return y
 
 
 def _warm_start(basis, a: np.ndarray, b: np.ndarray, costs: np.ndarray | None):
-    """Tableau, cost row and rows on ``basis``, or None unless it is a feasible basis of a x = b.
+    """[B^-1 | x_B], reduced costs and rows on ``basis``, or None unless it is a feasible basis.
 
     The rows are those not zero in both a and b; the others hold for every x and are dropped.
     """
     if basis is None or costs is None:
         return None
-    system = np.hstack([a, b[:, None]])
-    rows = np.flatnonzero(system.any(axis=1)).tolist()
+    rows = np.flatnonzero(a.any(axis=1) | (b != 0.0)).tolist()
     if len(basis) != len(rows) or not all(0 <= j < a.shape[1] for j in basis):
         return None
     try:
-        tableau, cost_row = _reinvert(list(basis), system[rows], costs, 0)
+        inverse, cost_row = _reinvert(list(basis), a[rows], b[rows], costs, 0)
     except NoConvergence:
         return None
-    return (tableau, cost_row, rows) if tableau[:, -1].min(initial=0.0) >= -LP_PRIMAL_TOL else None
+    return (inverse, cost_row, rows) if inverse[:, -1].min(initial=0.0) >= -LP_PRIMAL_TOL else None
 
 
 def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL,
@@ -187,22 +220,23 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL,
     costs = None if c is None else np.asarray(c, dtype=float)
     start = _warm_start(basis, a_mod, b_mod, costs)
     if start is not None:
-        tableau, cost_row, rows = start
+        inverse, cost_row, rows = start
         basis, iters, artificial_mass = list(basis), 0, 0.0
     else:
-        system = np.hstack([a_mod, np.eye(m), b_mod[:, None]])
-        tableau = system.copy()
+        # Phase one: artificial costs 1, starting from the artificial basis B = I.
+        inverse = np.eye(m, m + 1)
+        inverse[:, -1] = b_mod
         basis = list(range(n, n + m))
-        # Phase one: artificial costs 1, starting from the artificial basis.
-        costs_phase1 = np.repeat([0.0, 1.0], [n, m])
-        cost_row = costs_phase1 - tableau[:, :-1].sum(axis=0)
+        costs_phase1 = np.ones(n + m)
+        costs_phase1[:n] = 0.0
+        cost_row = -a_mod.sum(axis=0)
 
-        status, iters = _iterate(tableau, cost_row, basis, system, costs_phase1, n)
+        status, iters = _iterate(inverse, cost_row, basis, a_mod, b_mod, costs_phase1)
         if status == UNBOUNDED:
             raise CertificateError("phase one of the simplex reported unbounded")
-        artificial_mass = sum(tableau[i, -1] for i, j in enumerate(basis) if j >= n)
+        artificial_mass = sum(inverse[i, -1] for i, j in enumerate(basis) if j >= n)
         if artificial_mass > feas_tol:
-            y_orig = np.linalg.solve(system[:, basis].T, costs_phase1[basis]) * signs
+            y_orig = np.linalg.solve(_basis_matrix(a_mod, basis).T, costs_phase1[basis]) * signs
             slack = a_orig.T @ y_orig
             if slack.size and slack.max() > FARKAS_SLACK_TOL:
                 raise CertificateError(
@@ -211,44 +245,42 @@ def solve_equality_lp(A, b, c=None, feas_tol: float = FEASIBILITY_TOL,
                 raise CertificateError("Farkas certificate has nonpositive objective")
             return LPResult(INFEASIBLE, None, None, y_orig, float(artificial_mass), iters)
 
-        # Drive artificial variables out of the basis. An artificial that cannot
-        # leave, or whose pivot would move a basic value by more than
-        # LP_PRIMAL_TOL (a tiny level over a tiny entry), marks its constraint
-        # row as redundant, and that row is dropped.
-        nonbasic = np.ones(n, dtype=bool)
-        nonbasic[[j for j in basis if j < n]] = False
-        for i in range(m):
-            if basis[i] < n:
-                continue
-            candidates = (nonbasic & (np.abs(tableau[i, :n]) > PIVOT_TOL)).nonzero()[0]
-            if candidates.size:
-                pivot_col = int(candidates[0])
-                step = tableau[i, -1] / tableau[i, pivot_col]
-                moves = np.abs(tableau[:, pivot_col] * step)
+        # Drive artificial variables out of the basis, reading row i of B^-1 A. An
+        # artificial that cannot leave, or whose pivot would move a basic value by
+        # more than LP_PRIMAL_TOL (a tiny level over a tiny entry), marks its
+        # constraint row as redundant, and that row is dropped.
+        pending = [i for i in range(m) if basis[i] >= n]
+        while pending:
+            # The rows of B^-1 A of the pending artificials, read again after each pivot.
+            entries = np.abs(inverse[pending, :-1] @ a_mod) > PIVOT_TOL
+            entries[:, [j for j in basis if j < n]] = False
+            for k in entries.any(axis=1).nonzero()[0].tolist():
+                i, pivot_col = pending[k], int(entries[k].argmax())
+                column = inverse[:, :-1] @ a_mod[:, pivot_col]
+                step = inverse[i, -1] / column[i]
+                moves = np.abs(column * step)
                 moves[i] = abs(step)
-                if moves.max() > LP_PRIMAL_TOL:
-                    continue
-                _pivot(tableau, cost_row, i, pivot_col, basis)
-                nonbasic[pivot_col] = False
-        kept = [i for i, j in enumerate(basis) if j < n]
+                if moves.max() <= LP_PRIMAL_TOL:
+                    _pivot(inverse, column, i, pivot_col, basis)
+                    pending = pending[k + 1:]
+                    break
+            else:  # no pending artificial can leave
+                break
         rows = [k for k in range(m) if n + k not in basis]
-        basis = [basis[i] for i in kept]
+        basis = [j for j in basis if j < n]
 
-    if costs is None:
-        x_basic = tableau[kept, -1]
-    else:
+    a_rows, b_rows = (a_mod, b_mod) if len(rows) == m else (a_mod[rows], b_mod[rows])
+    if costs is not None:
         # Phase two starts from the original columns on the final phase-one basis, or the warm one.
-        system = np.hstack([a_mod, b_mod[:, None]])[rows]
         if start is None:
-            tableau, cost_row = _reinvert(basis, system, costs, iters)
-        status, iters2 = _iterate(tableau, cost_row, basis, system, costs, n)
+            inverse, cost_row = _reinvert(basis, a_rows, b_rows, costs, iters)
+        status, iters2 = _iterate(inverse, cost_row, basis, a_rows, b_rows, costs)
         iters += iters2
         if status == UNBOUNDED:
             return LPResult(UNBOUNDED, None, None, None, 0.0, iters)
-        x_basic = tableau[:, -1]
 
     x = np.zeros(n)
-    x[basis] = x_basic
+    x[basis] = _solve_basis(a_rows, basis, b_rows, iters)
     duals = _recheck(a_orig, b_orig, costs, x, basis, rows, feas_tol)
     objective = 0.0 if costs is None else float(costs @ x)
     return LPResult(OPTIMAL, x, objective, None, float(artificial_mass), iters, duals,

@@ -685,3 +685,27 @@ def test_membership_verdicts_agree_with_highs_on_minimal_states(d):
                                    method="highs")
             assert ref.status == (0 if expected == "inside" else 2)
             assert membership_lp(target, generators).verdict == expected
+
+
+def test_wide_hull_lps_at_d7_give_checked_verdicts():
+    # The 3003 minimal states of a d = 7 basis (past the enumeration guard): 50 x 3003 LPs.
+    from kdwitness import config, pure_positive
+
+    u = haar_unitary(7, 1007)
+    minimal = pure_positive._solve_patterns(u, config.default_tol(), config.STATE_DEDUP_TOL)
+    assert len(minimal) == 3003
+    points = hermitian_to_real(np.einsum("ki,kj->kij", minimal.states, minimal.states.conj()))
+    positive = filter_kd_positive_pure(minimal, u).states
+    weights = np.random.default_rng(7).dirichlet(np.ones(len(positive)))
+    inside = hermitian_to_real(np.einsum("k,ki,kj->ij", weights, positive, positive.conj()))
+    cert = membership_lp_points(inside, points)
+    assert cert.verdict == "inside"
+    geometry._check_inside(points, inside, cert.weights, cert.tol)
+
+    outside = hermitian_to_real(projector(random_pure_state(7, np.random.default_rng(4007))))
+    cert = membership_lp_points(outside, points)
+    assert cert.verdict == "outside"
+    values = points @ cert.functional
+    assert values.max() <= cert.threshold
+    assert outside @ cert.functional - values.max() == pytest.approx(cert.margin, abs=1e-12)
+    assert cert.margin > config.MARGIN_FACTOR * cert.tol

@@ -7,14 +7,14 @@ from kdwitness.config import LP_DUAL_TOL
 from kdwitness.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_equality_lp
 
 
-# -- reference: the tableau simplex with its row and column loops --------------
+# -- reference: the revised simplex with its row and column loops ---------------
 
 
-def _reference_enter(cost_row, n, bland):
-    """First improving column j < n under Bland's rule, else the most negative
+def _reference_enter(cost_row, bland):
+    """First improving column under Bland's rule, else the most negative
     (lowest index on ties)."""
     best = -1
-    for j in range(n):
+    for j in range(len(cost_row)):
         if cost_row[j] < -1e-10:
             if bland:
                 return j
@@ -23,13 +23,13 @@ def _reference_enter(cost_row, n, bland):
     return best
 
 
-def _reference_leave_bland(tableau, col, basis):
+def _reference_leave_bland(inverse, column, basis):
     best_ratio = np.inf
     best_row = -1
-    for i in range(tableau.shape[0]):
-        coeff = tableau[i, col]
+    for i in range(len(column)):
+        coeff = column[i]
         if coeff > 1e-10:
-            ratio = max(tableau[i, -1], 0.0) / coeff
+            ratio = max(inverse[i, -1], 0.0) / coeff
             if ratio < best_ratio - 1e-14 or (
                 abs(ratio - best_ratio) <= 1e-14
                 and (best_row == -1 or basis[i] < basis[best_row])
@@ -39,49 +39,76 @@ def _reference_leave_bland(tableau, col, basis):
     return best_row
 
 
-def _reference_pivot(tableau, cost_row, row, col, basis):
-    tableau[row] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and abs(tableau[i, col]) > 0.0:
-            tableau[i] -= tableau[i, col] * tableau[row]
-    cost_row -= cost_row[col] * tableau[row, :-1]
+def _reference_pivot(inverse, column, row, col, basis):
+    """The rank-one step on [B^-1 | x_B] as column ``col`` (B^-1 a_col = ``column``) enters."""
+    pivot_row = inverse[row] / column[row]
+    for i in range(len(column)):
+        if i != row:
+            inverse[i] -= column[i] * pivot_row
+    inverse[row] = pivot_row
     basis[row] = col
 
 
-def _reference_reinvert(tableau, cost_row, basis, system, costs):
-    tableau[:] = np.linalg.solve(system[:, basis], system)
-    for i, jb in enumerate(basis):
-        tableau[:, jb] = 0.0
-        tableau[i, jb] = 1.0
-    cost_row[:] = costs - costs[basis] @ tableau[:, :-1]
-    for jb in basis:
-        cost_row[jb] = 0.0
+def _reference_basis_matrix(a, basis):
+    """Columns ``basis`` of [a | I], an index j >= n standing for the unit column of row j - n."""
+    m, n = a.shape
+    matrix = np.zeros((m, len(basis)))
+    for k, j in enumerate(basis):
+        if j < n:
+            matrix[:, k] = a[:, j]
+        else:
+            matrix[j - n, k] = 1.0
+    return matrix
 
 
-def _reference_iterate(tableau, cost_row, basis, system, costs, n, bland_after, reinvert_every):
+def _reference_reinvert(inverse, cost_row, basis, a, b, costs):
+    n = a.shape[1]
+    rhs = np.zeros((len(basis), len(basis) + 1))
+    for i in range(len(basis)):
+        rhs[i, i] = 1.0
+        rhs[i, -1] = b[i]
+    inverse[:] = np.linalg.solve(_reference_basis_matrix(a, basis), rhs)
+    cost_row[:] = costs[:n] - (costs[basis] @ inverse[:, :-1]) @ a
+    for j in basis:
+        if j < n:
+            cost_row[j] = 0.0
+
+
+def _reference_iterate(inverse, cost_row, basis, a, b, costs, bland_after, reinvert_every):
     """Dantzig pricing, Bland's rule after ``bland_after`` degenerate pivots in a
     row, a reinversion every ``reinvert_every`` pivots and, in a phase longer
     than that, before declaring the basis optimal."""
+    n = a.shape[1]
     degenerate = since = 0
     for iteration in range(50_000):
         if since == reinvert_every:
-            _reference_reinvert(tableau, cost_row, basis, system, costs)
+            _reference_reinvert(inverse, cost_row, basis, a, b, costs)
             since = 0
-        col = _reference_enter(cost_row, n, degenerate >= bland_after)
+        col = _reference_enter(cost_row, degenerate >= bland_after)
         if col < 0 and since > 0 and iteration > reinvert_every:
-            _reference_reinvert(tableau, cost_row, basis, system, costs)
+            _reference_reinvert(inverse, cost_row, basis, a, b, costs)
             since = 0
-            col = _reference_enter(cost_row, n, degenerate >= bland_after)
+            col = _reference_enter(cost_row, degenerate >= bland_after)
         if col < 0:
             return OPTIMAL, iteration
-        row = _reference_leave_bland(tableau, col, basis)
+        column = inverse[:, :-1] @ a[:, col]
+        row = _reference_leave_bland(inverse, column, basis)
         if row < 0:
             return UNBOUNDED, iteration
-        if tableau[row, -1] / tableau[row, col] <= 1e-10:
+        if inverse[row, -1] / column[row] <= 1e-10:
             degenerate += 1
         else:
             degenerate = 0
-        _reference_pivot(tableau, cost_row, row, col, basis)
+        _reference_pivot(inverse, column, row, col, basis)
+        # The reduced costs by one product of the pivot row of B^-1 with A;
+        # basic columns price at exactly 0.
+        step = cost_row[col]
+        pivot_prices = inverse[row, :-1] @ a
+        for j in range(n):
+            cost_row[j] -= step * pivot_prices[j]
+        for j in basis:
+            if j < n:
+                cost_row[j] = 0.0
         since += 1
     raise AssertionError("reference simplex did not terminate")
 
@@ -89,51 +116,56 @@ def _reference_iterate(tableau, cost_row, basis, system, costs, n, bland_after, 
 def _reference_solve(a, b, c=None, feas_tol=1e-8, bland_after=32, reinvert_every=64):
     """(status, x, farkas, phase1_gap, iterations) of the loop-based simplex."""
     m, n = a.shape
-    rules = (n, bland_after, reinvert_every)
+    rules = (bland_after, reinvert_every)
     signs = np.where(b < 0.0, -1.0, 1.0)
-    ext = np.hstack([a * signs[:, None], np.eye(m)])
-    system = np.hstack([ext, (b * signs)[:, None]])
-    tableau = system.copy()
+    a_mod, b_mod = a * signs[:, None], b * signs
+    # Phase one from the artificial basis B = I, whose columns are not stored.
+    inverse = np.zeros((m, m + 1))
+    for i in range(m):
+        inverse[i, i] = 1.0
+        inverse[i, -1] = b_mod[i]
     basis = list(range(n, n + m))
     costs_phase1 = np.zeros(n + m)
     costs_phase1[n:] = 1.0
-    cost_row = costs_phase1 - tableau[:, :-1].sum(axis=0)
-    status, iters = _reference_iterate(tableau, cost_row, basis, system, costs_phase1, *rules)
-    mass = sum(tableau[i, -1] for i in range(len(basis)) if basis[i] >= n)
+    cost_row = -a_mod.sum(axis=0)
+    status, iters = _reference_iterate(inverse, cost_row, basis, a_mod, b_mod, costs_phase1,
+                                       *rules)
+    mass = sum(inverse[i, -1] for i in range(m) if basis[i] >= n)
     if mass > feas_tol:
-        y = np.linalg.solve(ext[:, basis].T, costs_phase1[list(basis)])
+        y = np.linalg.solve(_reference_basis_matrix(a_mod, basis).T, costs_phase1[basis])
         return INFEASIBLE, None, y * signs, float(mass), iters
     for i in range(m):
         if basis[i] < n:
             continue
+        prices = inverse[i, :-1] @ a_mod
         for j in range(n):
-            if j not in basis and abs(tableau[i, j]) > 1e-10:
+            if j not in basis and abs(prices[j]) > 1e-10:
                 # Not if the pivot would move a basic value by more than 1e-9.
-                step = tableau[i, -1] / tableau[i, j]
-                moves = [abs(step)] + [abs(tableau[k, j] * step) for k in range(m) if k != i]
+                column = inverse[:, :-1] @ a_mod[:, j]
+                step = inverse[i, -1] / column[i]
+                moves = [abs(step)] + [abs(column[k] * step) for k in range(m) if k != i]
                 if max(moves) <= 1e-9:
-                    _reference_pivot(tableau, cost_row, i, j, basis)
+                    _reference_pivot(inverse, column, i, j, basis)
                 break
     # An artificial still basic marks its constraint row as redundant.
-    kept = [i for i in range(m) if basis[i] < n]
     rows = [k for k in range(m) if n + k not in basis]
-    basis = [basis[i] for i in kept]
-    system = system[rows][:, list(range(n)) + [-1]]
-    if c is None:
-        x_basic = [tableau[i, -1] for i in kept]
-    else:
+    basis = [j for j in basis if j < n]
+    a_rows, b_rows = a_mod[rows], b_mod[rows]
+    if c is not None:
         costs = np.array(c, dtype=float)
-        tableau = np.empty_like(system)
+        inverse = np.empty((len(rows), len(rows) + 1))
         cost_row = np.empty(n)
-        _reference_reinvert(tableau, cost_row, basis, system, costs)
-        status, iters2 = _reference_iterate(tableau, cost_row, basis, system, costs, *rules)
+        _reference_reinvert(inverse, cost_row, basis, a_rows, b_rows, costs)
+        status, iters2 = _reference_iterate(inverse, cost_row, basis, a_rows, b_rows, costs,
+                                            *rules)
         iters += iters2
         if status != OPTIMAL:
             return status, None, None, 0.0, iters
-        x_basic = tableau[:, -1]
+    # x from one solve on the final basis.
     x = np.zeros(n)
-    for i, jb in enumerate(basis):
-        x[jb] = x_basic[i]
+    x_basic = np.linalg.solve(_reference_basis_matrix(a_rows, basis), b_rows)
+    for k, j in enumerate(basis):
+        x[j] = x_basic[k]
     return OPTIMAL, x, None, float(mass), iters
 
 
@@ -250,7 +282,7 @@ def _reference_lps():
         b = np.concatenate([target, [1.0]])
         if k % 4 == 3:
             # A repeated row (redundant) and a sign-flipped one (negative
-            # right-hand side, so the tableau starts with signed zeros).
+            # right-hand side, whose sign flip writes -0.0 into A).
             a = np.vstack([a, 2.0 * a[-1:], -a[:1]])
             b = np.concatenate([b, [2.0], -b[:1]])
         yield a, b, rng.standard_normal(n)
@@ -364,6 +396,9 @@ def test_a_program_without_columns():
     infeasible = solve_equality_lp(np.zeros((1, 0)), np.array([1.0]))
     assert infeasible.status == INFEASIBLE and infeasible.farkas.tolist() == [1.0]
     assert solve_equality_lp(np.zeros((1, 0)), np.array([0.0])).x.shape == (0,)
+    empty = solve_equality_lp(np.zeros((1, 0)), np.array([0.0]), c=np.array([]))
+    assert empty.status == OPTIMAL and empty.objective == 0.0
+    assert empty.x.shape == (0,) and empty.duals.tolist() == [0.0]
 
 
 def test_degenerate_vertex_terminates():
@@ -460,11 +495,12 @@ def test_beale_cycling_lp_terminates_at_its_optimum():
 
 
 def _beale_from_the_slack_basis():
-    system = np.hstack([_BEALE_A, _BEALE_B[:, None]])
-    tableau, cost_row, basis = system.copy(), _BEALE_C.copy(), [4, 5, 6]
-    status, _ = simplex._iterate(tableau, cost_row, basis, system, _BEALE_C, 7)
+    # The slack columns 4, 5 and 6 are the identity, so B^-1 = I and x_B = b.
+    inverse = np.hstack([np.eye(3), _BEALE_B[:, None]])
+    cost_row, basis = _BEALE_C.copy(), [4, 5, 6]
+    status, _ = simplex._iterate(inverse, cost_row, basis, _BEALE_A, _BEALE_B, _BEALE_C)
     x = np.zeros(7)
-    x[basis] = tableau[:, -1]
+    x[basis] = inverse[:, -1]
     return status, _BEALE_C @ x
 
 
@@ -481,13 +517,13 @@ def test_bland_fallback_breaks_the_dantzig_cycle(monkeypatch):
 
 
 def _corrupt_reinversion(monkeypatch, corrupt):
-    """Patch the reinversion so that ``corrupt(tableau, cost_row)`` runs after each."""
+    """Patch the reinversion so that ``corrupt(inverse, cost_row)`` runs after each."""
     reinvert = simplex._reinvert
 
     def corrupted(*args):
-        tableau, cost_row = reinvert(*args)
-        corrupt(tableau, cost_row)
-        return tableau, cost_row
+        inverse, cost_row = reinvert(*args)
+        corrupt(inverse, cost_row)
+        return inverse, cost_row
 
     monkeypatch.setattr(simplex, "_reinvert", corrupted)
 
@@ -501,12 +537,10 @@ def _hull_lp(seed=5, dim=4, n=30):
 
 
 def test_recheck_rejects_a_drifted_right_hand_side(monkeypatch):
+    # Every solve on a basis, the one that gives x included, drifts by 1e-6.
     a, b, c = _hull_lp()
-
-    def corrupt(tableau, cost_row):
-        tableau[:, -1] += 1e-6
-
-    _corrupt_reinversion(monkeypatch, corrupt)
+    solve_basis = simplex._solve_basis
+    monkeypatch.setattr(simplex, "_solve_basis", lambda *args: solve_basis(*args) + 1e-6)
     with pytest.raises(CertificateError, match="misses A @ x = b"):
         solve_equality_lp(a, b, c=c)
 
@@ -520,11 +554,11 @@ def test_recheck_rejects_a_false_feasibility_claim(monkeypatch):
     pivot = simplex._pivot
     calls = []
 
-    def corrupted(tableau, cost_row, row, col, basis):
-        pivot(tableau, cost_row, row, col, basis)
+    def corrupted(inverse, column, row, col, basis):
+        pivot(inverse, column, row, col, basis)
         calls.append(col)
         if len(calls) == pivots:
-            tableau[[i for i, j in enumerate(basis) if j >= a.shape[1]], -1] = 0.0
+            inverse[[i for i, j in enumerate(basis) if j >= a.shape[1]], -1] = 0.0
 
     monkeypatch.setattr(simplex, "_pivot", corrupted)
     with pytest.raises(CertificateError, match="optimal x"):
@@ -535,7 +569,7 @@ def test_recheck_rejects_a_suboptimal_basis(monkeypatch):
     # A cost row wiped to zero makes every basis look optimal; the duals solved
     # on the final basis show that it is not.
     a, b, c = _hull_lp()
-    _corrupt_reinversion(monkeypatch, lambda tableau, cost_row: cost_row.fill(0.0))
+    _corrupt_reinversion(monkeypatch, lambda inverse, cost_row: cost_row.fill(0.0))
     with pytest.raises(CertificateError, match="reduced cost"):
         solve_equality_lp(a, b, c=c)
 
@@ -543,7 +577,7 @@ def test_recheck_rejects_a_suboptimal_basis(monkeypatch):
 def test_clustered_columns_pass_the_recheck_and_agree_with_highs():
     # Columns in tight clusters with one integer cost per cluster: bases that
     # mix near-parallel columns, and many tied prices. No seeded LP of this
-    # kind was found whose tableau drifts without reinversion, so this test
+    # kind was found whose basis inverse drifts without reinversion, so this test
     # exercises such bases and the re-check; it does not reproduce a drift.
     optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(2024)
