@@ -70,7 +70,7 @@ MAX_FACET_SUBSETS = 200_000
 # take about 0.2 s on a 2-vCPU Xeon VM; 20 000 such points would take seconds.
 MAX_FACET_SIDE_ENTRIES = 1 << 24
 
-# The simplex treats tableau entries and reduced costs of at most this
+# The simplex treats entries of B^-1 A and reduced costs of at most this
 # modulus as zero when choosing pivots.
 PIVOT_TOL = 1e-10
 
