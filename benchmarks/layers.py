@@ -15,10 +15,11 @@ pinned to one thread, times
   at ``ROOF_CONFIG`` (4 restarts x 300 steps); its time is also given in µs
   per step, one step being one restart's proposal, score and accept test.
 
-At d = 7 and 8 (``PATTERN_SOLVE_DIMS``), past the enumeration's dimension
-guard, it times the guarded solve itself, ``pure_positive._solve_patterns``
-at the default tolerances, on ``haar_unitary(d, 1000 + d)``, with the number
-of patterns, C(2d, d + 1), and of states.
+At d = 7 and 8 (``PATTERN_SOLVE_DIMS``) it times the pattern solve alone,
+``pure_positive._solve_patterns`` at the default tolerances, without the
+incompatibility check that enumeration runs first (so packages whose
+enumeration stops at d = 6 run these rows too), on ``haar_unitary(d, 1000 +
+d)``, with the number of patterns, C(2d, d + 1), and of states.
 
 It times ``complete_incompatibility`` on ``haar_unitary(d, 1000 + d)`` at
 d = 3..8 and on the DFT matrix ``dft_matrix(8)`` ("dft8", whose many
@@ -28,8 +29,8 @@ minors near the minimum), with the number of minors checked. It times
 states, for the inside target ``MEMBERSHIP_INSIDE`` (their uniform mixture)
 and the outside target ``MEMBERSHIP_OUTSIDE`` (the pure state
 ``random_pure_state(d, default_rng(4000 + d))``), with the verdict and the
-iterations of the simplex behind it. At d = 7 and 8 (``HULL_LP_DIMS``), past
-the enumeration's dimension guard, the "hull_lp" layer times
+iterations of the simplex behind it. At d = 7 and 8 (``HULL_LP_DIMS``), the
+"hull_lp" layer times
 ``membership_lp_points`` over the projector points of the states that
 ``pure_positive._solve_patterns`` gives on ``haar_unitary(d, 1000 + d)`` (as
 the pattern-solve rows call it), for the inside target ``HULL_LP_INSIDE`` (a
@@ -94,7 +95,7 @@ the state of ``test_nonpositivity_roof_without_hull_route`` on ``dft_matrix(4)``
 (not completely incompatible); "nohull_dft6_rank6", ``G G^H / Tr`` on
 ``dft_matrix(6)`` with ``G`` a 6 x 6 complex Gaussian from ``default_rng(2006)``;
 and "nohull_haar9", ``random_density(9, default_rng(9))`` on
-``haar_unitary(9, 9)`` (past the minor and enumeration guards). Packages whose
+``haar_unitary(9, 9)`` (past the minor-count guard). Packages whose
 ``nonpositivity_roof_bounds`` takes ``cfg`` anneal at ``ROOF_CONFIG`` where
 there is no hull route. Its rows carry the
 upper bound, the same master-LP counts and, on one more untimed call, the
@@ -496,7 +497,7 @@ def same_facets(ours, theirs) -> bool:
 
 
 def solve_call(package, u):
-    """A call of the package's guarded pattern solve at the default tolerances."""
+    """A call of the package's pattern solve at the default tolerances, no incompatibility check."""
     pure = importlib.import_module(f"{package.__name__}.pure_positive")
     config = importlib.import_module(f"{package.__name__}.config")
     return lambda: pure._solve_patterns(u, config.default_tol(), config.STATE_DEDUP_TOL)
