@@ -154,6 +154,6 @@ def default_tol() -> float:
         value = float(raw)
     except ValueError:
         raise ValidationError(f"KD_DEFAULT_TOL is not a number: {raw!r}") from None
-    if value < 0.0:
-        raise ValidationError(f"KD_DEFAULT_TOL must be nonnegative, got {value}")
+    if not 0.0 <= value <= sys.float_info.max:
+        raise ValidationError(f"KD_DEFAULT_TOL must be finite and nonnegative, got {value}")
     return value

@@ -169,6 +169,8 @@ def membership_lp_points(
 ) -> MembershipCertificate:
     """Decide membership of a point in the convex hull of generator points."""
     tol = config.FEASIBILITY_TOL if tol is None else tol
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
     points = np.asarray(generators, dtype=float)
     x = np.asarray(target, dtype=float)
     result = _hull_lp(points, x, None, tol)

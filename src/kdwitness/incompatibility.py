@@ -60,6 +60,8 @@ class IncompatibilityReport:
 
 
 def _count(values_a: np.ndarray, values_b: np.ndarray, eps: float) -> SupportCount:
+    if not 0.0 <= eps < np.inf:
+        raise ValidationError(f"eps must be finite and nonnegative, got {eps}")
     mags = np.concatenate([values_a, values_b])
     kept = mags[mags > eps]
     discarded = mags[mags <= eps]
@@ -129,9 +131,9 @@ def complete_incompatibility(transition, eps: float | None = None) -> Incompatib
             f"minors, over the limit of {config.MAX_MINORS}"
         )
     floor = d * config.MINOR_EPS_FLOOR_PER_DIM
-    if not eps >= floor:
+    if not floor <= eps < np.inf:
         raise ValidationError(
-            f"eps {eps:g} is below the rounding floor {floor:.3g} of a {d} x {d} minor"
+            f"eps {eps:g} is not finite, or below the {d} x {d} minor's rounding floor {floor:.3g}"
         )
     best_abs, order, rows, cols = _smallest_minor(u)
     return IncompatibilityReport(

@@ -17,18 +17,11 @@ from itertools import chain, combinations, product
 import numpy as np
 
 from . import config
-from .errors import (
-    DimensionMismatch,
-    DimensionTooLarge,
-    NonGenericPatternWarning,
-    NotCompletelyIncompatible,
-)
+from .errors import DimensionMismatch, NonGenericPatternWarning, NotCompletelyIncompatible
 from .basis import per_basis
 from .incompatibility import complete_incompatibility
 from .kd import kd_positive_each
 from .linalg import as_complex
-
-MAX_ENUM_DIM = 6
 
 
 @dataclass(frozen=True)
@@ -181,20 +174,20 @@ def enumerate_min_uncertainty_states(
     solved as one stack of (a-1) x a systems; the states of all families
     are then normalised, phased and checked together.
 
-    The dimension guard and the incompatibility check run, and the
-    NonGenericPatternWarnings of the solve are issued, on every call; the
-    solve runs once per basis, base tolerance and ``dedup_tol``, and later
-    calls get the same list, with read-only states (see
-    :mod:`kdwitness.basis`). The pattern tables, which depend on d alone,
-    are built once per d per process.
+    The incompatibility check runs, and the NonGenericPatternWarnings of the
+    solve are issued, on every call; the solve runs once per basis, base
+    tolerance and ``dedup_tol``, and later calls get the same list, with
+    read-only states (see :mod:`kdwitness.basis`). The pattern tables, which
+    depend on d alone, are built once per d per process.
+
+    The size guard is that check's minor count, ``config.MAX_MINORS``
+    (DimensionTooLarge from d = 9 on): the C(2d, d + 1) = C(2d, d) - C_d
+    patterns (C_d the Catalan number) are never more than the C(2d, d) - 1
+    minors checked before them.
     """
     eps = config.default_tol()
     dedup_tol = config.STATE_DEDUP_TOL if dedup_tol is None else dedup_tol
     u = as_complex(transition, "transition matrix")
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionMismatch(f"transition matrix must be square, got {u.shape}")
-    if u.shape[0] > MAX_ENUM_DIM:
-        raise DimensionTooLarge(f"enumeration is guarded to d <= {MAX_ENUM_DIM}")
     report = complete_incompatibility(u, eps=eps)
     if not report.completely_incompatible:
         raise NotCompletelyIncompatible(

@@ -660,8 +660,8 @@ def _projector_points(states: np.ndarray) -> np.ndarray:
 def support_roof_bounds(rho, transition) -> RoofEstimate:
     """Bounds on the convex roof of the support uncertainty.
 
-    Requires a completely incompatible basis pair (dimension at most six),
-    which pins the roof at or above d+1 for every state. Membership of the
+    Requires a completely incompatible basis pair (d <= 8, the minor count's
+    guard), which pins the roof at or above d+1 for every state. Membership of the
     state in the hull of the minimal-uncertainty states decides the rest:
     inside gives the exact value d+1, exclusion certifies the roof strictly
     above d+1, and column generation brackets the excess from both sides.
@@ -694,7 +694,7 @@ def nonpositivity_roof_bounds(rho, transition, positive_pure=None) -> RoofEstima
 
     ``positive_pure`` supplies the pure KD-positive states and is assumed
     complete; when omitted it is derived by enumeration, which is complete
-    for completely incompatible bases in dimension at most six. Without
+    for completely incompatible bases in dimension at most eight. Without
     either route only the convexity bound is certified. The upper bound of a
     state the hull does not decide comes from column generation, whose
     dictionary without a hull route holds the pricer's fixed draws alone.

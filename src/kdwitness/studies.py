@@ -38,6 +38,8 @@ def haar_genericity_study(d: int, samples: int, seed: int) -> GenericityStudy:
     """
     if samples < 1:
         raise ValidationError("need at least one sample")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     hits = 0
     min_minors = np.empty(samples)
     for k in range(samples):

@@ -9,6 +9,7 @@ from kdwitness import (
     CertificateError,
     OutsideHull,
     dft_matrix,
+    haar_unitary,
     is_kd_positive,
     kd_table,
     rho_lambda,
@@ -318,6 +319,70 @@ _REPORT_KEYS = [
         "min_minor_quantiles.max", "min_minor_quantiles.median", "min_minor_quantiles.min",
         "min_minor_quantiles.q25", "min_minor_quantiles.q75", "samples", "seed"}, set()),
 ]
+
+
+
+# Per case: argv with fixture names for files, and the KD_DEFAULT_TOL to set (None: unset).
+_BAD_TOLERANCES = [
+    (["table", "--state", "rho05", "--basis", "basis"], "nan"),
+    (["support", "--state", "psi1", "--basis", "basis"], "nan"),
+    (["support", "--state", "psi1", "--basis", "basis", "--eps", "nan"], None),
+    (["support", "--state", "mixed", "--basis", "basis", "--eps", "inf"], None),
+    (["hull", "--state", "mixed", "--generators", "gens", "--tol", "nan"], None),
+    (["hull", "--state", "mixed", "--generators", "gens", "--tol", "-1"], None),
+    (["incompat", "--basis", "basis", "--eps", "inf"], None),
+]
+
+
+@pytest.mark.parametrize("argv, env", _BAD_TOLERANCES, ids=[
+    "table-env-nan", "support-env-nan", "support-eps-nan", "support-mixed-eps-inf",
+    "hull-tol-nan", "hull-tol-negative", "incompat-eps-inf"])
+def test_non_finite_or_negative_tolerances_are_validation_errors(
+    files, capsys, monkeypatch, argv, env
+):
+    if env is None:
+        monkeypatch.delenv("KD_DEFAULT_TOL", raising=False)
+    else:
+        monkeypatch.setenv("KD_DEFAULT_TOL", env)
+    resolved = []
+    for arg in argv:
+        value = files.get(arg, arg)
+        resolved += value if isinstance(value, list) else [value]
+    code, doc, _ = run_json(capsys, resolved)
+    assert code == 2
+    assert doc["error"]["category"] == "validation"
+    assert doc["error"]["type"] == "ValidationError"
+    assert "finite" in doc["error"]["message"]
+
+
+def test_haar_study_rejects_a_negative_seed(capsys):
+    code, doc, _ = run_json(capsys, ["haar-study", "--dim", "3", "--samples", "5",
+                                     "--seed", "-5"])
+    assert code == 2
+    assert doc["error"] == {"category": "validation", "type": "ValidationError",
+                            "message": "seed must be nonnegative, got -5"}
+
+
+def test_enumerate_and_roof_support_at_d7(capsys, tmp_path):
+    # The minor count is enumeration's only size guard: d = 7 and 8 run, d = 9 does not.
+    basis, state = str(tmp_path / "u7.json"), str(tmp_path / "rho7.json")
+    save_matrix_file(basis, haar_unitary(7, 1007), "unitary")
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
+    save_matrix_file(state, g @ g.conj().T / np.vdot(g, g).real, "density")
+    code, doc, _ = run_json(capsys, ["enumerate", "--basis", basis])
+    assert code == 0
+    assert doc["results"]["count"] == 3003
+    code, doc, _ = run_json(capsys, ["roof-support", "--state", state, "--basis", basis])
+    assert code == 0
+    assert doc["certificates"]["membership"]["verdict"] == "outside"
+    assert doc["results"]["lower_strict"] is True
+    assert doc["results"]["lower_bound"] == 8.0 < doc["results"]["upper_bound"]
+    save_matrix_file(tmp_path / "u9.json", haar_unitary(9, 9), "unitary")
+    code, doc, _ = run_json(capsys, ["enumerate", "--basis", str(tmp_path / "u9.json")])
+    assert code == 2
+    assert doc["error"]["type"] == "DimensionTooLarge"
+    assert "48619 minors" in doc["error"]["message"]
 
 
 @pytest.mark.parametrize("argv, results, certificates", _REPORT_KEYS,

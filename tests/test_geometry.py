@@ -688,11 +688,11 @@ def test_membership_verdicts_agree_with_highs_on_minimal_states(d):
 
 
 def test_wide_hull_lps_at_d7_give_checked_verdicts():
-    # The 3003 minimal states of a d = 7 basis (past the enumeration guard): 50 x 3003 LPs.
-    from kdwitness import config, pure_positive
+    # The 3003 minimal states of a d = 7 basis: 50 x 3003 LPs.
+    from kdwitness import config, enumerate_min_uncertainty_states
 
     u = haar_unitary(7, 1007)
-    minimal = pure_positive._solve_patterns(u, config.default_tol(), config.STATE_DEDUP_TOL)
+    minimal = enumerate_min_uncertainty_states(u)
     assert len(minimal) == 3003
     points = hermitian_to_real(np.einsum("ki,kj->kij", minimal.states, minimal.states.conj()))
     positive = filter_kd_positive_pure(minimal, u).states

@@ -293,6 +293,15 @@ def test_hadamard_pair_enumeration():
     assert len(positive) == 4
 
 
+def test_enumeration_at_d7_gives_every_minimal_state():
+    # The minor count is the only size guard: d = 7 has C(14, 8) = 3003 patterns.
+    u = haar_unitary(7, 1007)
+    result = enumerate_min_uncertainty_states(u)
+    assert len(result) == math.comb(14, 8) == 3003
+    assert not result.degenerate_patterns
+    assert all(support_counts_pure(psi, u).n_ab == 8 for psi in result.states)
+
+
 def test_rejects_incompatible_basis():
     with pytest.raises(NotCompletelyIncompatible):
         enumerate_min_uncertainty_states(dft_matrix(4))

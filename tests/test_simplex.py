@@ -401,6 +401,17 @@ def test_a_program_without_columns():
     assert empty.x.shape == (0,) and empty.duals.tolist() == [0.0]
 
 
+def test_ratio_ties_leave_on_the_lowest_basic_index():
+    # Warm basis (2, 1) holds its columns out of row order. Column 0 enters with
+    # ratio 1 on both rows; the row whose basic column is 1 (row 1) leaves, not
+    # the first tied row. Both choices are optimal at x = (1, 0, 0) in one pivot.
+    a = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    res = solve_equality_lp(a, np.array([1.0, 1.0]), c=np.array([-1.0, 0.0, 0.0]), basis=(2, 1))
+    assert res.status == OPTIMAL and res.iterations == 1
+    assert res.x.tolist() == [1.0, 0.0, 0.0]
+    assert res.basis == (2, 0)
+
+
 def test_degenerate_vertex_terminates():
     # Multiple generators coincide; Bland's rule must still terminate.
     points = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

@@ -54,6 +54,8 @@ def test_genericity_study_validation():
         haar_genericity_study(9, 10, seed=0)
     with pytest.raises(ValidationError):
         haar_genericity_study(3, 0, seed=0)
+    with pytest.raises(ValidationError, match="seed must be nonnegative"):
+        haar_genericity_study(3, 10, seed=-5)
 
 
 def test_dimension_two_has_only_basis_states():
