@@ -321,7 +321,6 @@ _REPORT_KEYS = [
 ]
 
 
-
 # Per case: argv with fixture names for files, and the KD_DEFAULT_TOL to set (None: unset).
 _BAD_TOLERANCES = [
     (["table", "--state", "rho05", "--basis", "basis"], "nan"),
