@@ -53,7 +53,7 @@ pivots that drive artificials out after phase one included).
 
 At d = 4..6 (``AGAIN_DIMS``) it times the dedup of the enumeration alone
 (``pure_positive._drop_near_repeats`` on all realized candidates, which
-``dedup_tol=-1`` returns, at the default dedup tolerance), and the "same
+``dedup_tol=0`` returns, at the default dedup tolerance), and the "same
 basis again" layer: ``enumerate_min_uncertainty_states`` plus
 ``support_roof_bounds`` and ``nonpositivity_roof_bounds`` on the inside
 mixture (the uniform mixture of the KD-positive minimal states), once on a
@@ -782,7 +782,7 @@ def record(args, cli_root) -> dict:
     layers["same_basis_again"] = {}
     for d in AGAIN_DIMS:
         u = kdwitness.haar_unitary(d, 1000 + d)
-        candidates = kdwitness.enumerate_min_uncertainty_states(u, dedup_tol=-1.0).states
+        candidates = kdwitness.enumerate_min_uncertainty_states(u, dedup_tol=0.0).states
         _, dedup_times = timed(pure_positive._drop_near_repeats, candidates,
                                config.STATE_DEDUP_TOL)
         minimal = kdwitness.enumerate_min_uncertainty_states(u)
