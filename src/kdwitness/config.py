@@ -2,15 +2,16 @@
 
 Per call, keyword arguments override only the base tolerance as the ``eps``
 of the support counts and the incompatibility decision, the feasibility
-tolerance of a hull-membership query (``hull --tol``), and the
-enumeration's dedup tolerance; ``KD_DEFAULT_TOL`` overrides the base one
-globally. Everything else is fixed: the facet active and match tolerances,
+tolerance of a hull-membership query (``hull --tol``, no lower than
+``MEMBERSHIP_TOL_FLOOR``), and the enumeration's dedup tolerance;
+``KD_DEFAULT_TOL`` overrides the base one globally. Everything else is fixed: the facet active and match tolerances,
 the margin factor, the rank, null-space, phase, weight and exactness
 cutoffs, the minor floor and count limit, the roof tolerances, the facet
 rank cutoffs, subset limit and side-test entry limit, the simplex pivot
 tolerance, Bland ratio-tie window, Farkas slack and re-check slacks, the
 hull certificates' weight and functional thresholds, the eigendecomposition
-checks, and the basis cache size ``BASIS_CACHE_SIZE``.
+checks, and the cache sizes ``BASIS_CACHE_SIZE`` and
+``MATRIX_FILE_CACHE_SIZE``.
 """
 
 import os
@@ -23,6 +24,14 @@ BASE_TOL = 1e-9
 
 # Feasibility tolerance of the hull-membership linear programs.
 FEASIBILITY_TOL = 1e-8
+
+# A hull-membership query refuses a feasibility tolerance below this. Near
+# rounding level, phase one can leave rounding-size artificial mass that the
+# tolerance reads as infeasibility, and an inside target then fails its Farkas
+# check: at 1e-16 on the uniform d = 3 state over the first six spin-1
+# projectors, and up to 3e-15 (about 14 eps) on 328 seeded Haar mixtures at
+# d = 3..7. The floor, about 2.2e-13, leaves a factor of 70 above that.
+MEMBERSHIP_TOL_FLOOR = 1000.0 * sys.float_info.epsilon
 
 # An "outside" verdict requires margin > MARGIN_FACTOR * feasibility tol.
 MARGIN_FACTOR = 10.0
@@ -41,6 +50,15 @@ MAX_MINORS = 12_869
 # recently used is dropped first. Cached results stay resident, and at
 # d = 6 they take about 0.16 MB per matrix.
 BASIS_CACHE_SIZE = 4
+
+# load_matrix_file parses and validates each distinct file content once per
+# base tolerance and keeps this many results; the least recently used is
+# dropped first. A session on the spin-1 system reads 17 files again and
+# again: the basis, the 15 generators and the state of the moment, which a
+# hull command reads with the generators. The rest holds the states of the
+# commands around them. Each entry keeps the file's bytes and its array
+# resident: about 0.9 kB for a d = 3 file, 3.4 kB at d = 6, 0.4 MB at d = 64.
+MATRIX_FILE_CACHE_SIZE = 32
 
 # Global-phase deduplication tolerance for enumerated pure states.
 STATE_DEDUP_TOL = 1e-8

@@ -169,8 +169,11 @@ def membership_lp_points(
 ) -> MembershipCertificate:
     """Decide membership of a point in the convex hull of generator points."""
     tol = config.FEASIBILITY_TOL if tol is None else tol
-    if not 0.0 <= tol < math.inf:
-        raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
+    if not config.MEMBERSHIP_TOL_FLOOR <= tol < math.inf:
+        raise ValidationError(
+            f"tol must be finite and at least MEMBERSHIP_TOL_FLOOR = "
+            f"{config.MEMBERSHIP_TOL_FLOOR:.3g}, got {tol}"
+        )
     points = np.asarray(generators, dtype=float)
     x = np.asarray(target, dtype=float)
     result = _hull_lp(points, x, None, tol)

@@ -5,6 +5,14 @@ A matrix file is a JSON document ``{"dim": d, "entries": ...,
 kinds and a flat list for pure states. Files are validated on load
 according to their declared kind and rejected with a located message.
 
+A file is read on every load (the command line digests those bytes for a
+report's ``inputs``), but its parse and validation run once per process for
+each distinct content and base tolerance (``config.default_tol()``, which the
+validators read). The last ``config.MATRIX_FILE_CACHE_SIZE`` results are kept,
+and their arrays are read-only. The expected kind is checked on every load,
+and a fault is never kept: a bad file raises its located
+:class:`MatrixFileError` every time it is loaded.
+
 Reports serialize with sorted keys and canonical floats so that identical
 commands with identical seeds produce byte-identical output (timing
 excluded).
@@ -13,9 +21,11 @@ excluded).
 import dataclasses
 import io
 import json
+from functools import lru_cache
 
 import numpy as np
 
+from . import config
 from .errors import MatrixFileError
 from .validation import (
     validate_density,
@@ -34,17 +44,29 @@ _VALIDATORS = {
 }
 
 
-def _entry_to_complex(entry, path: str, where: str) -> complex:
+class _FileFault(Exception):
+    """A fault in a file's content, before :func:`load_matrix_file` adds the path.
+
+    ``kind`` is the file's kind when the fault lies past it, so that an
+    unexpected kind is still reported first.
+    """
+
+    def __init__(self, message: str, kind: str | None = None):
+        super().__init__(message)
+        self.kind = kind
+
+
+def _entry_to_complex(entry, where: str) -> complex:
     if (
         not isinstance(entry, (list, tuple))
         or len(entry) != 2
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
     ):
-        raise MatrixFileError(path, f"{where}: expected an [re, im] pair, got {entry!r}")
+        raise _FileFault(f"{where}: expected an [re, im] pair, got {entry!r}")
     try:
         return complex(entry[0], entry[1])
     except OverflowError as exc:
-        raise MatrixFileError(path, f"{where}: {exc}") from exc
+        raise _FileFault(f"{where}: {exc}") from exc
 
 
 def read_file(path: str) -> bytes:
@@ -57,22 +79,45 @@ def read_file(path: str) -> bytes:
 
 def load_matrix_file(path: str, expect_kind: str | None = None,
                      data: bytes | None = None) -> tuple[str, np.ndarray]:
-    """Load and validate a matrix file, or its bytes ``data`` read before, as ``(kind, array)``."""
+    """Load and validate a matrix file, or its bytes ``data`` read before, as ``(kind, array)``.
+
+    The parse and the validation run once per content and base tolerance,
+    and the array is read-only (see the module docstring). ``expect_kind``
+    is checked on every call, and every fault raises a
+    :class:`MatrixFileError` located at ``path``.
+    """
     data = read_file(path) if data is None else data
+    try:
+        kind, array = _parse(data, config.default_tol())
+    except _FileFault as fault:
+        _check_kind(path, fault.kind, expect_kind)
+        raise MatrixFileError(path, str(fault)) from fault.__cause__
+    _check_kind(path, kind, expect_kind)
+    return kind, array
+
+
+def _check_kind(path: str, kind: str | None, expect_kind: str | None) -> None:
+    if None not in (kind, expect_kind) and kind != expect_kind:
+        raise MatrixFileError(path, f"expected kind {expect_kind!r}, file says {kind!r}")
+
+
+@lru_cache(maxsize=config.MATRIX_FILE_CACHE_SIZE)
+def _parse(data: bytes, tol: float) -> tuple[str, np.ndarray]:
+    """The kind and validated array of a file's bytes; the validators read ``tol``."""
     try:
         with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
             doc = json.load(text)
     except ValueError as exc:
         # Malformed JSON, text that is not UTF-8, or an integer too long to parse.
-        raise MatrixFileError(path, f"invalid JSON: {exc}") from exc
+        raise _FileFault(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise MatrixFileError(path, "top level must be a JSON object")
+        raise _FileFault("top level must be a JSON object")
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise MatrixFileError(path, f"'dim' must be a positive integer, got {dim!r}")
+        raise _FileFault(f"'dim' must be a positive integer, got {dim!r}")
     entries = doc.get("entries")
     if entries is None:
-        raise MatrixFileError(path, "missing 'entries'")
+        raise _FileFault("missing 'entries'")
     kind = doc.get("kind")
     if kind is None:
         # A flat list of [re, im] pairs is a pure state; nested rows are a
@@ -86,32 +131,34 @@ def load_matrix_file(path: str, expect_kind: str | None = None,
         )
         kind = "hermitian" if is_matrix else "pure_state"
     if kind not in KINDS:
-        raise MatrixFileError(path, f"unknown kind {kind!r}, expected one of {KINDS}")
-    if expect_kind is not None and kind != expect_kind:
-        raise MatrixFileError(path, f"expected kind {expect_kind!r}, file says {kind!r}")
+        raise _FileFault(f"unknown kind {kind!r}, expected one of {KINDS}")
 
-    if kind == "pure_state":
-        if not isinstance(entries, list) or len(entries) != dim:
-            raise MatrixFileError(path, f"pure state needs {dim} entries")
-        array = np.array(
-            [_entry_to_complex(e, path, f"entry {i}") for i, e in enumerate(entries)]
-        )
-    else:
-        if not isinstance(entries, list) or len(entries) != dim:
-            raise MatrixFileError(path, f"matrix needs {dim} rows")
-        rows = []
-        for i, row in enumerate(entries):
-            if not isinstance(row, list) or len(row) != dim:
-                raise MatrixFileError(path, f"row {i} needs {dim} entries")
-            rows.append(
-                [_entry_to_complex(e, path, f"entry ({i},{j})") for j, e in enumerate(row)]
-            )
-        array = np.array(rows)
+    try:
+        array = _entries_array(kind, dim, entries)
+    except _FileFault as fault:
+        fault.kind = kind
+        raise
     try:
         array = _VALIDATORS[kind](array)
     except Exception as exc:
-        raise MatrixFileError(path, f"validation as {kind!r} failed: {exc}") from exc
+        raise _FileFault(f"validation as {kind!r} failed: {exc}", kind) from exc
+    array.flags.writeable = False
     return kind, array
+
+
+def _entries_array(kind: str, dim: int, entries) -> np.ndarray:
+    if kind == "pure_state":
+        if not isinstance(entries, list) or len(entries) != dim:
+            raise _FileFault(f"pure state needs {dim} entries")
+        return np.array([_entry_to_complex(e, f"entry {i}") for i, e in enumerate(entries)])
+    if not isinstance(entries, list) or len(entries) != dim:
+        raise _FileFault(f"matrix needs {dim} rows")
+    rows = []
+    for i, row in enumerate(entries):
+        if not isinstance(row, list) or len(row) != dim:
+            raise _FileFault(f"row {i} needs {dim} entries")
+        rows.append([_entry_to_complex(e, f"entry ({i},{j})") for j, e in enumerate(row)])
+    return np.array(rows)
 
 
 def save_matrix_file(path: str, array, kind: str) -> None:

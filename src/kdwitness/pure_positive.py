@@ -17,7 +17,12 @@ from itertools import chain, combinations, product
 import numpy as np
 
 from . import config
-from .errors import DimensionMismatch, NonGenericPatternWarning, NotCompletelyIncompatible
+from .errors import (
+    DimensionMismatch,
+    NonGenericPatternWarning,
+    NotCompletelyIncompatible,
+    ValidationError,
+)
 from .basis import per_basis
 from .incompatibility import complete_incompatibility
 from .kd import kd_positive_each
@@ -187,6 +192,8 @@ def enumerate_min_uncertainty_states(
     """
     eps = config.default_tol()
     dedup_tol = config.STATE_DEDUP_TOL if dedup_tol is None else dedup_tol
+    if not 0.0 <= dedup_tol < np.inf:
+        raise ValidationError(f"dedup_tol must be finite and nonnegative, got {dedup_tol}")
     u = as_complex(transition, "transition matrix")
     report = complete_incompatibility(u, eps=eps)
     if not report.completely_incompatible:

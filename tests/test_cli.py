@@ -14,7 +14,7 @@ from kdwitness import (
     kd_table,
     rho_lambda,
 )
-from kdwitness import cli, config
+from kdwitness import cli, config, io_json
 from kdwitness.cli import main
 from kdwitness.io_json import load_matrix_file, save_matrix_file
 from kdwitness.linalg import projector
@@ -151,6 +151,25 @@ def test_hull_inside(files, capsys):
                                      "--generators", *files["gens"][:6]])
     assert code == 0
     assert doc["certificates"]["membership"]["verdict"] == "inside"
+
+
+def test_a_second_hull_run_reads_its_files_from_the_cache(files, capsys):
+    argv = ["hull", "--state", files["rho05"], "--generators", *files["gens"]]
+    io_json._parse.cache_clear()
+    code, first = run_report(capsys, argv)
+    assert code == 0
+    assert io_json._parse.cache_info().misses == 16
+    assert run_report(capsys, argv) == (code, first)
+    info = io_json._parse.cache_info()
+    assert (info.hits, info.misses) == (16, 16)
+
+
+def test_hull_tolerance_below_the_floor_is_a_validation_error(files, capsys):
+    code, doc, _ = run_json(capsys, ["hull", "--state", files["mixed"],
+                                     "--generators", *files["gens"][:6], "--tol", "0"])
+    assert code == 2
+    assert doc["error"]["category"] == "validation"
+    assert "MEMBERSHIP_TOL_FLOOR" in doc["error"]["message"]
 
 
 def test_hull_indeterminate_exit_code(files, capsys, tmp_path):

@@ -23,7 +23,7 @@ from kdwitness import (
     real_to_hermitian,
     rho_lambda,
 )
-from kdwitness import geometry
+from kdwitness import config, geometry
 from kdwitness.geometry import (
     FACET_BLOCK,
     Facet,
@@ -460,6 +460,21 @@ def test_membership_generator_is_inside(spin1_projectors):
 def test_membership_maximally_mixed_inside_basis_hull(spin1_projectors):
     cert = membership_lp(np.eye(3) / 3.0, spin1_projectors[:6])
     assert cert.verdict == "inside"
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-300])
+def test_membership_refuses_a_tolerance_below_the_floor(spin1_projectors, tol):
+    # At rounding-level tolerances this inside target used to end as a
+    # CertificateError: phase one's leftover rounding read as infeasibility.
+    with pytest.raises(ValidationError, match="MEMBERSHIP_TOL_FLOOR"):
+        membership_lp(np.eye(3) / 3.0, spin1_projectors[:6], tol=tol)
+
+
+def test_membership_at_the_tolerance_floor_certifies_inside(spin1_projectors):
+    tol = config.MEMBERSHIP_TOL_FLOOR
+    cert = membership_lp(np.eye(3) / 3.0, spin1_projectors[:6], tol=tol)
+    assert cert.verdict == "inside"
+    assert cert.tol == tol
 
 
 def test_membership_counterexample_outside(spin1_projectors):

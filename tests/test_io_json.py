@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from kdwitness import MatrixFileError
+from kdwitness import MatrixFileError, io_json
 from kdwitness.io_json import dumps_report, load_matrix_file
 
 
@@ -93,3 +93,85 @@ def test_entries_that_are_not_floats_are_located(tmp_path, doc, where):
     path.write_text(json.dumps(doc))
     with pytest.raises(MatrixFileError, match=re.escape(where)):
         load_matrix_file(str(path))
+
+
+# -- the parse-and-validate cache --------------------------------------------
+
+
+def _write(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _density_doc(trace: float) -> dict:
+    entries = [[[trace / 2, 0.0], [0.0, 0.0]], [[0.0, 0.0], [trace / 2, 0.0]]]
+    return {"dim": 2, "kind": "density", "entries": entries}
+
+
+def _misses() -> int:
+    return io_json._parse.cache_info().misses
+
+
+def test_a_rewritten_file_is_parsed_again(tmp_path):
+    path = _write(tmp_path / "state.json", _density_doc(1.0))
+    _, first = load_matrix_file(path)
+    misses = _misses()
+    _, again = load_matrix_file(path)
+    assert again is first and _misses() == misses
+    _write(tmp_path / "state.json", {"dim": 1, "kind": "pure_state", "entries": [[0.0, 1.0]]})
+    kind, other = load_matrix_file(path)
+    assert _misses() == misses + 1
+    assert kind == "pure_state" and other.tolist() == [1j]
+
+
+def test_a_tighter_default_tol_validates_again(tmp_path, monkeypatch):
+    path = _write(tmp_path / "state.json", _density_doc(1.0 + 1e-7))
+    monkeypatch.setenv("KD_DEFAULT_TOL", "1e-6")
+    kind, _ = load_matrix_file(path)
+    assert kind == "density"
+    monkeypatch.setenv("KD_DEFAULT_TOL", "1e-9")
+    with pytest.raises(MatrixFileError, match="trace"):
+        load_matrix_file(path)
+
+
+@pytest.mark.parametrize("content", [
+    "{not json",
+    json.dumps({"dim": 2, "kind": "density", "entries": [[[1.0, 0.0]], [[0.0, 0.0]]]}),
+    json.dumps(_density_doc(2.0)),
+], ids=["json", "row", "validation"])
+def test_a_bad_file_raises_its_located_error_on_every_call(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(MatrixFileError) as caught:
+            load_matrix_file(str(path))
+        assert caught.value.path == str(path)
+        assert str(caught.value).startswith(f"{path}: ")
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
+def test_equal_files_share_one_read_only_entry(tmp_path):
+    doc = _density_doc(1.0)
+    first, second = _write(tmp_path / "a.json", doc), _write(tmp_path / "b.json", doc)
+    _, array = load_matrix_file(first)
+    misses = _misses()
+    _, same = load_matrix_file(second)
+    assert same is array and _misses() == misses
+    assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        array[0, 0] = 0.0
+    # The expected kind is checked against each call's own path.
+    with pytest.raises(MatrixFileError, match="expected kind 'unitary'") as caught:
+        load_matrix_file(second, expect_kind="unitary")
+    assert caught.value.path == second
+
+
+def test_an_unexpected_kind_is_reported_before_a_fault_in_the_entries(tmp_path):
+    path = _write(tmp_path / "bad.json",
+                  {"dim": 2, "kind": "density", "entries": [[[1.0, 0.0]], [[0.0, 0.0]]]})
+    with pytest.raises(MatrixFileError, match="expected kind 'unitary', file says 'density'"):
+        load_matrix_file(path, expect_kind="unitary")
+    with pytest.raises(MatrixFileError, match="row 0 needs 2 entries"):
+        load_matrix_file(path, expect_kind="density")

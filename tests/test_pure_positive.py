@@ -9,6 +9,7 @@ import pytest
 from kdwitness import (
     NotCompletelyIncompatible,
     SPIN1,
+    ValidationError,
     enumerate_min_uncertainty_states,
     filter_kd_positive_pure,
     haar_unitary,
@@ -164,6 +165,16 @@ def test_degenerate_patterns_follow_the_reference_order(monkeypatch):
 def test_dedup_keeps_the_first_of_near_states(dedup_tol):
     result = _assert_matches_reference(haar_unitary(4, 7), dedup_tol=dedup_tol)
     assert len(result) < 56  # C(8, 5) patterns, all realized at the default tolerance
+
+
+@pytest.mark.parametrize("dedup_tol", [math.nan, -1.0, -1e-300, math.inf])
+def test_a_non_finite_or_negative_dedup_tol_is_a_validation_error(dedup_tol):
+    with pytest.raises(ValidationError, match="dedup_tol must be finite and nonnegative"):
+        enumerate_min_uncertainty_states(haar_unitary(4, 3), dedup_tol=dedup_tol)
+
+
+def test_a_zero_dedup_tol_keeps_every_realized_state():
+    assert len(enumerate_min_uncertainty_states(haar_unitary(4, 3), dedup_tol=0.0)) == 56
 
 
 def _reference_drop_near_repeats(candidates, dedup_tol):
