@@ -464,8 +464,8 @@ def test_membership_maximally_mixed_inside_basis_hull(spin1_projectors):
 
 @pytest.mark.parametrize("tol", [0.0, 1e-300])
 def test_membership_refuses_a_tolerance_below_the_floor(spin1_projectors, tol):
-    # At rounding-level tolerances this inside target used to end as a
-    # CertificateError: phase one's leftover rounding read as infeasibility.
+    # At rounding-level tolerances phase one's leftover rounding reads as
+    # infeasibility, and this inside target would fail its Farkas check.
     with pytest.raises(ValidationError, match="MEMBERSHIP_TOL_FLOOR"):
         membership_lp(np.eye(3) / 3.0, spin1_projectors[:6], tol=tol)
 
