@@ -51,10 +51,8 @@ is one timed call, with its value or the type of the package error it raised,
 and the simplex pivots it made (calls of the simplex module's ``_pivot``, the
 pivots that drive artificials out after phase one included).
 
-At d = 4..6 (``AGAIN_DIMS``) it times the dedup of the enumeration alone
-(``pure_positive._drop_near_repeats`` on all realized candidates, which
-``dedup_tol=0`` returns, at the default dedup tolerance), and the "same
-basis again" layer: ``enumerate_min_uncertainty_states`` plus
+At d = 4..6 (``AGAIN_DIMS``) it times the "same basis again" layer:
+``enumerate_min_uncertainty_states`` plus
 ``support_roof_bounds`` and ``nonpositivity_roof_bounds`` on the inside
 mixture (the uniform mixture of the KD-positive minimal states), once on a
 fresh cache ("first") and once more on the same basis ("repeat").
@@ -497,10 +495,15 @@ def same_facets(ours, theirs) -> bool:
 
 
 def solve_call(package, u):
-    """A call of the package's pattern solve at the default tolerances, no incompatibility check."""
+    """A call of the package's pattern solve at the default tolerances, no incompatibility check.
+
+    A package whose pattern solve also deduplicates the solved states takes
+    the tolerance of that, 1e-8 by default, as a third argument.
+    """
     pure = importlib.import_module(f"{package.__name__}.pure_positive")
     config = importlib.import_module(f"{package.__name__}.config")
-    return lambda: pure._solve_patterns(u, config.default_tol(), config.STATE_DEDUP_TOL)
+    extra = (1e-8,) if len(inspect.signature(pure._solve_patterns).parameters) == 3 else ()
+    return lambda: pure._solve_patterns(u, config.default_tol(), *extra)
 
 
 def same_states(ours, theirs) -> bool:
@@ -668,7 +671,7 @@ def record(args, cli_root) -> dict:
     import numpy as np
 
     import kdwitness
-    from kdwitness import cli, config, pure_positive
+    from kdwitness import cli, config
     from kdwitness.geometry import _hull_lp, facet_enumeration, facet_enumeration_points
     from kdwitness.linalg import projector, random_density
     from kdwitness.roof import nonpositivity_values_fn
@@ -782,9 +785,6 @@ def record(args, cli_root) -> dict:
     layers["same_basis_again"] = {}
     for d in AGAIN_DIMS:
         u = kdwitness.haar_unitary(d, 1000 + d)
-        candidates = kdwitness.enumerate_min_uncertainty_states(u, dedup_tol=0.0).states
-        _, dedup_times = timed(pure_positive._drop_near_repeats, candidates,
-                               config.STATE_DEDUP_TOL)
         minimal = kdwitness.enumerate_min_uncertainty_states(u)
         positive = kdwitness.filter_kd_positive_pure(minimal, u)
         rho = np.einsum("ki,kj->ij", positive.states, positive.states.conj()) / len(positive)
@@ -797,9 +797,7 @@ def record(args, cli_root) -> dict:
         estimate, first_times = timed(again)
         _, repeat_times = timed(again, fresh=False)
         layers["same_basis_again"][f"d{d}"] = {
-            "candidates": len(candidates),
             "states": len(minimal),
-            "dedup": summary_ms(dedup_times),
             "first": summary_ms(first_times),
             "repeat": summary_ms(repeat_times),
             "nonpositivity_exact": estimate.exact,
