@@ -1,10 +1,10 @@
 """Central numerical tolerances.
 
 Per call, keyword arguments override only the base tolerance as the ``eps``
-of the support counts and the incompatibility decision, the feasibility
+of the support counts and the incompatibility decision, and the feasibility
 tolerance of a hull-membership query (``hull --tol``, no lower than
-``MEMBERSHIP_TOL_FLOOR``), and the enumeration's dedup tolerance;
-``KD_DEFAULT_TOL`` overrides the base one globally. Everything else is fixed: the facet active and match tolerances,
+``MEMBERSHIP_TOL_FLOOR``); ``KD_DEFAULT_TOL`` overrides the base one
+globally. Everything else is fixed: the facet active and match tolerances,
 the margin factor, the rank, null-space, phase, weight and exactness
 cutoffs, the minor floor and count limit, the roof tolerances, the facet
 rank cutoffs, subset limit and side-test entry limit, the simplex pivot
@@ -46,7 +46,7 @@ MINOR_EPS_FLOOR_PER_DIM = 10.0 * sys.float_info.epsilon
 MAX_MINORS = 12_869
 
 # Each per-basis cache (the minor search, and the enumeration's pattern
-# solve at its tolerances) keeps this many results for reuse; the least
+# solve at its base tolerance) keeps this many results for reuse; the least
 # recently used is dropped first. Cached results stay resident, and at
 # d = 6 they take about 0.16 MB per matrix.
 BASIS_CACHE_SIZE = 4
@@ -59,9 +59,6 @@ BASIS_CACHE_SIZE = 4
 # commands around them. Each entry keeps the file's bytes and its array
 # resident: about 0.9 kB for a d = 3 file, 3.4 kB at d = 6, 0.4 MB at d = 64.
 MATRIX_FILE_CACHE_SIZE = 32
-
-# Global-phase deduplication tolerance for enumerated pure states.
-STATE_DEDUP_TOL = 1e-8
 
 # A generator lies on a facet's hyperplane within this distance.
 FACET_ACTIVE_TOL = 1e-7

@@ -21,7 +21,6 @@ from .errors import (
     DimensionMismatch,
     NonGenericPatternWarning,
     NotCompletelyIncompatible,
-    ValidationError,
 )
 from .basis import per_basis
 from .incompatibility import complete_incompatibility
@@ -48,7 +47,6 @@ class PureStateList:
 
     states: np.ndarray
     patterns: tuple[SupportPattern, ...]
-    dedup_tol: float
     degenerate_patterns: tuple[tuple[SupportPattern, int], ...] = ()
 
     def __len__(self) -> int:
@@ -132,57 +130,22 @@ def _pattern_tables(d: int) -> tuple:
     return tuple(families), masks, tuple(patterns)
 
 
-def _drop_near_repeats(candidates: np.ndarray, dedup_tol: float) -> np.ndarray:
-    """Indices of the candidates kept by a greedy pass in order.
-
-    A candidate is dropped when its :func:`phase_invariant_distance` to an
-    earlier kept one is at most ``dedup_tol``. Only pairs whose keys
-    ``|psi| @ w`` (``w`` a fixed unit vector) lie within ``dedup_tol`` of each
-    other are measured: by Cauchy-Schwarz and the reverse triangle
-    inequality, the keys of two states differ by at most their distance.
-    """
-    n, d = candidates.shape
-    w = np.sqrt(np.arange(1.0, d + 1.0))
-    keys = np.abs(candidates) @ (w / np.linalg.norm(w))
-    # Rounding of two keys and of one distance, each a sum of d terms of size
-    # at most one, stays below this.
-    window = dedup_tol + 8 * d * np.finfo(float).eps
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    lo = np.searchsorted(ranked, ranked - window, side="left")
-    spans = np.maximum(np.searchsorted(ranked, ranked + window, side="right") - lo, 0)
-    # Every (later, earlier) pair of candidates whose keys lie within the window.
-    b = np.repeat(np.arange(n), spans)
-    a = lo[b] + np.arange(b.size) - np.repeat(np.cumsum(spans) - spans, spans)
-    later, earlier = order[b], order[a]
-    pairs = earlier < later
-    later, earlier = later[pairs], earlier[pairs]
-    near = phase_invariant_distance(candidates[later], candidates[earlier]) <= dedup_tol
-    later, earlier = later[near], earlier[near]
-    keep = np.ones(n, dtype=bool)
-    by_later = np.argsort(later, kind="stable")
-    groups, starts = np.unique(later[by_later], return_index=True)
-    for k, group in zip(groups.tolist(), np.split(earlier[by_later], starts[1:])):
-        keep[k] = not keep[group].any()
-    return np.flatnonzero(keep)
-
-
-def enumerate_min_uncertainty_states(
-    transition, dedup_tol: float | None = None
-) -> PureStateList:
+def enumerate_min_uncertainty_states(transition) -> PureStateList:
     """All pure states with minimal support uncertainty, one per pattern.
 
     Requires a completely incompatible transition matrix (otherwise the
     d+1 floor does not hold and the pattern family is not exhaustive).
-    States are deduplicated up to global phase and returned with patterns
-    in lexicographic order. The patterns with |S| = a form one family,
-    solved as one stack of (a-1) x a systems; the states of all families
-    are then normalised, phased and checked together.
+    States are returned with their patterns in lexicographic order. The
+    patterns with |S| = a form one family, solved as one stack of (a-1) x a
+    systems; the states of all families are then normalised, phased and
+    checked together. A state is kept only when its realized supports equal
+    its pattern. Two states of one ray have the same moduli in both bases,
+    so they realize the same pattern: no ray is kept twice.
 
     The incompatibility check runs, and the NonGenericPatternWarnings of the
-    solve are issued, on every call; the solve runs once per basis, base
-    tolerance and ``dedup_tol``, and later calls get the same list, with
-    read-only states (see :mod:`kdwitness.basis`). The pattern tables, which
+    solve are issued, on every call; the solve runs once per basis and base
+    tolerance, and later calls get the same list, with read-only states (see
+    :mod:`kdwitness.basis`). The pattern tables, which
     depend on d alone, are built once per d per process.
 
     The size guard is that check's minor count, ``config.MAX_MINORS``
@@ -191,9 +154,6 @@ def enumerate_min_uncertainty_states(
     minors checked before them.
     """
     eps = config.default_tol()
-    dedup_tol = config.STATE_DEDUP_TOL if dedup_tol is None else dedup_tol
-    if not 0.0 <= dedup_tol < np.inf:
-        raise ValidationError(f"dedup_tol must be finite and nonnegative, got {dedup_tol}")
     u = as_complex(transition, "transition matrix")
     report = complete_incompatibility(u, eps=eps)
     if not report.completely_incompatible:
@@ -202,7 +162,7 @@ def enumerate_min_uncertainty_states(
             f"minor of order {report.argmin_order} at rows {report.argmin_rows}, "
             f"cols {report.argmin_cols} has modulus {report.min_abs_minor:.3e}"
         )
-    result = _solve_patterns(u, eps, dedup_tol)
+    result = _solve_patterns(u, eps)
     for pattern, null_dim in result.degenerate_patterns:
         warnings.warn(
             f"pattern {pattern} has null-space dimension {null_dim}",
@@ -213,7 +173,7 @@ def enumerate_min_uncertainty_states(
 
 
 @per_basis
-def _solve_patterns(u: np.ndarray, eps: float, dedup_tol: float) -> PureStateList:
+def _solve_patterns(u: np.ndarray, eps: float) -> PureStateList:
     """The enumeration proper, for a basis already checked."""
     d = u.shape[0]
     families, masks, patterns = _pattern_tables(d)
@@ -230,14 +190,11 @@ def _solve_patterns(u: np.ndarray, eps: float, dedup_tol: float) -> PureStateLis
     psi = canonical_phase(psi / np.linalg.norm(psi, axis=1, keepdims=True))
     realized = np.hstack([np.abs(psi) > eps, np.abs(psi @ u_conj) > eps]) == masks[solved]
     realized = realized.all(axis=1)
-    candidates, found = psi[realized], solved[realized]
-    keep = _drop_near_repeats(candidates, dedup_tol)
-    states = candidates[keep]
+    states = psi[realized]
     states.flags.writeable = False
     return PureStateList(
         states=states,
-        patterns=tuple(patterns[k] for k in found[keep].tolist()),
-        dedup_tol=dedup_tol,
+        patterns=tuple(patterns[k] for k in solved[realized].tolist()),
         degenerate_patterns=tuple(
             (patterns[k], int(null_dims[k])) for k in np.flatnonzero(null_dims != 1).tolist()
         ),
@@ -260,6 +217,5 @@ def filter_kd_positive_pure(state_list: PureStateList, transition) -> PureStateL
     return PureStateList(
         states=states[keep],
         patterns=tuple(state_list.patterns[k] for k in keep),
-        dedup_tol=state_list.dedup_tol,
         degenerate_patterns=state_list.degenerate_patterns,
     )

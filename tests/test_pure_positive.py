@@ -9,7 +9,6 @@ import pytest
 from kdwitness import (
     NotCompletelyIncompatible,
     SPIN1,
-    ValidationError,
     enumerate_min_uncertainty_states,
     filter_kd_positive_pure,
     haar_unitary,
@@ -49,7 +48,7 @@ def _reference_canonical_phase(psi):
     return psi
 
 
-def _reference_enumeration(u, eps=1e-9, dedup_tol=1e-8):
+def _reference_enumeration(u, eps=1e-9):
     """States, patterns, degenerate patterns and warning texts, pattern by pattern."""
     d = u.shape[0]
     u_conj = np.conj(u)
@@ -72,9 +71,6 @@ def _reference_enumeration(u, eps=1e-9, dedup_tol=1e-8):
                 realized_a = tuple(np.flatnonzero(np.abs(psi) > eps).tolist())
                 realized_b = tuple(np.flatnonzero(np.abs(psi @ u_conj) > eps).tolist())
                 if realized_a != sub_a or realized_b != sub_b:
-                    continue
-                # One call against every state kept so far, each entry with its pair's bits.
-                if states and (phase_invariant_distance(psi, np.array(states)) <= dedup_tol).any():
                     continue
                 states.append(psi)
                 patterns.append(pattern)
@@ -161,63 +157,21 @@ def test_degenerate_patterns_follow_the_reference_order(monkeypatch):
     assert len(result.degenerate_patterns) > 1
 
 
-@pytest.mark.parametrize("dedup_tol", [0.5, 1.0, 1.4])
-def test_dedup_keeps_the_first_of_near_states(dedup_tol):
-    result = _assert_matches_reference(haar_unitary(4, 7), dedup_tol=dedup_tol)
-    assert len(result) < 56  # C(8, 5) patterns, all realized at the default tolerance
+def test_every_realized_state_is_kept():
+    assert len(enumerate_min_uncertainty_states(haar_unitary(4, 3))) == 56
 
 
-@pytest.mark.parametrize("dedup_tol", [math.nan, -1.0, -1e-300, math.inf])
-def test_a_non_finite_or_negative_dedup_tol_is_a_validation_error(dedup_tol):
-    with pytest.raises(ValidationError, match="dedup_tol must be finite and nonnegative"):
-        enumerate_min_uncertainty_states(haar_unitary(4, 3), dedup_tol=dedup_tol)
-
-
-def test_a_zero_dedup_tol_keeps_every_realized_state():
-    assert len(enumerate_min_uncertainty_states(haar_unitary(4, 3), dedup_tol=0.0)) == 56
-
-
-def _reference_drop_near_repeats(candidates, dedup_tol):
-    kept = []
-    for k, psi in enumerate(candidates):
-        if all(phase_invariant_distance(psi, candidates[j]) > dedup_tol for j in kept):
-            kept.append(k)
-    return kept
-
-
-def _adversarial_candidates(dedup_tol, rng):
-    """States at distances just inside and outside dedup_tol of earlier ones,
-    in chains, and states with equal moduli but other entry phases."""
-    d = 4
-    base = rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d))
-    base[::3, 1] = 0.0
-    base /= np.linalg.norm(base, axis=1, keepdims=True)
-    out = list(base)
-    for factor in (1 - 1e-3, 1 + 1e-3):
-        for psi in base:
-            # chi = cos(a) psi + sin(a) v with v orthogonal to psi lies at
-            # phase-invariant distance 2 sin(a / 2) from psi.
-            for _ in range(2):
-                v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                v -= np.vdot(psi, v) * psi
-                v /= np.linalg.norm(v)
-                a = 2 * np.arcsin(min(1.0, dedup_tol * factor / 2))
-                chi = np.cos(a) * psi + np.sin(a) * v
-                out.append(np.exp(2j * np.pi * rng.random()) * chi)
-                psi = chi
-    for psi in base:
-        out.append(np.abs(psi) * np.exp(2j * np.pi * rng.random(d)))
-    order = rng.permutation(len(out))
-    return np.array(out)[order]
-
-
-@pytest.mark.parametrize("dedup_tol", [1e-8, 0.5, 1.0, 1.4])
-def test_dedup_matches_the_pairwise_greedy_on_adversarial_sets(dedup_tol):
-    rng = np.random.default_rng(int(dedup_tol * 1e3) + 11)
-    for _ in range(5):
-        candidates = _adversarial_candidates(dedup_tol, rng)
-        kept = pure_positive._drop_near_repeats(candidates, dedup_tol)
-        assert kept.tolist() == _reference_drop_near_repeats(candidates, dedup_tol)
+@pytest.mark.parametrize("u", REFERENCE_BASES)
+def test_each_state_is_the_one_ray_of_its_pattern(u):
+    # What makes each kept state unique: it realizes its own pattern, and no
+    # two patterns are the same, so no two states are one ray.
+    result = enumerate_min_uncertainty_states(u)
+    assert len(set(result.patterns)) == len(result.patterns)
+    for psi, pattern in zip(result.states, result.patterns):
+        assert tuple(np.flatnonzero(np.abs(psi) > 1e-9).tolist()) == pattern.a_support
+        assert tuple(np.flatnonzero(np.abs(psi @ np.conj(u)) > 1e-9).tolist()) == pattern.b_support
+    i, j = np.triu_indices(len(result), k=1)
+    assert (phase_invariant_distance(result.states[i], result.states[j]) > 1e-8).all()
 
 
 def _match_one_to_one(found, reference, tol=1e-8):
