@@ -54,8 +54,13 @@ from .linalg import (
     hermitian_eig,
     random_isometry,
 )
-from .pure_positive import enumerate_min_uncertainty_states, filter_kd_positive_pure
+from .pure_positive import (
+    enumerate_min_uncertainty_states,
+    filter_kd_positive_pure,
+    kd_positive_rows,
+)
 from .simplex import OPTIMAL, solve_equality_lp
+from .validation import validate_pure_state, validate_unitary
 
 SUPPORT_OBJECTIVE = "support_uncertainty"
 NONPOSITIVITY_OBJECTIVE = "total_nonpositivity"
@@ -667,7 +672,7 @@ def support_roof_bounds(rho, transition) -> RoofEstimate:
     above d+1, and column generation brackets the excess from both sides.
     """
     eps = config.default_tol()
-    u = as_complex(transition, "transition matrix")
+    u = validate_unitary(transition)
     rho_m = as_complex(rho, "state")
     base = float(support_counts_mixed(rho_m, u, eps=eps).n_ab)
     values = support_values_fn(u)
@@ -683,6 +688,20 @@ def support_roof_bounds(rho, transition) -> RoofEstimate:
     )
 
 
+def _supplied_positive_pure(states, u: np.ndarray) -> np.ndarray:
+    """The supplied states as rows, each checked to be a unit d-vector and KD positive."""
+    d = u.shape[0]
+    rows = [validate_pure_state(psi) for psi in states]
+    for k, psi in enumerate(rows):
+        if psi.size != d:
+            raise ValidationError(f"positive_pure state {k} has {psi.size} entries, not {d}")
+    rows = np.array(rows, dtype=complex).reshape(len(rows), d)
+    positive = kd_positive_rows(rows, u)
+    if not positive.all():
+        raise ValidationError(f"positive_pure state {int(np.argmin(positive))} is not KD positive")
+    return rows
+
+
 def nonpositivity_roof_bounds(rho, transition, positive_pure=None) -> RoofEstimate:
     """Bounds on the convex roof of the total nonpositivity.
 
@@ -692,21 +711,23 @@ def nonpositivity_roof_bounds(rho, transition, positive_pure=None) -> RoofEstima
     a certified exclusion from that hull makes the roof strictly larger
     than one even when the state itself is KD positive.
 
-    ``positive_pure`` supplies the pure KD-positive states and is assumed
-    complete; when omitted it is derived by enumeration, which is complete
+    ``positive_pure`` supplies the pure KD-positive states. Each must be a
+    unit vector of the basis dimension and KD positive (ValidationError
+    otherwise); that they are all such states is the caller's claim. When
+    omitted it is derived by enumeration, which is complete
     for completely incompatible bases in dimension at most eight. Without
     either route only the convexity bound is certified. The upper bound of a
     state the hull does not decide comes from column generation, whose
     dictionary without a hull route holds the pricer's fixed draws alone.
     """
-    u = as_complex(transition, "transition matrix")
+    u = validate_unitary(transition)
     rho_m = as_complex(rho, "state")
     base = total_nonpositivity(kd_table(rho_m, u))
+    supplied = None if positive_pure is None else _supplied_positive_pure(positive_pure, u)
 
     def anchor_source():
-        if positive_pure is not None:
-            anchors = np.asarray(positive_pure, dtype=complex)
-            return anchors, _projector_points(anchors), "supplied"
+        if supplied is not None:
+            return supplied, _projector_points(supplied), "supplied"
         try:
             minimal = enumerate_min_uncertainty_states(u)
         except (NotCompletelyIncompatible, DimensionTooLarge):

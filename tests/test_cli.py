@@ -29,6 +29,7 @@ def files(tmp_path_factory):
         "basis": root / "basis.json",
         "rho05": root / "rho05.json",
         "psi1": root / "psi1.json",
+        "pos0": root / "pos0.json",
         "mixed": root / "mixed.json",
         "basis2": root / "basis2.json",
         "state2": root / "state2.json",
@@ -36,6 +37,7 @@ def files(tmp_path_factory):
     save_matrix_file(paths["basis"], SPIN1.transition, "unitary")
     save_matrix_file(paths["rho05"], rho_lambda(0.5), "density")
     save_matrix_file(paths["psi1"], SPIN1.min_uncertainty_states[9], "pure_state")
+    save_matrix_file(paths["pos0"], SPIN1.positive_states[0], "pure_state")
     save_matrix_file(paths["mixed"], np.eye(3) / 3.0, "density")
     save_matrix_file(paths["basis2"], np.eye(2), "unitary")
     save_matrix_file(paths["state2"], np.eye(2) / 2.0, "density")
@@ -221,6 +223,20 @@ def test_roof_nonpos_with_supplied_generators(files, capsys, tmp_path):
     assert doc["results"]["lower_strict"] is True
     assert doc["results"]["upper_bound"] > 1.0 + 1e-4
     assert doc["results"]["generator_provenance"] == "supplied"
+
+
+def test_roof_nonpos_refuses_a_supplied_state_that_is_not_kd_positive(files, capsys, tmp_path):
+    u = SPIN1.transition
+    bad = next(s for s in SPIN1.min_uncertainty_states if not is_kd_positive(kd_table(s, u)))
+    argv = ["roof-nonpos", "--state", files["mixed"], "--basis", files["basis"]]
+    for k, s in enumerate([*SPIN1.positive_states, bad]):
+        p = tmp_path / f"pos{k}.json"
+        save_matrix_file(p, s, "pure_state")
+        argv += ["--positive-pure", str(p)]
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 2
+    assert doc["error"] == {"category": "validation", "type": "ValidationError",
+                            "message": "positive_pure state 9 is not KD positive"}
 
 
 def test_roof_ignores_the_anneal_flags(files, capsys, tmp_path):
@@ -509,7 +525,7 @@ def test_each_input_file_is_opened_once(files, capsys, monkeypatch, command):
         "table": ["table", "--state", files["rho05"], "--basis", files["basis"]],
         "hull": ["hull", "--state", files["mixed"], "--generators", *files["gens"]],
         "roof-nonpos": ["roof-nonpos", "--state", files["rho05"], "--basis", files["basis"],
-                        "--positive-pure", files["psi1"], "--positive-pure", files["psi1"]],
+                        "--positive-pure", files["pos0"], "--positive-pure", files["pos0"]],
     }[command]
     inputs = set(argv[1:]) - {"--state", "--basis", "--generators", "--positive-pure"}
     opened = []

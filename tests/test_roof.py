@@ -27,7 +27,13 @@ from kdwitness import (
 )
 from kdwitness import basis, config, roof
 from kdwitness.geometry import hermitian_to_real
-from kdwitness.linalg import complex_gaussian, projector, random_density, random_isometry
+from kdwitness.linalg import (
+    complex_gaussian,
+    projector,
+    random_density,
+    random_isometry,
+    random_pure_state,
+)
 from kdwitness.roof import nonpositivity_values_fn, support_values_fn
 
 LIGHT = AnnealConfig(restarts=6, steps=400, seed=0)
@@ -395,6 +401,29 @@ def test_nonpositivity_roof_accepts_supplied_generators():
     )
     assert est.generator_provenance == "supplied"
     assert est.lower_strict
+
+
+def test_both_roofs_refuse_a_transition_that_is_not_unitary():
+    for roof_bounds in (support_roof_bounds, nonpositivity_roof_bounds):
+        with pytest.raises(ValidationError, match="not unitary"):
+            roof_bounds(np.eye(3) / 3.0, 2.0 * haar_unitary(3, 1))
+
+
+def test_supplied_generators_are_checked():
+    # The basis states of both bases are KD positive; psi is not, and the
+    # mixture of it with I / 3 lies in the hull of all seven.
+    u = haar_unitary(3, 1)
+    psi = random_pure_state(3, np.random.default_rng(0))
+    assert total_nonpositivity(kd_table(psi, u)) > 1.3
+    rho = projector(psi) / 2.0 + np.eye(3) / 6.0
+    states = [*np.eye(3), *u.T]
+    assert nonpositivity_roof_bounds(rho, u, positive_pure=states).generator_provenance == "supplied"
+    with pytest.raises(ValidationError, match="positive_pure state 6 is not KD positive"):
+        nonpositivity_roof_bounds(rho, u, positive_pure=[*states, psi])
+    with pytest.raises(ValidationError, match="positive_pure state 1 has 2 entries, not 3"):
+        nonpositivity_roof_bounds(rho, u, positive_pure=[states[0], np.array([1.0, 0.0])])
+    with pytest.raises(ValidationError, match="norm"):
+        nonpositivity_roof_bounds(rho, u, positive_pure=[2.0 * states[0]])
 
 
 def test_convexity_sandwich_on_random_states():
