@@ -123,6 +123,8 @@ def _embed(generators, target=None):
     n = len(stack)
     if n == 0:
         raise ValidationError("need at least one generator")
+    if np.ndim(stack[0]) != 2:
+        raise ValidationError(f"the first generator must be a matrix, got shape {np.shape(stack[0])}")
     d = np.shape(stack[0])[0]
     with suppress(ValueError):  # a ragged list stays a list
         stack = np.asarray(stack, dtype=complex)

@@ -575,6 +575,16 @@ def test_mixed_dimension_generators_are_a_validation_error(spin1_projectors):
         finite_convex_roof(np.ones(4), np.eye(3) / 3.0, generators)
 
 
+@pytest.mark.parametrize("first", [1.0, np.ones(3)], ids=["scalar", "vector"])
+def test_a_first_generator_that_is_not_a_matrix_is_a_validation_error(first):
+    with pytest.raises(ValidationError, match="the first generator must be a matrix"):
+        membership_lp(np.eye(2) / 2.0, [first])
+    with pytest.raises(ValidationError, match="the first generator must be a matrix"):
+        facet_enumeration([first, np.eye(2) / 2.0])
+    with pytest.raises(ValidationError, match="the first generator must be a matrix"):
+        finite_convex_roof([1.0], np.eye(2) / 2.0, [first])
+
+
 def test_finite_convex_roof_outside_raises(spin1_projectors):
     with pytest.raises(OutsideHull):
         finite_convex_roof(np.ones(15), rho_lambda(0.5), spin1_projectors)
