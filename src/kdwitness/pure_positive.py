@@ -201,7 +201,7 @@ def _solve_patterns(u: np.ndarray, eps: float) -> PureStateList:
     )
 
 
-def kd_positive_rows(states: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _kd_positive_rows(states: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Whether each pure state row has an entrywise positive quasiprobability table."""
     # A pure state's table entry (i, j) is conj(U_ij) psi_i (psi^dagger U)_j.
     tables = np.conj(u) * states[:, :, np.newaxis] * (states.conj() @ u)[:, np.newaxis, :]
@@ -218,7 +218,7 @@ def filter_kd_positive_pure(state_list: PureStateList, transition) -> PureStateL
         raise DimensionMismatch(
             f"states of shape {states.shape} do not match basis dimension {u.shape[0]}"
         )
-    keep = np.flatnonzero(kd_positive_rows(states, u))
+    keep = np.flatnonzero(_kd_positive_rows(states, u))
     return PureStateList(
         states=states[keep],
         patterns=tuple(state_list.patterns[k] for k in keep),

@@ -55,9 +55,9 @@ from .linalg import (
     random_isometry,
 )
 from .pure_positive import (
+    _kd_positive_rows,
     enumerate_min_uncertainty_states,
     filter_kd_positive_pure,
-    kd_positive_rows,
 )
 from .simplex import OPTIMAL, solve_equality_lp
 from .validation import validate_pure_state, validate_unitary
@@ -696,7 +696,7 @@ def _supplied_positive_pure(states, u: np.ndarray) -> np.ndarray:
         if psi.size != d:
             raise ValidationError(f"positive_pure state {k} has {psi.size} entries, not {d}")
     rows = np.array(rows, dtype=complex).reshape(len(rows), d)
-    positive = kd_positive_rows(rows, u)
+    positive = _kd_positive_rows(rows, u)
     if not positive.all():
         raise ValidationError(f"positive_pure state {int(np.argmin(positive))} is not KD positive")
     return rows
