@@ -145,8 +145,8 @@ def enumerate_min_uncertainty_states(transition) -> PureStateList:
     The incompatibility check runs, and the NonGenericPatternWarnings of the
     solve are issued, on every call; the solve runs once per basis and base
     tolerance, and later calls get the same list, with read-only states (see
-    :mod:`kdwitness.basis`). The pattern tables, which
-    depend on d alone, are built once per d per process.
+    :mod:`kdwitness.basis`). The pattern tables, which depend on d alone, are
+    built once per d per process.
 
     The size guard is that check's minor count, ``config.MAX_MINORS``
     (DimensionTooLarge from d = 9 on): the C(2d, d + 1) = C(2d, d) - C_d
