@@ -77,17 +77,17 @@ def _reference_enumeration(u, eps=1e-9):
     return np.array(states), tuple(patterns), tuple(degenerate), messages
 
 
-def _enumerate_recording_warnings(u, **kwargs):
+def _enumerate_recording_warnings(u):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = enumerate_min_uncertainty_states(u, **kwargs)
+        result = enumerate_min_uncertainty_states(u)
     messages = [str(w.message) for w in caught if w.category is NonGenericPatternWarning]
     return result, messages
 
 
-def _assert_matches_reference(u, **kwargs):
-    result, messages = _enumerate_recording_warnings(u, **kwargs)
-    states, patterns, degenerate, ref_messages = _reference_enumeration(u, **kwargs)
+def _assert_matches_reference(u):
+    result, messages = _enumerate_recording_warnings(u)
+    states, patterns, degenerate, ref_messages = _reference_enumeration(u)
     assert result.patterns == patterns
     assert result.degenerate_patterns == degenerate
     assert messages == ref_messages
