@@ -136,8 +136,8 @@ WEIGHT_CUTOFF = 1e-12
 # Upper and lower roof bounds closing within this gap are reported exact.
 EXACT_GAP_TOL = 1e-6
 
-# A decomposition's weights sum to one within this, and its density matrix
-# reproduces the state within this Frobenius distance.
+# A decomposition's weights sum to the state's trace within this, and its
+# density matrix reproduces the state within this Frobenius distance.
 WEIGHT_SUM_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-8
 

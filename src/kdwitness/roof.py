@@ -7,8 +7,10 @@ support roof, whose duals W give the lower bound Tr(W rho) + min (|S| + |T| -
 lambda_max(W on V_{S,T})), and heuristically for the nonpositivity roof,
 whose pricing dictionary holds the KD-positive states of a hull route, if
 there is one, and fixed draws; a rank-one state scores its one member. The
-annealer over isometries of the eigen-ensemble (``roof_upper_bound``) is no
-roof's search; it stays as objective-agnostic API.
+annealer over isometries of the eigen-ensemble (``roof_upper_bound``), which
+runs its restarts one after another, is no roof's search; it stays as
+objective-agnostic API. Both roofs and the annealer take the state through
+``validate_density``: a matrix that is not a state is a ValidationError.
 Lower bounds also come from convexity for the total nonpositivity, the d+1
 floor of complete incompatibility for the support uncertainty, and hull
 certificates for strictness. Bounds are only ever reported as bounds; the
@@ -18,6 +20,7 @@ exact flag is set when the certificates close the gap.
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -60,7 +63,7 @@ from .pure_positive import (
     filter_kd_positive_pure,
 )
 from .simplex import OPTIMAL, solve_equality_lp
-from .validation import validate_pure_state, validate_unitary
+from .validation import validate_density, validate_pure_state, validate_unitary
 
 SUPPORT_OBJECTIVE = "support_uncertainty"
 NONPOSITIVITY_OBJECTIVE = "total_nonpositivity"
@@ -82,11 +85,13 @@ class Decomposition:
         return (self.states.T * self.weights) @ self.states.conj()
 
     def validate(self, rho) -> None:
-        if abs(self.weights.sum() - 1.0) > config.WEIGHT_SUM_TOL:
-            raise CertificateError(f"weights sum to {self.weights.sum()}")
+        rho = np.asarray(rho)
+        trace = float(np.trace(rho).real)
+        if abs(self.weights.sum() - trace) > config.WEIGHT_SUM_TOL:
+            raise CertificateError(f"weights sum to {self.weights.sum()}, not Tr rho = {trace}")
         if self.weights.min() < 0.0:
             raise CertificateError(f"negative weight {self.weights.min():.3e}")
-        if frobenius(self.density() - np.asarray(rho)) > config.RECONSTRUCTION_TOL:
+        if frobenius(self.density() - rho) > config.RECONSTRUCTION_TOL:
             raise CertificateError("decomposition does not reproduce the state")
 
 
@@ -99,9 +104,10 @@ class AnnealConfig:
     ``T_END``, ``PROPOSAL_SCALE``, ``SPARSIFY_PROB``), and a rank-r state is
     decomposed into r * r members, which suffices for roof-achieving
     decompositions of continuous objectives. Runs are deterministic given
-    ``seed``: restart k draws from its own stream, seeded ``seed + k``, and
-    the restarts run in lock step, so each one takes the same moves and
-    reaches the same value as when run alone.
+    ``seed``: restart k draws from its own stream, seeded ``seed + k``, so
+    it takes the same moves and reaches the same value whatever the other
+    restarts do. Each field is an integer (not a bool): ``restarts`` at
+    least 1, ``steps`` and ``seed`` at least 0.
     """
 
     restarts: int = 40
@@ -109,10 +115,10 @@ class AnnealConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValidationError(f"restarts must be at least 1, got {self.restarts}")
-        if self.steps < 0:
-            raise ValidationError(f"steps must be nonnegative, got {self.steps}")
+        for name, low in (("restarts", 1), ("steps", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ValidationError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -173,22 +179,11 @@ def decomposition_from_isometry(eig: EigenDecomposition, isometry) -> Decomposit
         )
     if frobenius(dagger(v) @ v - np.eye(r)) > config.ISOMETRY_TOL:
         raise NotIsometry(f"columns are not orthonormal within {config.ISOMETRY_TOL:g}")
-    raw, weights, keep = _members(eig, r, v)
+    raw = (v * np.sqrt(mu[:r])) @ eig.eigenvectors[:, :r].T
+    weights = np.einsum("ij,ij->i", raw, raw.conj()).real
+    keep = weights > config.WEIGHT_CUTOFF
     weights = weights[keep]
     return Decomposition(weights=weights, states=raw[keep] / np.sqrt(weights)[:, None])
-
-
-def _members(eig: EigenDecomposition, rank: int, v: np.ndarray):
-    """Unnormalized members, their weights and the kept-member mask.
-
-    ``v`` is one isometry or a stack of them; the arithmetic is the same for
-    each matrix of a stack as for that matrix alone.
-    """
-    mixed = v * np.sqrt(eig.eigenvalues[:rank])
-    raw = mixed @ eig.eigenvectors[:, :rank].T
-    # Contiguous, since a dot product's rounding depends on the stride.
-    weights = np.ascontiguousarray(np.einsum("...ij,...ij->...i", raw, raw.conj()).real)
-    return raw, weights, weights > config.WEIGHT_CUTOFF
 
 
 def support_values_fn(transition):
@@ -218,53 +213,31 @@ def nonpositivity_values_fn(transition):
     return values
 
 
-def _polar(stack: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(stack, full_matrices=False)
+def _unit_rows(states, d: int, name: str) -> np.ndarray:
+    """``states`` as the rows of an array, each checked to be a unit d-vector."""
+    rows = [validate_pure_state(psi) for psi in states]
+    for k, psi in enumerate(rows):
+        if psi.size != d:
+            raise ValidationError(f"{name} {k} has {psi.size} entries, not {d}")
+    return np.array(rows, dtype=complex).reshape(len(rows), d)
+
+
+def _polar(matrix: np.ndarray) -> np.ndarray:
+    u, _, vh = np.linalg.svd(matrix, full_matrices=False)
     return u @ vh
 
 
-def _psd_sqrt(stack: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((stack + dagger(stack)) / 2.0)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)[..., None, :]) @ dagger(vecs)
-
-
-class _AnchorSet:
-    """Precomputed data for moves that pin a member to an anchor state."""
-
-    def __init__(self, anchors, eig: EigenDecomposition, rank: int):
-        mu = eig.eigenvalues[:rank]
-        vectors = eig.eigenvectors[:, :rank]
-        rows = []
-        self.t_max = []
-        for chi in anchors:
-            coeff = dagger(vectors) @ np.asarray(chi, dtype=complex)
-            weight_in_range = float(np.vdot(coeff, coeff).real)
-            if weight_in_range < config.ANCHOR_RANGE_CUTOFF:
-                continue
-            row = coeff / np.sqrt(mu)
-            rows.append(row)
-            self.t_max.append(1.0 / float(np.vdot(row, row).real))
-        self.rows = np.array(rows).reshape(len(rows), rank)
-        self.count = len(rows)
-
-
-def _sparsify(v: np.ndarray, members: np.ndarray, pinned: np.ndarray) -> np.ndarray:
-    """Pin row ``members[k]`` of isometry ``v[k]`` to ``pinned[k]``.
+def _sparsify(v: np.ndarray, member: int, pinned: np.ndarray) -> np.ndarray:
+    """Isometry ``v`` with row ``member`` pinned to ``pinned``.
 
     The other rows are replaced by the polar factor of what they were times
-    the square root of what the pinned row leaves of the identity, so each
+    the square root of what the pinned row leaves of the identity, so the
     result is again an isometry.
     """
-    count, n, r = v.shape
-    residual = np.eye(r) - pinned.conj()[:, :, None] * pinned[:, None, :]
-    shrink = _psd_sqrt(residual)
-    others = np.arange(n) != members[:, None]
-    rotated = _polar(v[others].reshape(count, n - 1, r)) @ shrink
-    out = np.empty_like(v)
-    out[np.arange(count), members] = pinned
-    out[others] = rotated.reshape(-1, r)
-    return out
+    residual = np.eye(v.shape[1]) - np.outer(pinned.conj(), pinned)
+    vals, vecs = np.linalg.eigh((residual + dagger(residual)) / 2.0)
+    shrink = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ dagger(vecs)
+    return np.insert(_polar(np.delete(v, member, axis=0)) @ shrink, member, pinned, axis=0)
 
 
 # The annealing schedule: temperatures fall geometrically from T_START to
@@ -288,19 +261,17 @@ def roof_upper_bound(
     ``values_fn`` maps an (n, d) array of member states to their n
     objective values, each value depending on its own row only. Proposals
     are Gaussian perturbations retracted to the isometry manifold; when
-    ``anchors`` are supplied, additional moves pin one member exactly to an
-    anchor state, which is how sparse-support members are reached at all.
-    All restarts advance together, one step at a time: each draws from its
-    own stream as if run alone, and the proposals of a step are built and
-    scored as one batch. The returned value is always a valid upper bound;
-    its quality depends on the configuration.
+    ``anchors`` (unit d-vectors) are supplied, additional moves pin one
+    member exactly to an anchor state, which is how sparse-support members
+    are reached at all. Restarts run one after another, and every starting
+    point and proposal is scored on its ``decomposition_from_isometry``. The
+    returned value is always a valid upper bound; its quality depends on the
+    configuration.
     """
     cfg = cfg or AnnealConfig()
-    eig = hermitian_eig(as_complex(rho, "state"))
+    rho_m = validate_density(rho)
+    eig = hermitian_eig(rho_m)
     rank = int(np.count_nonzero(eig.eigenvalues > config.RANK_CUTOFF))
-    if rank == 0:
-        raise ValidationError("state has no eigenvalue above the rank cutoff")
-
     if rank == 1:
         psi = eig.eigenvectors[:, 0]
         dec = Decomposition(np.array([1.0]), psi[None, :])
@@ -308,75 +279,47 @@ def roof_upper_bound(
         return RoofSearchResult(value, dec, (value,))
 
     n = rank * rank
-    anchor_set = _AnchorSet(() if anchors is None else anchors, eig, rank)
+    vectors, mu = eig.eigenvectors[:, :rank], eig.eigenvalues[:rank]
+    # Each anchor in range(rho) as a row of coefficients over the ensemble, and
+    # the largest t for which sqrt(t) times that row can be a row of an isometry.
+    rows, t_max = [], []
+    for chi in () if anchors is None else _unit_rows(anchors, rho_m.shape[0], "anchor"):
+        coeff = dagger(vectors) @ chi
+        if float(np.vdot(coeff, coeff).real) < config.ANCHOR_RANGE_CUTOFF:
+            continue
+        rows.append(coeff / np.sqrt(mu))
+        t_max.append(1.0 / float(np.vdot(rows[-1], rows[-1]).real))
 
-    def score(v: np.ndarray) -> np.ndarray:
-        raw, weights, keep = _members(eig, rank, v)
-        # A dropped member is left unnormalized rather than divided by zero.
-        states = raw / np.sqrt(np.where(keep, weights, 1.0))[..., None]
-        values = values_fn(states.reshape(-1, raw.shape[-1])).reshape(weights.shape)
-        # Per restart, the dot product that scores its decomposition.
-        scores = np.matmul(weights[:, None, :], values[:, :, None])[:, 0, 0]
-        if not keep.all():
-            # Dropped members leave the sum, as in a decomposition.
-            for k in np.flatnonzero(~keep.all(axis=1)):
-                scores[k] = weights[k][keep[k]] @ values[k][keep[k]]
-        return scores
+    def score(v):
+        """(value, decomposition) of isometry ``v``."""
+        dec = decomposition_from_isometry(eig, v)
+        return float(dec.weights @ values_fn(dec.states)), dec
 
-    temps = T_START * (T_END / T_START) ** (
-        np.arange(cfg.steps) / max(1, cfg.steps - 1)
-    )
-    rngs = [np.random.default_rng(cfg.seed + k) for k in range(cfg.restarts)]
-    v = np.zeros((cfg.restarts, n, rank), dtype=complex)
-    v[0, :rank, :rank] = np.eye(rank)
-    for k in range(1, cfg.restarts):
-        v[k] = random_isometry(n, rank, rngs[k])
-    values = score(v)
-    best_values, best_v = values.copy(), v.copy()
-
-    # Restart k's Gaussian draws: real parts, then imaginary parts, the
-    # order in which complex_gaussian draws them.
-    noise = np.empty((cfg.restarts, 2, n, rank))
-    for temp in temps.tolist():
-        hops = []
-        for k, rng in enumerate(rngs):
+    temps = T_START * (T_END / T_START) ** (np.arange(cfg.steps) / max(1, cfg.steps - 1))
+    bests = []  # per restart, the first (value, decomposition) at its lowest value
+    for k in range(cfg.restarts):
+        rng = np.random.default_rng(cfg.seed + k)
+        v = random_isometry(n, rank, rng) if k else np.eye(n, rank, dtype=complex)
+        current = best = score(v)
+        for temp in temps.tolist():
             # random() returns what uniform() returns, from one draw.
-            if anchor_set.count and rng.random() < SPARSIFY_PROB:
+            if rows and rng.random() < SPARSIFY_PROB:
                 member = int(rng.integers(n))
-                which = int(rng.integers(anchor_set.count))
-                t = float(rng.uniform(0.3, 1.0)) * anchor_set.t_max[which]
-                hops.append((k, member, which, t))
+                which = int(rng.integers(len(rows)))
+                t = float(rng.uniform(0.3, 1.0)) * t_max[which]
+                proposal = _sparsify(v, member, np.sqrt(t) * rows[which])
             else:
-                rng.standard_normal(out=noise[k])
-        proposal = np.empty_like(v)
-        moved = np.ones(cfg.restarts, dtype=bool)
-        if hops:
-            hopped, members, which, t = (np.array(column) for column in zip(*hops))
-            moved[hopped] = False
-            pinned = np.sqrt(t)[:, None] * anchor_set.rows[which]
-            proposal[hopped] = _sparsify(v[hopped], members, pinned)
-        if len(hops) < cfg.restarts:
-            sigma = PROPOSAL_SCALE * math.sqrt(temp)
-            drawn = noise[moved]
-            gaussian = (drawn[:, 0] + 1j * drawn[:, 1]) / np.sqrt(2.0)
-            proposal[moved] = _polar(v[moved] + sigma * gaussian)
-        new_values = score(proposal)
-        accept = np.array([
-            delta <= 0.0 or rng.random() < math.exp(-delta / temp)
-            for delta, rng in zip((new_values - values).tolist(), rngs)
-        ])
-        np.copyto(v, proposal, where=accept[:, None, None])
-        np.copyto(values, new_values, where=accept)
-        better = values < best_values
-        np.copyto(best_values, values, where=better)
-        np.copyto(best_v, v, where=better[:, None, None])
-
-    best = int(np.argmin(best_values))
-    return RoofSearchResult(
-        float(best_values[best]),
-        decomposition_from_isometry(eig, best_v[best]),
-        tuple(best_values.tolist()),
-    )
+                sigma = PROPOSAL_SCALE * math.sqrt(temp)
+                proposal = _polar(v + sigma * complex_gaussian(v.shape, rng))
+            scored = score(proposal)
+            delta = scored[0] - current[0]
+            if delta <= 0.0 or rng.random() < math.exp(-delta / temp):
+                v, current = proposal, scored
+                if current[0] < best[0]:
+                    best = current
+        bests.append(best)
+    value, dec = min(bests, key=lambda scored: scored[0])  # the first of equal values
+    return RoofSearchResult(value, dec, tuple(scored[0] for scored in bests))
 
 
 def _recheck(result: RoofSearchResult, rho: np.ndarray, values) -> None:
@@ -630,12 +573,13 @@ def _roof_bounds(
         psi = eig.eigenvectors[:, 0]
         value = float(values(psi[None, :])[0])
         result = RoofSearchResult(value, Decomposition(np.array([1.0]), psi[None, :]))
+        # Its one member, of weight 1, decomposes rho / Tr rho.
+        _recheck(result, rho_m / np.trace(rho_m).real, values)
         lower, certificate = value, CERT_RANK_ONE
     else:
         result = search(eig, rank, anchors)
-        lower, certificate = (floor, CERT_HULL) if strict else (base, CERT_CONVEXITY)
-    if verdict != INSIDE:
         _recheck(result, rho_m, values)
+        lower, certificate = (floor, CERT_HULL) if strict else (base, CERT_CONVEXITY)
     return RoofEstimate(
         objective=objective,
         lower_bound=lower,
@@ -673,7 +617,7 @@ def support_roof_bounds(rho, transition) -> RoofEstimate:
     """
     eps = config.default_tol()
     u = validate_unitary(transition)
-    rho_m = as_complex(rho, "state")
+    rho_m = validate_density(rho)
     base = float(support_counts_mixed(rho_m, u, eps=eps).n_ab)
     values = support_values_fn(u)
 
@@ -690,12 +634,7 @@ def support_roof_bounds(rho, transition) -> RoofEstimate:
 
 def _supplied_positive_pure(states, u: np.ndarray) -> np.ndarray:
     """The supplied states as rows, each checked to be a unit d-vector and KD positive."""
-    d = u.shape[0]
-    rows = [validate_pure_state(psi) for psi in states]
-    for k, psi in enumerate(rows):
-        if psi.size != d:
-            raise ValidationError(f"positive_pure state {k} has {psi.size} entries, not {d}")
-    rows = np.array(rows, dtype=complex).reshape(len(rows), d)
+    rows = _unit_rows(states, u.shape[0], "positive_pure state")
     positive = _kd_positive_rows(rows, u)
     if not positive.all():
         raise ValidationError(f"positive_pure state {int(np.argmin(positive))} is not KD positive")
@@ -721,7 +660,7 @@ def nonpositivity_roof_bounds(rho, transition, positive_pure=None) -> RoofEstima
     dictionary without a hull route holds the pricer's fixed draws alone.
     """
     u = validate_unitary(transition)
-    rho_m = as_complex(rho, "state")
+    rho_m = validate_density(rho)
     base = total_nonpositivity(kd_table(rho_m, u))
     supplied = None if positive_pure is None else _supplied_positive_pure(positive_pure, u)
 

@@ -239,6 +239,33 @@ def test_roof_nonpos_refuses_a_supplied_state_that_is_not_kd_positive(files, cap
                             "message": "positive_pure state 9 is not KD positive"}
 
 
+@pytest.mark.parametrize("command", ["roof-support", "roof-nonpos"])
+def test_roof_refuses_a_hermitian_file_that_is_not_a_state(files, capsys, tmp_path, command):
+    for k, (matrix, message) in enumerate([(rho_lambda(0.8), "negative eigenvalue"),
+                                           (2.0 * rho_lambda(0.3), "trace")]):
+        path = tmp_path / f"h{k}.json"
+        save_matrix_file(path, matrix, "hermitian")
+        code, doc, _ = run_json(capsys, [command, "--state", str(path), "--basis", files["basis"]])
+        assert code == 2
+        assert doc["error"]["category"] == "validation"
+        assert doc["error"]["type"] == "ValidationError"
+        assert message in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["roof-support", "roof-nonpos"])
+def test_roof_takes_a_density_file_whose_trace_is_off_within_tolerance(files, capsys, tmp_path,
+                                                                       command):
+    path = tmp_path / "off.json"
+    save_matrix_file(path, rho_lambda(0.5) * (1.0 + 5e-10), "density")
+    assert load_matrix_file(str(path))[0] == "density"
+    code, doc, _ = run_json(capsys, [command, "--state", str(path), "--basis", files["basis"]])
+    _, exact, _ = run_json(capsys, [command, "--state", files["rho05"], "--basis", files["basis"]])
+    assert code == 0
+    assert doc["results"]["lower_strict"] is True
+    assert doc["results"]["upper_bound"] == pytest.approx(exact["results"]["upper_bound"],
+                                                         rel=1e-8)
+
+
 def test_roof_ignores_the_anneal_flags(files, capsys, tmp_path):
     # --seed, --restarts and --steps are parsed and echoed, never validated or used,
     # also on the DFT 4 pair, which has no hull route.

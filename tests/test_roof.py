@@ -191,6 +191,12 @@ def test_lock_step_matches_reference_on_edge_configs(cfg):
     [
         ("restarts", 0),
         ("steps", -1),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("restarts", 2.0),
+        ("steps", "3"),
+        ("restarts", True),
+        ("seed", False),
     ],
 )
 def test_anneal_config_rejects_bad_values(field, value):
@@ -202,6 +208,74 @@ def test_anneal_config_accepts_boundary_values():
     cfg = AnnealConfig(restarts=1, steps=0)
     res = roof_upper_bound(rho_lambda(0.5), nonpositivity_values_fn(SPIN1.transition), cfg)
     assert res.restart_values == (res.value,)
+    assert AnnealConfig(restarts=np.int64(2), steps=np.int32(0), seed=np.uint8(0)).restarts == 2
+
+
+@pytest.mark.parametrize("anchor, message", [(np.ones(4) / 2.0, "anchor 1 has 4 entries, not 3"),
+                                             (2.0 * SPIN1.positive_states[0], "norm")],
+                         ids=["length", "norm"])
+def test_roof_upper_bound_refuses_an_anchor_that_is_not_a_unit_d_vector(anchor, message):
+    with pytest.raises(ValidationError, match=message):
+        roof_upper_bound(rho_lambda(0.5), nonpositivity_values_fn(SPIN1.transition), LIGHT,
+                         anchors=[SPIN1.positive_states[1], anchor])
+
+
+@pytest.mark.parametrize("rank, anchors", [(2, None), (3, SPIN1.positive_states)],
+                         ids=["rank2", "rank3_anchored"])
+def test_each_annealer_step_scores_one_decomposition(monkeypatch, rank, anchors):
+    # kdbench's tracer reads the steps off these calls: R (S + 1) of them, a start
+    # and S proposals per restart.
+    calls = []
+    scored = roof.decomposition_from_isometry
+
+    def counting(*args):
+        calls.append(args)
+        return scored(*args)
+
+    monkeypatch.setattr(roof, "decomposition_from_isometry", counting)
+    rho = rho_lambda(4.0 / 7.0) if rank == 2 else rho_lambda(0.5)
+    assert np.count_nonzero(hermitian_eig(rho).eigenvalues > config.RANK_CUTOFF) == rank
+    cfg = AnnealConfig(restarts=3, steps=40, seed=1)
+    res = roof_upper_bound(rho, nonpositivity_values_fn(SPIN1.transition), cfg, anchors=anchors)
+    assert len(calls) == cfg.restarts * (cfg.steps + 1)
+    assert len(res.restart_values) == cfg.restarts
+
+
+# -- the roofs take states, and only states -------------------------------------
+
+NOT_STATES = {"negative": lambda: rho_lambda(0.8), "trace2": lambda: 2.0 * rho_lambda(0.3)}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_STATES))
+def test_the_roofs_refuse_a_matrix_that_is_not_a_state(case):
+    rho = NOT_STATES[case]()
+    message = "negative eigenvalue" if case == "negative" else "trace"
+    for roof_bounds in (support_roof_bounds, nonpositivity_roof_bounds):
+        with pytest.raises(ValidationError, match=message):
+            roof_bounds(rho, SPIN1.transition)
+    with pytest.raises(ValidationError, match=message):
+        roof_upper_bound(rho, nonpositivity_values_fn(SPIN1.transition), LIGHT)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_the_roofs_take_a_state_whose_trace_is_off_within_tolerance(rank):
+    rho = rho_lambda(0.5) if rank == 3 else projector(SPIN1.min_uncertainty_states[9])
+    off = rho * (1.0 + 5e-10)
+    for roof_bounds in (support_roof_bounds, nonpositivity_roof_bounds):
+        est, exact = roof_bounds(off, SPIN1.transition), roof_bounds(rho, SPIN1.transition)
+        assert est.upper_bound == pytest.approx(exact.upper_bound, rel=1e-8)
+        assert est.lower_certificate == exact.lower_certificate
+        # A rank-one state's one member, of weight 1, decomposes rho / Tr rho.
+        est.upper_decomposition.validate(off if rank > 1 else off / np.trace(off).real)
+
+
+def test_a_decomposition_sums_to_the_trace_of_its_state():
+    rho = rho_lambda(0.5)
+    dec = decomposition_from_isometry(hermitian_eig(rho), np.eye(3))
+    t = 1.0 + 5e-10
+    roof.Decomposition(dec.weights * t, dec.states).validate(rho * t)
+    with pytest.raises(CertificateError, match="weights sum to"):
+        dec.validate(rho * t)
 
 
 def _tampered(search, tamper):
