@@ -146,7 +146,8 @@ gave the same states bytes, patterns and degenerate patterns
 (``same_states``); the nonpositivity-roof rows are timed the same way, in
 ``NONPOS_RUNS`` blocks, and so are the cli rows, whose entries also say
 whether both packages wrote the same report apart from ``timing_seconds``
-(``same_report``), and the ``membership_lp`` and ``hull_lp`` rows, whose
+(``same_report``) and give each package's report bytes, the length of its
+stdout (``report_bytes``), and the ``membership_lp`` and ``hull_lp`` rows, whose
 entries say whether both packages gave the same verdict (``same_verdict``) and
 give each package's simplex pivots, and the ``facet_enumeration_points`` rows, whose entries
 say whether both packages gave the same facets: the same active sets in the
@@ -892,8 +893,12 @@ def record(args, cli_root) -> dict:
                 "speedup": round(theirs["median_ms"] / mine["median_ms"], 3),
             }
             if cli_row and name != "cli.build_parser":
-                reports = [report_without_timing(call()) for call in calls]
+                outputs = [call() for call in calls]
+                reports = [report_without_timing(output) for output in outputs]
                 alternating[name]["same_report"] = reports[0] == reports[1]
+                alternating[name]["report_bytes"] = {
+                    label: len(output[1].encode())
+                    for label, output in zip((args.label or "this", args.against_label), outputs)}
             if name in states_rows:
                 alternating[name]["same_states"] = same_states(*(call() for call in calls))
             if name in verdict_rows:
