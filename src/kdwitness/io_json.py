@@ -13,9 +13,10 @@ and their arrays are read-only. The expected kind is checked on every load,
 and a fault is never kept: a bad file raises its located
 :class:`MatrixFileError` every time it is loaded.
 
-Reports serialize with sorted keys and canonical floats so that identical
-commands with identical seeds produce byte-identical output (timing
-excluded).
+Reports serialize as one line of compact JSON with sorted keys and canonical
+floats (no -0.0), so that identical commands with identical seeds produce
+byte-identical output (timing excluded); ``python -m json.tool`` indents one
+for reading.
 """
 
 import dataclasses
@@ -220,4 +221,5 @@ def to_jsonable(obj):
 
 
 def dumps_report(report: dict) -> str:
-    return json.dumps(to_jsonable(report), sort_keys=True, indent=2) + "\n"
+    """``report`` as one line of JSON; without ``indent``, json encodes in C."""
+    return json.dumps(to_jsonable(report), sort_keys=True, separators=(",", ":")) + "\n"

@@ -1,5 +1,7 @@
 import json
+import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -63,10 +65,11 @@ def run_json(capsys, argv):
 
 
 def run_report(capsys, argv):
-    """Exit code and ``--json`` output of ``argv``, without its timing_seconds line."""
+    """Exit code and ``--json`` output of ``argv``, without its timing_seconds member."""
     code, out, _ = run(capsys, argv + ["--json"])
-    lines = out.splitlines(keepends=True)
-    return code, "".join(line for line in lines if '"timing_seconds"' not in line)
+    report, removed = re.subn(r',"timing_seconds":[^,}]+', "", out)
+    assert removed == 1 and '"results":' in report
+    return code, report
 
 
 def fresh_parser_report(capsys, monkeypatch, argv):
@@ -383,6 +386,15 @@ _REPORT_KEYS = [
 ]
 
 
+def _resolved(files, argv):
+    """``argv`` with each fixture name replaced by its file or files."""
+    resolved = []
+    for arg in argv:
+        value = files.get(arg, arg)
+        resolved += value if isinstance(value, list) else [value]
+    return resolved
+
+
 # Per case: argv with fixture names for files, and the KD_DEFAULT_TOL to set (None: unset).
 _BAD_TOLERANCES = [
     (["table", "--state", "rho05", "--basis", "basis"], "nan"),
@@ -405,11 +417,7 @@ def test_non_finite_or_negative_tolerances_are_validation_errors(
         monkeypatch.delenv("KD_DEFAULT_TOL", raising=False)
     else:
         monkeypatch.setenv("KD_DEFAULT_TOL", env)
-    resolved = []
-    for arg in argv:
-        value = files.get(arg, arg)
-        resolved += value if isinstance(value, list) else [value]
-    code, doc, _ = run_json(capsys, resolved)
+    code, doc, _ = run_json(capsys, _resolved(files, argv))
     assert code == 2
     assert doc["error"]["category"] == "validation"
     assert doc["error"]["type"] == "ValidationError"
@@ -450,14 +458,51 @@ def test_enumerate_and_roof_support_at_d7(capsys, tmp_path):
                          ids=[argv[0] for argv, _, _ in _REPORT_KEYS])
 def test_report_keys(files, capsys, argv, results, certificates):
     # Reports serialise result types, so a renamed field would rename a key.
-    resolved = []
-    for arg in argv:
-        value = files.get(arg, arg)
-        resolved += value if isinstance(value, list) else [value]
-    code, doc, _ = run_json(capsys, resolved)
+    code, doc, _ = run_json(capsys, _resolved(files, argv))
     assert code == 0
     assert _key_paths(doc["results"]) == results
     assert _key_paths(doc["certificates"]) == certificates
+
+
+def _indented_dumps(report):
+    """The report encoding up to the one-line layout: keys sorted, indented by two."""
+    return json.dumps(io_json.to_jsonable(report), sort_keys=True, indent=2) + "\n"
+
+
+def _negative_zeros(text):
+    """The numbers written in the JSON ``text`` that read as zero with a minus sign."""
+    found = []
+
+    def number(token):
+        if token.startswith("-") and float(token) == 0.0:
+            found.append(token)
+        return float(token)
+
+    json.loads(text, parse_float=number, parse_int=number)
+    return found
+
+
+_ONE_LINE_ARGVS = [argv for argv, _, _ in _REPORT_KEYS] + [
+    ["haar-study", "--dim", "3", "--samples", "5", "--seed", "-5"]]
+
+
+@pytest.mark.parametrize("argv", _ONE_LINE_ARGVS,
+                         ids=[argv[0] for argv, _, _ in _REPORT_KEYS] + ["error"])
+def test_reports_are_one_line_of_the_indented_document(files, capsys, monkeypatch, argv):
+    argv = _resolved(files, argv) + ["--json"]
+    code, out, _ = run(capsys, argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "dumps_report", _indented_dumps)
+        indented_code, indented, _ = run(capsys, argv)
+    assert code == indented_code
+    assert out.endswith("\n") and "\n" not in out[:-1]
+    assert indented.count("\n") > 1
+    docs = [json.loads(text) for text in (out, indented)]
+    for doc in docs:
+        doc.pop("timing_seconds", None)
+    assert docs[0] == docs[1]
+    assert ("error" in docs[0]) == (code != 0)
+    assert _negative_zeros(out) == []
 
 
 def test_golden_table_report(capsys, monkeypatch):

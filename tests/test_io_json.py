@@ -44,7 +44,7 @@ def _reference_to_jsonable(obj):
 
 
 def _reference_dumps(report):
-    return json.dumps(_reference_to_jsonable(report), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_reference_to_jsonable(report), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @dataclasses.dataclass(frozen=True)
