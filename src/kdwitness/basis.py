@@ -1,14 +1,16 @@
 """Per-basis work, done once per transition matrix.
 
-Two results depend only on the transition matrix and are reused across
-calls: the minor search of the complete-incompatibility decision and the
-pattern solve of the minimal-state enumeration. Each is cached in the module
-that computes it through :func:`per_basis`, keyed on the matrix's shape and
-bytes (and the solve's tolerances), in a cache of the last
-``config.BASIS_CACHE_SIZE`` entries. What callers derive from the
-enumeration, such as its KD-positive subset, is recomputed per call.
-Callers still validate, guard and warn on every call; only the computed
-results are shared, and their arrays are read-only. Tables that depend on
+Four results depend only on the transition matrix and are reused across
+calls: the minor search of the complete-incompatibility decision, the
+pattern solve of the minimal-state enumeration, and the roofs' two sets of
+hull anchors (the minimal states, and their KD-positive subset, each with
+its projector points). Each is cached in the module that computes it
+through :func:`per_basis`, keyed on the matrix's shape and bytes (and the
+base tolerance or the solve's tolerances), in a cache of the last
+``config.BASIS_CACHE_SIZE`` entries. Callers still validate, guard and warn
+on every call, except that a roof enumerates, and so checks and warns, only
+when it computes its anchors; only the computed results are shared, and
+their arrays are read-only. A failure is never kept. Tables that depend on
 the dimension alone, such as the enumeration's support patterns and the
 minor search's index sets, are built once per d per process, apart from
 this cache.

@@ -606,12 +606,39 @@ def _projector_points(states: np.ndarray) -> np.ndarray:
                            np.sqrt(2.0) * upper.imag], axis=-1)
 
 
+def _read_only_anchors(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``states`` and their projector points, both read-only."""
+    points = _projector_points(states)
+    for array in (states, points):
+        array.flags.writeable = False
+    return states, points
+
+
+@per_basis
+def _minimal_anchors(u, eps: float):
+    """The minimal states of the basis pair and their projector points.
+
+    ``eps`` is the base tolerance, which the enumeration reads itself; it keys
+    the cache as it keys the enumeration's.
+    """
+    return _read_only_anchors(enumerate_min_uncertainty_states(u).states)
+
+
+@per_basis
+def _positive_anchors(u, eps: float):
+    """The KD-positive minimal states and their projector points (``eps`` as above)."""
+    # The kept rows depend on the matrix's rounding; u here is C-ordered.
+    positive = filter_kd_positive_pure(enumerate_min_uncertainty_states(u), u)
+    return _read_only_anchors(positive.states)
+
+
 def support_roof_bounds(rho, transition) -> RoofEstimate:
     """Bounds on the convex roof of the support uncertainty.
 
     Requires a completely incompatible basis pair (d <= 8, the minor count's
     guard), which pins the roof at or above d+1 for every state. Membership of the
-    state in the hull of the minimal-uncertainty states decides the rest:
+    state in the hull of the minimal-uncertainty states, enumerated once per
+    basis and base tolerance (see :mod:`kdwitness.basis`), decides the rest:
     inside gives the exact value d+1, exclusion certifies the roof strictly
     above d+1, and column generation brackets the excess from both sides.
     """
@@ -622,8 +649,7 @@ def support_roof_bounds(rho, transition) -> RoofEstimate:
     values = support_values_fn(u)
 
     def anchor_source():
-        states = enumerate_min_uncertainty_states(u).states
-        return states, _projector_points(states), "derived"
+        return (*_minimal_anchors(u, eps), "derived")
 
     return _roof_bounds(
         SUPPORT_OBJECTIVE, rho_m, values, base, anchor_source,
@@ -654,7 +680,8 @@ def nonpositivity_roof_bounds(rho, transition, positive_pure=None) -> RoofEstima
     unit vector of the basis dimension and KD positive (ValidationError
     otherwise); that they are all such states is the caller's claim. When
     omitted it is derived by enumeration, which is complete
-    for completely incompatible bases in dimension at most eight. Without
+    for completely incompatible bases in dimension at most eight, once per
+    basis and base tolerance (see :mod:`kdwitness.basis`). Without
     either route only the convexity bound is certified. The upper bound of a
     state the hull does not decide comes from column generation, whose
     dictionary without a hull route holds the pricer's fixed draws alone.
@@ -668,12 +695,9 @@ def nonpositivity_roof_bounds(rho, transition, positive_pure=None) -> RoofEstima
         if supplied is not None:
             return supplied, _projector_points(supplied), "supplied"
         try:
-            minimal = enumerate_min_uncertainty_states(u)
+            return (*_positive_anchors(u, config.default_tol()), "derived")
         except (NotCompletelyIncompatible, DimensionTooLarge):
             return None, None, None
-        # On a C-ordered matrix, whose rounding the kept rows depend on.
-        states = filter_kd_positive_pure(minimal, np.ascontiguousarray(u)).states
-        return states, _projector_points(states), "derived"
 
     values = nonpositivity_values_fn(u)
 

@@ -22,10 +22,11 @@ from kdwitness import (
     nonpositivity_roof_bounds,
     pure_positive,
     rho_lambda,
+    roof,
     support_roof_bounds,
 )
 from kdwitness.errors import NonGenericPatternWarning
-from kdwitness.io_json import to_jsonable
+from kdwitness.io_json import dumps_report, to_jsonable
 from kdwitness.studies import dft_matrix
 
 CACHES = (incompatibility._smallest_minor, pure_positive._solve_patterns)
@@ -195,3 +196,75 @@ def test_roofs_agree_on_a_cold_and_a_warm_cache(case, bounds):
     for part in ("weights", "states"):
         assert (getattr(warm.upper_decomposition, part).tobytes()
                 == getattr(cold.upper_decomposition, part).tobytes())
+
+
+ANCHOR_CACHES = (roof._minimal_anchors, roof._positive_anchors)
+
+
+def _spin1_inside():
+    return _inside_mixture(SPIN1.positive_states), SPIN1.transition
+
+
+def _counting(monkeypatch, names):
+    """Replace each named function of the roof module by one that counts its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(roof, name)
+
+        def counted(*args, name=name, real=real, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(roof, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "bounds", [support_roof_bounds, nonpositivity_roof_bounds], ids=["support", "nonpos"]
+)
+def test_a_second_roof_call_reuses_the_hull_anchors(monkeypatch, bounds):
+    # Inside the hull no column is generated: the anchors alone need points.
+    rho, u = _spin1_inside()
+    basis.clear_cache()
+    calls = _counting(monkeypatch, ("filter_kd_positive_pure", "_projector_points"))
+    cold = bounds(rho, u)
+    assert calls["_projector_points"] == 1
+    assert calls["filter_kd_positive_pure"] == (bounds is nonpositivity_roof_bounds)
+    calls.update(dict.fromkeys(calls, 0))
+    warm = bounds(rho, u)
+    assert calls == {"filter_kd_positive_pure": 0, "_projector_points": 0}
+    assert warm.exact and warm.membership.verdict == "inside"
+    assert dumps_report({"results": warm}) == dumps_report({"results": cold})
+
+
+@pytest.mark.parametrize(
+    "bounds", [support_roof_bounds, nonpositivity_roof_bounds], ids=["support", "nonpos"]
+)
+def test_a_tighter_default_tol_recomputes_the_hull_anchors(monkeypatch, bounds):
+    rho, u = _spin1_inside()
+    basis.clear_cache()
+    bounds(rho, u)
+    misses = [cache.cache_info().misses for cache in ANCHOR_CACHES]
+    calls = _counting(monkeypatch, ("filter_kd_positive_pure", "_projector_points"))
+    monkeypatch.setenv("KD_DEFAULT_TOL", "1e-10")
+    bounds(rho, u)
+    assert calls["_projector_points"] == 1
+    assert calls["filter_kd_positive_pure"] == (bounds is nonpositivity_roof_bounds)
+    grown = [cache.cache_info().misses - m for cache, m in zip(ANCHOR_CACHES, misses)]
+    assert grown == ([1, 0] if bounds is support_roof_bounds else [0, 1])
+
+
+def test_cached_hull_anchors_are_read_only_and_bounded():
+    eps, u = config.default_tol(), SPIN1.transition.astype(complex)
+    for anchors in ANCHOR_CACHES:
+        states, points = anchors(u, eps)
+        assert anchors(u.copy(), eps)[0] is states
+        for array in (states, points):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        for seed in range(config.BASIS_CACHE_SIZE + 2):
+            anchors(haar_unitary(3, seed), eps)
+        assert anchors.cache_info().currsize == config.BASIS_CACHE_SIZE
+    assert len(roof._minimal_anchors(u, eps)[0]) == 15
+    assert len(roof._positive_anchors(u, eps)[0]) == 9
