@@ -10,7 +10,10 @@ there is one, and fixed draws; a rank-one state scores its one member. The
 annealer over isometries of the eigen-ensemble (``roof_upper_bound``), which
 runs its restarts one after another, is no roof's search; it stays as
 objective-agnostic API. Both roofs and the annealer take the state through
-``validate_density``: a matrix that is not a state is a ValidationError.
+``validate_density``: a matrix that is not a state is a ValidationError. So,
+before a roof's search, is a state whose eigenvalues at or below RANK_CUTOFF
+sum to more than WEIGHT_SUM_TOL in modulus: the search decomposes the rest,
+whose weight then misses Tr rho.
 Lower bounds also come from convexity for the total nonpositivity, the d+1
 floor of complete incompatibility for the support uncertainty, and hull
 certificates for strictness. Bounds are only ever reported as bounds; the
@@ -577,6 +580,15 @@ def _roof_bounds(
         _recheck(result, rho_m / np.trace(rho_m).real, values)
         lower, certificate = value, CERT_RANK_ONE
     else:
+        # The search decomposes the eigenvalues above RANK_CUTOFF; its weights miss
+        # Tr rho by what the rest sum to.
+        dropped = eig.eigenvalues[rank:]
+        if abs(float(dropped.sum())) > config.WEIGHT_SUM_TOL:
+            raise ValidationError(
+                f"eigenvalues at or below RANK_CUTOFF = {config.RANK_CUTOFF:g} sum to "
+                f"{dropped.sum():.3e}, the least {dropped.min():.3e}: no decomposition of "
+                f"the rest has weight Tr rho within WEIGHT_SUM_TOL = {config.WEIGHT_SUM_TOL:g}"
+            )
         result = search(eig, rank, anchors)
         _recheck(result, rho_m, values)
         lower, certificate = (floor, CERT_HULL) if strict else (base, CERT_CONVEXITY)

@@ -245,7 +245,8 @@ def test_roof_nonpos_refuses_a_supplied_state_that_is_not_kd_positive(files, cap
 @pytest.mark.parametrize("command", ["roof-support", "roof-nonpos"])
 def test_roof_refuses_a_hermitian_file_that_is_not_a_state(files, capsys, tmp_path, command):
     for k, (matrix, message) in enumerate([(rho_lambda(0.8), "negative eigenvalue"),
-                                           (2.0 * rho_lambda(0.3), "trace")]):
+                                           (2.0 * rho_lambda(0.3), "trace"),
+                                           (rho_lambda(4.0 / 7.0 + 1e-9), "RANK_CUTOFF")]):
         path = tmp_path / f"h{k}.json"
         save_matrix_file(path, matrix, "hermitian")
         code, doc, _ = run_json(capsys, [command, "--state", str(path), "--basis", files["basis"]])

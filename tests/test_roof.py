@@ -269,6 +269,21 @@ def test_the_roofs_take_a_state_whose_trace_is_off_within_tolerance(rank):
         est.upper_decomposition.validate(off if rank > 1 else off / np.trace(off).real)
 
 
+def test_the_roofs_refuse_a_state_whose_cut_eigenvalues_miss_its_trace():
+    # validate_density takes eigenvalues down to -1e-9; the search keeps those above
+    # RANK_CUTOFF, so its weights would sum to Tr rho + 1.67e-10 here, and to
+    # Tr rho - 1.8e-10 for the DFT 4 state.
+    rho = rho_lambda(4.0 / 7.0 + 1e-9)
+    assert -1e-9 < np.linalg.eigvalsh(rho)[0] < -config.RANK_CUTOFF
+    cases = [(support_roof_bounds, rho, SPIN1.transition),
+             (nonpositivity_roof_bounds, rho, SPIN1.transition),
+             (nonpositivity_roof_bounds, np.diag([0.5, 0.5 - 1.8e-10, 9e-11, 9e-11]),
+              dft_matrix(4))]
+    for roof_bounds, state, u in cases:
+        with pytest.raises(ValidationError, match="RANK_CUTOFF = 1e-10 sum to"):
+            roof_bounds(state, u)
+
+
 def test_a_decomposition_sums_to_the_trace_of_its_state():
     rho = rho_lambda(0.5)
     dec = decomposition_from_isometry(hermitian_eig(rho), np.eye(3))
