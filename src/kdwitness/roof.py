@@ -569,7 +569,9 @@ def _roof_bounds(
     if verdict == INSIDE:
         keep = cert.weights > config.WEIGHT_CUTOFF
         weights = cert.weights[keep]
-        dec = Decomposition(weights / weights.sum(), anchors[keep])
+        # Scaled to Tr rho, as the search's weights sum to the kept eigenvalues.
+        dec = Decomposition(weights / weights.sum() * float(np.trace(rho_m).real), anchors[keep])
+        dec.validate(rho_m)
         result = RoofSearchResult(floor, dec)
         lower, certificate = floor, inside_certificate
     elif rank == 1:

@@ -259,15 +259,23 @@ def test_roof_refuses_a_hermitian_file_that_is_not_a_state(files, capsys, tmp_pa
 @pytest.mark.parametrize("command", ["roof-support", "roof-nonpos"])
 def test_roof_takes_a_density_file_whose_trace_is_off_within_tolerance(files, capsys, tmp_path,
                                                                        command):
-    path = tmp_path / "off.json"
-    save_matrix_file(path, rho_lambda(0.5) * (1.0 + 5e-10), "density")
-    assert load_matrix_file(str(path))[0] == "density"
-    code, doc, _ = run_json(capsys, [command, "--state", str(path), "--basis", files["basis"]])
-    _, exact, _ = run_json(capsys, [command, "--state", files["rho05"], "--basis", files["basis"]])
-    assert code == 0
-    assert doc["results"]["lower_strict"] is True
-    assert doc["results"]["upper_bound"] == pytest.approx(exact["results"]["upper_bound"],
-                                                         rel=1e-8)
+    # rho_lambda(0.5) is outside the hull of the KD-positive states; the mixture is inside.
+    w = np.random.default_rng(7).dirichlet(np.ones(9))
+    inside = sum(wi * projector(s) for wi, s in zip(w, SPIN1.positive_states))
+    for k, (rho, strict) in enumerate([(rho_lambda(0.5), True), (inside, False)]):
+        path, exact_path = tmp_path / f"off{k}.json", tmp_path / f"exact{k}.json"
+        save_matrix_file(path, rho * (1.0 + 5e-10), "density")
+        save_matrix_file(exact_path, rho, "density")
+        assert load_matrix_file(str(path))[0] == "density"
+        code, doc, _ = run_json(capsys, [command, "--state", str(path), "--basis", files["basis"]])
+        _, exact, _ = run_json(capsys, [command, "--state", str(exact_path),
+                                        "--basis", files["basis"]])
+        assert code == 0
+        assert doc["results"]["lower_strict"] is strict
+        assert doc["results"]["upper_bound"] == pytest.approx(exact["results"]["upper_bound"],
+                                                             rel=1e-8)
+        weights = doc["results"]["decomposition"]["weights"]
+        assert abs(sum(weights) - (1.0 + 5e-10)) <= config.WEIGHT_SUM_TOL
 
 
 def test_roof_ignores_the_anneal_flags(files, capsys, tmp_path):

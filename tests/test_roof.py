@@ -269,6 +269,18 @@ def test_the_roofs_take_a_state_whose_trace_is_off_within_tolerance(rank):
         est.upper_decomposition.validate(off if rank > 1 else off / np.trace(off).real)
 
 
+def test_an_inside_decomposition_sums_to_the_trace_of_its_state():
+    # The hull route's weights once summed to 1 whatever Tr rho was.
+    w = np.random.default_rng(7).dirichlet(np.ones(9))
+    rho = sum(wi * projector(s) for wi, s in zip(w, SPIN1.positive_states))
+    off = rho * (1.0 + 5e-10)
+    for roof_bounds in (support_roof_bounds, nonpositivity_roof_bounds):
+        est, exact = roof_bounds(off, SPIN1.transition), roof_bounds(rho, SPIN1.transition)
+        assert est.exact and est.membership.verdict == "inside"
+        assert est.upper_bound == exact.upper_bound
+        est.upper_decomposition.validate(off)
+
+
 def test_the_roofs_refuse_a_state_whose_cut_eigenvalues_miss_its_trace():
     # validate_density takes eigenvalues down to -1e-9; the search keeps those above
     # RANK_CUTOFF, so its weights would sum to Tr rho + 1.67e-10 here, and to
