@@ -1,19 +1,19 @@
 """Per-basis work, done once per transition matrix.
 
-Four results depend only on the transition matrix and are reused across
+These results depend only on the transition matrix and are reused across
 calls: the minor search of the complete-incompatibility decision, the
-pattern solve of the minimal-state enumeration, and the roofs' two sets of
-hull anchors (the minimal states, and their KD-positive subset, each with
-its projector points). Each is cached in the module that computes it
-through :func:`per_basis`, keyed on the matrix's shape and bytes (and the
-base tolerance or the solve's tolerances), in a cache of the last
-``config.BASIS_CACHE_SIZE`` entries. Callers still validate, guard and warn
-on every call, except that a roof enumerates, and so checks and warns, only
-when it computes its anchors; only the computed results are shared, and
-their arrays are read-only. A failure is never kept. Tables that depend on
-the dimension alone, such as the enumeration's support patterns and the
-minor search's index sets, are built once per d per process, apart from
-this cache.
+pattern solve of the minimal-state enumeration, the support roof's support
+subspaces, and the roofs' two sets of hull anchors (the minimal states, and
+their KD-positive subset, each with its projector points). Each is cached
+in the module that computes it through :func:`per_basis`, keyed on the
+matrix's shape and bytes (and the base tolerance or the solve's
+tolerances), in a cache of the last ``config.BASIS_CACHE_SIZE`` entries.
+Callers still validate, guard and warn on every call, except that a roof
+enumerates, and so checks and warns, only when it computes its anchors;
+only the computed results are shared, and their arrays are read-only. A
+failure is never kept. Tables that depend on the dimension alone, such as
+the enumeration's support patterns and the minor search's index sets, are
+built once per d per process, apart from this cache.
 """
 
 from functools import lru_cache, wraps

@@ -46,11 +46,12 @@ MINOR_EPS_FLOOR_PER_DIM = 10.0 * sys.float_info.epsilon
 MAX_MINORS = 12_869
 
 # Each per-basis cache (the minor search, the enumeration's pattern solve
-# at its base tolerance, and the roofs' two sets of hull anchors) keeps this
-# many results for reuse; the least recently used is dropped first. Cached
-# results stay resident: at d = 6 the first two take about 0.16 MB per
-# matrix, and the anchors (the projector points of the 792 minimal states,
-# and the 12 KD-positive ones with theirs) about 0.23 MB more.
+# and the support roof's subspaces at their base tolerance, and the roofs'
+# two sets of hull anchors) keeps this many results for reuse; the least
+# recently used is dropped first. Cached results stay resident: at d = 6
+# the first two take about 0.16 MB per matrix, and the anchors (the
+# projector points of the 792 minimal states, and the 12 KD-positive ones
+# with theirs) about 0.23 MB more.
 BASIS_CACHE_SIZE = 4
 
 # load_matrix_file parses and validates each distinct file content once per

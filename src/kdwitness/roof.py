@@ -10,10 +10,10 @@ there is one, and fixed draws; a rank-one state scores its one member. The
 annealer over isometries of the eigen-ensemble (``roof_upper_bound``), which
 runs its restarts one after another, is no roof's search; it stays as
 objective-agnostic API. Both roofs and the annealer take the state through
-``validate_density``: a matrix that is not a state is a ValidationError. So,
-before a roof's search, is a state whose eigenvalues at or below RANK_CUTOFF
-sum to more than WEIGHT_SUM_TOL in modulus: the search decomposes the rest,
-whose weight then misses Tr rho.
+``validate_density``: a matrix that is not a state is a ValidationError. A
+roof also refuses, before its search and with a ValidationError, a state
+whose eigenvalues at or below RANK_CUTOFF sum to more than WEIGHT_SUM_TOL in
+modulus: the search decomposes the rest, whose weight would miss Tr rho.
 Lower bounds also come from convexity for the total nonpositivity, the d+1
 floor of complete incompatibility for the support uncertainty, and hull
 certificates for strictness. Bounds are only ever reported as bounds; the
