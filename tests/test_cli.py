@@ -474,7 +474,7 @@ def test_report_keys(files, capsys, argv, results, certificates):
 
 
 def _indented_dumps(report):
-    """The report encoding up to the one-line layout: keys sorted, indented by two."""
+    """The report over many lines: keys sorted, indented by two, the same document."""
     return json.dumps(io_json.to_jsonable(report), sort_keys=True, indent=2) + "\n"
 
 

@@ -270,7 +270,7 @@ def test_the_roofs_take_a_state_whose_trace_is_off_within_tolerance(rank):
 
 
 def test_an_inside_decomposition_sums_to_the_trace_of_its_state():
-    # The hull route's weights once summed to 1 whatever Tr rho was.
+    # The hull route's weights sum to Tr rho, not to 1.
     w = np.random.default_rng(7).dirichlet(np.ones(9))
     rho = sum(wi * projector(s) for wi, s in zip(w, SPIN1.positive_states))
     off = rho * (1.0 + 5e-10)
