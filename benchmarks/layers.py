@@ -498,13 +498,14 @@ def same_facets(ours, theirs) -> bool:
 def solve_call(package, u):
     """A call of the package's pattern solve at the default tolerances, no incompatibility check.
 
-    A package whose pattern solve also deduplicates the solved states takes
-    the tolerance of that, 1e-8 by default, as a third argument.
+    A package whose pattern solve takes the base tolerance as an argument
+    gets ``BASE_TOL``; one whose solve also deduplicates the solved states
+    takes the tolerance of that, 1e-8 by default, as a third argument.
     """
     pure = importlib.import_module(f"{package.__name__}.pure_positive")
     config = importlib.import_module(f"{package.__name__}.config")
-    extra = (1e-8,) if len(inspect.signature(pure._solve_patterns).parameters) == 3 else ()
-    return lambda: pure._solve_patterns(u, config.default_tol(), *extra)
+    extra = (config.BASE_TOL, 1e-8)[:len(inspect.signature(pure._solve_patterns).parameters) - 1]
+    return lambda: pure._solve_patterns(u, *extra)
 
 
 def same_states(ours, theirs) -> bool:
