@@ -133,7 +133,7 @@ def _load_density(inputs: dict, path: str):
 def _cmd_table(args, report, inputs):
     _, state = _load_state(inputs, args.state)
     _, basis = _load(inputs, args.basis, expect_kind="unitary")
-    tol = config.default_tol()
+    tol = config.BASE_TOL
     table = kd_table(state, basis)
     i, j, value, offence = worst_entry(table)
     positive = is_kd_positive(table)
@@ -165,7 +165,7 @@ def _cmd_table(args, report, inputs):
 def _cmd_support(args, report, inputs):
     kind, state = _load_state(inputs, args.state)
     _, basis = _load(inputs, args.basis, expect_kind="unitary")
-    eps = config.default_tol() if args.eps is None else args.eps
+    eps = config.BASE_TOL if args.eps is None else args.eps
     if kind == "pure_state":
         counts = support_counts_pure(state, basis, eps=eps)
     else:
@@ -376,7 +376,7 @@ def _read_inputs(args) -> dict:
 
 
 def _config_echo(args) -> dict:
-    echo = {"default_tol": config.default_tol(),
+    echo = {"default_tol": config.BASE_TOL,
             "feasibility_tol": config.FEASIBILITY_TOL}
     for name in _CONFIG_ARGS:
         if hasattr(args, name):

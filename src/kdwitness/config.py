@@ -1,23 +1,20 @@
 """Central numerical tolerances.
 
-Per call, keyword arguments override only the base tolerance as the ``eps``
-of the support counts and the incompatibility decision, and the feasibility
-tolerance of a hull-membership query (``hull --tol``, no lower than
-``MEMBERSHIP_TOL_FLOOR``); ``KD_DEFAULT_TOL`` overrides the base one
-globally. Everything else is fixed: the facet active and match tolerances,
-the margin factor, the rank, null-space, phase, weight and exactness
-cutoffs, the minor floor and count limit, the roof tolerances, the facet
-rank cutoffs, subset limit and side-test entry limit, the simplex pivot
-tolerance, Bland ratio-tie window, Farkas slack and re-check slacks, the
-hull certificates' weight and functional thresholds, the eigendecomposition
-checks, and the cache sizes ``BASIS_CACHE_SIZE`` and
+Per call, keyword arguments override only the base tolerance ``BASE_TOL``
+as the ``eps`` of the support counts and the incompatibility decision, and
+the feasibility tolerance of a hull-membership query (``hull --tol``, no
+lower than ``MEMBERSHIP_TOL_FLOOR``). Everything else is fixed: the base
+tolerance of validation and positivity, the facet active and match
+tolerances, the margin factor, the rank, null-space, phase, weight and
+exactness cutoffs, the minor floor and count limit, the roof tolerances,
+the facet rank cutoffs, subset limit and side-test entry limit, the simplex
+pivot tolerance, Bland ratio-tie window, Farkas slack and re-check slacks,
+the hull certificates' weight and functional thresholds, the
+eigendecomposition checks, and the cache sizes ``BASIS_CACHE_SIZE`` and
 ``MATRIX_FILE_CACHE_SIZE``.
 """
 
-import os
 import sys
-
-from .errors import ValidationError
 
 # Base tolerance for validation, positivity, and support-count thresholds.
 BASE_TOL = 1e-9
@@ -45,21 +42,20 @@ MINOR_EPS_FLOOR_PER_DIM = 10.0 * sys.float_info.epsilon
 # on a Haar basis and 6 ms on the identity (2-vCPU Xeon VM).
 MAX_MINORS = 12_869
 
-# Each per-basis cache (the minor search, the enumeration's pattern solve
-# and the support roof's subspaces at their base tolerance, and the roofs'
-# two sets of hull anchors) keeps this many results for reuse; the least
-# recently used is dropped first. Cached results stay resident: at d = 6
-# the first two take about 0.16 MB per matrix, and the anchors (the
-# projector points of the 792 minimal states, and the 12 KD-positive ones
-# with theirs) about 0.23 MB more.
+# Each per-basis cache (the minor search, the enumeration's pattern solve,
+# the support roof's subspaces and the roofs' hull anchors) keeps this many
+# results for reuse; the least recently used is dropped first. Cached
+# results stay resident: at d = 6 the first two take about 0.16 MB per
+# matrix, and the anchors (the projector points of the 792 minimal states,
+# and the 12 KD-positive ones with theirs) about 0.23 MB more.
 BASIS_CACHE_SIZE = 4
 
-# load_matrix_file parses and validates each distinct file content once per
-# base tolerance and keeps this many results; the least recently used is
-# dropped first. A session on the spin-1 system reads 17 files again and
-# again: the basis, the 15 generators and the state of the moment, which a
-# hull command reads with the generators. The rest holds the states of the
-# commands around them. Each entry keeps the file's bytes and its array
+# load_matrix_file parses and validates each distinct file content once and
+# keeps this many results; the least recently used is dropped first. A
+# session on the spin-1 system reads 17 files again and again: the basis,
+# the 15 generators and the state of the moment, which a hull command reads
+# with the generators. The rest holds the states of the commands around
+# them. Each entry keeps the file's bytes and its array
 # resident: about 0.9 kB for a d = 3 file, 3.4 kB at d = 6, 0.4 MB at d = 64.
 MATRIX_FILE_CACHE_SIZE = 32
 
@@ -162,16 +158,3 @@ ANCHOR_RANGE_CUTOFF = 1e-12
 # nonpositivity-roof certificate from a hull exclusion.
 NONPOSITIVITY_STRICT_SLACK = 2e-9
 
-
-def default_tol() -> float:
-    """Base tolerance, honouring the KD_DEFAULT_TOL environment override."""
-    raw = os.environ.get("KD_DEFAULT_TOL")
-    if raw is None:
-        return BASE_TOL
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValidationError(f"KD_DEFAULT_TOL is not a number: {raw!r}") from None
-    if not 0.0 <= value <= sys.float_info.max:
-        raise ValidationError(f"KD_DEFAULT_TOL must be finite and nonnegative, got {value}")
-    return value

@@ -33,9 +33,8 @@ from .errors import (
     OutsideHull,
     ValidationError,
 )
-from .linalg import as_complex
+from .linalg import as_complex, require_hermitian
 from .simplex import INFEASIBLE, OPTIMAL, solve_equality_lp
-from .validation import require_hermitian
 
 # Subsets per stacked SVD of the facet enumeration, fewer when a block's
 # (points x subsets) side-test array would exceed FACET_SIDE_ENTRIES, as it
@@ -117,7 +116,7 @@ def _embed(generators, target=None):
 
     The generators are stacked once, and the stack and the target must hold
     matrices of the first generator's square shape. Raises NotHermitian when
-    any matrix fails validate_hermitian's test.
+    any matrix fails require_hermitian's test.
     """
     stack = generators if isinstance(generators, np.ndarray) else list(generators)
     n = len(stack)

@@ -76,7 +76,7 @@ def _count(values_a: np.ndarray, values_b: np.ndarray, eps: float) -> SupportCou
 
 def support_counts_pure(psi, transition, eps: float | None = None) -> SupportCount:
     """Support sizes of a pure state in the two bases."""
-    eps = config.default_tol() if eps is None else eps
+    eps = config.BASE_TOL if eps is None else eps
     u = as_complex(transition, "transition matrix")
     v = as_complex(psi, "state")
     if v.ndim != 1 or v.shape[0] != u.shape[0]:
@@ -90,7 +90,7 @@ def support_counts_pure(psi, transition, eps: float | None = None) -> SupportCou
 
 def support_counts_mixed(rho, transition, eps: float | None = None) -> SupportCount:
     """Counts of nonvanishing Born probabilities of a density matrix."""
-    eps = config.default_tol() if eps is None else eps
+    eps = config.BASE_TOL if eps is None else eps
     u = as_complex(transition, "transition matrix")
     r = as_complex(rho, "state")
     if r.ndim != 2 or r.shape != u.shape:
@@ -119,7 +119,7 @@ def complete_incompatibility(transition, eps: float | None = None) -> Incompatib
     any work when the number of minors, C(2d, d) - 1, exceeds
     ``config.MAX_MINORS``.
     """
-    eps = config.default_tol() if eps is None else eps
+    eps = config.BASE_TOL if eps is None else eps
     u = as_complex(transition, "transition matrix")
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatch(f"transition matrix must be square, got {u.shape}")

@@ -7,10 +7,9 @@ according to their declared kind and rejected with a located message.
 
 A file is read on every load (the command line digests those bytes for a
 report's ``inputs``), but its parse and validation run once per process for
-each distinct content and base tolerance (``config.default_tol()``, which the
-validators read). The last ``config.MATRIX_FILE_CACHE_SIZE`` results are kept,
-and their arrays are read-only. The expected kind is checked on every load,
-and a fault is never kept: a bad file raises its located
+each distinct content. The last ``config.MATRIX_FILE_CACHE_SIZE`` results
+are kept, and their arrays are read-only. The expected kind is checked on
+every load, and a fault is never kept: a bad file raises its located
 :class:`MatrixFileError` every time it is loaded.
 
 Reports serialize as one line of compact JSON with sorted keys and canonical
@@ -82,14 +81,14 @@ def load_matrix_file(path: str, expect_kind: str | None = None,
                      data: bytes | None = None) -> tuple[str, np.ndarray]:
     """Load and validate a matrix file, or its bytes ``data`` read before, as ``(kind, array)``.
 
-    The parse and the validation run once per content and base tolerance,
-    and the array is read-only (see the module docstring). ``expect_kind``
-    is checked on every call, and every fault raises a
-    :class:`MatrixFileError` located at ``path``.
+    The parse and the validation run once per content, and the array is
+    read-only (see the module docstring). ``expect_kind`` is checked on
+    every call, and every fault raises a :class:`MatrixFileError` located at
+    ``path``.
     """
     data = read_file(path) if data is None else data
     try:
-        kind, array = _parse(data, config.default_tol())
+        kind, array = _parse(data)
     except _FileFault as fault:
         _check_kind(path, fault.kind, expect_kind)
         raise MatrixFileError(path, str(fault)) from fault.__cause__
@@ -103,8 +102,8 @@ def _check_kind(path: str, kind: str | None, expect_kind: str | None) -> None:
 
 
 @lru_cache(maxsize=config.MATRIX_FILE_CACHE_SIZE)
-def _parse(data: bytes, tol: float) -> tuple[str, np.ndarray]:
-    """The kind and validated array of a file's bytes; the validators read ``tol``."""
+def _parse(data: bytes) -> tuple[str, np.ndarray]:
+    """The kind and validated array of a file's bytes."""
     try:
         with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as text:
             doc = json.load(text)

@@ -29,7 +29,7 @@ class KDTable:
 
     def validate(self) -> None:
         """Check the marginal identities the table must satisfy."""
-        tol = config.default_tol()
+        tol = config.BASE_TOL
         row = self.table.sum(axis=1)
         col = self.table.sum(axis=0)
         if np.max(np.abs(row.imag)) > tol or np.max(np.abs(col.imag)) > tol:
@@ -81,7 +81,7 @@ def is_kd_positive(table) -> bool:
 
 def kd_positive_each(tables: np.ndarray) -> np.ndarray:
     """:func:`is_kd_positive` of every table in a stack along the first axis."""
-    tol = config.default_tol()
+    tol = config.BASE_TOL
     entry_axes = tuple(range(1, tables.ndim))
     return np.all(np.abs(tables.imag) <= tol, axis=entry_axes) & np.all(
         tables.real >= -tol, axis=entry_axes

@@ -54,21 +54,28 @@ class EigenDecomposition:
         return (v * self.eigenvalues) @ dagger(v)
 
 
+def require_hermitian(stack: np.ndarray) -> None:
+    """Raise NotHermitian unless each matrix H of a (..., d, d) stack is Hermitian.
+
+    The test is ``||H - H^H||_F <= config.BASE_TOL * (1 + ||H||_F)``.
+    """
+    scale = 1.0 + np.linalg.norm(stack, axis=(-2, -1))
+    if np.any(np.linalg.norm(stack - dagger(stack), axis=(-2, -1)) > config.BASE_TOL * scale):
+        raise NotHermitian("matrix is not Hermitian within tolerance")
+
+
 def hermitian_eig(matrix) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
-    Raises NotHermitian when the symmetry defect exceeds
-    ``config.BASE_TOL * (1 + ||H||_F)`` and NoConvergence if the underlying
-    solver fails. Eigenvalues are returned in descending order.
+    Raises NotHermitian when :func:`require_hermitian` does and
+    NoConvergence if the underlying solver fails. Eigenvalues are returned
+    in descending order.
     """
     h = as_complex(matrix, "matrix")
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {h.shape}")
+    require_hermitian(h)
     scale = 1.0 + frobenius(h)
-    if frobenius(h - dagger(h)) > config.BASE_TOL * scale:
-        raise NotHermitian(
-            f"matrix is not Hermitian within {config.BASE_TOL:g} relative tolerance"
-        )
     sym = (h + dagger(h)) / 2.0
     try:
         values, vectors = np.linalg.eigh(sym)

@@ -143,8 +143,8 @@ def enumerate_min_uncertainty_states(transition) -> PureStateList:
     so they realize the same pattern: no ray is kept twice.
 
     The incompatibility check runs, and the NonGenericPatternWarnings of the
-    solve are issued, on every call; the solve runs once per basis and base
-    tolerance, and later calls get the same list, with read-only states (see
+    solve are issued, on every call; the solve runs once per basis, and
+    later calls get the same list, with read-only states (see
     :mod:`kdwitness.basis`). The pattern tables, which depend on d alone, are
     built once per d per process.
 
@@ -153,16 +153,15 @@ def enumerate_min_uncertainty_states(transition) -> PureStateList:
     patterns (C_d the Catalan number) are never more than the C(2d, d) - 1
     minors checked before them.
     """
-    eps = config.default_tol()
     u = as_complex(transition, "transition matrix")
-    report = complete_incompatibility(u, eps=eps)
+    report = complete_incompatibility(u)
     if not report.completely_incompatible:
         raise NotCompletelyIncompatible(
             "basis pair is not completely incompatible: "
             f"minor of order {report.argmin_order} at rows {report.argmin_rows}, "
             f"cols {report.argmin_cols} has modulus {report.min_abs_minor:.3e}"
         )
-    result = _solve_patterns(u, eps)
+    result = _solve_patterns(u)
     for pattern, null_dim in result.degenerate_patterns:
         warnings.warn(
             f"pattern {pattern} has null-space dimension {null_dim}",
@@ -173,8 +172,8 @@ def enumerate_min_uncertainty_states(transition) -> PureStateList:
 
 
 @per_basis
-def _solve_patterns(u: np.ndarray, eps: float) -> PureStateList:
-    """The enumeration proper, for a basis already checked."""
+def _solve_patterns(u: np.ndarray) -> PureStateList:
+    """The enumeration proper, for a basis already checked; supports are read at BASE_TOL."""
     d = u.shape[0]
     families, masks, patterns = _pattern_tables(d)
     u_conj = np.conj(u)
@@ -188,6 +187,7 @@ def _solve_patterns(u: np.ndarray, eps: float) -> PureStateList:
     solved = np.flatnonzero(null_dims == 1)
     psi = psi[solved]
     psi = canonical_phase(psi / np.linalg.norm(psi, axis=1, keepdims=True))
+    eps = config.BASE_TOL
     realized = np.hstack([np.abs(psi) > eps, np.abs(psi @ u_conj) > eps]) == masks[solved]
     realized = realized.all(axis=1)
     states = psi[realized]

@@ -10,10 +10,12 @@ there is one, and fixed draws; a rank-one state scores its one member. The
 annealer over isometries of the eigen-ensemble (``roof_upper_bound``), which
 runs its restarts one after another, is no roof's search; it stays as
 objective-agnostic API. Both roofs and the annealer take the state through
-``validate_density``: a matrix that is not a state is a ValidationError. A
-roof also refuses, before its search and with a ValidationError, a state
-whose eigenvalues at or below RANK_CUTOFF sum to more than WEIGHT_SUM_TOL in
-modulus: the search decomposes the rest, whose weight would miss Tr rho.
+``validate_density``: a matrix that is not a state is a ValidationError. The
+search decomposes the eigenvalues above RANK_CUTOFF. When the rest sum to
+more than WEIGHT_SUM_TOL, those are scaled to Tr rho first; when the rest
+sum to less than -WEIGHT_SUM_TOL, the roof refuses the state with a
+ValidationError. The hull anchors and the support subspaces are computed
+once per basis (see :mod:`kdwitness.basis`), at the fixed BASE_TOL.
 Lower bounds also come from convexity for the total nonpositivity, the d+1
 floor of complete incompatibility for the support uncertainty, and hull
 certificates for strictness. Bounds are only ever reported as bounds; the
@@ -191,7 +193,7 @@ def decomposition_from_isometry(eig: EigenDecomposition, isometry) -> Decomposit
 
 def support_values_fn(transition):
     """Batched support-uncertainty objective for decomposition members."""
-    eps = config.default_tol()
+    eps = config.BASE_TOL
     u_conj = np.conj(as_complex(transition, "transition matrix"))
 
     def values(states: np.ndarray) -> np.ndarray:
@@ -347,8 +349,8 @@ _ROUNDING = 64 * np.finfo(float).eps
 
 
 @per_basis
-def _support_subspaces(u, eps: float):
-    """Support pairs (S, T) a state can have at ``eps``: (|S| + |T|, constraint rows) groups.
+def _support_subspaces(u):
+    """Support pairs (S, T) a state can have at eps = BASE_TOL: (|S| + |T|, constraint rows) groups.
 
     V_{S,T} is the null space of the k rows e_i, i not in S, and conj(u_j), j
     not in T (a zero row for k = 0), which a unit state supported on S, T at
@@ -356,7 +358,7 @@ def _support_subspaces(u, eps: float):
     proves no such state exists are left out: of a completely incompatible
     basis, the tight pairs |S| + |T| > d stay, dim V_{S,T} = |S| + |T| - d.
     """
-    d = u.shape[0]
+    d, eps = u.shape[0], config.BASE_TOL
     lines = np.vstack([np.eye(d), dagger(u)])
     outside = ((np.arange(4**d)[:, None] >> np.arange(2 * d)) & 1) == 0
     family = []
@@ -373,14 +375,14 @@ def _support_subspaces(u, eps: float):
     return (*family, (2 * d, np.broadcast_to(np.zeros(1, dtype=complex), (1, 1, d))))
 
 
-def _compressed_subspaces(family, e: np.ndarray, eps: float):
+def _compressed_subspaces(family, e: np.ndarray):
     """Orthonormal bases of V_{S,T} in range(e), as (costs, (g, r, m) bases, distances) groups.
 
     One group per |S| + |T| and dimension m. A state of range(e) supported on
-    (S, T) at ``eps`` is within eps sqrt(k), plus rounding, over the smallest
-    kept singular value of V_{S,T}; at 1 or more the whole range is used.
+    (S, T) at eps = BASE_TOL is within eps sqrt(k), plus rounding, over the
+    smallest kept singular value of V_{S,T}; at 1 or more the whole range is used.
     """
-    r = e.shape[1]
+    r, eps = e.shape[1], config.BASE_TOL
     groups = []
     for count, rows in family:
         _, sing, vh = np.linalg.svd(rows @ e)
@@ -440,11 +442,11 @@ def _columns(eig: EigenDecomposition, rank: int, values, price):
             float(reduced.min()))
 
 
-def _support_columns(eig: EigenDecomposition, rank: int, u: np.ndarray, eps: float,
+def _support_columns(eig: EigenDecomposition, rank: int, u: np.ndarray,
                      values) -> RoofSearchResult:
     """Support-roof bounds by column generation (``_columns``) over the support subspaces.
 
-    Each column costs the support count of E c at ``eps``, and the top
+    Each column costs the support count of E c at BASE_TOL, and the top
     eigenvector of W on a subspace prices it, so once none prices in the
     gap is at most LP_DUAL_TOL. The dual bound, from a fresh pass over every
     subspace, loses a margin for states near theirs: for unit c = p + q, p in
@@ -452,7 +454,7 @@ def _support_columns(eig: EigenDecomposition, rank: int, u: np.ndarray, eps: flo
     c^H W c - lambda_max <= |W - t|_2 (2 delta + 2 delta^2).
     """
     e, mu = eig.eigenvectors[:, :rank], eig.eigenvalues[:rank]
-    groups = _compressed_subspaces(_support_subspaces(u, eps), e, eps)
+    groups = _compressed_subspaces(_support_subspaces(u), e)
     result, w, lowest = _columns(eig, rank, values, lambda w: _price(w, groups))
     trace = float(mu @ np.diagonal(w).real)
     fresh = trace + min(float((cost - np.linalg.eigvalsh(dagger(z) @ w @ z)[:, -1]).min())
@@ -585,12 +587,16 @@ def _roof_bounds(
         # The search decomposes the eigenvalues above RANK_CUTOFF; its weights miss
         # Tr rho by what the rest sum to.
         dropped = eig.eigenvalues[rank:]
-        if abs(float(dropped.sum())) > config.WEIGHT_SUM_TOL:
+        if dropped.sum() < -config.WEIGHT_SUM_TOL:
             raise ValidationError(
                 f"eigenvalues at or below RANK_CUTOFF = {config.RANK_CUTOFF:g} sum to "
                 f"{dropped.sum():.3e}, the least {dropped.min():.3e}: no decomposition of "
                 f"the rest has weight Tr rho within WEIGHT_SUM_TOL = {config.WEIGHT_SUM_TOL:g}"
             )
+        if dropped.sum() > config.WEIGHT_SUM_TOL:
+            kept = eig.eigenvalues[:rank]
+            scaled = kept * (float(np.trace(rho_m).real) / kept.sum())
+            eig = replace(eig, eigenvalues=np.concatenate([scaled, dropped]))
         result = search(eig, rank, anchors)
         _recheck(result, rho_m, values)
         lower, certificate = (floor, CERT_HULL) if strict else (base, CERT_CONVEXITY)
@@ -629,21 +635,16 @@ def _read_only_anchors(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @per_basis
-def _minimal_anchors(u, eps: float):
-    """The minimal states of the basis pair and their projector points.
+def _hull_anchors(u):
+    """The minimal states and their projector points, then the KD-positive ones and theirs.
 
-    ``eps`` is the base tolerance, which the enumeration reads itself; it keys
-    the cache as it keys the enumeration's.
+    Every array is read-only. The support roof's hull is the first pair's, the
+    nonpositivity roof's derived hull the second's.
     """
-    return _read_only_anchors(enumerate_min_uncertainty_states(u).states)
-
-
-@per_basis
-def _positive_anchors(u, eps: float):
-    """The KD-positive minimal states and their projector points (``eps`` as above)."""
+    minimal = enumerate_min_uncertainty_states(u)
     # The kept rows depend on the matrix's rounding; u here is C-ordered.
-    positive = filter_kd_positive_pure(enumerate_min_uncertainty_states(u), u)
-    return _read_only_anchors(positive.states)
+    positive = filter_kd_positive_pure(minimal, u)
+    return _read_only_anchors(minimal.states), _read_only_anchors(positive.states)
 
 
 def support_roof_bounds(rho, transition) -> RoofEstimate:
@@ -652,23 +653,22 @@ def support_roof_bounds(rho, transition) -> RoofEstimate:
     Requires a completely incompatible basis pair (d <= 8, the minor count's
     guard), which pins the roof at or above d+1 for every state. Membership of the
     state in the hull of the minimal-uncertainty states, enumerated once per
-    basis and base tolerance (see :mod:`kdwitness.basis`), decides the rest:
+    basis (see :mod:`kdwitness.basis`), decides the rest:
     inside gives the exact value d+1, exclusion certifies the roof strictly
     above d+1, and column generation brackets the excess from both sides.
     """
-    eps = config.default_tol()
     u = validate_unitary(transition)
     rho_m = validate_density(rho)
-    base = float(support_counts_mixed(rho_m, u, eps=eps).n_ab)
+    base = float(support_counts_mixed(rho_m, u).n_ab)
     values = support_values_fn(u)
 
     def anchor_source():
-        return (*_minimal_anchors(u, eps), "derived")
+        return (*_hull_anchors(u)[0], "derived")
 
     return _roof_bounds(
         SUPPORT_OBJECTIVE, rho_m, values, base, anchor_source,
         floor=float(u.shape[0] + 1), inside_certificate=CERT_FLOOR, strict=True,
-        search=lambda eig, rank, _: _support_columns(eig, rank, u, eps, values),
+        search=lambda eig, rank, _: _support_columns(eig, rank, u, values),
     )
 
 
@@ -695,7 +695,7 @@ def nonpositivity_roof_bounds(rho, transition, positive_pure=None) -> RoofEstima
     otherwise); that they are all such states is the caller's claim. When
     omitted it is derived by enumeration, which is complete
     for completely incompatible bases in dimension at most eight, once per
-    basis and base tolerance (see :mod:`kdwitness.basis`). Without
+    basis (see :mod:`kdwitness.basis`). Without
     either route only the convexity bound is certified. The upper bound of a
     state the hull does not decide comes from column generation, whose
     dictionary without a hull route holds the pricer's fixed draws alone.
@@ -709,7 +709,7 @@ def nonpositivity_roof_bounds(rho, transition, positive_pure=None) -> RoofEstima
         if supplied is not None:
             return supplied, _projector_points(supplied), "supplied"
         try:
-            return (*_positive_anchors(u, config.default_tol()), "derived")
+            return (*_hull_anchors(u)[1], "derived")
         except (NotCompletelyIncompatible, DimensionTooLarge):
             return None, None, None
 

@@ -3,8 +3,8 @@
 import numpy as np
 
 from . import config
-from .errors import NotHermitian, ValidationError
-from .linalg import as_complex, dagger, frobenius
+from .errors import ValidationError
+from .linalg import as_complex, dagger, frobenius, require_hermitian
 
 
 def _square(matrix, name: str) -> np.ndarray:
@@ -17,16 +17,9 @@ def _square(matrix, name: str) -> np.ndarray:
 def validate_unitary(matrix) -> np.ndarray:
     u = _square(matrix, "unitary")
     defect = frobenius(dagger(u) @ u - np.eye(u.shape[0]))
-    if defect > config.default_tol():
+    if defect > config.BASE_TOL:
         raise ValidationError(f"matrix is not unitary: ||U^H U - I||_F = {defect:.3e}")
     return u
-
-
-def require_hermitian(stack: np.ndarray) -> None:
-    """Raise NotHermitian unless each matrix of a (..., d, d) stack is Hermitian to tolerance."""
-    scale = 1.0 + np.linalg.norm(stack, axis=(-2, -1))
-    if np.any(np.linalg.norm(stack - dagger(stack), axis=(-2, -1)) > config.default_tol() * scale):
-        raise NotHermitian("matrix is not Hermitian within tolerance")
 
 
 def validate_hermitian(matrix) -> np.ndarray:
@@ -36,7 +29,7 @@ def validate_hermitian(matrix) -> np.ndarray:
 
 
 def validate_density(matrix) -> np.ndarray:
-    tol = config.default_tol()
+    tol = config.BASE_TOL
     rho = validate_hermitian(matrix)
     trace = np.trace(rho).real
     if abs(trace - 1.0) > tol:
@@ -52,6 +45,6 @@ def validate_pure_state(vector) -> np.ndarray:
     if psi.ndim != 1:
         raise ValidationError(f"pure state must be a vector, got shape {psi.shape}")
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > config.default_tol():
+    if abs(norm - 1.0) > config.BASE_TOL:
         raise ValidationError(f"pure state norm {norm} is not 1")
     return psi

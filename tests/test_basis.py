@@ -72,7 +72,7 @@ def test_warnings_are_replayed_on_every_hit(monkeypatch):
     monkeypatch.setattr(
         pure_positive,
         "complete_incompatibility",
-        lambda u, eps: SimpleNamespace(completely_incompatible=True),
+        lambda u: SimpleNamespace(completely_incompatible=True),
     )
     seen = []
     for _ in range(2):
@@ -92,7 +92,7 @@ def test_solves_on_the_kept_pattern_tables_give_the_same_answer(monkeypatch):
     monkeypatch.setattr(
         pure_positive,
         "complete_incompatibility",
-        lambda u, eps: SimpleNamespace(completely_incompatible=True),
+        lambda u: SimpleNamespace(completely_incompatible=True),
     )
     for u in (haar_unitary(5, 9), dft_matrix(6)):
         seen = []
@@ -138,27 +138,14 @@ def test_mutated_input_gets_a_fresh_answer():
     assert not np.array_equal(after.states, before.states)
 
 
-def test_each_tolerance_still_changes_the_answer(monkeypatch):
+def test_each_tolerance_still_changes_the_answer():
     # A minor of modulus 1e-7 lies between the default eps and 1e-6.
     u = haar_unitary(3, 8).copy()
     u[0, 0] = 1e-7
     assert complete_incompatibility(u).completely_incompatible
     report = complete_incompatibility(u, eps=1e-6)
     assert not report.completely_incompatible and report.eps == 1e-6
-    monkeypatch.setenv("KD_DEFAULT_TOL", "1e-6")
-    assert not complete_incompatibility(u).completely_incompatible
-    with pytest.raises(NotCompletelyIncompatible):
-        enumerate_min_uncertainty_states(u)
-    monkeypatch.delenv("KD_DEFAULT_TOL")
-
-    v = haar_unitary(4, 7)
-    assert len(enumerate_min_uncertainty_states(v)) == 56
-    strict = filter_kd_positive_pure(enumerate_min_uncertainty_states(v), v)
-    # The positivity tolerance is the base one, set here through the environment.
-    monkeypatch.setenv("KD_DEFAULT_TOL", "3e-2")
-    loose = filter_kd_positive_pure(enumerate_min_uncertainty_states(v), v)
-    assert len(enumerate_min_uncertainty_states(v)) == 56
-    assert len(strict) < len(loose) < 56
+    assert complete_incompatibility(u).completely_incompatible
 
 
 def test_cache_stays_within_its_size():
@@ -198,9 +185,6 @@ def test_roofs_agree_on_a_cold_and_a_warm_cache(case, bounds):
                 == getattr(cold.upper_decomposition, part).tobytes())
 
 
-ANCHOR_CACHES = (roof._minimal_anchors, roof._positive_anchors)
-
-
 def _spin1_inside():
     return _inside_mixture(SPIN1.positive_states), SPIN1.transition
 
@@ -223,13 +207,14 @@ def _counting(monkeypatch, names):
     "bounds", [support_roof_bounds, nonpositivity_roof_bounds], ids=["support", "nonpos"]
 )
 def test_a_second_roof_call_reuses_the_hull_anchors(monkeypatch, bounds):
-    # Inside the hull no column is generated: the anchors alone need points.
+    # Inside the hull no column is generated: the anchors alone need points, those
+    # of the minimal states and of the KD-positive ones, for either roof.
     rho, u = _spin1_inside()
     basis.clear_cache()
     calls = _counting(monkeypatch, ("filter_kd_positive_pure", "_projector_points"))
     cold = bounds(rho, u)
-    assert calls["_projector_points"] == 1
-    assert calls["filter_kd_positive_pure"] == (bounds is nonpositivity_roof_bounds)
+    assert calls == {"filter_kd_positive_pure": 1, "_projector_points": 2}
+    assert roof._hull_anchors.cache_info().misses == 1
     calls.update(dict.fromkeys(calls, 0))
     warm = bounds(rho, u)
     assert calls == {"filter_kd_positive_pure": 0, "_projector_points": 0}
@@ -237,34 +222,25 @@ def test_a_second_roof_call_reuses_the_hull_anchors(monkeypatch, bounds):
     assert dumps_report({"results": warm}) == dumps_report({"results": cold})
 
 
-@pytest.mark.parametrize(
-    "bounds", [support_roof_bounds, nonpositivity_roof_bounds], ids=["support", "nonpos"]
-)
-def test_a_tighter_default_tol_recomputes_the_hull_anchors(monkeypatch, bounds):
+def test_both_roofs_share_one_hull_anchor_entry_per_basis():
     rho, u = _spin1_inside()
     basis.clear_cache()
-    bounds(rho, u)
-    misses = [cache.cache_info().misses for cache in ANCHOR_CACHES]
-    calls = _counting(monkeypatch, ("filter_kd_positive_pure", "_projector_points"))
-    monkeypatch.setenv("KD_DEFAULT_TOL", "1e-10")
-    bounds(rho, u)
-    assert calls["_projector_points"] == 1
-    assert calls["filter_kd_positive_pure"] == (bounds is nonpositivity_roof_bounds)
-    grown = [cache.cache_info().misses - m for cache, m in zip(ANCHOR_CACHES, misses)]
-    assert grown == ([1, 0] if bounds is support_roof_bounds else [0, 1])
+    support_roof_bounds(rho, u)
+    nonpositivity_roof_bounds(rho, u)
+    info = roof._hull_anchors.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_cached_hull_anchors_are_read_only_and_bounded():
-    eps, u = config.default_tol(), SPIN1.transition.astype(complex)
-    for anchors in ANCHOR_CACHES:
-        states, points = anchors(u, eps)
-        assert anchors(u.copy(), eps)[0] is states
-        for array in (states, points):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0.0
-        for seed in range(config.BASIS_CACHE_SIZE + 2):
-            anchors(haar_unitary(3, seed), eps)
-        assert anchors.cache_info().currsize == config.BASIS_CACHE_SIZE
-    assert len(roof._minimal_anchors(u, eps)[0]) == 15
-    assert len(roof._positive_anchors(u, eps)[0]) == 9
+    u = SPIN1.transition.astype(complex)
+    anchors = roof._hull_anchors(u)
+    assert roof._hull_anchors(u.copy()) is anchors
+    for array in (*anchors[0], *anchors[1]):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    for seed in range(config.BASIS_CACHE_SIZE + 2):
+        roof._hull_anchors(haar_unitary(3, seed))
+    assert roof._hull_anchors.cache_info().currsize == config.BASIS_CACHE_SIZE
+    (minimal, _), (positive, _) = anchors
+    assert len(minimal) == 15 and len(positive) == 9

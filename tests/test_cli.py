@@ -404,28 +404,20 @@ def _resolved(files, argv):
     return resolved
 
 
-# Per case: argv with fixture names for files, and the KD_DEFAULT_TOL to set (None: unset).
+# Per case: argv with fixture names for files.
 _BAD_TOLERANCES = [
-    (["table", "--state", "rho05", "--basis", "basis"], "nan"),
-    (["support", "--state", "psi1", "--basis", "basis"], "nan"),
-    (["support", "--state", "psi1", "--basis", "basis", "--eps", "nan"], None),
-    (["support", "--state", "mixed", "--basis", "basis", "--eps", "inf"], None),
-    (["hull", "--state", "mixed", "--generators", "gens", "--tol", "nan"], None),
-    (["hull", "--state", "mixed", "--generators", "gens", "--tol", "-1"], None),
-    (["incompat", "--basis", "basis", "--eps", "inf"], None),
+    ["support", "--state", "psi1", "--basis", "basis", "--eps", "nan"],
+    ["support", "--state", "mixed", "--basis", "basis", "--eps", "inf"],
+    ["hull", "--state", "mixed", "--generators", "gens", "--tol", "nan"],
+    ["hull", "--state", "mixed", "--generators", "gens", "--tol", "-1"],
+    ["incompat", "--basis", "basis", "--eps", "inf"],
 ]
 
 
-@pytest.mark.parametrize("argv, env", _BAD_TOLERANCES, ids=[
-    "table-env-nan", "support-env-nan", "support-eps-nan", "support-mixed-eps-inf",
-    "hull-tol-nan", "hull-tol-negative", "incompat-eps-inf"])
-def test_non_finite_or_negative_tolerances_are_validation_errors(
-    files, capsys, monkeypatch, argv, env
-):
-    if env is None:
-        monkeypatch.delenv("KD_DEFAULT_TOL", raising=False)
-    else:
-        monkeypatch.setenv("KD_DEFAULT_TOL", env)
+@pytest.mark.parametrize("argv", _BAD_TOLERANCES, ids=[
+    "support-eps-nan", "support-mixed-eps-inf", "hull-tol-nan", "hull-tol-negative",
+    "incompat-eps-inf"])
+def test_non_finite_or_negative_tolerances_are_validation_errors(files, capsys, argv):
     code, doc, _ = run_json(capsys, _resolved(files, argv))
     assert code == 2
     assert doc["error"]["category"] == "validation"
@@ -524,18 +516,22 @@ def test_golden_table_report(capsys, monkeypatch):
     assert json.dumps(doc, sort_keys=True) == json.dumps(golden, sort_keys=True)
 
 
-def test_default_tol_env_override(files, capsys, monkeypatch):
-    # Set after an earlier call, which has built the shared parser.
-    argv = ["table", "--state", files["rho05"], "--basis", files["basis"]]
-    monkeypatch.delenv("KD_DEFAULT_TOL", raising=False)
-    code, doc, _ = run_json(capsys, argv)
+def test_the_environment_does_not_set_the_base_tolerance(files, capsys, monkeypatch, tmp_path):
+    # The base tolerance is the constant BASE_TOL; the environment does not set it.
+    monkeypatch.setenv("KD_DEFAULT_TOL", "1e-6")
+    code, doc, _ = run_json(capsys, ["table", "--state", files["rho05"],
+                                     "--basis", files["basis"]])
     assert code == 0
-    assert doc["config"]["default_tol"] == config.BASE_TOL
-    monkeypatch.setenv("KD_DEFAULT_TOL", "1e-7")
-    code, doc, _ = run_json(capsys, argv)
-    assert code == 0
-    assert doc["config"]["default_tol"] == 1e-7
-    assert doc["results"]["kd_positive"]["tolerance"] == 1e-7
+    assert doc["config"]["default_tol"] == doc["results"]["kd_positive"]["tolerance"] == 1e-9
+    # A density file whose trace is 1 + 1e-7, off by more than BASE_TOL.
+    off = tmp_path / "off.json"
+    diagonal = [0.5 + 1e-7, 0.25, 0.25]
+    entries = [[[diagonal[i] if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
+    off.write_text(json.dumps({"dim": 3, "kind": "density", "entries": entries}))
+    code, doc, _ = run_json(capsys, ["table", "--state", str(off), "--basis", files["basis"]])
+    assert code == 2
+    assert doc["error"]["category"] == "validation"
+    assert "trace" in doc["error"]["message"]
 
 
 def test_the_parser_is_built_once():
@@ -563,7 +559,6 @@ def test_a_reused_parser_forgets_an_earlier_eps(files, capsys, monkeypatch):
     code, doc, _ = run_json(capsys, argv + ["--eps", "1e-7"])
     assert code == 0
     assert doc["config"]["eps"] == doc["results"]["eps"] == 1e-7
-    monkeypatch.delenv("KD_DEFAULT_TOL", raising=False)
     code, doc, _ = run_json(capsys, argv)
     assert code == 0
     assert doc["config"]["eps"] is None

@@ -124,16 +124,6 @@ def test_a_rewritten_file_is_parsed_again(tmp_path):
     assert kind == "pure_state" and other.tolist() == [1j]
 
 
-def test_a_tighter_default_tol_validates_again(tmp_path, monkeypatch):
-    path = _write(tmp_path / "state.json", _density_doc(1.0 + 1e-7))
-    monkeypatch.setenv("KD_DEFAULT_TOL", "1e-6")
-    kind, _ = load_matrix_file(path)
-    assert kind == "density"
-    monkeypatch.setenv("KD_DEFAULT_TOL", "1e-9")
-    with pytest.raises(MatrixFileError, match="trace"):
-        load_matrix_file(path)
-
-
 @pytest.mark.parametrize("content", [
     "{not json",
     json.dumps({"dim": 2, "kind": "density", "entries": [[[1.0, 0.0]], [[0.0, 0.0]]]}),

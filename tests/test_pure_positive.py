@@ -151,7 +151,7 @@ def test_degenerate_patterns_follow_the_reference_order(monkeypatch):
     monkeypatch.setattr(
         pure_positive,
         "complete_incompatibility",
-        lambda u, eps: SimpleNamespace(completely_incompatible=True),
+        lambda u: SimpleNamespace(completely_incompatible=True),
     )
     result = _assert_matches_reference(dft_matrix(6))
     assert len(result.degenerate_patterns) > 1

@@ -283,17 +283,27 @@ def test_an_inside_decomposition_sums_to_the_trace_of_its_state():
 
 def test_the_roofs_refuse_a_state_whose_cut_eigenvalues_miss_its_trace():
     # validate_density takes eigenvalues down to -1e-9; the search keeps those above
-    # RANK_CUTOFF, so its weights would sum to Tr rho + 1.67e-10 here, and to
-    # Tr rho - 1.8e-10 for the DFT 4 state.
+    # RANK_CUTOFF, so its weights would sum to Tr rho + 1.67e-10 here.
     rho = rho_lambda(4.0 / 7.0 + 1e-9)
     assert -1e-9 < np.linalg.eigvalsh(rho)[0] < -config.RANK_CUTOFF
-    cases = [(support_roof_bounds, rho, SPIN1.transition),
-             (nonpositivity_roof_bounds, rho, SPIN1.transition),
-             (nonpositivity_roof_bounds, np.diag([0.5, 0.5 - 1.8e-10, 9e-11, 9e-11]),
-              dft_matrix(4))]
-    for roof_bounds, state, u in cases:
+    for roof_bounds in (support_roof_bounds, nonpositivity_roof_bounds):
         with pytest.raises(ValidationError, match="RANK_CUTOFF = 1e-10 sum to"):
-            roof_bounds(state, u)
+            roof_bounds(rho, SPIN1.transition)
+
+
+def test_the_roofs_scale_the_kept_eigenvalues_of_a_state_with_cut_weight_to_its_trace():
+    # Eigenvalues in (0, RANK_CUTOFF] summing to 1.8e-10: the search decomposes the
+    # kept ones, scaled to Tr rho, and its decomposition is checked against rho.
+    cut = [0.5, 0.5 - 1.8e-10, 9e-11, 9e-11]
+    est = nonpositivity_roof_bounds(np.diag(cut), dft_matrix(4))
+    assert (est.lower_bound, est.upper_bound) == (1.0, 1.0) and est.exact
+    v = haar_unitary(4, 11)
+    rho = (v * cut) @ v.conj().T
+    for roof_bounds in (support_roof_bounds, nonpositivity_roof_bounds):
+        est = roof_bounds(rho, haar_unitary(4, 3))
+        assert est.lower_bound <= est.upper_bound
+        assert est.upper_decomposition.weights.sum() == pytest.approx(1.0, abs=1e-15)
+        est.upper_decomposition.validate(rho)
 
 
 def test_a_decomposition_sums_to_the_trace_of_its_state():
@@ -804,9 +814,8 @@ def _excluded_haar4(rank):
 def _support_groups(rho, u):
     eig = hermitian_eig(rho)
     rank = int(np.count_nonzero(eig.eigenvalues > config.RANK_CUTOFF))
-    eps = config.default_tol()
-    family = roof._support_subspaces(np.asarray(u, dtype=complex), eps)
-    return roof._compressed_subspaces(family, eig.eigenvectors[:, :rank], eps), rank
+    family = roof._support_subspaces(np.asarray(u, dtype=complex))
+    return roof._compressed_subspaces(family, eig.eigenvectors[:, :rank]), rank
 
 
 def _legendre_bound(w, rho, u):
@@ -869,7 +878,7 @@ def test_inside_mixtures_never_build_the_support_subspaces():
                          ids=["spin1", "haar4", "haar5"])
 def test_support_subspaces_of_an_incompatible_basis_are_the_pairs_above_d(u):
     d = u.shape[0]
-    family = roof._support_subspaces(np.asarray(u, dtype=complex), config.default_tol())
+    family = roof._support_subspaces(np.asarray(u, dtype=complex))
     counts = {count: len(rows) for count, rows in family}
     assert counts == {n: math.comb(2 * d, n) for n in range(d + 1, 2 * d + 1)}
 
