@@ -350,12 +350,12 @@ _ROUNDING = 64 * np.finfo(float).eps
 
 @per_basis
 def _support_subspaces(u):
-    """Support pairs (S, T) a state can have at eps = BASE_TOL: (|S| + |T|, constraint rows) groups.
+    """Support pairs (S, T) a state can have at BASE_TOL: (|S| + |T|, constraint rows) groups.
 
     V_{S,T} is the null space of the k rows e_i, i not in S, and conj(u_j), j
     not in T (a zero row for k = 0), which a unit state supported on S, T at
-    eps meets within eps sqrt(k). Only pairs whose smallest singular value
-    proves no such state exists are left out: of a completely incompatible
+    eps = BASE_TOL meets within eps sqrt(k). Only pairs whose smallest
+    singular value proves no such state exists are left out: of a completely incompatible
     basis, the tight pairs |S| + |T| > d stay, dim V_{S,T} = |S| + |T| - d.
     """
     d, eps = u.shape[0], config.BASE_TOL
@@ -585,16 +585,16 @@ def _roof_bounds(
         lower, certificate = value, CERT_RANK_ONE
     else:
         # The search decomposes the eigenvalues above RANK_CUTOFF; its weights miss
-        # Tr rho by what the rest sum to.
-        dropped = eig.eigenvalues[rank:]
-        if dropped.sum() < -config.WEIGHT_SUM_TOL:
+        # Tr rho by what the rest sum to, unless the kept ones are scaled to Tr rho.
+        kept, dropped = eig.eigenvalues[:rank], eig.eigenvalues[rank:]
+        cut = float(dropped.sum())
+        if cut < -config.WEIGHT_SUM_TOL:
             raise ValidationError(
                 f"eigenvalues at or below RANK_CUTOFF = {config.RANK_CUTOFF:g} sum to "
-                f"{dropped.sum():.3e}, the least {dropped.min():.3e}: no decomposition of "
+                f"{cut:.3e}, the least {dropped.min():.3e}: no decomposition of "
                 f"the rest has weight Tr rho within WEIGHT_SUM_TOL = {config.WEIGHT_SUM_TOL:g}"
             )
-        if dropped.sum() > config.WEIGHT_SUM_TOL:
-            kept = eig.eigenvalues[:rank]
+        if cut > config.WEIGHT_SUM_TOL:
             scaled = kept * (float(np.trace(rho_m).real) / kept.sum())
             eig = replace(eig, eigenvalues=np.concatenate([scaled, dropped]))
         result = search(eig, rank, anchors)

@@ -145,6 +145,7 @@ def test_each_tolerance_still_changes_the_answer():
     assert complete_incompatibility(u).completely_incompatible
     report = complete_incompatibility(u, eps=1e-6)
     assert not report.completely_incompatible and report.eps == 1e-6
+    # The cached minor search keeps no eps: the default answers at BASE_TOL again.
     assert complete_incompatibility(u).completely_incompatible
 
 

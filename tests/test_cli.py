@@ -517,7 +517,7 @@ def test_golden_table_report(capsys, monkeypatch):
 
 
 def test_the_environment_does_not_set_the_base_tolerance(files, capsys, monkeypatch, tmp_path):
-    # The base tolerance is the constant BASE_TOL; the environment does not set it.
+    # KD_DEFAULT_TOL named a removed override of BASE_TOL; setting it changes nothing.
     monkeypatch.setenv("KD_DEFAULT_TOL", "1e-6")
     code, doc, _ = run_json(capsys, ["table", "--state", files["rho05"],
                                      "--basis", files["basis"]])
