@@ -143,7 +143,10 @@ every block, and adds an "alternating" entry with both medians and their
 ratio. The enumeration rows at d = 3..6 and the pattern-solve rows at d = 7
 and 8 are timed the same way, and their entries say whether both packages
 gave the same states bytes, patterns and degenerate patterns
-(``same_states``); the nonpositivity-roof rows are timed the same way, in
+(``same_states``), whether they gave the same patterns and degenerate
+patterns (``same_patterns``), and the largest entrywise |difference|
+between the two packages' states, compared pattern by pattern
+(``max_state_diff``); the nonpositivity-roof rows are timed the same way, in
 ``NONPOS_RUNS`` blocks, and so are the cli rows, whose entries also say
 whether both packages wrote the same report apart from ``timing_seconds``
 (``same_report``) and give each package's report bytes, the length of its
@@ -508,13 +511,34 @@ def solve_call(package, u):
     return lambda: pure._solve_patterns(u, *extra)
 
 
+def _pattern_keys(result) -> tuple:
+    return ([(p.a_support, p.b_support) for p in result.patterns],
+            [(p.a_support, p.b_support, n) for p, n in result.degenerate_patterns])
+
+
 def same_states(ours, theirs) -> bool:
     """Whether two state lists hold the same states bytes, patterns and degenerate patterns."""
-    def key(result):
-        return (result.states.tobytes(),
-                [(p.a_support, p.b_support) for p in result.patterns],
-                [(p.a_support, p.b_support, n) for p, n in result.degenerate_patterns])
-    return key(ours) == key(theirs)
+    return (ours.states.tobytes() == theirs.states.tobytes()
+            and _pattern_keys(ours) == _pattern_keys(theirs))
+
+
+def state_diff(ours, theirs) -> dict:
+    """Whether two state lists hold the same patterns and degenerate patterns, and how far their states are.
+
+    ``max_state_diff`` is the largest entrywise |difference| between the
+    states of the patterns both lists hold, compared pattern by pattern
+    (None when they share none).
+    """
+    import numpy as np
+
+    keys = [_pattern_keys(result)[0] for result in (ours, theirs)]
+    rows = {key: k for k, key in enumerate(keys[1])}
+    common = [(k, rows[key]) for k, key in enumerate(keys[0]) if key in rows]
+    diff = None
+    if common:
+        mine, their = (list(index) for index in zip(*common))
+        diff = float(np.max(np.abs(ours.states[mine] - theirs.states[their])))
+    return {"same_patterns": _pattern_keys(ours) == _pattern_keys(theirs), "max_state_diff": diff}
 
 
 @contextlib.contextmanager
@@ -901,7 +925,9 @@ def record(args, cli_root) -> dict:
                     label: len(output[1].encode())
                     for label, output in zip((args.label or "this", args.against_label), outputs)}
             if name in states_rows:
-                alternating[name]["same_states"] = same_states(*(call() for call in calls))
+                results = [call() for call in calls]
+                alternating[name]["same_states"] = same_states(*results)
+                alternating[name].update(state_diff(*results))
             if name in verdict_rows:
                 (ours, our_pivots), (theirs, their_pivots) = (
                     verdict_and_pivots(k, call) for k, call in zip((kdwitness, other), calls))
