@@ -2,13 +2,17 @@
 
 For a completely incompatible basis pair in dimension d, every pure state
 has support sizes summing to at least d+1, and the states achieving d+1 are
-isolated. They are found here by solving, for each candidate support
-pattern (S, T) with |S| + |T| = d + 1, the linear system that confines the
-state to the span of the S computational-basis vectors while annihilating
-its overlaps with the second-basis vectors outside T. Filtering the result
-by KD positivity yields the pure KD-positive states of such a basis pair.
+isolated. Each candidate support pattern (S, T) with |S| + |T| = d + 1 has
+a linear system that confines the state to the span of the S
+computational-basis vectors while annihilating its overlaps with the
+second-basis vectors outside T. Its solution is read off the transition
+matrix's minors, which the complete-incompatibility check's recurrence
+computes: the system's cofactors. Only a pattern whose state that cannot
+certify gets an SVD. Filtering the result by KD positivity yields the pure
+KD-positive states of such a basis pair.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,7 +27,7 @@ from .errors import (
     NotCompletelyIncompatible,
 )
 from .basis import per_basis
-from .incompatibility import complete_incompatibility
+from .incompatibility import _minors_by_recurrence, complete_incompatibility
 from .kd import kd_positive_each
 from .linalg import as_complex
 
@@ -42,7 +46,11 @@ class PureStateList:
 
     ``degenerate_patterns`` records patterns whose linear system had a null
     space of dimension above one; such a continuum is surfaced rather than
-    sampled, and no state is emitted for it.
+    sampled, and no state is emitted for it. On a completely incompatible
+    basis it is always empty: each system's least singular value is at least
+    the norm of its cofactors, minors above the check's eps (Cauchy-Binet,
+    see ``_solve_patterns``). So it is reached only when that check is
+    bypassed.
     """
 
     states: np.ndarray
@@ -135,10 +143,13 @@ def enumerate_min_uncertainty_states(transition) -> PureStateList:
 
     Requires a completely incompatible transition matrix (otherwise the
     d+1 floor does not hold and the pattern family is not exhaustive).
-    States are returned with their patterns in lexicographic order. The
-    patterns with |S| = a form one family, solved as one stack of (a-1) x a
-    systems; the states of all families are then normalised, phased and
-    checked together. A state is kept only when its realized supports equal
+    States are returned with their patterns in lexicographic order. Each
+    pattern's state, with |S| = a, is the vector of cofactors of its (a-1) x
+    a system, gathered from the minors of the transition matrix, which the
+    solve computes by the incompatibility check's recurrence; all states are
+    normalised, phased and checked together. A pattern whose cofactors do
+    not certify their state (see ``_solve_patterns``) gets its system solved
+    by an SVD instead. A state is kept only when its realized supports equal
     its pattern. Two states of one ray have the same moduli in both bases,
     so they realize the same pattern: no ray is kept twice.
 
@@ -171,26 +182,85 @@ def enumerate_min_uncertainty_states(transition) -> PureStateList:
     return result
 
 
+@lru_cache(maxsize=16)
+def _cofactor_tables(d: int) -> tuple:
+    """Positions of each pattern's cofactors in the signed minors and in the states; a - 2 each.
+
+    The signed minors are the flat conjugate minors of orders 0..d-1 (order
+    0 the empty minor, 1, then ``_minors_by_recurrence``'s orders, each rows
+    outer), followed by their negatives. Cofactor j of pattern k, (S, T) in
+    ``_pattern_tables(d)`` order, is (-1)^j times minor (S - s_j, outside
+    T); it goes to the flat position of s_j in row k of all patterns' states.
+    """
+    families, _, patterns = _pattern_tables(d)
+    start, at = 0, []
+    n_minors = sum(math.comb(d, k) ** 2 for k in range(d))
+    for size_a in range(1, d + 1):
+        subsets = {c: i for i, c in enumerate(combinations(range(d), size_a - 1))}
+        rows = [[subsets[s[:j] + s[j + 1:]] for j in range(size_a)]
+                for s in combinations(range(d), size_a)]
+        cols = [subsets[tuple(sorted(set(range(d)) - set(t)))]
+                for t in combinations(range(d), d + 1 - size_a)]
+        signs = np.arange(size_a) % 2 * n_minors
+        at.append((start + np.array(rows)[:, np.newaxis] * len(subsets)
+                   + np.array(cols)[:, np.newaxis] + signs).ravel())
+        start += len(subsets) ** 2
+    tables = (np.concatenate(at), np.concatenate([scatter.ravel() for _, scatter in families]),
+              np.array([len(p.a_support) - 2 for p in patterns]))
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
 @per_basis
 def _solve_patterns(u: np.ndarray) -> PureStateList:
-    """The enumeration proper, for a basis already checked; supports are read at BASE_TOL."""
+    """The enumeration proper, for a basis already checked; supports are read at BASE_TOL.
+
+    Pattern (S, T) of family a has the (a - 1) x a system M = conj(U)[S,
+    outside T].T, whose cofactors m_j = (-1)^j conj(det U[S - s_j, outside
+    T]) span its null space when it has rank a - 1. By Cauchy-Binet ||m|| is
+    the product of M's singular values, so with s = ||U||_2 >= sigma_max,
+    sigma_min >= ||m|| / s^(a-2) =: l; and a unit psi on S is within sine
+    ||M psi|| / l of the null ray. A pattern keeps its cofactor state when
+    l > 2 max(NULL_SPACE_ABS_CUTOFF, NULL_SPACE_REL_CUTOFF s), so that its
+    null space has dimension one by the SVD's rule too, and that sine is at
+    most ``config.NULL_RAY_TOL``; the others are solved by ``_null_vectors``.
+    """
     d = u.shape[0]
     families, masks, patterns = _pattern_tables(d)
-    u_conj = np.conj(u)
+    at, to, powers = _cofactor_tables(d)
+    minors = np.concatenate([np.ones(1, dtype=complex), *_minors_by_recurrence(u)[0][:-1]]).conj()
     psi = np.zeros((len(patterns), d), dtype=complex)
-    null_dims = []
+    np.put(psi, to, np.concatenate([minors, -minors])[at])
+    scale = np.linalg.svd(u, compute_uv=False)[0]
+    norms = np.linalg.norm(psi, axis=1, keepdims=True)
+    lower = norms[:, 0] / scale**powers
+    # Cofactors that all vanish give a NaN state, which fails both tests below.
+    with np.errstate(invalid="ignore"):
+        psi = canonical_phase(psi / norms)
+    u_conj = np.conj(u)
+    overlaps = psi @ u_conj
+    off_target = np.linalg.norm(np.where(masks[:, d:], 0.0, overlaps), axis=1)
+    floor = 2.0 * max(config.NULL_SPACE_ABS_CUTOFF, config.NULL_SPACE_REL_CUTOFF * scale)
+    redo = ~((lower > floor) & (off_target <= config.NULL_RAY_TOL * lower))
+    null_dims = np.ones(len(patterns), dtype=int)
+    start = 0
     for gather, scatter in families:
-        vectors, dims = _null_vectors(u_conj.ravel()[gather])
-        np.put(psi, scatter, vectors)
-        null_dims.append(dims)
-    null_dims = np.concatenate(null_dims)
+        picks = np.flatnonzero(redo[start:start + len(scatter)])
+        rows = start + picks
+        start += len(scatter)
+        if not picks.size:
+            continue
+        vectors, null_dims[rows] = _null_vectors(u_conj.ravel()[gather[picks]])
+        psi[rows] = 0.0
+        np.put(psi, scatter[picks], vectors)
+        psi[rows] = canonical_phase(psi[rows] / np.linalg.norm(psi[rows], axis=1, keepdims=True))
+        overlaps[rows] = psi[rows] @ u_conj
     solved = np.flatnonzero(null_dims == 1)
-    psi = psi[solved]
-    psi = canonical_phase(psi / np.linalg.norm(psi, axis=1, keepdims=True))
     eps = config.BASE_TOL
-    realized = np.hstack([np.abs(psi) > eps, np.abs(psi @ u_conj) > eps]) == masks[solved]
-    realized = realized.all(axis=1)
-    states = psi[realized]
+    realized = np.hstack([np.abs(psi[solved]) > eps, np.abs(overlaps[solved]) > eps])
+    realized = (realized == masks[solved]).all(axis=1)
+    states = psi[solved[realized]]
     states.flags.writeable = False
     return PureStateList(
         states=states,

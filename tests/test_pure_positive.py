@@ -19,6 +19,7 @@ from kdwitness import (
 )
 from kdwitness import pure_positive
 from kdwitness.errors import NonGenericPatternWarning
+from kdwitness.incompatibility import _minors_by_recurrence
 from kdwitness.pure_positive import SupportPattern
 from kdwitness.studies import dft_matrix
 
@@ -100,7 +101,7 @@ REFERENCE_BASES = [
     pytest.param(SPIN1.transition, id="spin1"),
     pytest.param(dft_matrix(3), id="dft3"),
     pytest.param(dft_matrix(5), id="dft5"),
-] + [pytest.param(haar_unitary(d, 100 + d), id=f"haar{d}") for d in range(2, 7)]
+] + [pytest.param(haar_unitary(d, 100 + d), id=f"haar{d}") for d in range(2, 8)]
 
 
 @pytest.mark.parametrize("u", REFERENCE_BASES)
@@ -143,6 +144,73 @@ def test_pattern_tables_list_every_pattern_in_combinations_order(d):
             array.flat[0] = 0
 
 
+@pytest.mark.parametrize("d", range(2, 8))
+def test_cofactor_tables_read_each_patterns_signed_minors(d):
+    at, to, powers = pure_positive._cofactor_tables(d)
+    assert pure_positive._cofactor_tables(d) is pure_positive._cofactor_tables(d)
+    _, _, patterns = pure_positive._pattern_tables(d)
+    u = haar_unitary(d, 200 + d)
+    minors = np.conj(np.concatenate([np.ones(1), *_minors_by_recurrence(u)[0][:-1]]))
+    psi = np.zeros((len(patterns), d), dtype=complex)
+    np.put(psi, to, np.concatenate([minors, -minors])[at])
+    for k, p in enumerate(patterns):
+        s, outside_t = list(p.a_support), [j for j in range(d) if j not in p.b_support]
+        # Cofactor j: (-1)^j conj(det U[S - s_j, outside T]), at s_j.
+        dets = np.linalg.det(np.array([u[np.ix_(s[:j] + s[j + 1:], outside_t)]
+                                       for j in range(len(s))]))
+        want = np.zeros(d, dtype=complex)
+        want[s] = (-1) ** np.arange(len(s)) * np.conj(dets)
+        assert np.max(np.abs(psi[k] - want)) <= 1e-12, p
+        assert powers[k] == len(s) - 2
+    for array in (at, to, powers):
+        assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("u", REFERENCE_BASES)
+def test_completely_incompatible_bases_read_every_state_off_the_minors(u, monkeypatch):
+    systems = []
+    monkeypatch.setattr(pure_positive, "_null_vectors", systems.append)
+    enumerate_min_uncertainty_states(u)
+    assert not systems
+
+
+def test_a_pattern_whose_distance_bound_fails_gets_its_svd(monkeypatch):
+    # An order d - 1 minor belongs to one pattern's cofactors: here minor
+    # ((0, 1, 3), (0, 1, 3)) to (S, T) = ((0, 1, 2, 3), (2,)).
+    u = haar_unitary(4, 104)
+    recurrence = pure_positive._minors_by_recurrence
+
+    def perturbed(v):
+        minors, bound = recurrence(v)
+        minors[2] = minors[2].copy()
+        minors[2][5] *= 1 + 1e-6
+        return minors, bound
+
+    null_vectors = pure_positive._null_vectors
+    systems = []
+
+    def counted(constraints):
+        systems.append(constraints)
+        return null_vectors(constraints)
+
+    monkeypatch.setattr(pure_positive, "_minors_by_recurrence", perturbed)
+    monkeypatch.setattr(pure_positive, "_null_vectors", counted)
+    _assert_matches_reference(u)
+    assert len(systems) == 1
+    assert np.array_equal(systems[0], np.conj(u)[:, [0, 1, 3]].T[np.newaxis])
+
+
+def test_a_scaled_basis_reads_the_same_states_off_its_minors(monkeypatch):
+    # The bounds use ||U||_2, so scaling U scales the minors and the bounds alike.
+    u = haar_unitary(5, 105)
+    monkeypatch.setattr(pure_positive, "_null_vectors", None)
+    result = pure_positive._solve_patterns(u)
+    for factor in (1e-2, 1e2):
+        scaled = pure_positive._solve_patterns(factor * u)
+        assert scaled.patterns == result.patterns
+        assert np.max(np.abs(scaled.states - result.states)) <= 1e-12
+
+
 def test_degenerate_patterns_follow_the_reference_order(monkeypatch):
     # The six-dimensional Fourier pair has vanishing minors, so some
     # pattern systems have a null space of dimension two. With the
@@ -170,8 +238,9 @@ def test_each_state_is_the_one_ray_of_its_pattern(u):
     for psi, pattern in zip(result.states, result.patterns):
         assert tuple(np.flatnonzero(np.abs(psi) > 1e-9).tolist()) == pattern.a_support
         assert tuple(np.flatnonzero(np.abs(psi @ np.conj(u)) > 1e-9).tolist()) == pattern.b_support
-    i, j = np.triu_indices(len(result), k=1)
-    assert (phase_invariant_distance(result.states[i], result.states[j]) > 1e-8).all()
+    # Row by row: all pairs at once would take gigabytes at d = 7.
+    for k in range(len(result) - 1):
+        assert (phase_invariant_distance(result.states[k], result.states[k + 1:]) > 1e-8).all()
 
 
 def _match_one_to_one(found, reference, tol=1e-8):

@@ -675,6 +675,7 @@ def _master_lps():
     try:
         support_roof_bounds(rho_lambda(0.5), SPIN1.transition)
         nonpositivity_roof_bounds(rho_lambda(0.25), SPIN1.transition)
+        nonpositivity_roof_bounds(rho_lambda(0.5), SPIN1.transition)
         nonpositivity_roof_bounds(random_density(4, np.random.default_rng(11)), haar_unitary(4, 3))
     finally:
         roof.solve_equality_lp = solve
