@@ -121,24 +121,22 @@ EIG_ORTHONORMAL_TOL = 1e-10
 # Eigenvalue cutoff defining the rank used by decomposition searches.
 RANK_CUTOFF = 1e-10
 
-# The enumeration reads each pattern's state off the minors of U, the
-# cofactors of its (a - 1) x a system, when a bound on the system's least
-# singular value (by Cauchy-Binet, the cofactors' norm on a unitary U)
-# exceeds twice the cutoff below, so that its null space has dimension one,
-# and when the state is provably within sine NULL_RAY_TOL of the exact null
-# ray. Any other pattern's system gets an SVD, in which a singular value
-# counts towards the rank above max(NULL_SPACE_ABS_CUTOFF,
-# NULL_SPACE_REL_CUTOFF * largest). A completely incompatible pair has every
-# minor above BASE_TOL, so all its patterns pass the first test.
+# A singular value of an enumeration constraint system that gets an SVD
+# counts towards its rank above max(NULL_SPACE_ABS_CUTOFF,
+# NULL_SPACE_REL_CUTOFF * largest). The enumeration reads a pattern's state
+# off U's minors (its system's cofactors) instead where Cauchy-Binet puts the
+# least singular value above twice that cutoff, so that the null space has
+# dimension one: on a completely incompatible pair, whose minors all exceed
+# BASE_TOL, it does for every pattern.
 NULL_SPACE_ABS_CUTOFF = 1e-12
 NULL_SPACE_REL_CUTOFF = 1e-10
 
-# Within sine NULL_RAY_TOL of its exact ray, a state's amplitudes and
-# overlaps (U unitary) each move by about NULL_RAY_TOL at most, a thousandth
-# of BASE_TOL: its supports, read at BASE_TOL, are the exact ray's unless an
-# amplitude lies that close to the threshold. The bound, the state's overlaps
-# outside T over the least singular value's bound, reached at most 3e-14 at
-# d = 6 and 7.5e-13 at d = 8 on 200 Haar bases per dimension.
+# A state read off the minors is kept when it is provably within sine
+# NULL_RAY_TOL of its exact null ray. Its amplitudes and overlaps (U unitary)
+# then each move by about that much at most, a thousandth of BASE_TOL, so its
+# supports read at BASE_TOL are the exact ray's unless one lies that close to
+# the threshold. The bound reached 3e-14 at d = 6 and 7.5e-13 at d = 8 on 200
+# Haar bases per dimension.
 NULL_RAY_TOL = 1e-12
 
 # Amplitudes at or below this are skipped when fixing a state's global phase.

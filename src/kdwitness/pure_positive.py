@@ -5,11 +5,11 @@ has support sizes summing to at least d+1, and the states achieving d+1 are
 isolated. Each candidate support pattern (S, T) with |S| + |T| = d + 1 has
 a linear system that confines the state to the span of the S
 computational-basis vectors while annihilating its overlaps with the
-second-basis vectors outside T. Its solution is read off the transition
-matrix's minors, which the complete-incompatibility check's recurrence
-computes: the system's cofactors. Only a pattern whose state that cannot
-certify gets an SVD. Filtering the result by KD positivity yields the pure
-KD-positive states of such a basis pair.
+second-basis vectors outside T. Its solution, the system's cofactors, is
+read off the transition matrix's minors, which the complete-incompatibility
+check's recurrence computes; a pattern gets an SVD only where its cofactors
+cannot certify its state. Filtering the result by KD positivity yields the
+pure KD-positive states of such a basis pair.
 """
 
 import math
@@ -239,8 +239,8 @@ def _solve_patterns(u: np.ndarray) -> PureStateList:
     with np.errstate(invalid="ignore"):
         psi = canonical_phase(psi / norms)
     u_conj = np.conj(u)
-    overlaps = psi @ u_conj
-    off_target = np.linalg.norm(np.where(masks[:, d:], 0.0, overlaps), axis=1)
+    moduli = np.abs(np.hstack([psi, psi @ u_conj]))
+    off_target = np.linalg.norm(np.where(masks[:, d:], 0.0, moduli[:, d:]), axis=1)
     floor = 2.0 * max(config.NULL_SPACE_ABS_CUTOFF, config.NULL_SPACE_REL_CUTOFF * scale)
     redo = ~((lower > floor) & (off_target <= config.NULL_RAY_TOL * lower))
     null_dims = np.ones(len(patterns), dtype=int)
@@ -255,16 +255,13 @@ def _solve_patterns(u: np.ndarray) -> PureStateList:
         psi[rows] = 0.0
         np.put(psi, scatter[picks], vectors)
         psi[rows] = canonical_phase(psi[rows] / np.linalg.norm(psi[rows], axis=1, keepdims=True))
-        overlaps[rows] = psi[rows] @ u_conj
-    solved = np.flatnonzero(null_dims == 1)
-    eps = config.BASE_TOL
-    realized = np.hstack([np.abs(psi[solved]) > eps, np.abs(overlaps[solved]) > eps])
-    realized = (realized == masks[solved]).all(axis=1)
-    states = psi[solved[realized]]
+        moduli[rows] = np.abs(np.hstack([psi[rows], psi[rows] @ u_conj]))
+    kept = np.flatnonzero(((moduli > config.BASE_TOL) == masks).all(axis=1) & (null_dims == 1))
+    states = psi[kept]
     states.flags.writeable = False
     return PureStateList(
         states=states,
-        patterns=tuple(patterns[k] for k in solved[realized].tolist()),
+        patterns=tuple(map(patterns.__getitem__, kept.tolist())),
         degenerate_patterns=tuple(
             (patterns[k], int(null_dims[k])) for k in np.flatnonzero(null_dims != 1).tolist()
         ),
