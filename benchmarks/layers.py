@@ -66,8 +66,8 @@ order), moved ``NEAR_FACET_DEPTH`` inside that facet along its functional,
 so that one generator lies within the active tolerance of a facet it does
 not span. Each row has the facet count, the number C(n, affine rank) of
 subsets, and how many matrices reach a stacked SVD (counted on one more
-untimed call, by wrapping ``numpy.linalg.svd`` and adding up the matrices
-of its stacked calls). It times the Hermitian wrapper ``facet_enumeration``
+untimed call on a cleared cache, by wrapping ``numpy.linalg.svd`` and adding
+up the matrices of its stacked calls). It times the Hermitian wrapper ``facet_enumeration``
 on the generators themselves, so the cost of embedding the generators and
 converting the functionals shows next to the points function.
 
@@ -152,7 +152,8 @@ whether both packages wrote the same report apart from ``timing_seconds``
 (``same_report``) and give each package's report bytes, the length of its
 stdout (``report_bytes``), and the ``membership_lp`` and ``hull_lp`` rows, whose
 entries say whether both packages gave the same verdict (``same_verdict``) and
-give each package's simplex pivots, and the ``facet_enumeration_points`` rows, whose entries
+give each package's simplex pivots, and the ``facet_enumeration_points`` rows, timed on
+a cleared cache like the other cached layers, whose entries
 say whether both packages gave the same facets: the same active sets in the
 same order, and functionals and offsets with the same bytes (``same_facets``):
 
@@ -626,9 +627,13 @@ def report_without_timing(output) -> str:
 
 
 def svd_subsets(fn, *args):
-    """Result of one call of ``fn`` and the number of matrices it passed, stacked, to ``svd``."""
+    """Result of one call of ``fn`` and the number of matrices it passed, stacked, to ``svd``.
+
+    The per-basis cache is cleared first, so that the call does its work.
+    """
     import numpy as np
 
+    _cache_clear()()
     original = np.linalg.svd
     count = 0
 
@@ -955,7 +960,7 @@ def record(args, cli_root) -> dict:
         for name, generators in facet_sets.items():
             points = np.array([kdwitness.hermitian_to_real(g) for g in generators])
             calls = [facet_call(k, points) for k in (kdwitness, other)]
-            mine, theirs = (summary_ms(t) for t in alternated(calls, keep))
+            mine, theirs = (summary_ms(t) for t in alternated(calls, clears))
             alternating[f"facet_enumeration_points.{name}"] = {
                 args.label or "this": mine,
                 args.against_label: theirs,
