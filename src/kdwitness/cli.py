@@ -352,12 +352,14 @@ _ROOF_TOLERANCES = (
     "RECONSTRUCTION_TOL", "ROOF_ORDER_SLACK", "ROOF_RECHECK_TOL", "ISOMETRY_TOL",
     "ANCHOR_RANGE_CUTOFF", "NONPOSITIVITY_STRICT_SLACK", *_SIMPLEX_TOLERANCES,
 )
+_ENUMERATION_TOLERANCES = ("NULL_SPACE_ABS_CUTOFF", "NULL_SPACE_REL_CUTOFF", "NULL_RAY_TOL")
 _FACET_TOLERANCES = (
     "FACET_ACTIVE_TOL", "FACET_MATCH_TOL", "FACET_RANK_ABS_CUTOFF",
     "FACET_RANK_REL_CUTOFF", "MAX_FACET_SUBSETS", "MAX_FACET_SIDE_ENTRIES",
 )
 # The config values each command echoes beyond the base and feasibility ones.
 _ECHOED_CONFIG = {
+    "enumerate": _ENUMERATION_TOLERANCES,
     "hull": _SIMPLEX_TOLERANCES,
     "facets": _FACET_TOLERANCES,
     "roof-support": _ROOF_TOLERANCES,

@@ -14,7 +14,9 @@ Facets come from gift wrapping, walking from facet to neighbouring facet,
 through facets with more points on them than the affine rank as well as
 simplicial ones, wherever its own numbers prove its list equal to the bit
 to that of the search over all rank-subsets. The rare sets it gives up on,
-and sets of affine rank below 3, take that subset search.
+and sets of affine rank below 3, take that subset search. A point set's
+facets are computed once per content (see :mod:`kdwitness.basis`); every
+call still embeds its generators and gets its own list.
 """
 
 import math
@@ -26,6 +28,7 @@ from itertools import chain, combinations, islice
 import numpy as np
 
 from . import config
+from .basis import per_basis
 from .errors import (
     CertificateError,
     DegenerateHull,
@@ -233,7 +236,8 @@ class Facet:
 
     Every generator g satisfies ``Tr(functional @ g) <= offset``, with
     equality (within the active tolerance) exactly on the active set. Over
-    raw points ``functional`` is the unit normal vector.
+    raw points ``functional`` is the unit normal vector, read-only because
+    it is shared with the cached facets of those points.
     """
 
     functional: np.ndarray
@@ -242,7 +246,7 @@ class Facet:
 
 
 def facet_enumeration_points(points) -> list[Facet]:
-    """All bounding hyperplanes of the convex hull of a small point set.
+    """All bounding hyperplanes of the convex hull of a small point set, in a new list.
 
     Works inside the affine hull of the points: candidate hyperplanes pass
     through affinely independent subsets of size equal to the affine
@@ -261,8 +265,21 @@ def facet_enumeration_points(points) -> list[Facet]:
     rank-subsets. Raises DimensionTooLarge before either path when the
     number of subsets exceeds ``config.MAX_FACET_SUBSETS``, or when the
     side-test entries, n per subset, exceed ``config.MAX_FACET_SIDE_ENTRIES``.
+
+    The facets are computed once per content of the float points (see
+    :mod:`kdwitness.basis`), and their functionals are read-only.
     """
-    pts = np.asarray(points, dtype=float)
+    functionals, offsets, actives = _facets(np.asarray(points, dtype=float))
+    return list(map(Facet, functionals, offsets.tolist(), actives))
+
+
+@per_basis
+def _facets(pts) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
+    """Functionals (rows), offsets and active sets of :func:`facet_enumeration_points`, read-only.
+
+    ``pts`` is a read-only, C-ordered float copy of the points. The cache
+    keeps these rather than ``Facet`` objects, which take twice the memory.
+    """
     n = pts.shape[0]
     centroid = pts.mean(axis=0)
     deltas = pts - centroid
@@ -287,11 +304,13 @@ def facet_enumeration_points(points) -> list[Facet]:
     found = _wrap(hull_pts) if rank >= 3 and n < 64 else None
     planes, _, actives = found or _subset_search(hull_pts)
     ambient = np.matmul(basis, planes[:, :-1, None])[..., 0]
-    offsets = (planes[:, -1] + np.matmul(ambient[:, None], centroid)[:, 0]).tolist()
+    offsets = planes[:, -1] + np.matmul(ambient[:, None], centroid)[:, 0]
     # Canonical order: offsets rounded by Python's round, functionals by numpy's.
-    keys = [(round(o, 9), *row) for o, row in zip(offsets, np.round(ambient, 9).tolist())]
+    keys = [(round(o, 9), *row) for o, row in zip(offsets.tolist(), np.round(ambient, 9).tolist())]
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    return [Facet(ambient[k], offsets[k], actives[k]) for k in order]
+    ambient, offsets = ambient[order], offsets[order]
+    ambient.flags.writeable = offsets.flags.writeable = False
+    return ambient, offsets, tuple(actives[k] for k in order)
 
 
 def _spanned(hull_pts, subsets):

@@ -8,7 +8,7 @@ minimum, which is cheap up to dimension eight.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -175,6 +175,22 @@ def _laplace_tables(d: int) -> tuple:
 def _minors_by_recurrence(u: np.ndarray) -> tuple[list, np.ndarray]:
     """Every minor M of ``u``, one flat array per order, rows outer, and a bound b >= |M - LU|.
 
+    The minors are computed once per basis (see :mod:`kdwitness.basis`) and
+    shared by the minor search and the minimal-state enumeration: their
+    arrays are read-only, the list and the bound are new on every call.
+    """
+    minors, bounds = _recurrence(u)
+    return list(minors), np.repeat(bounds, [m.size for m in minors])
+
+
+@partial(per_basis, size=1)
+def _recurrence(u: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The minors of :func:`_minors_by_recurrence` and one bound per order, read-only.
+
+    Kept for the last basis only: the enumeration, their one other reader,
+    runs right after the minor search on the same basis, and at d = 8 the
+    minors take 0.2 MB.
+
     M_k[R, C] = sum_j (-1)^(k-1+j) u[max R, c_j] M_{k-1}[R - max R, C - c_j],
     one gathered multiply-add per block of rows (see ``_GATHER_ENTRIES``); LU
     is ``np.linalg.det`` of the minor.
@@ -207,7 +223,10 @@ def _minors_by_recurrence(u: np.ndarray) -> tuple[list, np.ndarray]:
             ]
             minors.append(blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
         bounds.append(factor * v**k + (growth * max(1.0, v)) ** k * 2.0**-1074)
-    return minors, np.repeat(bounds, [len(s) ** 2 for s, *_ in tables])
+    bounds = np.array(bounds)
+    for a in (*minors, bounds):
+        a.flags.writeable = False
+    return tuple(minors), bounds
 
 
 @per_basis

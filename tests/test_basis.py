@@ -16,7 +16,9 @@ from kdwitness import (
     complete_incompatibility,
     config,
     enumerate_min_uncertainty_states,
+    facet_enumeration,
     filter_kd_positive_pure,
+    geometry,
     haar_unitary,
     incompatibility,
     nonpositivity_roof_bounds,
@@ -158,6 +160,40 @@ def test_cache_stays_within_its_size():
     assert enumerate_min_uncertainty_states(haar_unitary(3, 0)) is not first
     basis.clear_cache()
     assert all(cache.cache_info().currsize == 0 for cache in CACHES)
+
+
+def test_one_recurrence_per_fresh_basis():
+    # The minor search and the pattern solve read the same minors, kept for
+    # the last basis only.
+    for seed in (7, 8):
+        enumerate_min_uncertainty_states(haar_unitary(5, seed))
+    info = incompatibility._recurrence.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 1)
+    u = haar_unitary(5, 7)
+    minors, bound = incompatibility._minors_by_recurrence(u)
+    minors.pop()
+    again, _ = incompatibility._minors_by_recurrence(u)
+    assert len(again) == len(minors) + 1 == 5
+    for array in again:
+        assert not array.flags.writeable
+    basis.clear_cache()
+    fresh, fresh_bound = incompatibility._minors_by_recurrence(u.copy())
+    assert [m.tobytes() for m in fresh] == [m.tobytes() for m in again]
+    assert fresh_bound.tobytes() == bound.tobytes()
+
+
+def test_facets_are_kept_within_the_cache_size_and_cleared():
+    spin1 = [np.outer(s, s.conj()) for s in SPIN1.min_uncertainty_states]
+    first = facet_enumeration(spin1)
+    for seed in range(config.BASIS_CACHE_SIZE + 2):
+        geometry.facet_enumeration_points(np.random.default_rng(seed).standard_normal((6, 3)))
+    assert geometry._facets.cache_info().currsize == config.BASIS_CACHE_SIZE
+    assert geometry._facets.cache_info().misses == config.BASIS_CACHE_SIZE + 3
+    facet_enumeration(spin1)
+    assert geometry._facets.cache_info().misses == config.BASIS_CACHE_SIZE + 4
+    assert len(facet_enumeration(spin1)) == len(first) == 28
+    basis.clear_cache()
+    assert geometry._facets.cache_info().currsize == 0
 
 
 def _spin1_rho():

@@ -16,7 +16,7 @@ from kdwitness import (
     kd_table,
     rho_lambda,
 )
-from kdwitness import cli, config, io_json
+from kdwitness import basis, cli, config, geometry, io_json
 from kdwitness.cli import main
 from kdwitness.io_json import load_matrix_file, save_matrix_file
 from kdwitness.linalg import projector
@@ -140,6 +140,9 @@ def test_enumerate(files, capsys):
                 if is_kd_positive(kd_table(s, SPIN1.transition))]
     assert len(expected) == 9
     assert doc["results"]["kd_positive_indices"] == expected
+    assert doc["config"]["null_space_abs_cutoff"] == 1e-12
+    assert doc["config"]["null_space_rel_cutoff"] == 1e-10
+    assert doc["config"]["null_ray_tol"] == 1e-12
 
 
 def test_hull_outside(files, capsys):
@@ -394,6 +397,13 @@ _REPORT_KEYS = [
         "min_minor_quantiles.q25", "min_minor_quantiles.q75", "samples", "seed"}, set()),
 ]
 
+# Per command: config keys it must echo, the tolerances that decide its results.
+_DECIDING_CONFIG = {
+    "enumerate": {"null_space_abs_cutoff", "null_space_rel_cutoff", "null_ray_tol"},
+    "facets": {"facet_active_tol", "facet_match_tol", "facet_rank_abs_cutoff",
+               "facet_rank_rel_cutoff"},
+}
+
 
 def _resolved(files, argv):
     """``argv`` with each fixture name replaced by its file or files."""
@@ -463,6 +473,7 @@ def test_report_keys(files, capsys, argv, results, certificates):
     assert code == 0
     assert _key_paths(doc["results"]) == results
     assert _key_paths(doc["certificates"]) == certificates
+    assert _DECIDING_CONFIG.get(argv[0], set()) <= doc["config"].keys()
 
 
 def _indented_dumps(report):
@@ -631,6 +642,24 @@ def test_input_faults_are_validation_errors(files, capsys, tmp_path):
     assert code == 2
     assert doc["error"] == {"category": "validation", "type": "DegenerateHull",
                             "message": "generators span no affine directions"}
+
+
+def test_facets_after_spin1_in_one_session_walk_nothing(capsys, tmp_path, monkeypatch):
+    # spin1 embeds its generators to the same points as facets over the
+    # minimal-state files, so one cached facet list serves both commands.
+    gens = [str(tmp_path / f"g{k:02d}.json") for k in range(15)]
+    for path, psi in zip(gens, SPIN1.min_uncertainty_states):
+        save_matrix_file(path, psi, "pure_state")
+    argv = ["facets", "--generators", *gens]
+    cold = run_report(capsys, argv)
+    basis.clear_cache()
+    walks = []
+    wrap = geometry._wrap
+    monkeypatch.setattr(geometry, "_wrap", lambda hull_pts: walks.append(1) or wrap(hull_pts))
+    assert run(capsys, ["spin1"])[0] == 0
+    assert len(walks) == 1
+    assert run_report(capsys, argv) == cold
+    assert len(walks) == 1
 
 
 @pytest.mark.parametrize("error, code, category", [

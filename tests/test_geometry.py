@@ -8,6 +8,7 @@ import pytest
 from kdwitness import (
     SPIN1,
     CertificateError,
+    DegenerateHull,
     DimensionTooLarge,
     KDError,
     NotHermitian,
@@ -24,6 +25,7 @@ from kdwitness import (
     rho_lambda,
 )
 from kdwitness import config, geometry
+from kdwitness.basis import clear_cache
 from kdwitness.geometry import (
     FACET_BLOCK,
     Facet,
@@ -259,6 +261,7 @@ def test_blocks_without_cheap_normals_reach_the_svd_and_match_the_reference(
         monkeypatch.setattr(np.linalg, "solve", solve)
         for name, count in subsets.items():
             received.clear()
+            clear_cache()  # each set is walked again under this patch, not read back
             _assert_same_facets(cases[name], name)
             assert len(received) == count, name
 
@@ -538,6 +541,54 @@ def test_facet_guard_counts_side_test_entries():
     # 4096 points, 2**24 entries, are exactly at the limit.
     facets = facet_enumeration_points(line[:: 20_000 // 4096][:4096])
     assert [f.active for f in facets] == [(0,), (4095,)]
+
+
+def _facet_bits(facets):
+    return [(f.active, f.functional.tobytes(), float(f.offset).hex()) for f in facets]
+
+
+def test_a_second_facet_call_walks_nothing_and_gives_the_same_bits(monkeypatch):
+    points = _real_projectors(SPIN1.min_uncertainty_states)
+    first = facet_enumeration_points(points)
+    assert _facet_bits(first) == _facet_bits(_reference_facets(points))
+    calls = []
+    monkeypatch.setattr(geometry, "_wrap", lambda hull_pts: calls.append("wrap"))
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append("svd"))
+    second = facet_enumeration_points(points.copy())
+    assert calls == []
+    assert _facet_bits(second) == _facet_bits(first)
+
+
+def test_equal_points_share_one_facet_entry(spin1_projectors):
+    points = _real_projectors(SPIN1.min_uncertainty_states)
+    want = _facet_bits(facet_enumeration_points(points))
+    for same in (points.tolist(), np.asfortranarray(points)):
+        assert _facet_bits(facet_enumeration_points(same)) == want
+    # The Hermitian wrapper embeds the projectors to the same points.
+    assert [f.active for f in facet_enumeration(spin1_projectors)] == [a for a, _, _ in want]
+    info = geometry._facets.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+
+def test_cached_facets_are_read_only_in_a_new_list():
+    points = _generic_projectors(12, 412)
+    first = facet_enumeration_points(points)
+    first.pop()
+    second = facet_enumeration_points(points)
+    assert second is not first and len(second) == len(first) + 1
+    for f in second:
+        assert not f.functional.flags.writeable
+        with pytest.raises(ValueError):
+            f.functional[0] = 0.0
+
+
+def test_failing_point_sets_raise_on_every_facet_call():
+    for _ in range(2):
+        with pytest.raises(DegenerateHull):
+            facet_enumeration_points(np.zeros((3, 2)))
+        with pytest.raises(DimensionTooLarge):
+            facet_enumeration_points(_generic_projectors(22, 7))
+    assert geometry._facets.cache_info().currsize == 0
 
 
 def test_facets_invariant_under_reordering(spin1_projectors):
